@@ -6,6 +6,8 @@ addition/multiplication/involution given by tables) that preserves zero, one,
 addition, multiplication and the involution.  The search assigns images in
 index order and checks each constraint at the first position where all of its
 participants are assigned, so pruning happens as early as possible.
+``is_hom`` checks one given map against the same laws; it serves both
+quantale maps and characters.
 """
 
 from __future__ import annotations
@@ -79,3 +81,25 @@ def enumerate_homs(src: TableSemiring, dst: TableSemiring):
         image[pos] = None
 
     yield from search(0)
+
+
+def is_hom(src: TableSemiring, dst: TableSemiring, image):
+    """Check one image tuple against every law, over all pairs of indices.
+
+    Deliberately independent of enumerate_homs, so it can serve as its oracle.
+    """
+    n = src.size
+    if len(image) != n:
+        return False
+    if image[src.zero] != dst.zero or image[src.one] != dst.one:
+        return False
+    for i in range(n):
+        fi = image[i]
+        if image[src.star[i]] != dst.star[fi]:
+            return False
+        for j in range(n):
+            if image[src.add[i][j]] != dst.add[fi][image[j]]:
+                return False
+            if image[src.mul[i][j]] != dst.mul[fi][image[j]]:
+                return False
+    return True

@@ -15,14 +15,15 @@ from qspec.quantale import is_zdf, verify_quantale
 from qspec.relations import (
     QRel, add, add_via_biproduct, carrier, compose, dagger, identity_rel,
     scalar_mul, scalar_mul_via_tensor, subset_idempotent, support, zero_rel,
+    _e_join,
 )
 from qspec.spectra import (
     character_from_prime, character_kernel, characters_to_two,
-    gelfand_spectrum, prime_spectrum, restrict_character, restrict_prime,
+    restrict_character, restrict_prime,
 )
 from qspec.subalgebra import (
     commutant, is_von_neumann, primitive_idempotents, trivial_algebra,
-    validate_decomposition, _e_compose, _e_join, _zero_entries,
+    validate_decomposition, _zero_entries,
 )
 from qspec.zariski import (
     all_ideals, check_continuity, kolmogorov_quotient, separation_report,
@@ -197,8 +198,8 @@ def spectra_suite(poset):
     out = []
     q = poset.quantale
     algebras = poset.algebras
-    gelfands = [gelfand_spectrum(a) for a in algebras]
-    primes = [prime_spectrum(a) for a in algebras]
+    gelfands = poset.spectra("gelfand")
+    primes = poset.spectra("prime")
     if is_zdf(q):
         bij = roundtrip = one_idem = True
         for a, pr in zip(algebras, primes):
@@ -267,8 +268,8 @@ def topology_suite(poset):
     out = []
     q = poset.quantale
     algebras = poset.algebras
-    primes = [prime_spectrum(a) for a in algebras]
-    gelfands = [gelfand_spectrum(a) for a in algebras]
+    primes = poset.spectra("prime")
+    gelfands = poset.spectra("gelfand")
     if is_zdf(q):
         t0_ok = compact_ok = True
         for a, pr in zip(algebras, primes):

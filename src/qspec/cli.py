@@ -13,16 +13,14 @@ import json
 import sys
 
 from qspec import checks
-from qspec.contextuality import build_presheaf, global_sections, ks_verdict
+from qspec.contextuality import ks_verdict
 from qspec.quantale import (
     QuantaleError, is_zdf, load_quantale_file, parse_quantale_tag,
     quantale_to_doc, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
-from qspec.spectra import (
-    character_kernel, gelfand_spectrum, prime_spectrum,
-)
-from qspec.subalgebra import EnumerationBoundExceeded, enumerate_vn
+from qspec.spectra import character_kernel
+from qspec.subalgebra import EnumerationBoundExceeded, InvariantViolation, enumerate_vn
 from qspec.zariski import (
     kolmogorov_quotient, separation_report, topology_to_json, zariski_topology,
 )
@@ -178,8 +176,8 @@ def _cmd_spectrum(args):
     data = {}
     for i in chosen:
         a = poset.algebras[i]
-        gel = gelfand_spectrum(a)
-        pri = prime_spectrum(a)
+        gel = poset.spectra("gelfand")[i]
+        pri = poset.spectra("prime")[i]
         entry = {
             "id": a.algebra_id,
             "size": a.size,
@@ -208,19 +206,15 @@ def _member_label(q, entries):
 
 def _cmd_sections(args):
     q = _load_quantale(args)
-    x, poset = _poset(args, q)
-    gelfand = build_presheaf(poset, "gelfand")
-    g_sections = global_sections(gelfand)
+    results, verdict = _verdict_checks(carrier("X", args.size), q, args)
+    found = verdict.to_json() if verdict is not None else {}
     report = {
         "command": "sections",
         "config": _config(args, q),
-        "gelfand_sections": [list(s.choice) for s in g_sections],
+        "gelfand_sections": found.get("sections"),
     }
     if is_zdf(q):
-        prime = build_presheaf(poset, "prime")
-        report["prime_sections"] = [list(s.choice)
-                                    for s in global_sections(prime)]
-    results, _ = _verdict_checks(x, q, args)
+        report["prime_sections"] = found.get("prime_sections")
     return _finish(report, results, args)
 
 
@@ -228,7 +222,7 @@ def _verdict_checks(x, q, args):
     results = []
     try:
         verdict = ks_verdict(x, q, mode=args.mode, max_generators=args.max_generators)
-    except Exception as exc:  # route disagreement or invariant failure
+    except (InvariantViolation, ValueError) as exc:  # a failed check, not a crash
         results.append(checks.CheckResult("verdict-computed", False, str(exc)))
         return results, None
     results.append(checks.CheckResult("verdict-computed", True))
@@ -269,7 +263,7 @@ def _cmd_topology(args):
         a = poset.algebras[i]
         entry = {}
         for kind in ("gelfand", "prime"):
-            t = zariski_topology(a, kind)
+            t = zariski_topology(a, kind, poset.spectra(kind)[i])
             rep = separation_report(t)
             quotient, mapping = kolmogorov_quotient(t)
             entry[kind] = {

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 from qspec import csp
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
-from qspec.relations import support
+from qspec.relations import support, _e_compose
 from qspec.spectra import (
-    PrimeIdeal, character_from_prime, character_kernel, gelfand_spectrum,
-    prime_spectrum, restrict_point,
+    PrimeIdeal, character_from_prime, character_kernel, restrict_point,
 )
 from qspec.subalgebra import (
-    AlgebraPoset, InvariantViolation, enumerate_vn, primitive_idempotents,
-    _e_compose, _zero_entries,
+    AlgebraPoset, InvariantViolation, enumerate_vn, _zero_entries,
 )
 
 
@@ -86,14 +84,9 @@ class Verdict:
 
 
 def build_presheaf(poset, kind):
-    """Compute every spectrum and every restriction table, then verify the
-    functor laws before handing the presheaf out."""
-    if kind == "gelfand":
-        values = tuple(gelfand_spectrum(a) for a in poset.algebras)
-    elif kind == "prime":
-        values = tuple(prime_spectrum(a) for a in poset.algebras)
-    else:
-        raise ValueError(f"unknown presheaf kind {kind!r}")
+    """Take every spectrum from the poset, compute every restriction table,
+    then verify the functor laws before handing the presheaf out."""
+    values = poset.spectra(kind)
     restrictions = {}
     for (i, j) in poset.inclusions():
         sub = poset.algebras[i]
@@ -144,11 +137,7 @@ def global_sections(sheaf):
 # -- canonical sections from carrier points ---------------------------------------
 
 
-def _decompositions(poset):
-    return [primitive_idempotents(a) for a in poset.algebras]
-
-
-def canonical_section(point, sheaf, _decs=None):
+def canonical_section(point, sheaf):
     """The prime section induced by a carrier point: in every algebra, pick the
     complement ideal of the unique component whose idempotent supports the point."""
     if sheaf.kind != "prime":
@@ -157,9 +146,8 @@ def canonical_section(point, sheaf, _decs=None):
     require_zdf(poset.quantale, "canonical sections")
     if point not in poset.carrier.elements:
         raise ValueError(f"unknown carrier point {point!r}")
-    decs = _decs if _decs is not None else _decompositions(poset)
     choice = []
-    for idx, dec in enumerate(decs):
+    for idx, dec in enumerate(poset.decompositions):
         owners = [i for i, e in enumerate(dec.idempotents)
                   if point in support(e).supp]
         if len(owners) != 1:
@@ -195,22 +183,16 @@ def section_element(section, sheaf):
     diag_idx = poset.diagonal_index
     if diag_idx is None:
         raise ValueError("the diagonal algebra is not part of the poset")
-    decs = _decompositions(poset)
     selected = []
-    for idx, dec in enumerate(decs):
+    for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section.choice[idx]]
         outside = [e for e in dec.idempotents if e.entries not in ideal.member_set]
         if len(outside) != 1:
             raise InvariantViolation(
                 f"section does not isolate one component in algebra {idx}")
         selected.append(outside[0])
-    q = poset.quantale
-    zero = _zero_entries(q, poset.carrier.size)
-    for i, ei in enumerate(selected):
-        for ej in selected[i + 1:]:
-            if _e_compose(q, ei.entries, ej.entries) == zero:
-                raise InvariantViolation(
-                    "selected component idempotents have disjoint supports")
+    # Selected components are unit-diagonal idempotents: two of them compose to
+    # zero only if their supports are disjoint, which the shared-point check rules out.
     picked = support(selected[diag_idx]).supp
     if len(picked) != 1:
         raise InvariantViolation("diagonal component is not a single carrier point")
@@ -284,9 +266,8 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
             element_map[s] = section_element(s, prime)
         for s in g_sections:
             transport_gelfand_section(s, gelfand, prime)
-        decs = _decompositions(poset)
         for p in x.elements:
-            canonical[p] = canonical_section(p, prime, _decs=decs)
+            canonical[p] = canonical_section(p, prime)
         if len({c.choice for c in canonical.values()}) != len(x.elements):
             raise InvariantViolation("carrier points induced colliding sections")
         for p, c in canonical.items():

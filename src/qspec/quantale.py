@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qspec._homsearch import TableSemiring, enumerate_homs
+from qspec._homsearch import TableSemiring, enumerate_homs, is_hom
 
 
 class QuantaleError(ValueError):
@@ -154,21 +154,7 @@ class RigHom:
         return self.mapping[i]
 
     def is_valid(self):
-        s, t, f = self.source, self.target, self.mapping
-        n = s.size
-        if len(f) != n:
-            return False
-        if f[s.bottom] != t.bottom or f[s.unit] != t.unit:
-            return False
-        for i in range(n):
-            if f[s.inv(i)] != t.inv(f[i]):
-                return False
-            for j in range(n):
-                if f[s.join(i, j)] != t.join(f[i], f[j]):
-                    return False
-                if f[s.mul(i, j)] != t.mul(f[i], f[j]):
-                    return False
-        return True
+        return is_hom(self.source.semiring(), self.target.semiring(), self.mapping)
 
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""

@@ -127,6 +127,40 @@ def scalar_rel(q, s):
 
 
 # -- the dagger-semiring calculus ------------------------------------------------
+#
+# The _e_* kernels work on raw entry matrices (tuples of row tuples of element
+# indices); the hot paths call them directly, the QRel operations wrap them.
+
+
+def _e_compose(q, a, b):
+    """Entry (x, z) = join_y a(x,y) * b(y,z)."""
+    mul_t, join_t, bottom = q.mul_table, q.join_table, q.bottom
+    bcols = tuple(zip(*b))
+    out = []
+    for arow in a:
+        row = []
+        for bcol in bcols:
+            acc = bottom
+            for x, y in zip(arow, bcol):
+                acc = join_t[acc][mul_t[x][y]]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _e_join(q, a, b):
+    join_t = q.join_table
+    return tuple(tuple(join_t[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _e_dagger(q, a):
+    inv = q.involution
+    return tuple(tuple(inv[v] for v in col) for col in zip(*a))
+
+
+def _e_scalar(q, s, a):
+    mul_t = q.mul_table
+    return tuple(tuple(mul_t[s][v] for v in row) for row in a)
 
 
 def compose(f, g):
@@ -134,28 +168,15 @@ def compose(f, g):
     _check_same_quantale(f, g)
     if f.cod != g.dom:
         raise ValueError(f"middle object mismatch: {f.cod.name} vs {g.dom.name}")
-    q = f.quantale
-    mul, join, b = q.mul_table, q.join_table, q.bottom
-    gcols = g.entries
-    rows = []
-    for frow in f.entries:
-        row = []
-        for z in range(g.cod.size):
-            acc = b
-            for y, fxy in enumerate(frow):
-                acc = join[acc][mul[fxy][gcols[y][z]]]
-            row.append(acc)
-        rows.append(tuple(row))
-    return QRel(q, f.dom, g.cod, tuple(rows))
+    if not g.entries:  # empty middle object: every entry is the empty join
+        return zero_rel(f.quantale, f.dom, g.cod)
+    return QRel(f.quantale, f.dom, g.cod, _e_compose(f.quantale, f.entries, g.entries))
 
 
 def dagger(f):
     """Transpose with the involution applied entrywise."""
-    q = f.quantale
-    inv = q.involution
-    rows = tuple(tuple(inv[f.entries[x][y]] for x in range(f.dom.size))
-                 for y in range(f.cod.size))
-    return QRel(q, f.cod, f.dom, rows)
+    rows = _e_dagger(f.quantale, f.entries) if f.entries else ((),) * f.cod.size
+    return QRel(f.quantale, f.cod, f.dom, rows)
 
 
 def add(f, g):
@@ -163,19 +184,13 @@ def add(f, g):
     _check_same_quantale(f, g)
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("shape mismatch")
-    join = f.quantale.join_table
-    rows = tuple(tuple(join[a][b] for a, b in zip(ra, rb))
-                 for ra, rb in zip(f.entries, g.entries))
-    return QRel(f.quantale, f.dom, f.cod, rows)
+    return QRel(f.quantale, f.dom, f.cod, _e_join(f.quantale, f.entries, g.entries))
 
 
 def scalar_mul(s, f):
     """Entrywise multiplication by a scalar."""
     q = f.quantale
-    si = _as_scalar_index(q, s)
-    mul = q.mul_table
-    rows = tuple(tuple(mul[si][v] for v in row) for row in f.entries)
-    return QRel(q, f.dom, f.cod, rows)
+    return QRel(q, f.dom, f.cod, _e_scalar(q, _as_scalar_index(q, s), f.entries))
 
 
 def tensor(f, g):

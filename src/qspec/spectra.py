@@ -15,9 +15,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from qspec._homsearch import enumerate_homs
+from qspec._homsearch import enumerate_homs, is_hom
 from qspec.quantale import Quantale, builtin_quantale, require_zdf
-from qspec.subalgebra import Subsemialgebra
+from qspec.relations import _e_compose, _e_dagger, _e_join, _e_scalar
+from qspec.subalgebra import Subsemialgebra, _identity_entries, _zero_entries
 
 TWO = builtin_quantale("boolean2")
 
@@ -105,26 +106,14 @@ def is_character(algebra, target, values):
     """Full homomorphism validation for one value table, including the derived
     scalar compatibility value(s * m) = value(s * id) . value(m)."""
     sr = algebra.semiring()
-    tq = target
-    if len(values) != sr.size:
+    if not is_hom(sr, target.semiring(), values):
         return False
-    if values[sr.zero] != tq.bottom or values[sr.one] != tq.unit:
-        return False
-    for i in range(sr.size):
-        if values[sr.star[i]] != tq.inv(values[i]):
-            return False
-        for j in range(sr.size):
-            if values[sr.add[i][j]] != tq.join(values[i], values[j]):
-                return False
-            if values[sr.mul[i][j]] != tq.mul(values[i], values[j]):
-                return False
     q = algebra.quantale
-    from qspec.subalgebra import _e_scalar
     pos = algebra.member_pos
     for s in range(q.size):
         scaled_unit = values[pos[_e_scalar(q, s, algebra.members[sr.one])]]
         for i, m in enumerate(algebra.members):
-            if values[pos[_e_scalar(q, s, m)]] != tq.mul(scaled_unit, values[i]):
+            if values[pos[_e_scalar(q, s, m)]] != target.mul(scaled_unit, values[i]):
                 return False
     return True
 
@@ -183,7 +172,6 @@ def prime_spectrum(algebra):
 
 def is_prime_kstar_ideal(algebra, members):
     """Direct validation of one subset against the prime k*-ideal conditions."""
-    from qspec.subalgebra import _e_compose, _e_dagger, _e_join, _identity_entries, _zero_entries
     q = algebra.quantale
     n = algebra.carrier.size
     s = frozenset(members)

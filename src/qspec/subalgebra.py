@@ -16,13 +16,13 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
 from qspec.relations import (
     FiniteSet, QRel, diag_rel, direct_sum_set, hom_size, identity_rel,
-    subset_idempotent,
+    subset_idempotent, _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 
 DEFAULT_HOM_BOUND = 65536
@@ -45,38 +45,7 @@ def hom_bound():
     return int(os.environ.get("QSPEC_MAX_HOM_SIZE", DEFAULT_HOM_BOUND))
 
 
-# -- raw-entry helpers (hot paths work on entry matrices, not QRel wrappers) -----
-
-
-def _e_compose(q, a, b):
-    mul_t, join_t, bottom = q.mul_table, q.join_table, q.bottom
-    bcols = tuple(zip(*b))
-    out = []
-    for arow in a:
-        row = []
-        for bcol in bcols:
-            acc = bottom
-            for x, y in zip(arow, bcol):
-                acc = join_t[acc][mul_t[x][y]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _e_join(q, a, b):
-    join_t = q.join_table
-    return tuple(tuple(join_t[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _e_dagger(q, a):
-    inv = q.involution
-    n = len(a)
-    return tuple(tuple(inv[a[x][y]] for x in range(n)) for y in range(len(a[0])))
-
-
-def _e_scalar(q, s, a):
-    mul_t = q.mul_table
-    return tuple(tuple(mul_t[s][v] for v in row) for row in a)
+# -- entry matrices of the constant relations -----------------------------------
 
 
 def _identity_entries(q, n):
@@ -216,16 +185,11 @@ def _ambient(x, gens, quantale):
     return q
 
 
-def close(x, gens, quantale=None):
-    """Smallest subsemialgebra containing the generators: fixed-point closure
-    under join, composition, dagger and scalar multiples, seeded with 0 and id."""
-    gens = list(gens)
-    q = _ambient(x, gens, quantale)
-    n = x.size
-    members = {_zero_entries(q, n), _identity_entries(q, n)}
-    members.update(g.entries for g in gens)
+def _closure(seed, dag, smul, join, comp, scalars):
+    """Fixed point of the seed under dag, every scalar multiple, join and
+    composition on both sides; elements are whatever the four operations take."""
+    members = set(seed)
     frontier = list(members)
-    scalars = range(q.size)
     while frontier:
         fresh = []
 
@@ -235,49 +199,48 @@ def close(x, gens, quantale=None):
                 fresh.append(e)
 
         for a in frontier:
-            push(_e_dagger(q, a))
+            push(dag(a))
             for s in scalars:
-                push(_e_scalar(q, s, a))
+                push(smul(s, a))
             for b in list(members):
-                push(_e_join(q, a, b))
-                push(_e_compose(q, a, b))
-                push(_e_compose(q, b, a))
+                push(join(a, b))
+                push(comp(a, b))
+                push(comp(b, a))
         frontier = fresh
+    return members
+
+
+def close(x, gens, quantale=None):
+    """Smallest subsemialgebra containing the generators: fixed-point closure
+    under join, composition, dagger and scalar multiples, seeded with 0 and id.
+    Works on entry matrices, so Hom(X, X) is never built."""
+    gens = list(gens)
+    q = _ambient(x, gens, quantale)
+    n = x.size
+    seed = {_zero_entries(q, n), _identity_entries(q, n)} | {g.entries for g in gens}
+    members = _closure(seed, partial(_e_dagger, q), partial(_e_scalar, q),
+                       partial(_e_join, q), partial(_e_compose, q), range(q.size))
     return Subsemialgebra.from_entries(q, x, members)
 
 
 def commutant(x, rels, quantale=None):
     """Everything in Hom(X, X) commuting with every given relation.
 
-    Scans the full endomorphism space, so the space must stay under the
+    Builds (and caches) the Hom(X, X) space, so the space must stay under the
     configured bound (QSPEC_MAX_HOM_SIZE / 65536 by default).
     """
     rels = list(rels)
-    q = _ambient(x, rels, quantale)
-    size = hom_size(q, x)
-    if size > hom_bound():
-        raise EnumerationBoundExceeded(
-            f"|Hom(X,X)| = {size} exceeds the bound {hom_bound()}; "
-            "raise QSPEC_MAX_HOM_SIZE to force the scan")
-    others = [r.entries for r in rels]
-    found = []
-    for cand in itertools.product(range(q.size), repeat=x.size * x.size):
-        m = tuple(cand[i * x.size:(i + 1) * x.size] for i in range(x.size))
-        if all(_e_compose(q, m, g) == _e_compose(q, g, m) for g in others):
-            found.append(m)
-    return Subsemialgebra.from_entries(q, x, found)
+    space = get_endospace(_ambient(x, rels, quantale), x)
+    mask = space.commutant_mask(space.mask_of(r.entries for r in rels))
+    return space.algebra_from_mask(mask)
 
 
 def is_von_neumann(a):
-    """True iff the algebra equals its double commutant."""
-    space = _space_cache.get((a.quantale.fingerprint, a.carrier))
-    if space is not None and space.tabled:
-        mask = space.mask_of(a.members)
-        return space.double_commutant_mask(mask) == mask
-    rels = a.relations()
-    first = commutant(a.carrier, rels, a.quantale)
-    second = commutant(a.carrier, first.relations(), a.quantale)
-    return second.member_set == a.member_set
+    """True iff the algebra equals its double commutant; builds (and caches)
+    the Hom(X, X) space like commutant."""
+    space = get_endospace(a.quantale, a.carrier)
+    mask = space.mask_of(a.members)
+    return space.double_commutant_mask(mask) == mask
 
 
 def trivial_algebra(x, q):
@@ -592,26 +555,8 @@ class EndoSpace:
         return all(mask >> self.dag(i) & 1 for i in self.bits(mask))
 
     def close_mask(self, seed):
-        members = {self.zero_idx, self.id_idx} | set(seed)
-        frontier = list(members)
-        scalars = range(self.quantale.size)
-        while frontier:
-            fresh = []
-
-            def push(k):
-                if k not in members:
-                    members.add(k)
-                    fresh.append(k)
-
-            for a in frontier:
-                push(self.dag(a))
-                for s in scalars:
-                    push(self.smul(s, a))
-                for b in list(members):
-                    push(self.join(a, b))
-                    push(self.comp(a, b))
-                    push(self.comp(b, a))
-            frontier = fresh
+        members = _closure({self.zero_idx, self.id_idx, *seed}, self.dag, self.smul,
+                           self.join, self.comp, range(self.quantale.size))
         m = 0
         for i in members:
             m |= 1 << i
@@ -665,6 +610,25 @@ class AlgebraPoset:
             if a.members == members:
                 return i
         return None
+
+    def spectra(self, kind):
+        """The spectrum of one kind ("gelfand" or "prime") of every algebra, in
+        poset order; computed once per poset."""
+        memo = self.__dict__.setdefault("_spectra", {})
+        if kind not in memo:
+            from qspec import spectra  # spectra imports this module
+            compute = {"gelfand": spectra.gelfand_spectrum,
+                       "prime": spectra.prime_spectrum}.get(kind)
+            if compute is None:
+                raise ValueError(f"unknown spectrum kind {kind!r}")
+            memo[kind] = tuple(compute(a) for a in self.algebras)
+        return memo[kind]
+
+    @cached_property
+    def decompositions(self):
+        """The primitive idempotent decomposition of every algebra, in poset
+        order; computed once per poset."""
+        return tuple(primitive_idempotents(a) for a in self.algebras)
 
     @property
     def trivial_index(self):

@@ -18,7 +18,8 @@ from qspec.spectra import (
     Character, character_kernel, gelfand_spectrum, prime_spectrum,
     restrict_point,
 )
-from qspec.subalgebra import _e_compose, _e_join, _zero_entries
+from qspec.relations import _e_compose, _e_join
+from qspec.subalgebra import _zero_entries
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ from qspec.contextuality import ks_verdict
 from qspec.quantale import builtin_quantale, is_zdf, verify_quantale
 from qspec.relations import (
     QRel, add, add_via_biproduct, all_relations, carrier, compose,
-    identity_rel, scalar_mul, scalar_mul_via_tensor, zero_rel,
+    identity_rel, scalar_mul, scalar_mul_via_tensor, zero_rel, _e_join,
 )
 from qspec.spectra import (
     character_kernel, characters_to_two, gelfand_spectrum, prime_spectrum,
 )
 from qspec.subalgebra import (
     diagonal_algebra, enumerate_vn, primitive_idempotents,
-    subunital_idempotents, _e_join,
+    subunital_idempotents,
 )
 from qspec.zariski import (
     check_continuity, is_homeomorphism, kolmogorov_quotient,

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
+import qspec.cli as cli
+import qspec.subalgebra as sub
 from qspec.cli import main
+from qspec.subalgebra import InvariantViolation
 
 
 def run_cli(capsys, *argv):
@@ -155,3 +160,39 @@ def test_unknown_algebra_selector(capsys):
                            "--size", "2", "--algebra", "zorp")
     assert code == 2
     assert "selector" in err
+
+
+def test_bound_overflow_exits_two_for_every_enumerating_command(monkeypatch, capsys):
+    monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", "10")
+    monkeypatch.setattr(sub, "_space_cache", {})
+    for command in ("algebras", "sections", "verdict"):
+        code, out, err = run_cli(capsys, command, "--quantale", "boolean2", "--size", "2")
+        assert code == 2, command
+        assert "exceeds the bound" in err
+        assert out == ""
+
+
+def test_failed_verdict_is_a_failed_check(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("functor law broken along 0 <= 1 <= 2")
+
+    monkeypatch.setattr(cli, "ks_verdict", broken)
+    code, out, _ = run_cli(capsys, "verdict", "--quantale", "boolean2", "--size", "2")
+    assert code == 1
+    assert "[FAIL] verdict-computed  functor law broken" in out
+    code, out, _ = run_cli(capsys, "sections", "--quantale", "boolean2", "--size", "2",
+                           "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["gelfand_sections"] is None and report["prime_sections"] is None
+    assert report["checks"] == [{"name": "verdict-computed", "passed": False,
+                                 "details": "functor law broken along 0 <= 1 <= 2"}]
+
+
+def test_programming_errors_in_the_verdict_propagate(monkeypatch):
+    def buggy(*args, **kwargs):
+        raise TypeError("unhashable type")
+
+    monkeypatch.setattr(cli, "ks_verdict", buggy)
+    with pytest.raises(TypeError):
+        main(["verdict", "--quantale", "boolean2", "--size", "2"])

@@ -4,14 +4,16 @@ import pytest
 
 from qspec import csp
 from qspec.quantale import builtin_quantale
-from qspec.relations import carrier
+from qspec.relations import carrier, subset_idempotent
 from qspec.contextuality import (
     Presheaf, Section, build_presheaf, canonical_section, global_sections,
     is_natural, ks_verdict, section_element, transport_gelfand_section,
     transport_prime_section,
 )
 from qspec.spectra import restrict_point
-from qspec.subalgebra import enumerate_vn
+from qspec.subalgebra import (
+    AlgebraPoset, InvariantViolation, close, diagonal_algebra, enumerate_vn,
+)
 
 BOOL2 = builtin_quantale("boolean2")
 GODEL3 = builtin_quantale("godel_chain", 3)
@@ -144,6 +146,23 @@ def test_section_element_requires_the_diagonal():
     small_sheaf = build_presheaf(smaller, "prime")
     with pytest.raises(ValueError, match="diagonal"):
         section_element(Section(tuple(0 for _ in pruned_algebras)), small_sheaf)
+
+
+def test_section_element_rejects_components_without_a_common_point():
+    # Two points are only told apart by the diagonal algebra at |X| = 2, so a
+    # disagreement needs a second splitting algebra: {1} + {2,3} below the
+    # diagonal on three points.
+    x3 = carrier("X", 3)
+    split = close(x3, [subset_idempotent(BOOL2, x3, pts) for pts in (["1"], ["2", "3"])])
+    poset = AlgebraPoset(BOOL2, x3, (split, diagonal_algebra(x3, BOOL2)), "exhaustive",
+                         None, True, frozenset({(0, 0), (1, 1), (0, 1)}), ((0, 1),))
+    sheaf = build_presheaf(poset, "prime")
+    at_1, at_2 = (canonical_section(p, sheaf) for p in ("1", "2"))
+    assert section_element(at_2, sheaf) == "2"
+    # The diagonal now picks {1} while the split algebra still picks {2,3}.
+    spliced = Section((at_2.choice[0], at_1.choice[1]))
+    with pytest.raises(InvariantViolation, match="do not share the point"):
+        section_element(spliced, sheaf)
 
 
 # -- transports ----------------------------------------------------------------------

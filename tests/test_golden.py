@@ -1,0 +1,63 @@
+"""Byte-identity of the JSON reports: every command against recorded digests.
+
+The digests were recorded from the reports of the code before the entry-matrix
+kernels, closure, commutant and homomorphism check were each folded into one
+implementation.  A refactor that changes any report byte fails here.  To
+re-record after an intended report change, run this file as a script:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import hashlib
+
+import pytest
+
+from qspec.cli import main
+
+INVOCATIONS = [
+    (command, quantale)
+    for quantale in ("boolean2", "godel3")
+    for command in ("check-quantale", "algebras", "spectrum", "sections",
+                    "verdict", "topology")
+] + [("sections", "lukasiewicz3"), ("verdict", "lukasiewicz3")]
+
+GOLDEN = {
+    ("check-quantale", "boolean2"): "77f789ab1d9574021195bacfdc26034895a82f3023710c43317e7df7f5743a82",
+    ("algebras", "boolean2"): "9f8521220b421a314686e4fab483f5d0c82bde708491a1c3dfccff8b57adfd80",
+    ("spectrum", "boolean2"): "0181850aaddeade8217924ed425178f7c54f6f1d66245a263920afb7d1289e8c",
+    ("sections", "boolean2"): "af0b84dc6b8dbf662e7c6c1ff9cb7ac9a8993311307eaddb34685c9c52c0435f",
+    ("verdict", "boolean2"): "bbf74666d0ca5e16e9f79bb9a6f51493a264271ddb1448100ca970646c1ebce1",
+    ("topology", "boolean2"): "681434b2f8655bd2bb719579d9e0420d88fe6a9f866fde53ebf01b462ed41b51",
+    ("check-quantale", "godel3"): "de2f3b766471b40ad0d45af7858591f68c2224c5e81471f525c6b73ea9097b7e",
+    ("algebras", "godel3"): "dbe09016fe49eb8686d993bd511a42dbdf98857388e8903c503c7c26c2bdb975",
+    ("spectrum", "godel3"): "2d81ae29840487b5cb1ed578de95aa19ce9f6bdc6207f3bd0e6cc3fec16f1a5e",
+    ("sections", "godel3"): "290749e5c9927ef8fa6d068ac6c9f4f121e343f393152ce41b4722e4ea9c8e58",
+    ("verdict", "godel3"): "c89ab9cb074a1df30ad5766a650a91b791817b05aa7939a0f554f5c2c443cb9d",
+    ("topology", "godel3"): "016179be2dab82014374f7dbc4dbc2cd2194c09816d1b026ef85b684873475da",
+    ("sections", "lukasiewicz3"): "45178ad569050160bd5dfea24ce3f685344aafe32ed1e6efdb7ce1915a507aa0",
+    ("verdict", "lukasiewicz3"): "cd7f04a88cdcedde7388372e2cce3a9d331d556058cc687e4eda49a541d12654",
+}
+
+
+def report_digest(command, quantale, out_path):
+    argv = [command, "--quantale", quantale, "--format", "json", "--out", str(out_path)]
+    if command != "check-quantale":
+        argv += ["--size", "2"]
+    assert main(argv) == 0
+    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command,quantale", INVOCATIONS)
+def test_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json") == \
+        GOLDEN[(command, quantale)]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, quantale in INVOCATIONS:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
+            print(f'    ("{command}", "{quantale}"): "{digest}",')

@@ -83,6 +83,13 @@ def test_dagger():
     assert dagger(h).entries == ((SWAP.index("{2}"),),)
 
 
+def test_empty_carrier_is_the_zero_object():
+    x, e = carrier("X", 2), FiniteSet("E", ())
+    f, g = rel(BOOL2, x, e), rel(BOOL2, e, x)
+    assert compose(f, g) == zero_rel(BOOL2, x, x)
+    assert dagger(g) == f and dagger(f) == g
+
+
 def test_add_unit_and_boolean_union():
     x, y = carrier("X", 1), carrier("Y", 2)
     f = rel(BOOL2, x, y, {("1", "1"): "1"})

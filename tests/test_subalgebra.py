@@ -157,6 +157,39 @@ def test_is_von_neumann():
     assert not is_von_neumann(close(X2, [e1_rel()]))
 
 
+def test_commutant_and_von_neumann_match_the_oracles():
+    rng = random.Random(53)
+    verdicts = set()
+    for q in (BOOL2, GODEL3):
+        rels = list(all_relations(q, X2, X2))
+        for _ in range(5):
+            sample = rng.sample(rels, rng.randint(1, 3))
+            assert commutant(X2, sample).member_set == oracle_commutant(X2, sample, q)
+            for a in (Subsemialgebra.from_rels(sample), close(X2, sample)):
+                verdicts.add(is_von_neumann(a))
+                assert is_von_neumann(a) == oracle_is_vn(a)
+    assert verdicts == {True, False}
+
+
+def test_untabled_space_matches_the_oracles(monkeypatch):
+    import qspec.subalgebra as sub
+    monkeypatch.setattr(sub, "_space_cache", {})
+    x3 = carrier("X", 3)
+    space = sub.get_endospace(GODEL3, x3)
+    assert not space.tabled  # 3^9 = 19683 elements, past the table limit
+    gens = [
+        subset_idempotent(GODEL3, x3, ["1"]),
+        rel(GODEL3, x3, x3, {("1", "2"): "a"}),
+        rel(GODEL3, x3, x3, {("1", "3"): "a", ("3", "3"): "a"}),
+    ]
+    for g in gens:
+        expected = oracle_closure(x3, [g], GODEL3)
+        assert close(x3, [g]).member_set == expected
+        mask = space.close_mask([space.index[g.entries]])
+        assert space.algebra_from_mask(mask).member_set == expected
+        assert commutant(x3, [g]).member_set == oracle_commutant(x3, [g], GODEL3)
+
+
 # -- enumeration -------------------------------------------------------------------------
 
 
