@@ -190,36 +190,31 @@ def load_quantale(doc):
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
 
+    def lookup(e, where):
+        # a list or object is unhashable, and a number is never an id
+        if not isinstance(e, str) or e not in index:
+            raise QuantaleError(f"unknown element id {e!r} {where}")
+        return index[e]
+
     def table(field):
         rows = doc[field]
         if not isinstance(rows, list) or len(rows) != n or any(
                 not isinstance(r, list) or len(r) != n for r in rows):
             raise QuantaleError(f"arity error: {field} table must be {n}x{n}")
-        out = []
-        for r in rows:
-            for e in r:
-                if e not in index:
-                    raise QuantaleError(f"unknown element id {e!r} in {field} table")
-            out.append(tuple(index[e] for e in r))
-        return tuple(out)
+        return tuple(tuple(lookup(e, f"in {field} table") for e in r) for r in rows)
 
     join_table = table("join")
     mul_table = table("mul")
-    unit = doc["unit"]
-    if unit not in index:
-        raise QuantaleError(f"unknown element id {unit!r} for unit")
+    unit = lookup(doc["unit"], "for unit")
     involution = None
     explicit = False
     if "involution" in doc:
         inv = doc["involution"]
         if not isinstance(inv, list) or len(inv) != n:
             raise QuantaleError("arity error: involution must list one image per element")
-        for e in inv:
-            if e not in index:
-                raise QuantaleError(f"unknown element id {e!r} in involution")
-        involution = tuple(index[e] for e in inv)
+        involution = tuple(lookup(e, "in involution") for e in inv)
         explicit = True
-    return Quantale(name, elements, join_table, mul_table, index[unit],
+    return Quantale(name, elements, join_table, mul_table, unit,
                     involution, involution_explicit=explicit)
 
 

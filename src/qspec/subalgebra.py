@@ -2,12 +2,16 @@
 
 A subsemialgebra of Hom(X, X) is a set of endo-relations containing the zero
 and identity relations, closed under pointwise join, composition, dagger and
-scalar multiples.  The von Neumann ones (equal to their double commutant) form
-an inclusion poset; enumerating that poset exactly is feasible because every
-double commutant is an intersection of single-element commutants, so the whole
-family is the Moore family generated by those intersections.  Each algebra over
-a zero-divisor-free quantale splits along its primitive subunital idempotents,
-which are recovered from the Boolean algebra of member supports.
+scalar multiples.  The commutative von Neumann ones (equal to their double
+commutant) form an inclusion poset.  Enumerating it exactly is feasible
+because each of them lies in a maximal clique C of the commutation graph,
+C is its own commutant, and the algebra is C cut down by single-element
+commutants; so a walk seeded at the maximal cliques (Bron–Kerbosch with
+pivoting) reaches all of them and nothing else.  Hom(X, X) itself is
+tabulated by row lookup: row k of a product or join depends on row k of the
+left factor only.  Each algebra over a zero-divisor-free quantale splits
+along its primitive subunital idempotents, which are recovered from the
+Boolean algebra of member supports.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import eq, itemgetter
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
@@ -27,6 +32,7 @@ from qspec.relations import (
 
 DEFAULT_HOM_BOUND = 65536
 _TABLE_LIMIT = 2048
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class MixedAmbientError(ValueError):
@@ -237,10 +243,15 @@ def commutant(x, rels, quantale=None):
 
 def is_von_neumann(a):
     """True iff the algebra equals its double commutant; builds (and caches)
-    the Hom(X, X) space like commutant."""
-    space = get_endospace(a.quantale, a.carrier)
-    mask = space.mask_of(a.members)
-    return space.double_commutant_mask(mask) == mask
+    the Hom(X, X) space like commutant.  The answer is stored on the algebra,
+    so the checks and the decomposition guard compute it once."""
+    cached = a.__dict__.get("_von_neumann")
+    if cached is None:
+        space = get_endospace(a.quantale, a.carrier)
+        mask = space.mask_of(a.members)
+        cached = space.double_commutant_mask(mask) == mask
+        a.__dict__["_von_neumann"] = cached
+    return cached
 
 
 def trivial_algebra(x, q):
@@ -417,6 +428,14 @@ def validate_decomposition(dec):
 # -- the full endomorphism space -------------------------------------------------------
 
 
+def _bits(mask):
+    """The set bits of an int bitset, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class EndoSpace:
     """Hom(X, X) with operation tables and commutation masks.
 
@@ -437,7 +456,7 @@ class EndoSpace:
         self.zero_idx = self.index[_zero_entries(quantale, n)]
         self.id_idx = self.index[_identity_entries(quantale, n)]
         self.full_mask = (1 << self.size) - 1
-        self.tabled = self.size <= _TABLE_LIMIT
+        self.tabled = n > 0 and self.size <= _TABLE_LIMIT  # no rows to look up when n = 0
         if self.tabled:
             self._build_tables()
         else:
@@ -448,29 +467,48 @@ class EndoSpace:
             self._comm_memo = {}
 
     def _build_tables(self):
+        """Tabulate every operation; composition and join by row lookup.
+
+        The elements are built in itertools.product order, so the index of an
+        element is sum_k rowpos(row k) * R**(n-1-k), with R = |Q|**n row
+        vectors.  Row k of a∘b is (row k of a)·b and row k of a ∨ b is
+        (row k of a) ∨ (row k of b), so a table row is the sum over k of n
+        looked-up lists of place-scaled row indices.  Every cell is mapped
+        through one list of canonical ints: cells computed by sum are fresh
+        int objects, and |Hom|² of them would grow the tables several times.
+        """
         q = self.quantale
         els = self.elements
-        n = len(els)
-        idx = self.index
-        self.comp_t = [[0] * n for _ in range(n)]
-        self.join_t = [[0] * n for _ in range(n)]
-        for i, a in enumerate(els):
-            comp_row = self.comp_t[i]
-            join_row = self.join_t[i]
-            for j, b in enumerate(els):
-                comp_row[j] = idx[_e_compose(q, a, b)]
-                join_row[j] = idx[_e_join(q, a, b)]
-        self.dag_t = [idx[_e_dagger(q, a)] for a in els]
-        self.smul_t = [[idx[_e_scalar(q, s, a)] for a in els] for s in range(q.size)]
+        n = self.carrier.size
+        canon = list(range(self.size))
+        rows = list(itertools.product(range(q.size), repeat=n))
+        rowpos = {r: i for i, r in enumerate(rows)}
+        places = [len(rows) ** (n - 1 - k) for k in range(n)]
+
+        def table(parts):
+            # tuple() trims its storage to the exact length, where list()
+            # would keep the slack it grew by
+            return [tuple(map(canon.__getitem__, map(sum, zip(
+                        *(part[rowpos[row]] for part, row in zip(parts, a))))))
+                    for a in els]
+
+        # part k, row r: over every b, the scaled index of row k of a∘b when
+        # row k of a is r; likewise for a ∨ b
+        rowmul = [[rowpos[_e_compose(q, (r,), b)[0]] for b in els] for r in rows]
+        self.comp_t = table([[[canon[p * v] for v in prods] for prods in rowmul]
+                             for p in places])
+        rowjoin = [[rowpos[_e_join(q, (r,), (s,))[0]] for s in rows] for r in rows]
+        self.join_t = table([[[canon[p * joins[rowpos[b[k]]]] for b in els]
+                              for joins in rowjoin]
+                             for k, p in enumerate(places)])
+        self.dag_t = [self.index[_e_dagger(q, a)] for a in els]
+        self.smul_t = [[self.index[_e_scalar(q, s, a)] for a in els] for s in range(q.size)]
+        # bit j of comm_t[i] is comp[i][j] == comp[j][i]; the column is read
+        # lazily, since a full transpose would double the peak size
         comp = self.comp_t
-        self.comm_t = []
-        for i in range(n):
-            mask = 0
-            row = comp[i]
-            for j in range(n):
-                if row[j] == comp[j][i]:
-                    mask |= 1 << j
-            self.comm_t.append(mask)
+        self.comm_t = [
+            int(bytes(map(eq, row, map(itemgetter(i), comp)))[::-1].translate(_BIT_DIGITS), 2)
+            for i, row in enumerate(comp)]
 
     # operation access (index-level)
 
@@ -533,11 +571,7 @@ class EndoSpace:
             m |= 1 << self.index[e]
         return m
 
-    def bits(self, mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    bits = staticmethod(_bits)
 
     def commutant_mask(self, mask):
         out = self.full_mask
@@ -691,30 +725,75 @@ def _poset_from_masks(space, masks, mode, max_generators, complete):
                         max_generators, complete, frozenset(leq), hasse)
 
 
+def maximal_cliques(adj):
+    """Every maximal clique of the graph whose vertex v has the neighbour
+    bitset adj[v] (no self-loops), as vertex bitsets.
+
+    Bron–Kerbosch with Tomita's pivot: the pivot u in P ∪ X has the most
+    neighbours in P, and only the candidates outside N(u) are branched on.
+    An explicit stack stands in for the recursion, so clique size is not
+    bounded by the interpreter's recursion limit.
+    """
+    out = []
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        clique, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(clique)
+            continue
+        u = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+        for v in _bits(p & ~adj[u]):
+            bit = 1 << v
+            stack.append((clique | bit, p & adj[v], x & adj[v]))
+            p ^= bit
+            x |= bit
+    return out
+
+
 def enumerate_vn(x, q, mode="exhaustive", max_generators=2, bound=None):
     """Enumerate commutative unital star-closed von Neumann subsemialgebras.
 
-    Exhaustive mode walks the Moore family of commutants (every double
-    commutant is an intersection of single-element commutants), which yields
-    exactly the von Neumann subsemialgebras; the commutative star-closed ones
-    survive the filter.  Generated mode closes every generator set of at most
-    max_generators elements and keeps the algebras that pass the same filter,
-    force-including the trivial and diagonal algebras.
+    Exhaustive mode seeds a walk at every maximal clique C of the commutation
+    graph (i ~ j when i and j commute, i != j) and closes it under
+    intersection with the single-element commutants comm(s).  This reaches
+    exactly the commutative von Neumann subsemialgebras:
+
+    - C is its own commutant: C ⊆ C' because C is a clique, and an element of
+      C' outside C would extend the clique.
+    - A commutative A = A'' is a clique, so it lies in some maximal clique C,
+      and C ⊆ A'.  Hence A = A'' = C' ∩ ⋂_{s∈A'∖C} comm(s)
+      = C ∩ ⋂_{s∈A'∖C} comm(s), which the walk from C reaches.
+    - Conversely, C ∩ ⋂_{s∈S} comm(s) = (C ∪ S)' is a commutant, hence von
+      Neumann, and it lies inside the clique C, hence commutative.
+
+    So only the star-closure filter remains.  Below C a commutant s acts
+    through s ∩ C alone, so each walk intersects with the distinct proper
+    cuts s ∩ C.  One family set is shared across the cliques: a mask inside
+    two cliques has the same successors from either, so it is expanded once.
+
+    Generated mode closes every generator set of at most max_generators
+    elements and keeps the algebras that are commutative, star-closed and von
+    Neumann, force-including the trivial and diagonal algebras.
     """
     space = get_endospace(q, x, bound)
     if mode == "exhaustive":
-        singles = sorted(set(space.comm_mask(i) for i in range(space.size)))
-        family = {space.full_mask}
-        frontier = [space.full_mask]
-        while frontier:
-            m = frontier.pop()
-            for s in singles:
-                nm = m & s
-                if nm not in family:
-                    family.add(nm)
-                    frontier.append(nm)
-        keep = [m for m in family
-                if space.is_commutative_mask(m) and space.is_star_mask(m)]
+        comm = [space.comm_mask(i) for i in range(space.size)]
+        singles = set(comm)
+        family = set()
+        for c in maximal_cliques([m & ~(1 << i) for i, m in enumerate(comm)]):
+            cuts = {c & s for s in singles}
+            cuts.discard(c)
+            family.add(c)
+            frontier = [c]
+            while frontier:
+                m = frontier.pop()
+                for s in cuts:
+                    nm = m & s
+                    if nm not in family:
+                        family.add(nm)
+                        frontier.append(nm)
+        keep = [m for m in family if space.is_star_mask(m)]
         return _poset_from_masks(space, keep, "exhaustive", None, True)
     if mode == "generated":
         k = max_generators

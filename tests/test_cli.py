@@ -48,6 +48,20 @@ def test_check_quantale_from_file(tmp_path, capsys):
     assert json.loads(out)["document"] == doc
 
 
+def test_non_string_id_in_a_document_exits_two(tmp_path, capsys):
+    doc = {
+        "name": "b2", "elements": ["0", "1"],
+        "join": [["0", "1"], ["1", "1"]],
+        "mul": [["0", "0"], ["0", "1"]],
+        "unit": ["1"],
+    }
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "check-quantale", "--file", str(path))
+    assert code == 2
+    assert "unknown element id ['1'] for unit" in err
+
+
 def test_broken_quantale_fails_with_exit_one(tmp_path, capsys):
     doc = {
         "name": "broken", "elements": ["0", "1"],

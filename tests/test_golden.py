@@ -1,9 +1,12 @@
 """Byte-identity of the JSON reports: every command against recorded digests.
 
-The digests were recorded from the reports of the code before the entry-matrix
-kernels, closure, commutant and homomorphism check were each folded into one
-implementation.  A refactor that changes any report byte fails here.  To
-re-record after an intended report change, run this file as a script:
+The |X| = 2 digests were recorded from the reports of the code before the
+entry-matrix kernels, closure, commutant and homomorphism check were each
+folded into one implementation; the |X| = 3 digest (the full 440-algebra
+poset of boolean2) from the code before the tables were built by row lookup
+and the von Neumann walk was seeded at maximal cliques.  A refactor that
+changes any report byte fails here.  To re-record after an intended report
+change, run this file as a script:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -38,11 +41,15 @@ GOLDEN = {
     ("verdict", "lukasiewicz3"): "cd7f04a88cdcedde7388372e2cce3a9d331d556058cc687e4eda49a541d12654",
 }
 
+GOLDEN_THREE_POINTS = {
+    ("algebras", "boolean2"): "bb97c6977bcec513bb0259ba978c24ade2c75823ba2351edd388ff8b2a80556e",
+}
 
-def report_digest(command, quantale, out_path):
+
+def report_digest(command, quantale, out_path, size=2):
     argv = [command, "--quantale", quantale, "--format", "json", "--out", str(out_path)]
     if command != "check-quantale":
-        argv += ["--size", "2"]
+        argv += ["--size", str(size)]
     assert main(argv) == 0
     return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
@@ -53,6 +60,12 @@ def test_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
         GOLDEN[(command, quantale)]
 
 
+@pytest.mark.parametrize("command,quantale", GOLDEN_THREE_POINTS)
+def test_three_point_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json", size=3) == \
+        GOLDEN_THREE_POINTS[(command, quantale)]
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -60,4 +73,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for command, quantale in INVOCATIONS:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
+            print(f'    ("{command}", "{quantale}"): "{digest}",')
+        print("three points:")
+        for command, quantale in GOLDEN_THREE_POINTS:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json", 3)
             print(f'    ("{command}", "{quantale}"): "{digest}",')

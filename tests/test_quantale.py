@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspec.quantale import (
     QuantaleError, builtin_quantale, endomorphisms, is_zdf, load_quantale,
@@ -80,6 +81,62 @@ def test_load_errors():
     dup["elements"] = ["0", "0", "1"]
     with pytest.raises(QuantaleError):
         load_quantale(dup)
+
+
+def test_non_string_ids_are_load_errors():
+    corruptions = [
+        lambda d: d.update(unit=["1"]),
+        lambda d: d["join"][0].__setitem__(1, ["a"]),
+        lambda d: d["mul"][2].__setitem__(2, {"1": "1"}),
+        lambda d: d.update(involution=["0", ["a"], "1"]),
+        lambda d: d.update(unit=1),
+    ]
+    for corrupt in corruptions:
+        doc = godel3_doc()
+        corrupt(doc)
+        with pytest.raises(QuantaleError, match="unknown element id"):
+            load_quantale(doc)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def near_quantale_documents(draw):
+    """Documents in the quantale format where each field, table, row and id is
+    dropped or replaced by arbitrary JSON one time in twenty."""
+    ids = draw(st.lists(st.sampled_from(["0", "a", "b", "1"]),
+                        min_size=1, max_size=3, unique=True))
+
+    def corrupt(value):
+        return draw(JSON) if draw(st.integers(0, 19)) == 0 else value
+
+    def elem():
+        return corrupt(draw(st.sampled_from(ids)))
+
+    def table():
+        return corrupt([corrupt([elem() for _ in ids]) for _ in ids])
+
+    fields = {"name": corrupt("q"), "elements": corrupt(ids), "join": table(),
+              "mul": table(), "unit": elem(),
+              "involution": corrupt([elem() for _ in ids])}
+    return {k: v for k, v in fields.items() if draw(st.integers(0, 19))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(near_quantale_documents(), JSON))
+def test_every_document_loads_or_raises_a_quantale_error(doc):
+    try:
+        q = load_quantale(doc)
+    except QuantaleError:
+        return
+    assert q.size == len(doc["elements"])
+    assert quantale_to_doc(q)["unit"] == doc["unit"]
 
 
 def test_derived_fields():

@@ -4,17 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qspec.quantale import ZdfRequiredError, builtin_quantale
+from qspec.quantale import ZdfRequiredError, builtin_quantale, load_quantale
 from qspec.relations import (
     QRel, add, all_relations, carrier, compose, dagger, identity_rel, rel,
-    scalar_mul, subset_idempotent, support, zero_rel,
+    scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_join,
 )
 from qspec.subalgebra import (
     EnumerationBoundExceeded, Subsemialgebra, close, commutant,
-    diagonal_algebra, direct_sum, enumerate_vn, is_von_neumann,
-    primitive_idempotents, restrict_component, subunital_idempotents,
-    trivial_algebra,
+    diagonal_algebra, direct_sum, enumerate_vn, get_endospace, is_von_neumann,
+    maximal_cliques, primitive_idempotents, restrict_component,
+    subunital_idempotents, trivial_algebra, _poset_from_masks,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -86,6 +87,63 @@ def oracle_enumerate_boolean2_x2():
         if oracle_is_vn(algebra):
             found.append(algebra.members)
     return sorted(found)
+
+
+def oracle_walk(space):
+    """The Moore-family walk: every intersection of single-element commutants,
+    starting from the whole space, filtered to the commutative star-closed
+    masks."""
+    singles = sorted(set(space.comm_mask(i) for i in range(space.size)))
+    family = {space.full_mask}
+    frontier = [space.full_mask]
+    while frontier:
+        m = frontier.pop()
+        for s in singles:
+            nm = m & s
+            if nm not in family:
+                family.add(nm)
+                frontier.append(nm)
+    return [m for m in family
+            if space.is_commutative_mask(m) and space.is_star_mask(m)]
+
+
+def oracle_maximal_cliques(adj):
+    """Scan every vertex subset for cliques that no outside vertex extends."""
+    n = len(adj)
+    closed = [adj[v] | 1 << v for v in range(n)]
+    cliques = {s for s in range(1 << n)
+               if all(s & ~closed[v] == 0 for v in range(n) if s >> v & 1)}
+    return sorted(s for s in cliques
+                  if not any(s | 1 << v in cliques for v in range(n) if not s >> v & 1))
+
+
+# Document-loaded quantales: boolean2 listed top first, so bottom is index 1,
+# and the two-point powerset with its points swapped by the involution.
+BOOL2_TOP_FIRST = load_quantale({
+    "name": "boolean2-top-first",
+    "elements": ["1", "0"],
+    "join": [["1", "1"], ["1", "0"]],
+    "mul": [["1", "0"], ["0", "0"]],
+    "unit": "1",
+})
+SWAP = load_quantale({
+    "name": "swap",
+    "elements": ["{}", "{1}", "{2}", "{1,2}"],
+    "join": [["{}", "{1}", "{2}", "{1,2}"],
+             ["{1}", "{1}", "{1,2}", "{1,2}"],
+             ["{2}", "{1,2}", "{2}", "{1,2}"],
+             ["{1,2}", "{1,2}", "{1,2}", "{1,2}"]],
+    "mul": [["{}", "{}", "{}", "{}"],
+            ["{}", "{1}", "{}", "{1}"],
+            ["{}", "{}", "{2}", "{2}"],
+            ["{}", "{1}", "{2}", "{1,2}"]],
+    "unit": "{1,2}",
+    "involution": ["{}", "{2}", "{1}", "{1,2}"],
+})
+ORACLE_QUANTALES = [
+    BOOL2, GODEL3, builtin_quantale("godel_chain", 4), LUK3,
+    builtin_quantale("powerset", 2), BOOL2_TOP_FIRST, SWAP,
+]
 
 
 def e1_rel():
@@ -190,6 +248,64 @@ def test_untabled_space_matches_the_oracles(monkeypatch):
         assert commutant(x3, [g]).member_set == oracle_commutant(x3, [g], GODEL3)
 
 
+# -- operation tables ------------------------------------------------------------------
+
+
+def assert_table_cells(space, pairs):
+    q, els, idx = space.quantale, space.elements, space.index
+    for i, j in pairs:
+        assert space.comp_t[i][j] == idx[_e_compose(q, els[i], els[j])]
+        assert space.join_t[i][j] == idx[_e_join(q, els[i], els[j])]
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_tables_match_the_entry_kernels(q):
+    space = get_endospace(q, X2)
+    assert space.tabled
+    assert_table_cells(space, itertools.product(range(space.size), repeat=2))
+    comp = space.comp_t
+    for i in range(space.size):
+        expected = sum(1 << j for j in range(space.size) if comp[i][j] == comp[j][i])
+        assert space.comm_t[i] == expected
+
+
+def test_three_point_tables_match_on_random_pairs():
+    space = get_endospace(BOOL2, carrier("X", 3))
+    rng = random.Random(61)
+    assert_table_cells(space, [(rng.randrange(space.size), rng.randrange(space.size))
+                               for _ in range(2000)])
+    # cells share one int object per index, so the tables hold no fresh ints
+    for table in (space.comp_t, space.join_t):
+        assert len({id(v) for row in table for v in row}) <= space.size
+
+
+# -- maximal cliques ---------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 10))
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_maximal_cliques_match_a_subset_scan(adj):
+    assert sorted(maximal_cliques(adj)) == oracle_maximal_cliques(adj)
+
+
+def test_maximal_cliques_of_empty_and_complete_graphs():
+    assert maximal_cliques([]) == [0]
+    assert sorted(maximal_cliques([0] * 6)) == [1 << v for v in range(6)]
+    complete = [0b111111 & ~(1 << v) for v in range(6)]
+    assert maximal_cliques(complete) == [0b111111]
+
+
 # -- enumeration -------------------------------------------------------------------------
 
 
@@ -200,9 +316,28 @@ def test_enumerate_single_point_carrier():
     assert poset.algebras[0].member_set == {((0,),), ((1,),)}
 
 
+def test_enumerate_empty_carrier():
+    # Hom(∅, ∅) has one element, the empty matrix, and no rows to look up
+    x0 = carrier("X", 0)
+    space = get_endospace(BOOL2, x0)
+    assert (space.comp(0, 0), space.join(0, 0), space.comm_mask(0)) == (0, 0, 1)
+    poset = enumerate_vn(x0, BOOL2)
+    assert [a.members for a in poset.algebras] == [((),)]
+
+
 def test_enumerate_boolean2_x2_matches_subset_scan_oracle():
     poset = enumerate_vn(X2, BOOL2)
     assert sorted(a.members for a in poset.algebras) == oracle_enumerate_boolean2_x2()
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_enumerate_matches_the_moore_walk_oracle(q):
+    space = get_endospace(q, X2)
+    expected = _poset_from_masks(space, oracle_walk(space), "exhaustive", None, True)
+    poset = enumerate_vn(X2, q)
+    assert poset.algebras == expected.algebras
+    assert poset.leq_pairs == expected.leq_pairs
+    assert poset.hasse == expected.hasse
 
 
 def test_enumerate_godel3_x2_self_checks():
@@ -349,6 +484,22 @@ def test_decomposition_requires_zdf_and_von_neumann():
         primitive_idempotents(trivial_algebra(X2, LUK3))
     with pytest.raises(ValueError, match="von Neumann"):
         primitive_idempotents(close(X2, [e1_rel()]))
+
+
+def test_von_neumann_answer_is_computed_once(monkeypatch):
+    import qspec.subalgebra as sub
+    vn = diagonal_algebra(X2, BOOL2)
+    not_vn = close(X2, [e1_rel()])
+    assert is_von_neumann(vn) and not is_von_neumann(not_vn)
+
+    def no_space(*args, **kwargs):
+        raise AssertionError("the double commutant was computed again")
+
+    monkeypatch.setattr(sub, "get_endospace", no_space)
+    assert is_von_neumann(vn) and not is_von_neumann(not_vn)
+    assert len(primitive_idempotents(vn).idempotents) == 2
+    with pytest.raises(ValueError, match="von Neumann"):
+        primitive_idempotents(not_vn)
 
 
 def test_support_projections_stay_inside():
