@@ -7,7 +7,6 @@ Randomized properties draw from a seeded generator so reports are reproducible.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -15,7 +14,6 @@ from qspec.quantale import is_zdf, verify_quantale
 from qspec.relations import (
     QRel, add, add_via_biproduct, carrier, compose, dagger, identity_rel,
     scalar_mul, scalar_mul_via_tensor, subset_idempotent, support, zero_rel,
-    _e_join,
 )
 from qspec.spectra import (
     character_from_prime, character_kernel, characters_to_two,
@@ -23,7 +21,7 @@ from qspec.spectra import (
 )
 from qspec.subalgebra import (
     commutant, is_von_neumann, primitive_idempotents, trivial_algebra,
-    validate_decomposition, _zero_entries,
+    validate_decomposition,
 )
 from qspec.zariski import (
     all_ideals, check_continuity, kolmogorov_quotient, separation_report,
@@ -128,6 +126,17 @@ def relations_suite(q, seed, cases=300):
 # -- algebra-level checks ---------------------------------------------------------
 
 
+def subset_joins(a):
+    """The join of every subset of the members.  These are the closure of {0}
+    under joining with one member, so |A| rounds of table lookups cover all
+    2^|A| subsets."""
+    space, idx = a.in_space()
+    reach = {space.zero_idx}
+    for i in idx:
+        reach |= {space.join(r, i) for r in reach}
+    return {space.elements[r] for r in reach}
+
+
 def algebras_suite(poset, seed):
     out = []
     q = poset.quantale
@@ -142,22 +151,7 @@ def algebras_suite(poset, seed):
                 and all(triv.member_set <= a.member_set for a in algebras))
     out.append(_verdict("trivial-included", included,
                         "the trivial algebra is not below every object"))
-    joins_ok = True
-    for a in algebras:
-        if a.size <= 10:
-            subsets = itertools.chain.from_iterable(
-                itertools.combinations(a.members, r) for r in range(a.size + 1))
-        else:
-            rng = random.Random(seed)
-            subsets = [tuple(rng.sample(a.members, rng.randint(0, a.size)))
-                       for _ in range(200)]
-        for sub in subsets:
-            acc = _zero_entries(q, a.carrier.size)
-            for m in sub:
-                acc = _e_join(q, acc, m)
-            if acc not in a.member_set:
-                joins_ok = False
-                break
+    joins_ok = all(subset_joins(a) <= a.member_set for a in algebras)
     out.append(_verdict("join-closure-subsets", joins_ok,
                         "a subset join escaped its algebra"))
     if is_zdf(q):
@@ -246,9 +240,13 @@ def spectra_suite(poset):
                                 "kernel map is not a bijection over the two-element quantale"))
     functorial = True
     incl = poset.inclusions()
+    incl_set = set(incl)
+    above = {}  # j -> every k with j strictly below k, ascending
+    for j, k in incl:
+        above.setdefault(j, []).append(k)
     for (i, j) in incl:
-        for (j2, k) in incl:
-            if j2 != j or (i, k) not in set(incl):
+        for k in above.get(j, ()):
+            if (i, k) not in incl_set:
                 continue
             for rho in gelfands[k].points:
                 step = restrict_character(restrict_character(rho, algebras[j]), algebras[i])
@@ -277,6 +275,9 @@ def topology_suite(poset):
             t0_ok &= rep.t0
             compact_ok &= rep.compact
         out.append(_verdict("prime-t0", t0_ok, "a prime-side topology is not T0"))
+        # Every finite space is compact (a finite cover has itself as a
+        # finite subcover), so prime-compact cannot fail; the key is kept for
+        # report stability, not as evidence.
         out.append(_verdict("prime-compact", compact_ok, "a prime-side topology is not compact"))
         quot = all(verify_quotient_xi(a, g, p)
                    for a, g, p in zip(algebras, gelfands, primes))

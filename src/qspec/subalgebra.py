@@ -116,56 +116,52 @@ class Subsemialgebra:
         return (_identity_entries(self.quantale, n) in self.member_set
                 and _zero_entries(self.quantale, n) in self.member_set)
 
+    def in_space(self):
+        """The Hom(X, X) space and the members' indices in it, in member order.
+        The space comes from get_endospace, so QSPEC_MAX_HOM_SIZE applies."""
+        space = get_endospace(self.quantale, self.carrier)
+        return space, tuple(map(space.index.__getitem__, self.members))
+
     @cached_property
     def is_star_closed(self):
-        q = self.quantale
-        return all(_e_dagger(q, m) in self.member_set for m in self.members)
+        space, idx = self.in_space()
+        return space.is_star_mask(_mask(idx))
 
     @cached_property
     def is_commutative(self):
-        q = self.quantale
-        ms = self.members
-        for i, a in enumerate(ms):
-            for b in ms[i + 1:]:
-                if _e_compose(q, a, b) != _e_compose(q, b, a):
-                    return False
-        return True
+        space, idx = self.in_space()
+        return space.is_commutative_mask(_mask(idx))
 
     def is_closed(self):
         """Closed under join, composition, dagger and every scalar multiple."""
-        q = self.quantale
-        s = self.member_set
-        for a in self.members:
-            if _e_dagger(q, a) not in s:
+        space, idx = self.in_space()
+        mask = _mask(idx)
+        for a in idx:
+            if not (mask >> space.dag(a) & 1
+                    and all(mask >> space.smul(s, a) & 1 for s in range(self.quantale.size))
+                    and all(mask >> space.join(a, b) & 1 and mask >> space.comp(a, b) & 1
+                            for b in idx)):
                 return False
-            for c in range(q.size):
-                if _e_scalar(q, c, a) not in s:
-                    return False
-            for b in self.members:
-                if _e_join(q, a, b) not in s or _e_compose(q, a, b) not in s:
-                    return False
         return self.is_unital
 
     def semiring(self):
         """Member-indexed *-semiring tables (join as addition, composition as
-        multiplication).  Requires the algebra to be closed."""
+        multiplication), read from the Hom(X, X) tables.  Requires the algebra
+        to be closed."""
         cached = self.__dict__.get("_semiring")
         if cached is not None:
             return cached
-        q = self.quantale
-        idx = self.member_pos
+        space, idx = self.in_space()
+        pos = {h: p for p, h in enumerate(idx)}
         try:
-            add = tuple(tuple(idx[_e_join(q, a, b)] for b in self.members)
-                        for a in self.members)
-            mul = tuple(tuple(idx[_e_compose(q, a, b)] for b in self.members)
-                        for a in self.members)
-            star = tuple(idx[_e_dagger(q, m)] for m in self.members)
+            sr = TableSemiring(
+                size=len(idx),
+                add=tuple(tuple(pos[space.join(a, b)] for b in idx) for a in idx),
+                mul=tuple(tuple(pos[space.comp(a, b)] for b in idx) for a in idx),
+                star=tuple(pos[space.dag(a)] for a in idx),
+                zero=pos[space.zero_idx], one=pos[space.id_idx])
         except KeyError:
             raise InvariantViolation("algebra is not closed under its operations")
-        n = self.carrier.size
-        sr = TableSemiring(
-            size=len(self.members), add=add, mul=mul, star=star,
-            zero=idx[_zero_entries(q, n)], one=idx[_identity_entries(q, n)])
         self.__dict__["_semiring"] = sr
         return sr
 
@@ -247,8 +243,8 @@ def is_von_neumann(a):
     so the checks and the decomposition guard compute it once."""
     cached = a.__dict__.get("_von_neumann")
     if cached is None:
-        space = get_endospace(a.quantale, a.carrier)
-        mask = space.mask_of(a.members)
+        space, idx = a.in_space()
+        mask = _mask(idx)
         cached = space.double_commutant_mask(mask) == mask
         a.__dict__["_von_neumann"] = cached
     return cached
@@ -428,6 +424,14 @@ def validate_decomposition(dec):
 # -- the full endomorphism space -------------------------------------------------------
 
 
+def _mask(indices):
+    """The int bitset of some Hom(X, X) indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
 def _bits(mask):
     """The set bits of an int bitset, lowest first."""
     while mask:
@@ -566,10 +570,7 @@ class EndoSpace:
     # mask utilities
 
     def mask_of(self, entries_iterable):
-        m = 0
-        for e in entries_iterable:
-            m |= 1 << self.index[e]
-        return m
+        return _mask(map(self.index.__getitem__, entries_iterable))
 
     bits = staticmethod(_bits)
 
@@ -591,10 +592,7 @@ class EndoSpace:
     def close_mask(self, seed):
         members = _closure({self.zero_idx, self.id_idx, *seed}, self.dag, self.smul,
                            self.join, self.comp, range(self.quantale.size))
-        m = 0
-        for i in members:
-            m |= 1 << i
-        return m
+        return _mask(members)
 
     def algebra_from_mask(self, mask):
         return Subsemialgebra.from_entries(

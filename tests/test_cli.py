@@ -148,13 +148,18 @@ def test_verdict_json_is_byte_identical_across_runs(tmp_path):
 
 
 def test_entry_point_runs_in_a_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
     out = tmp_path / "r.json"
+    # the child imports the same qspec as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qspec.cli", "sections", "--quantale", "boolean2",
          "--size", "2", "--format", "json", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["passed"] is True
 

@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qspec.checks import subset_joins
 from qspec.quantale import ZdfRequiredError, builtin_quantale, load_quantale
 from qspec.relations import (
     QRel, add, all_relations, carrier, compose, dagger, identity_rel, rel,
-    scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_join,
+    scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_dagger,
+    _e_join, _e_scalar,
 )
 from qspec.subalgebra import (
     EnumerationBoundExceeded, Subsemialgebra, close, commutant,
@@ -68,6 +70,62 @@ def oracle_is_vn(a):
     return second == a.member_set
 
 
+def oracle_is_star_closed(a):
+    return all(_e_dagger(a.quantale, m) in a.member_set for m in a.members)
+
+
+def oracle_is_commutative(a):
+    q = a.quantale
+    return all(_e_compose(q, x, y) == _e_compose(q, y, x)
+               for x, y in itertools.combinations(a.members, 2))
+
+
+def oracle_is_closed(a):
+    """One step of every operation stays inside, and 0 and id are members."""
+    q, s = a.quantale, a.member_set
+    return (zero_rel(q, a.carrier, a.carrier).entries in s
+            and identity_rel(q, a.carrier).entries in s
+            and oracle_is_star_closed(a)
+            and all(_e_scalar(q, c, m) in s for c in range(q.size) for m in s)
+            and all(_e_join(q, x, y) in s and _e_compose(q, x, y) in s
+                    for x in s for y in s))
+
+
+def join_star_closure(x, gens, q):
+    """0, id and the generators closed under join, dagger and scalar
+    multiples but not composition: sets that only a product can escape."""
+    members = {zero_rel(q, x, x).entries, identity_rel(q, x).entries}
+    members |= {g.entries for g in gens}
+    while True:
+        new = {_e_dagger(q, a) for a in members}
+        new |= {_e_scalar(q, c, a) for c in range(q.size) for a in members}
+        new |= {_e_join(q, a, b) for a in members for b in members}
+        if new <= members:
+            return Subsemialgebra.from_entries(q, x, members)
+        members |= new
+
+
+def oracle_semiring_tables(a):
+    """add, mul and star from the entry kernels, read through member_pos."""
+    q, ms, pos = a.quantale, a.members, a.member_pos
+    return (tuple(tuple(pos[_e_join(q, x, y)] for y in ms) for x in ms),
+            tuple(tuple(pos[_e_compose(q, x, y)] for y in ms) for x in ms),
+            tuple(pos[_e_dagger(q, m)] for m in ms))
+
+
+def oracle_subset_joins(a):
+    """The join of every subset of the members, listed subset by subset."""
+    q = a.quantale
+    out = set()
+    for r in range(a.size + 1):
+        for sub in itertools.combinations(a.members, r):
+            acc = zero_rel(q, a.carrier, a.carrier).entries
+            for m in sub:
+                acc = _e_join(q, acc, m)
+            out.add(acc)
+    return out
+
+
 def oracle_enumerate_boolean2_x2():
     """Literal subset scan over all 2^16 subsets of Hom(X, X)."""
     q = BOOL2
@@ -81,8 +139,7 @@ def oracle_enumerate_boolean2_x2():
         if zero not in s or ident not in s:
             continue
         algebra = Subsemialgebra.from_entries(q, X2, s)
-        if not (algebra.is_closed() and algebra.is_commutative
-                and algebra.is_star_closed):
+        if not (oracle_is_closed(algebra) and oracle_is_commutative(algebra)):
             continue
         if oracle_is_vn(algebra):
             found.append(algebra.members)
@@ -277,6 +334,57 @@ def test_three_point_tables_match_on_random_pairs():
     # cells share one int object per index, so the tables hold no fresh ints
     for table in (space.comp_t, space.join_t):
         assert len({id(v) for row in table for v in row}) <= space.size
+
+
+# -- member flags, semiring tables and subset joins --------------------------------------
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_semiring_tables_match_the_entry_kernels(q):
+    for a in enumerate_vn(X2, q).algebras:
+        sr = a.semiring()
+        assert (sr.add, sr.mul, sr.star) == oracle_semiring_tables(a)
+        assert sr.zero == a.member_pos[zero_rel(q, X2, X2).entries]
+        assert sr.one == a.member_pos[identity_rel(q, X2).entries]
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_flags_match_their_entry_definitions(q):
+    rng = random.Random(71)
+    rels = list(all_relations(q, X2, X2))
+    algebras = enumerate_vn(X2, q).algebras
+    seen = set()
+    for _ in range(12):
+        sample = rng.sample(rels, rng.randint(1, 6))
+        for a in (Subsemialgebra.from_rels(sample), commutant(X2, sample[:2]),
+                  join_star_closure(X2, sample[:1], q), rng.choice(algebras)):
+            flags = (a.is_closed(), a.is_commutative, a.is_star_closed)
+            assert flags == (oracle_is_closed(a), oracle_is_commutative(a),
+                             oracle_is_star_closed(a))
+            seen.add(flags)
+    # random sets, commutants, join closures and enumerated algebras give
+    # each flag both values
+    assert all({f[k] for f in seen} == {True, False} for k in range(3))
+
+
+@pytest.mark.parametrize("q, n", [(BOOL2, 2), (GODEL3, 2), (BOOL2, 3)],
+                         ids=["boolean2-2", "godel3-2", "boolean2-3"])
+def test_subset_joins_equal_the_all_subsets_enumeration(q, n):
+    small = [a for a in enumerate_vn(carrier("X", n), q).algebras if a.size <= 10]
+    assert small
+    for a in small:
+        assert subset_joins(a) == oracle_subset_joins(a)
+
+
+def test_flags_and_semiring_respect_the_hom_bound(monkeypatch):
+    import qspec.subalgebra as sub
+    a = close(X2, [e1_rel()])  # close works on entries and builds no space
+    monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", "10")
+    monkeypatch.setattr(sub, "_space_cache", {})
+    for op in (Subsemialgebra.semiring, Subsemialgebra.is_closed,
+               lambda a: a.is_commutative, lambda a: a.is_star_closed):
+        with pytest.raises(EnumerationBoundExceeded):
+            op(a)
 
 
 # -- maximal cliques ---------------------------------------------------------------------
