@@ -228,7 +228,8 @@ def _verdict_checks(x, q, args):
     results.append(checks.CheckResult("verdict-computed", True))
     if verdict.zdf:
         results.append(checks.CheckResult(
-            "route-agreement", True,
+            "route-agreement",
+            bool(verdict.prime_sections) == bool(verdict.gelfand_sections),
             "scalar and prime searches agree (cross-transports verified)"))
         n = len(x.elements)
         results.append(checks.CheckResult(

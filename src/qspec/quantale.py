@@ -311,17 +311,15 @@ def is_zdf(q):
 
 
 def zdf_witness(q):
-    """A pair of non-bottom elements multiplying to bottom, or None."""
-    b = q.bottom
-    for x in range(q.size):
-        if x == b:
-            continue
-        for y in range(q.size):
-            if y == b:
-                continue
-            if q.mul(x, y) == b:
-                return (q.elements[x], q.elements[y])
-    return None
+    """A pair of non-bottom elements multiplying to bottom, or None; the table
+    is scanned once per quantale and the answer stored on it."""
+    if "_zdf_witness" not in q.__dict__:
+        b = q.bottom
+        q.__dict__["_zdf_witness"] = next(
+            ((q.elements[x], q.elements[y])
+             for x, y in itertools.product(range(q.size), repeat=2)
+             if b not in (x, y) and q.mul(x, y) == b), None)
+    return q.__dict__["_zdf_witness"]
 
 
 def require_zdf(q, context):

@@ -1,13 +1,14 @@
-"""Fault injection: a corrupted algebra turns its named checks to FAIL."""
+"""Fault injection: a corrupted input turns its named checks to FAIL."""
 
 import dataclasses
 
 import pytest
 
-from qspec.checks import algebras_suite, spectra_suite
+from qspec.checks import algebras_suite, spectra_suite, topology_suite
 from qspec.quantale import builtin_quantale
 from qspec.relations import carrier, diag_rel
 from qspec.subalgebra import InvariantViolation, Subsemialgebra, enumerate_vn
+from qspec.zariski import closed_family_from_basis
 
 # lukasiewicz3 has zero divisors, so algebras_suite skips the decomposition,
 # which would refuse the corrupted (no longer von Neumann) algebra outright.
@@ -49,3 +50,52 @@ def test_semiring_of_an_unclosed_algebra_is_an_invariant_violation():
         broken.semiring()
     with pytest.raises(InvariantViolation, match="not closed"):
         spectra_suite(poset)
+
+
+# -- topology checks on godel3 |X|=2, which is ZDF ------------------------------
+
+GODEL3 = builtin_quantale("godel_chain", 3)
+
+
+def godel3_diagonal_prime():
+    """A fresh godel3 |X|=2 poset and its diagonal algebra's memoized prime
+    spectrum."""
+    poset = enumerate_vn(X2, GODEL3)
+    return poset, poset.spectra("prime")[poset.diagonal_index]
+
+
+def test_a_duplicated_prime_point_fails_t0_and_the_quotient_comparison():
+    checks = ("prime-t0", "quotient-comparison")
+    assert all(verdicts(topology_suite(enumerate_vn(X2, GODEL3)))[c] for c in checks)
+    poset, spectrum = godel3_diagonal_prime()
+    primes = list(poset.spectra("prime"))
+    primes[poset.diagonal_index] = dataclasses.replace(
+        spectrum, points=spectrum.points + spectrum.points[:1])
+    poset.__dict__["_spectra"]["prime"] = tuple(primes)
+    broken = verdicts(topology_suite(poset))
+    assert not any(broken[c] for c in checks)
+
+
+def test_a_topology_foreign_to_its_spectrum_fails_restriction_continuity():
+    # Vanishing sets pull back along restrictions, so only a stored topology
+    # that does not come from its spectrum can fail this check: here the
+    # diagonal's four prime points are made indistinguishable.
+    assert verdicts(topology_suite(enumerate_vn(X2, GODEL3)))["restriction-continuity"]
+    poset, spectrum = godel3_diagonal_prime()
+    spectrum.__dict__["_zariski"] = closed_family_from_basis(range(spectrum.size), [])
+    assert not verdicts(topology_suite(poset))["restriction-continuity"]
+
+
+def test_a_topology_foreign_to_its_spectrum_fails_the_principal_basis_oracle():
+    # The discrete space on the diagonal's prime points stays T0, and every
+    # restriction out of it stays continuous (the diagonal is maximal, so it
+    # is never the smaller algebra), yet it is not the space the ideals
+    # generate.
+    intact = verdicts(topology_suite(enumerate_vn(X2, GODEL3)))
+    assert intact["principal-basis-oracle"]
+    poset, spectrum = godel3_diagonal_prime()
+    spectrum.__dict__["_zariski"] = closed_family_from_basis(
+        range(spectrum.size), [{p} for p in range(spectrum.size)])
+    broken = verdicts(topology_suite(poset))
+    assert not broken["principal-basis-oracle"]
+    assert broken["prime-t0"] and broken["restriction-continuity"]

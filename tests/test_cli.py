@@ -1,5 +1,6 @@
 """The qspec command line driver: reports, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -215,3 +216,20 @@ def test_programming_errors_in_the_verdict_propagate(monkeypatch):
     monkeypatch.setattr(cli, "ks_verdict", buggy)
     with pytest.raises(TypeError):
         main(["verdict", "--quantale", "boolean2", "--size", "2"])
+
+
+def test_route_agreement_is_read_from_the_verdict(monkeypatch, capsys):
+    real = cli.ks_verdict
+
+    def doctored(*args, **kwargs):  # scalar sections without prime ones
+        return dataclasses.replace(real(*args, **kwargs), prime_sections=())
+
+    argv = ("verdict", "--quantale", "boolean2", "--size", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "ks_verdict", doctored)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    route = next(c for c in json.loads(out)["checks"] if c["name"] == "route-agreement")
+    assert route == {"name": "route-agreement", "passed": False,
+                     "details": "scalar and prime searches agree (cross-transports verified)"}

@@ -4,7 +4,10 @@ The |X| = 2 digests were recorded from the reports of the code before the
 entry-matrix kernels, closure, commutant and homomorphism check were each
 folded into one implementation; the |X| = 3 digest (the full 440-algebra
 poset of boolean2) from the code before the tables were built by row lookup
-and the von Neumann walk was seeded at maximal cliques.  A refactor that
+and the von Neumann walk was seeded at maximal cliques; the topology digests
+of godel4 and lukasiewicz3 from the code before the Zariski spaces were
+stored as specialization preorders, as were the check-quantale digests of
+the built-in quantales.  A refactor that
 changes any report byte fails here.  To re-record after an intended report
 change, run this file as a script:
 
@@ -22,7 +25,8 @@ INVOCATIONS = [
     for quantale in ("boolean2", "godel3")
     for command in ("check-quantale", "algebras", "spectrum", "sections",
                     "verdict", "topology")
-] + [("sections", "lukasiewicz3"), ("verdict", "lukasiewicz3")]
+] + [("sections", "lukasiewicz3"), ("verdict", "lukasiewicz3"),
+      ("topology", "godel4"), ("topology", "lukasiewicz3")]
 
 GOLDEN = {
     ("check-quantale", "boolean2"): "77f789ab1d9574021195bacfdc26034895a82f3023710c43317e7df7f5743a82",
@@ -39,6 +43,25 @@ GOLDEN = {
     ("topology", "godel3"): "016179be2dab82014374f7dbc4dbc2cd2194c09816d1b026ef85b684873475da",
     ("sections", "lukasiewicz3"): "45178ad569050160bd5dfea24ce3f685344aafe32ed1e6efdb7ce1915a507aa0",
     ("verdict", "lukasiewicz3"): "cd7f04a88cdcedde7388372e2cce3a9d331d556058cc687e4eda49a541d12654",
+    ("topology", "godel4"): "5431d5129c076c843479d1b408ce7f1a6003003d2ccef2a0babd60392d8f9d4c",
+    ("topology", "lukasiewicz3"): "bfc1b106aaf54619285bd852a49e8fc80ab8a9a39855c36bc18e74249ecbdb5f",
+}
+
+# check-quantale on the built-in quantales, recorded from the code that
+# rescanned the multiplication table for zero divisors on every call.
+GOLDEN_CHECK_QUANTALE = {
+    "boolean2": "77f789ab1d9574021195bacfdc26034895a82f3023710c43317e7df7f5743a82",
+    "godel2": "4f1c52c72b462551ae84ed6490d04d07ebabd6d80afd55954211173baa634658",
+    "godel3": "de2f3b766471b40ad0d45af7858591f68c2224c5e81471f525c6b73ea9097b7e",
+    "godel4": "ff0906849cd6cfd9145d2153c4e9df5cae1619a8839f9afbb566e604857f9ba1",
+    "godel5": "8535fccca3d5d8196c0c49a5997a74fcc2d20e70cc1f5382837a76feee6f8238",
+    "lukasiewicz2": "dd91bdc7b25aae4c058b5f2423ec0560ec41c13e8939824294b6f216a809d385",
+    "lukasiewicz3": "d70b2d3052b2aefd0c09fe5a1d428a5fbe003619f556725456f6cfcaf16a6659",
+    "lukasiewicz4": "e94f6b3a0619ce3df8aca07b9fb1fb94640b5077dfc0f33e22ed5a8eaffae92b",
+    "lukasiewicz5": "01b2b2dd66bb5944814f5b76119a564079e8ad8aecb1a24e2661123dbf230e1c",
+    "powerset1": "0f6306fa8af7be33bd77b92f369fd72a27bcaa05a4ff9a124324894d2b9acbda",
+    "powerset2": "6cdc8bf7577dacb6bf269d4812d9abf0a067ed1a61a01331ea38961cee25e0c9",
+    "powerset3": "e1a40c612fb70a126e1bd6f57ebfe209714780d7618490df9fcfb60c630d73cd",
 }
 
 GOLDEN_THREE_POINTS = {
@@ -66,6 +89,12 @@ def test_three_point_report_bytes_match_the_recorded_digest(command, quantale, t
         GOLDEN_THREE_POINTS[(command, quantale)]
 
 
+@pytest.mark.parametrize("quantale", GOLDEN_CHECK_QUANTALE)
+def test_check_quantale_report_of_every_builtin_matches_the_recorded_digest(quantale, tmp_path):
+    assert report_digest("check-quantale", quantale, tmp_path / "report.json") == \
+        GOLDEN_CHECK_QUANTALE[quantale]
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -74,6 +103,10 @@ if __name__ == "__main__":
         for command, quantale in INVOCATIONS:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
             print(f'    ("{command}", "{quantale}"): "{digest}",')
+        print("check-quantale:")
+        for quantale in GOLDEN_CHECK_QUANTALE:
+            digest = report_digest("check-quantale", quantale, pathlib.Path(tmp) / "report.json")
+            print(f'    "{quantale}": "{digest}",')
         print("three points:")
         for command, quantale in GOLDEN_THREE_POINTS:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json", 3)

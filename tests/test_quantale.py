@@ -227,6 +227,30 @@ def test_zdf():
     assert zdf_witness(builtin_quantale("powerset", 2)) == ("{1}", "{2}")
 
 
+def oracle_zdf_witness(q):
+    b = q.bottom
+    for x in range(q.size):
+        for y in range(q.size):
+            if b not in (x, y) and q.mul(x, y) == b:
+                return (q.elements[x], q.elements[y])
+    return None
+
+
+BUILTIN_TAGS = ("boolean2", "godel2", "godel3", "godel4", "godel5", "lukasiewicz2",
+                "lukasiewicz3", "lukasiewicz4", "lukasiewicz5", "powerset1",
+                "powerset2", "powerset3")
+
+
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_zdf_witness_is_scanned_once_per_quantale(tag):
+    q = parse_quantale_tag(tag)
+    expected = oracle_zdf_witness(q)
+    assert zdf_witness(q) == expected
+    q.mul_table = None  # a second scan would fail on the missing table
+    assert zdf_witness(q) == expected
+    assert is_zdf(q) == (expected is None)
+
+
 def test_powerset_shape():
     p2 = builtin_quantale("powerset", 2)
     assert p2.size == 4

@@ -1,24 +1,155 @@
 """Spectral topologies: closed-set families, separation, quotients, continuity."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspec.quantale import ZdfRequiredError, builtin_quantale
-from qspec.relations import carrier
+from qspec.relations import _e_compose, _e_join, carrier
 from qspec.spectra import (
     character_kernel, gelfand_spectrum, prime_spectrum,
 )
-from qspec.subalgebra import diagonal_algebra, enumerate_vn, trivial_algebra
+from qspec.subalgebra import (
+    _zero_entries, diagonal_algebra, enumerate_vn, trivial_algebra,
+)
 from qspec.zariski import (
     FiniteTopology, all_ideals, check_continuity, closed_family_from_basis,
     is_homeomorphism, kolmogorov_quotient, separation_report,
-    topology_to_json, vanishing_set_of_ideal, verify_quotient_xi,
-    zariski_topology,
+    topology_to_json, vanishing_set, vanishing_set_of_ideal,
+    verify_quotient_xi, zariski_topology,
 )
 
 BOOL2 = builtin_quantale("boolean2")
 GODEL3 = builtin_quantale("godel_chain", 3)
 LUK3 = builtin_quantale("lukasiewicz_chain", 3)
 X2 = carrier("X", 2)
+
+
+# -- oracles: the closed-set family by fixpoint and the definitions on it -------
+
+
+def oracle_closed_family(points, basis):
+    """Close a basis of closed sets under pairwise unions and intersections
+    until nothing changes."""
+    family = {frozenset(b) for b in basis}
+    family.add(frozenset())
+    family.add(frozenset(points))
+    while True:
+        fresh = set()
+        for a, b in itertools.combinations(family, 2):
+            for c in (a | b, a & b):
+                if c not in family:
+                    fresh.add(c)
+        if not fresh:
+            return frozenset(family)
+        family |= fresh
+
+
+def oracle_signature(points, family):
+    closed = sorted(family, key=lambda c: (len(c), sorted(c)))
+    return {p: tuple(p in c for c in closed) for p in points}
+
+
+def oracle_kolmogorov(points, family):
+    """Classes of equal closed-set signature in order of first appearance, and
+    every subset of classes whose preimage is closed."""
+    signature = oracle_signature(points, family)
+    reps = []
+    mapping = []
+    for p in points:
+        cls = next((i for i, r in enumerate(reps) if signature[r] == signature[p]), None)
+        if cls is None:
+            cls = len(reps)
+            reps.append(p)
+        mapping.append(cls)
+    closed = set()
+    for bits in range(1 << len(reps)):
+        subset = frozenset(i for i in range(len(reps)) if bits >> i & 1)
+        if frozenset(p for p in points if mapping[p] in subset) in family:
+            closed.add(subset)
+    return frozenset(closed), tuple(mapping)
+
+
+def oracle_all_ideals(algebra):
+    """Every subset containing zero that is join-closed and absorbs
+    multiplication, by scanning all subsets."""
+    q = algebra.quantale
+    zero = _zero_entries(q, algebra.carrier.size)
+    rest = [m for m in algebra.members if m != zero]
+    out = []
+    for bits in range(1 << len(rest)):
+        sub = {zero} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
+        if all(_e_join(q, a, b) in sub for a in sub for b in sub) and \
+                all(_e_compose(q, a, b) in sub for a in sub for b in algebra.members):
+            out.append(tuple(sorted(sub)))
+    return sorted(out)
+
+
+ORACLE_SPACES = [  # every algebra's two spectra: 1524 spaces
+    (builtin_quantale("godel_chain", 3), 2),
+    (LUK3, 2),
+    (builtin_quantale("powerset", 2), 2),
+    (builtin_quantale("godel_chain", 4), 2),
+    (BOOL2, 3),
+]
+
+
+def test_closed_sets_equal_the_fixpoint_closure_on_every_spectrum():
+    spaces = 0
+    for q, size in ORACLE_SPACES:
+        poset = enumerate_vn(carrier("X", size), q)
+        for kind in ("gelfand", "prime"):
+            for a, spec in zip(poset.algebras, poset.spectra(kind)):
+                basis = [vanishing_set(spec, m) for m in a.members]
+                assert zariski_topology(a, kind, spec).closed_sets == \
+                    oracle_closed_family(range(spec.size), basis), (q.name, kind, a)
+                spaces += 1
+    assert spaces == 1524
+
+
+bases = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.integers(0, n - 1)), max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases)
+def test_preorder_operations_match_the_closed_set_definitions(case):
+    n, basis = case
+    points = tuple(range(n))
+    t = closed_family_from_basis(points, basis)
+    family = oracle_closed_family(points, basis)
+    assert t.closed_sets == family
+    signature = oracle_signature(points, family)
+    rep = separation_report(t)
+    indist = tuple((a, b) for a, b in itertools.combinations(points, 2)
+                   if signature[a] == signature[b])
+    assert rep.indistinguishable_pairs == indist and rep.t0 == (not indist)
+    assert rep.t1 == all(frozenset((p,)) in family for p in points)
+    quotient, mapping = kolmogorov_quotient(t)
+    assert (quotient.closed_sets, mapping) == oracle_kolmogorov(points, family)
+    for perm in itertools.islice(itertools.permutations(points), 6):
+        image = frozenset(frozenset(perm[p] for p in c) for c in family)
+        assert is_homeomorphism(t, t, perm) == (image == family)
+    assert is_homeomorphism(t, t, (0,) * n) == (n == 1)
+
+
+def test_all_ideals_equal_the_subset_scan():
+    checked = 0
+    for q, size in ORACLE_SPACES:
+        if size > 2:  # the scan takes seconds on the 8-member algebras
+            continue
+        for a in enumerate_vn(carrier("X", size), q).algebras:
+            if a.size <= 9:  # as in the principal-basis-oracle check
+                assert all_ideals(a) == oracle_all_ideals(a), (q.name, a)
+                checked += 1
+    assert checked == 79
+
+
+def test_topology_is_built_once_per_spectrum():
+    d = diagonal_algebra(X2, GODEL3)
+    pri = prime_spectrum(d)
+    assert zariski_topology(d, "prime", pri) is zariski_topology(d, "prime", pri)
 
 
 def diag(q, p, r):
@@ -117,8 +248,9 @@ def test_kolmogorov_quotient_on_t0_space_is_isomorphic():
 
 
 def test_kolmogorov_quotient_collapses_indiscrete_space():
-    indiscrete = FiniteTopology((0, 1, 2),
-                                frozenset({frozenset(), frozenset({0, 1, 2})}))
+    indiscrete = closed_family_from_basis((0, 1, 2), [])
+    assert indiscrete == FiniteTopology((0, 1, 2), (0b111, 0b111, 0b111))
+    assert indiscrete.closed_sets == frozenset({frozenset(), frozenset({0, 1, 2})})
     quotient, mapping = kolmogorov_quotient(indiscrete)
     assert quotient.size == 1
     assert mapping == (0, 0, 0)
@@ -146,6 +278,21 @@ def test_quotient_comparison_everywhere():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             assert verify_quotient_xi(a)
+
+
+def test_quotient_comparison_checks_fibers_and_closures():
+    d = diagonal_algebra(X2, GODEL3)
+    gel, pri = gelfand_spectrum(d), prime_spectrum(d)
+    assert verify_quotient_xi(d, gel, pri)
+
+    def discrete(spectrum):
+        spectrum.__dict__["_zariski"] = closed_family_from_basis(
+            range(spectrum.size), [{p} for p in range(spectrum.size)])
+
+    discrete(pri)  # the fibers are still the classes, the closures are not
+    assert not verify_quotient_xi(d, gel, pri)
+    discrete(gel)  # closures match now, but six classes map onto four points
+    assert not verify_quotient_xi(d, gel, pri)
 
 
 def test_quotient_comparison_requires_zdf():
