@@ -17,7 +17,7 @@ from qspec.relations import (
 )
 from qspec.spectra import (
     character_from_prime, character_kernel, characters_to_two,
-    restrict_character, restrict_prime,
+    functor_law_violation,
 )
 from qspec.subalgebra import (
     commutant, is_von_neumann, primitive_idempotents, trivial_algebra,
@@ -218,42 +218,24 @@ def spectra_suite(poset):
                             "a two-valued character hits != 1 primitive idempotent"))
         out.append(_verdict("kernel-section-identity", roundtrip,
                             "kernel of an indicator character is not the ideal"))
-        natural = True
-        for (i, j) in poset.inclusions():
-            sub, sup = algebras[i], algebras[j]
-            for rho in gelfands[j].points:
-                lhs = character_kernel(restrict_character(rho, sub))
-                rhs = restrict_prime(character_kernel(rho), sub)
-                natural &= lhs.members == rhs.members
-            for p in primes[j].points:
-                lhs = restrict_character(character_from_prime(p), sub)
-                rhs = character_from_prime(restrict_prime(p, sub))
-                natural &= lhs.values == rhs.values
+        # kernel_i . r^g_ij = r^p_ij . kernel_j, and the same with the indicator
+        kernel, indicator = poset.comparisons("kernel"), poset.comparisons("indicator")
+        r_g, r_p = poset.restrictions("gelfand"), poset.restrictions("prime")
+        natural = all(
+            list(map(kernel[i].__getitem__, r_g[i, j]))
+            == list(map(r_p[i, j].__getitem__, kernel[j]))
+            and list(map(indicator[i].__getitem__, r_p[i, j]))
+            == list(map(r_g[i, j].__getitem__, indicator[j]))
+            for i, j in poset.inclusions())
         out.append(_verdict("comparison-naturality", natural,
                             "a kernel/indicator naturality square failed"))
         if q.size == 2:
-            coincide = all(
-                len({character_kernel(rho).members for rho in g.points}) == g.size
-                and g.size == p.size
-                for g, p in zip(gelfands, primes))
+            coincide = all(len(set(k)) == g.size == p.size
+                           for k, g, p in zip(kernel, gelfands, primes))
             out.append(_verdict("two-spectra-coincide", coincide,
                                 "kernel map is not a bijection over the two-element quantale"))
-    functorial = True
-    incl = poset.inclusions()
-    incl_set = set(incl)
-    above = {}  # j -> every k with j strictly below k, ascending
-    for j, k in incl:
-        above.setdefault(j, []).append(k)
-    for (i, j) in incl:
-        for k in above.get(j, ()):
-            if (i, k) not in incl_set:
-                continue
-            for rho in gelfands[k].points:
-                step = restrict_character(restrict_character(rho, algebras[j]), algebras[i])
-                functorial &= step == restrict_character(rho, algebras[i])
-            for p in primes[k].points:
-                step = restrict_prime(restrict_prime(p, algebras[j]), algebras[i])
-                functorial &= step == restrict_prime(p, algebras[i])
+    functorial = all(functor_law_violation(poset.restrictions(kind)) is None
+                     for kind in ("gelfand", "prime"))
     out.append(_verdict("restriction-functorial", functorial,
                         "restriction along a composite differs from the composite"))
     return out

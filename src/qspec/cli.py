@@ -19,7 +19,6 @@ from qspec.quantale import (
     quantale_to_doc, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
-from qspec.spectra import character_kernel
 from qspec.subalgebra import EnumerationBoundExceeded, InvariantViolation, enumerate_vn
 from qspec.zariski import (
     kolmogorov_quotient, separation_report, topology_to_json, zariski_topology,
@@ -188,8 +187,7 @@ def _cmd_spectrum(args):
                 [_member_label(q, m) for m in ms] for ms in pri.improper],
         }
         if is_zdf(q):
-            entry["kernel_map"] = [pri.index_of(character_kernel(rho))
-                                   for rho in gel.points]
+            entry["kernel_map"] = list(poset.comparisons("kernel")[i])
         data[f"A{i}"] = entry
     report = {
         "command": "spectrum",
@@ -231,10 +229,13 @@ def _verdict_checks(x, q, args):
             "route-agreement",
             bool(verdict.prime_sections) == bool(verdict.gelfand_sections),
             "scalar and prime searches agree (cross-transports verified)"))
-        n = len(x.elements)
+        # The canonical sections come from the decompositions, not from the
+        # search, so this also catches a search that drops a section.
+        canonical = set(verdict.canonical_by_point.values())
         results.append(checks.CheckResult(
-            "canonical-sections-count", len(verdict.canonical_by_point) == n
-            and len({s.choice for s in verdict.canonical_by_point.values()}) == n,
+            "canonical-sections-count",
+            len(verdict.canonical_by_point) == len(canonical) == len(x.elements)
+            and canonical <= set(verdict.prime_sections),
             "one distinct canonical section per carrier point"))
         results.append(checks.CheckResult(
             "sections-determine-points",

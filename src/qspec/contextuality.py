@@ -6,18 +6,22 @@ every restriction.  A carrier is contextual precisely when the scalar-valued
 spectrum presheaf has no global section.  Over a zero-divisor-free quantale
 the prime presheaf answers the same existence question, and every carrier
 point induces a canonical prime section through the idempotent decomposition.
+
+A presheaf is read from the poset's restriction tables.  Its sections are
+searched over the maximal algebras only, since a natural section is
+determined by its values there: every other algebra lies below a maximal
+one, and its value is that value restricted.  This is the measurement-cover
+view of Abramsky and Brandenburger (New J. Phys. 13, 2011).  The generic
+constraint solver in ``qspec.csp`` is the tests' oracle for this search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qspec import csp
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
 from qspec.relations import support, _e_compose
-from qspec.spectra import (
-    PrimeIdeal, character_from_prime, character_kernel, restrict_point,
-)
+from qspec.spectra import PrimeIdeal, functor_law_violation
 from qspec.subalgebra import (
     AlgebraPoset, InvariantViolation, enumerate_vn, _zero_entries,
 )
@@ -31,7 +35,7 @@ class Presheaf:
     poset: AlgebraPoset
     kind: str
     values: tuple  # SpectrumSet per poset index
-    restrictions: dict  # (sub_idx, sup_idx) -> tuple: point of sup -> point of sub
+    restrictions: dict  # (sub_idx, sup_idx) -> row: point of sup -> point of sub
 
     def restrict_index(self, sub_idx, sup_idx, point_idx):
         if sub_idx == sup_idx:
@@ -84,54 +88,98 @@ class Verdict:
 
 
 def build_presheaf(poset, kind):
-    """Take every spectrum from the poset, compute every restriction table,
-    then verify the functor laws before handing the presheaf out."""
-    values = poset.spectra(kind)
-    restrictions = {}
-    for (i, j) in poset.inclusions():
-        sub = poset.algebras[i]
-        table = []
-        for point in values[j].points:
-            restricted = restrict_point(point, sub)
-            try:
-                table.append(values[i].index_of(restricted))
-            except ValueError:
-                raise InvariantViolation(
-                    f"restriction of a {kind} point escaped the spectrum "
-                    f"(algebras {i} <= {j})") from None
-        restrictions[(i, j)] = tuple(table)
-    sheaf = Presheaf(poset, kind, values, restrictions)
+    """Take every spectrum and restriction table from the poset, then verify
+    the functor laws before handing the presheaf out."""
+    sheaf = Presheaf(poset, kind, poset.spectra(kind), poset.restrictions(kind))
     _verify_functor_laws(sheaf)
     return sheaf
 
 
 def _verify_functor_laws(sheaf):
-    incl = set(sheaf.poset.inclusions())
-    above = {}
-    for (j, k) in incl:
-        above.setdefault(j, []).append(k)
-    for (i, j) in incl:
-        for k in above.get(j, ()):
-            if (i, k) not in incl:
-                continue
-            r_ij = sheaf.restrictions[(i, j)]
-            r_jk = sheaf.restrictions[(j, k)]
-            r_ik = sheaf.restrictions[(i, k)]
-            for p in range(len(r_jk)):
-                if r_ij[r_jk[p]] != r_ik[p]:
-                    raise InvariantViolation(
-                        f"functor law broken along {i} <= {j} <= {k}")
+    broken = functor_law_violation(sheaf.restrictions)
+    if broken is not None:
+        raise InvariantViolation("functor law broken along {} <= {} <= {}".format(*broken))
 
 
 def global_sections(sheaf):
-    """Every global section, via arc consistency plus backtracking over the
-    naturality constraints of all proper inclusions."""
-    n = len(sheaf.poset.algebras)
-    domains = [list(range(v.size)) for v in sheaf.values]
-    constraints = {}
-    for (i, j), table in sheaf.restrictions.items():
-        constraints[(i, j)] = {(table[pj], pj) for pj in range(len(table))}
-    return [Section(choice) for choice in csp.solve_all(n, domains, constraints)]
+    """Every global section, in lexicographic order.
+
+    Depth-first search that branches on the maximal algebras, those with the
+    largest down-set first.  A choice at an algebra forces the value of every
+    algebra below it, and a forced value that conflicts with one already set
+    backtracks, so at a maximal algebra only the values that agree with the
+    largest algebra an earlier choice has set below it are tried.  An
+    algebra still unset once the maximal ones are set is branched on in turn;
+    none is when the inclusions are transitive.  A complete assignment is
+    kept when it is natural under every table, so the search is exact even
+    for tables that break the functor laws: a natural section agrees with
+    every value its own choices force.
+    """
+    values = sheaf.values
+    n = len(values)
+    below = [[] for _ in range(n)]  # below[j]: (i, row of (i, j))
+    maximal = [True] * n
+    for (i, j), row in sheaf.restrictions.items():
+        below[j].append((i, row))
+        maximal[i] = False
+    order = sorted(range(n), key=lambda a: (not maximal[a], -len(below[a]), a))
+    # A maximal algebra is never forced, so every one is branched on, in
+    # order.  anchors[a] = (i, fibers of the table (i, a)) for the largest i
+    # below a and below an earlier maximal algebra.
+    anchors = {}
+    set_before = set()
+    for a in order[:maximal.count(True)]:
+        shared = [(i, row) for i, row in below[a] if i in set_before]
+        if shared:
+            i, row = max(shared, key=lambda e: (values[e[0]].size, e[0]))
+            fibers = {}
+            for v, w in enumerate(row):
+                fibers.setdefault(w, []).append(v)
+            anchors[a] = (i, fibers)
+        set_before.update(i for i, _ in below[a])
+    choice = [None] * n
+    trail = []  # algebras set since the search began, in order
+    stack = []  # (position in order, candidate values, next candidate, trail mark)
+    found = []
+
+    def assign(a, v):
+        choice[a] = v
+        trail.append(a)
+        for i, row in below[a]:
+            w = row[v]
+            if choice[i] is None:
+                choice[i] = w
+                trail.append(i)
+            elif choice[i] != w:
+                return False
+        return True
+
+    def descend(pos):
+        """Open the next unset algebra from pos on, or keep a complete assignment."""
+        while pos < n and choice[order[pos]] is not None:
+            pos += 1
+        if pos < n:
+            a = order[pos]
+            anchor = anchors.get(a)
+            candidates = (range(values[a].size) if anchor is None
+                          else anchor[1].get(choice[anchor[0]], ()))
+            stack.append((pos, candidates, 0, len(trail)))
+            return
+        section = Section(tuple(choice))
+        if is_natural(section, sheaf):
+            found.append(section)
+
+    descend(0)
+    while stack:
+        pos, candidates, k, mark = stack.pop()
+        while len(trail) > mark:
+            choice[trail.pop()] = None
+        if k < len(candidates):
+            stack.append((pos, candidates, k + 1, mark))
+            if assign(order[pos], candidates[k]):
+                descend(pos + 1)
+    found.sort(key=lambda s: s.choice)
+    return found
 
 
 # -- canonical sections from carrier points ---------------------------------------
@@ -209,12 +257,8 @@ def section_element(section, sheaf):
 def transport_prime_section(section, prime_sheaf, gelfand_sheaf):
     """Map a prime section pointwise to characters; the image must be a global
     section of the scalar-valued presheaf."""
-    choice = []
-    for idx, spectrum in enumerate(prime_sheaf.values):
-        ideal = spectrum.points[section.choice[idx]]
-        rho = character_from_prime(ideal)
-        choice.append(gelfand_sheaf.values[idx].index_of(rho))
-    out = Section(tuple(choice))
+    indicator = prime_sheaf.poset.comparisons("indicator")
+    out = Section(tuple(t[c] for t, c in zip(indicator, section.choice)))
     if not is_natural(out, gelfand_sheaf):
         raise InvariantViolation("transported prime section is not natural")
     return out
@@ -222,11 +266,8 @@ def transport_prime_section(section, prime_sheaf, gelfand_sheaf):
 
 def transport_gelfand_section(section, gelfand_sheaf, prime_sheaf):
     """Map a scalar-valued section pointwise to its kernels on the prime side."""
-    choice = []
-    for idx, spectrum in enumerate(gelfand_sheaf.values):
-        rho = spectrum.points[section.choice[idx]]
-        choice.append(prime_sheaf.values[idx].index_of(character_kernel(rho)))
-    out = Section(tuple(choice))
+    kernel = gelfand_sheaf.poset.comparisons("kernel")
+    out = Section(tuple(t[c] for t, c in zip(kernel, section.choice)))
     if not is_natural(out, prime_sheaf):
         raise InvariantViolation("transported scalar section is not natural")
     return out

@@ -3,6 +3,13 @@
 Variables are integers 0..n-1, domains are sorted value lists, constraints
 are allowed-pair sets between two variables.  solve_all enumerates every
 solution in lexicographic order, which keeps downstream reports deterministic.
+
+No pipeline stage calls it: the section search in ``qspec.contextuality``
+works on the restriction tables directly, and this generic route is the
+oracle the tests check that search against.  It stays in the package
+because the per-layer benchmark tracer (``perfbench/layer_trace.py``) names
+``csp.solve_all`` and ``csp.ac3``, and a test requires every traced name to
+resolve.
 """
 
 from __future__ import annotations

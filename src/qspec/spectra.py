@@ -7,18 +7,26 @@ spectrum is a proper prime k*-ideal; in a finite algebra every k-ideal is the
 down-set of its largest element, which reduces the enumeration to a scan over
 members.  The kernel map sends characters onto prime ideals and admits a
 section that assigns to each prime ideal its two-valued indicator character.
+
+Restriction along an inclusion and the two comparison maps are also built as
+index tables over canonically ordered spectra; the pipeline reads those, and
+the object-level maps stay as the public API and the tests' oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, ne
 
 from qspec._homsearch import enumerate_homs, is_hom
 from qspec.quantale import Quantale, builtin_quantale, require_zdf
 from qspec.relations import _e_compose, _e_dagger, _e_join, _e_scalar
-from qspec.subalgebra import Subsemialgebra, _identity_entries, _zero_entries
+from qspec.subalgebra import (
+    InvariantViolation, Subsemialgebra, _identity_entries, _zero_entries,
+)
 
 TWO = builtin_quantale("boolean2")
 
@@ -75,8 +83,24 @@ class SpectrumSet:
     def size(self):
         return len(self.points)
 
+    @cached_property
+    def point_index(self):
+        """Each point's index, keyed on its values (a character) or its
+        member set (a prime ideal); a repeated point keeps its first index."""
+        out = {}
+        for i, p in enumerate(self.points):
+            out.setdefault(_point_key(p), i)
+        return out
+
     def index_of(self, point):
-        return self.points.index(point)
+        i = self.point_index.get(_point_key(point))
+        if i is None or self.points[i] != point:
+            raise ValueError(f"{point!r} is not a point of this spectrum")
+        return i
+
+
+def _point_key(point):
+    return point.values if isinstance(point, Character) else point.member_set
 
 
 # -- character enumeration -----------------------------------------------------
@@ -229,6 +253,39 @@ def restrict_point(point, sub):
     raise TypeError(f"not a spectrum point: {point!r}")
 
 
+def _table(keys, spectrum, escaped):
+    """The indices in spectrum of the points with the given keys, as an
+    unsigned array; a key outside the spectrum raises InvariantViolation
+    with the message escaped() returns."""
+    code = "H" if spectrum.size <= 1 << 16 else "L"
+    try:
+        return array(code, map(spectrum.point_index.__getitem__, keys))
+    except KeyError:
+        raise InvariantViolation(escaped()) from None
+
+
+def restriction_table(sub_spectrum, sup_spectrum, edge=None):
+    """The restriction map Spec(sup) -> Spec(sub) of one inclusion as an
+    index table: cell p is the index in sub_spectrum of the restriction of
+    point p of sup_spectrum.  A character restricts to its values at the
+    positions of the smaller algebra's members, a prime ideal to its
+    intersection with the smaller algebra.  edge, the poset indices (i, j)
+    of the inclusion, only names it in the error."""
+    sub, sup = sub_spectrum.algebra, sup_spectrum.algebra
+    _check_inclusion(sub, sup)
+    if sup_spectrum.kind == "gelfand":
+        positions = [sup.member_pos[m] for m in sub.members]
+        pick = (itemgetter(*positions) if len(positions) > 1
+                else lambda values: tuple(values[k] for k in positions))
+        keys = (pick(rho.values) for rho in sup_spectrum.points)
+    else:
+        members = sub.member_set
+        keys = (p.member_set & members for p in sup_spectrum.points)
+    return _table(keys, sub_spectrum, lambda: (
+        f"restriction of a {sup_spectrum.kind} point escaped the spectrum"
+        + (f" (algebras {edge[0]} <= {edge[1]})" if edge else "")))
+
+
 # -- comparison maps between the spectra ----------------------------------------------
 
 
@@ -246,6 +303,40 @@ def character_from_prime(ideal):
     q = a.quantale
     values = tuple(q.bottom if m in ideal.member_set else q.unit for m in a.members)
     return Character(a, q, values)
+
+
+def kernel_table(gelfand, prime):
+    """The kernel map of one algebra as an index table: cell r is the index
+    in prime of the kernel of character r."""
+    require_zdf(gelfand.algebra.quantale, "the kernel comparison map")
+    keys = (frozenset(rho.kernel_members()) for rho in gelfand.points)
+    return _table(keys, prime, lambda: "the kernel of a character is not a "
+                  f"prime point of algebra {gelfand.algebra.algebra_id}")
+
+
+def indicator_table(prime, gelfand):
+    """The indicator map of one algebra as an index table: cell p is the
+    index in gelfand of the indicator character of prime ideal p."""
+    keys = (character_from_prime(p).values for p in prime.points)
+    return _table(keys, gelfand, lambda: "the indicator of a prime ideal is "
+                  f"not a character of algebra {prime.algebra.algebra_id}")
+
+
+def functor_law_violation(tables):
+    """The first chain i < j < k, in inclusion order, along which the
+    restriction tables (i, j) -> row break r_ij . r_jk = r_ik, or None."""
+    above = {}  # i -> every j with a table (i, j), ascending
+    for i, j in sorted(tables):
+        above.setdefault(i, []).append(j)
+    for i, js in above.items():
+        for j in js:
+            r_ij = tables[i, j]
+            for k in above.get(j, ()):
+                r_ik = tables.get((i, k))
+                if r_ik is not None and any(map(ne, map(r_ij.__getitem__, tables[j, k]),
+                                                r_ik)):
+                    return i, j, k
+    return None
 
 
 def character_from_two(gamma):

@@ -656,6 +656,36 @@ class AlgebraPoset:
             memo[kind] = tuple(compute(a) for a in self.algebras)
         return memo[kind]
 
+    def restrictions(self, kind):
+        """The restriction map of every proper inclusion (i, j) for one
+        spectrum kind, as an index table: cell p of row (i, j) is the index in
+        spectrum i of the restriction of point p of spectrum j.  Computed once
+        per poset."""
+        memo = self.__dict__.setdefault("_restrictions", {})
+        if kind not in memo:
+            from qspec.spectra import restriction_table
+            values = self.spectra(kind)
+            memo[kind] = {(i, j): restriction_table(values[i], values[j], (i, j))
+                          for i, j in self.inclusions()}
+        return memo[kind]
+
+    def comparisons(self, name):
+        """The kernel map ("kernel", characters to prime points) or the
+        indicator map ("indicator", prime points to characters) of every
+        algebra as an index table, in poset order; computed once per poset.
+        Both need zero-divisor-free scalars."""
+        memo = self.__dict__.setdefault("_comparisons", {})
+        if name not in memo:
+            from qspec import spectra
+            gelfands, primes = self.spectra("gelfand"), self.spectra("prime")
+            if name == "kernel":
+                memo[name] = tuple(map(spectra.kernel_table, gelfands, primes))
+            elif name == "indicator":
+                memo[name] = tuple(map(spectra.indicator_table, primes, gelfands))
+            else:
+                raise ValueError(f"unknown comparison map {name!r}")
+        return memo[name]
+
     @cached_property
     def decompositions(self):
         """The primitive idempotent decomposition of every algebra, in poset
@@ -672,7 +702,7 @@ class AlgebraPoset:
 
     def inclusions(self):
         """Proper inclusion pairs (i, j), i strictly below j."""
-        return sorted((i, j) for (i, j) in self.leq_pairs if i != j)
+        return sorted(p for p in self.leq_pairs if p[0] != p[1])
 
     def to_json(self):
         q = self.quantale

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from qspec.quantale import require_zdf
 from qspec.spectra import (
-    Character, character_kernel, gelfand_spectrum, prime_spectrum,
-    restrict_point,
+    Character, gelfand_spectrum, kernel_table, prime_spectrum, restriction_table,
 )
 from qspec.relations import _e_compose, _e_join
 from qspec.subalgebra import _zero_entries
@@ -174,8 +173,7 @@ def check_continuity(sub, sup, kind, sub_spectrum=None, sup_spectrum=None):
         sup_spectrum = prime_spectrum(sup) if kind == "prime" else gelfand_spectrum(sup)
     t_sub = zariski_topology(sub, kind, sub_spectrum)
     t_sup = zariski_topology(sup, kind, sup_spectrum)
-    mapping = [sub_spectrum.index_of(restrict_point(p, sub))
-               for p in sup_spectrum.points]
+    mapping = restriction_table(sub_spectrum, sup_spectrum)
     return all(_image(d, mapping) | t_sub.down[m] == t_sub.down[m]
                for d, m in zip(t_sup.down, mapping))
 
@@ -194,7 +192,7 @@ def verify_quotient_xi(algebra, gelfand=None, prime=None):
         prime = prime_spectrum(algebra)
     g_down = zariski_topology(algebra, "gelfand", gelfand).down
     p_down = zariski_topology(algebra, "prime", prime).down
-    mapping = [prime.index_of(character_kernel(rho)) for rho in gelfand.points]
+    mapping = kernel_table(gelfand, prime)
     if set(mapping) != set(range(prime.size)):
         return False
     # fibers are classes iff (closure, image) pairs match closures one to one

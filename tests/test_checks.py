@@ -99,3 +99,32 @@ def test_a_topology_foreign_to_its_spectrum_fails_the_principal_basis_oracle():
     broken = verdicts(topology_suite(poset))
     assert not broken["principal-basis-oracle"]
     assert broken["prime-t0"] and broken["restriction-continuity"]
+
+
+# -- spectra checks on godel3 |X|=2: one corrupted cell of a stored table --------
+
+
+def test_a_corrupted_restriction_cell_fails_restriction_functorial():
+    assert verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))["restriction-functorial"]
+    poset = enumerate_vn(X2, GODEL3)
+    tables = poset.restrictions("gelfand")
+    i, _, k = next((i, j, k) for (i, j) in tables for (j2, k) in tables
+                   if j2 == j and (i, k) in tables)
+    row = tables[i, k]  # r_ik, which must equal r_ij . r_jk
+    row[0] = (row[0] + 1) % poset.spectra("gelfand")[i].size
+    assert not verdicts(spectra_suite(poset))["restriction-functorial"]
+
+
+def test_a_corrupted_restriction_cell_fails_comparison_naturality():
+    assert verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))["comparison-naturality"]
+    poset = enumerate_vn(X2, GODEL3)
+    kernel = poset.comparisons("kernel")
+    tables = poset.restrictions("gelfand")
+    # send a character to one with another kernel: kernel_i . r_ij moves,
+    # r^p_ij . kernel_j does not
+    (i, j), p, other = next(
+        ((i, j), p, c) for (i, j), row in tables.items()
+        for p in range(len(row)) for c in range(len(kernel[i]))
+        if kernel[i][c] != kernel[i][row[p]])
+    tables[i, j][p] = other
+    assert not verdicts(spectra_suite(poset))["comparison-naturality"]

@@ -233,3 +233,22 @@ def test_route_agreement_is_read_from_the_verdict(monkeypatch, capsys):
     route = next(c for c in json.loads(out)["checks"] if c["name"] == "route-agreement")
     assert route == {"name": "route-agreement", "passed": False,
                      "details": "scalar and prime searches agree (cross-transports verified)"}
+
+
+def test_a_verdict_missing_a_canonical_section_fails_its_count(monkeypatch, capsys):
+    real = cli.ks_verdict
+
+    def doctored(*args, **kwargs):  # the search "lost" the section of point 1
+        v = real(*args, **kwargs)
+        lost = v.canonical_by_point["1"]
+        return dataclasses.replace(
+            v, prime_sections=tuple(s for s in v.prime_sections if s != lost),
+            element_map={s: p for s, p in v.element_map.items() if s != lost})
+
+    monkeypatch.setattr(cli, "ks_verdict", doctored)
+    code, out, _ = run_cli(capsys, "verdict", "--quantale", "godel3", "--size", "2",
+                           "--format", "json")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == [{"name": "canonical-sections-count", "passed": False,
+                       "details": "one distinct canonical section per carrier point"}]

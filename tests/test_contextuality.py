@@ -1,16 +1,20 @@
 """Presheaves over the algebra poset, global sections, and the verdict."""
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspec import csp
-from qspec.quantale import builtin_quantale
+from qspec.quantale import builtin_quantale, parse_quantale_tag
 from qspec.relations import carrier, subset_idempotent
 from qspec.contextuality import (
     Presheaf, Section, build_presheaf, canonical_section, global_sections,
     is_natural, ks_verdict, section_element, transport_gelfand_section,
     transport_prime_section,
 )
-from qspec.spectra import restrict_point
+from qspec.spectra import SpectrumSet, restrict_point
 from qspec.subalgebra import (
     AlgebraPoset, InvariantViolation, close, diagonal_algebra, enumerate_vn,
 )
@@ -18,6 +22,25 @@ from qspec.subalgebra import (
 BOOL2 = builtin_quantale("boolean2")
 GODEL3 = builtin_quantale("godel_chain", 3)
 LUK3 = builtin_quantale("lukasiewicz_chain", 3)
+
+# (quantale tag, |X|) of the configs the section search is checked on
+ORACLE_CONFIGS = [("boolean2", 2), ("godel3", 2), ("godel4", 2), ("lukasiewicz3", 2),
+                  ("lukasiewicz4", 2), ("powerset2", 2), ("boolean2", 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_poset(tag, size):
+    return enumerate_vn(carrier("X", size), parse_quantale_tag(tag))
+
+
+def oracle_sections(sheaf):
+    """Every global section by the generic route: AC-3 plus lexicographic
+    backtracking over the naturality constraint of every table."""
+    domains = [list(range(v.size)) for v in sheaf.values]
+    constraints = {(i, j): {(table[pj], pj) for pj in range(len(table))}
+                   for (i, j), table in sheaf.restrictions.items()}
+    return [Section(choice)
+            for choice in csp.solve_all(len(sheaf.values), domains, constraints)]
 
 
 # -- the solver itself ---------------------------------------------------------
@@ -65,6 +88,65 @@ def test_presheaf_tables_match_pointwise_restriction():
             sub = poset.algebras[i]
             for pj, point in enumerate(sheaf.values[j].points):
                 assert sheaf.values[i].points[table[pj]] == restrict_point(point, sub)
+
+
+@pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
+def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
+    poset = oracle_poset(tag, size)
+    for kind in ("gelfand", "prime"):
+        sheaf = build_presheaf(poset, kind)
+        assert sorted(sheaf.restrictions) == poset.inclusions()
+        for (i, j), table in sheaf.restrictions.items():
+            sub = poset.algebras[i]
+            assert len(table) == sheaf.values[j].size
+            for pj, point in enumerate(sheaf.values[j].points):
+                assert table[pj] == sheaf.values[i].index_of(restrict_point(point, sub))
+
+
+@pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
+def test_sections_equal_the_csp_oracle_in_order(tag, size):
+    poset = oracle_poset(tag, size)
+    for kind in ("gelfand", "prime"):
+        sheaf = build_presheaf(poset, kind)
+        assert global_sections(sheaf) == oracle_sections(sheaf)
+
+
+# A hand-built poset: algebra a is the coordinate set COORDS[a], ordered by
+# inclusion; algebra 5 is below and above nothing.  A point is a value tuple
+# on the coordinates and restricts by projection, which is functorial.
+COORDS = ((0,), (0, 1), (0, 2), (0, 1, 2), (0, 2, 3), (4,))
+LEQ = [(i, j) for i, j in itertools.permutations(range(len(COORDS)), 2)
+       if set(COORDS[i]) <= set(COORDS[j])]
+
+
+@st.composite
+def projection_presheaves(draw):
+    """Random point sets, closed downward under projection, and their
+    restriction tables; some draws then overwrite cells, which breaks the
+    functor laws."""
+    points = [draw(st.sets(st.tuples(*[st.integers(0, 2)] * len(c)),
+                           min_size=1, max_size=4))
+              for c in COORDS]
+    for i, j in sorted(LEQ, key=lambda e: -len(COORDS[e[1]])):
+        keep = [COORDS[j].index(c) for c in COORDS[i]]
+        points[i] |= {tuple(p[k] for k in keep) for p in points[j]}
+    points = [sorted(p) for p in points]
+    tables = {}
+    for i, j in LEQ:
+        keep = [COORDS[j].index(c) for c in COORDS[i]]
+        tables[i, j] = [points[i].index(tuple(p[k] for k in keep)) for p in points[j]]
+    for (i, j), row in tables.items():
+        for pj in range(len(row)):
+            if draw(st.integers(0, 9)) == 0:
+                row[pj] = draw(st.integers(0, len(points[i]) - 1))
+    values = tuple(SpectrumSet(None, "gelfand", tuple(p)) for p in points)
+    return Presheaf(None, "gelfand", values, {k: tuple(v) for k, v in tables.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_presheaves())
+def test_sections_of_random_tables_equal_the_csp_oracle(sheaf):
+    assert global_sections(sheaf) == oracle_sections(sheaf)
 
 
 def test_hand_built_contradiction_has_no_sections():

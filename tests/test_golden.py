@@ -7,7 +7,11 @@ poset of boolean2) from the code before the tables were built by row lookup
 and the von Neumann walk was seeded at maximal cliques; the topology digests
 of godel4 and lukasiewicz3 from the code before the Zariski spaces were
 stored as specialization preorders, as were the check-quantale digests of
-the built-in quantales.  A refactor that
+the built-in quantales; the lukasiewicz4 and powerset2 digests (the one a
+larger chain with 34 scalar sections, the other a quantale with zero
+divisors and 16) from the code before the restriction maps became index
+tables and the sections were searched over the maximal algebras.  A
+refactor that
 changes any report byte fails here.  To re-record after an intended report
 change, run this file as a script:
 
@@ -64,6 +68,16 @@ GOLDEN_CHECK_QUANTALE = {
     "powerset3": "e1a40c612fb70a126e1bd6f57ebfe209714780d7618490df9fcfb60c630d73cd",
 }
 
+# spectrum, sections and verdict at |X| = 2 on two quantales past the ladder.
+GOLDEN_LARGER = {
+    ("spectrum", "lukasiewicz4"): "075cd8fcb566b821a4779e2f510a18246048219c1dd85bc378f9c037337d7cfc",
+    ("sections", "lukasiewicz4"): "46d72c83eb0df46013f2c5e5268c82b1e3254c1802fd15574d09ed1a782db474",
+    ("verdict", "lukasiewicz4"): "7162670e2499c85cee94794a6f0d4e0a500f0b92547cb957ad7fa7c3372832f9",
+    ("spectrum", "powerset2"): "942eb150fbdf534772f896090acbd80c7cf1f7752c9f280b39b35262945873d2",
+    ("sections", "powerset2"): "81436c0fbf467753b2e1d31d1555f91a0f8cc598821dba9fb0c50dffa711fef3",
+    ("verdict", "powerset2"): "2f9df906f8480d68981c050e6b42d9ed9ff559dfa9cd59151575f5b2672432ca",
+}
+
 GOLDEN_THREE_POINTS = {
     ("algebras", "boolean2"): "bb97c6977bcec513bb0259ba978c24ade2c75823ba2351edd388ff8b2a80556e",
 }
@@ -89,6 +103,12 @@ def test_three_point_report_bytes_match_the_recorded_digest(command, quantale, t
         GOLDEN_THREE_POINTS[(command, quantale)]
 
 
+@pytest.mark.parametrize("command,quantale", GOLDEN_LARGER)
+def test_larger_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json") == \
+        GOLDEN_LARGER[(command, quantale)]
+
+
 @pytest.mark.parametrize("quantale", GOLDEN_CHECK_QUANTALE)
 def test_check_quantale_report_of_every_builtin_matches_the_recorded_digest(quantale, tmp_path):
     assert report_digest("check-quantale", quantale, tmp_path / "report.json") == \
@@ -107,6 +127,10 @@ if __name__ == "__main__":
         for quantale in GOLDEN_CHECK_QUANTALE:
             digest = report_digest("check-quantale", quantale, pathlib.Path(tmp) / "report.json")
             print(f'    "{quantale}": "{digest}",')
+        print("larger:")
+        for command, quantale in GOLDEN_LARGER:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
+            print(f'    ("{command}", "{quantale}"): "{digest}",')
         print("three points:")
         for command, quantale in GOLDEN_THREE_POINTS:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json", 3)
