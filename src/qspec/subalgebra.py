@@ -19,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import eq, itemgetter
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
@@ -31,8 +32,7 @@ from qspec.relations import (
 )
 
 DEFAULT_HOM_BOUND = 65536
-_TABLE_LIMIT = 2048
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_ZERO_DIGITS = b"1" + b"0" * 255  # translate: a zero byte to "1", any other to "0"
 
 
 class MixedAmbientError(ValueError):
@@ -432,6 +432,23 @@ def _mask(indices):
     return m
 
 
+def _typecode(limit):
+    """The narrowest array typecode holding every index below limit."""
+    return next(c for c in "BHIL" if 256 ** array(c).itemsize >= limit)
+
+
+class _Rows(dict):
+    """Table rows made on first use by one function of the row index."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, i):
+        row = self[i] = self.make(i)
+        return row
+
+
 def _bits(mask):
     """The set bits of an int bitset, lowest first."""
     while mask:
@@ -441,131 +458,104 @@ def _bits(mask):
 
 
 class EndoSpace:
-    """Hom(X, X) with operation tables and commutation masks.
+    """Hom(X, X) with its operations as index tables, read by row lookup.
 
-    For small spaces everything is tabulated eagerly; past _TABLE_LIMIT the
-    operations are memoized on demand, which keeps huge spaces usable for
-    generator-bounded searches at the price of slower exhaustive scans.
+    The elements are built in itertools.product order over the R = |Q|**n row
+    vectors, so the index of an element is sum_k r_k * R**(n-1-k), where r_k
+    indexes its row k.  Row k of a∘b is (row k of a)·b and row k of a ∨ b is
+    (row k of a) ∨ (row k of b), so two tables over the rows, rowmul (R x
+    |Hom| row indices) and rowjoin (R x R), determine both operations.  A
+    composition or join row is the sum of n looked-up rows of place-scaled
+    row indices; each such part is packed into one int, one fixed-width lane
+    per element, and no lane overflows because every sum is an index, so the
+    n int additions add all |Hom| lanes at once.  These rows and the
+    commutation masks are made on first use; the dagger and scalar tables are
+    built eagerly.
     """
 
     def __init__(self, quantale, x):
-        self.quantale = quantale
+        q = self.quantale = quantale
         self.carrier = x
         n = x.size
-        self.size = hom_size(quantale, x)
-        self.elements = []
-        for flat in itertools.product(range(quantale.size), repeat=n * n):
-            self.elements.append(tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.zero_idx = self.index[_zero_entries(quantale, n)]
-        self.id_idx = self.index[_identity_entries(quantale, n)]
-        self.full_mask = (1 << self.size) - 1
-        self.tabled = n > 0 and self.size <= _TABLE_LIMIT  # no rows to look up when n = 0
-        if self.tabled:
-            self._build_tables()
-        else:
-            self._comp_memo = {}
-            self._join_memo = {}
-            self._dag_memo = {}
-            self._smul_memo = {}
-            self._comm_memo = {}
-
-    def _build_tables(self):
-        """Tabulate every operation; composition and join by row lookup.
-
-        The elements are built in itertools.product order, so the index of an
-        element is sum_k rowpos(row k) * R**(n-1-k), with R = |Q|**n row
-        vectors.  Row k of a∘b is (row k of a)·b and row k of a ∨ b is
-        (row k of a) ∨ (row k of b), so a table row is the sum over k of n
-        looked-up lists of place-scaled row indices.  Every cell is mapped
-        through one list of canonical ints: cells computed by sum are fresh
-        int objects, and |Hom|² of them would grow the tables several times.
-        """
-        q = self.quantale
-        els = self.elements
-        n = self.carrier.size
-        canon = list(range(self.size))
+        self.size = hom_size(q, x)
         rows = list(itertools.product(range(q.size), repeat=n))
         rowpos = {r: i for i, r in enumerate(rows)}
+        els = self.elements = list(itertools.product(rows, repeat=n))
+        self.index = {e: i for i, e in enumerate(els)}
+        self.zero_idx = self.index[_zero_entries(q, n)]
+        self.id_idx = self.index[_identity_entries(q, n)]
+        self.full_mask = (1 << self.size) - 1
+        code = self._code = _typecode(self.size)
+        self._nbytes = self.size * array(code).itemsize
+        row_code = _typecode(len(rows))
+        self._width = array(row_code).itemsize
+        # rowk[k][a] is the index of row k of element a
+        rowk = [array(row_code, ids)
+                for ids in zip(*itertools.product(range(len(rows)), repeat=n))]
+        self.rowmul = [array(row_code, [rowpos[_e_compose(q, (r,), b)[0]] for b in els])
+                       for r in rows]
+        rowjoin = [array(row_code, [rowpos[_e_join(q, (r,), (s,))[0]] for s in rows])
+                   for r in rows]
+
+        def lanes(values):
+            return int.from_bytes(array(code, values), sys.byteorder)
+
+        # part k, row r: over every b, the scaled index of row k of a∘b (or of
+        # a ∨ b) when row k of a is r
         places = [len(rows) ** (n - 1 - k) for k in range(n)]
+        comp_parts = [[p * lanes(prods) for prods in self.rowmul] for p in places]
+        join_parts = [[p * lanes(map(joins.__getitem__, ids)) for joins in rowjoin]
+                      for ids, p in zip(rowk, places)]
+        self._comp_rows = _Rows(partial(self._summed, comp_parts))
+        self._join_rows = _Rows(partial(self._summed, join_parts))
+        if self._width == 1:  # byte rows: a column lookup is one bytes.translate
+            self._rowk = [ids.tobytes() for ids in rowk]
+            self._gather = lambda ids, column: ids.translate(bytes(column).ljust(256, b"\0"))
+        else:
+            self._rowk = rowk
+            self._gather = lambda ids, column: array(row_code, map(column.__getitem__, ids))
+        self._comm = _Rows(self._commutation)
+        self.dag_t = array(code, [self.index[_e_dagger(q, a)] for a in els])
+        self.smul_t = [array(code, [self.index[_e_scalar(q, s, a)] for a in els])
+                       for s in range(q.size)]
 
-        def table(parts):
-            # tuple() trims its storage to the exact length, where list()
-            # would keep the slack it grew by
-            return [tuple(map(canon.__getitem__, map(sum, zip(
-                        *(part[rowpos[row]] for part, row in zip(parts, a))))))
-                    for a in els]
+    def _summed(self, parts, a):
+        total = sum(part[ids[a]] for part, ids in zip(parts, self._rowk))
+        return array(self._code, total.to_bytes(self._nbytes, sys.byteorder))
 
-        # part k, row r: over every b, the scaled index of row k of a∘b when
-        # row k of a is r; likewise for a ∨ b
-        rowmul = [[rowpos[_e_compose(q, (r,), b)[0]] for b in els] for r in rows]
-        self.comp_t = table([[[canon[p * v] for v in prods] for prods in rowmul]
-                             for p in places])
-        rowjoin = [[rowpos[_e_join(q, (r,), (s,))[0]] for s in rows] for r in rows]
-        self.join_t = table([[[canon[p * joins[rowpos[b[k]]]] for b in els]
-                              for joins in rowjoin]
-                             for k, p in enumerate(places)])
-        self.dag_t = [self.index[_e_dagger(q, a)] for a in els]
-        self.smul_t = [[self.index[_e_scalar(q, s, a)] for a in els] for s in range(q.size)]
-        # bit j of comm_t[i] is comp[i][j] == comp[j][i]; the column is read
-        # lazily, since a full transpose would double the peak size
-        comp = self.comp_t
-        self.comm_t = [
-            int(bytes(map(eq, row, map(itemgetter(i), comp)))[::-1].translate(_BIT_DIGITS), 2)
-            for i, row in enumerate(comp)]
+    def _commutation(self, a):
+        """Bit b is set iff a∘b == b∘a, compared one row k at a time.  Over
+        every b, row k of a∘b is the rowmul row of a's row k, and row k of b∘a
+        is b's row k looked up in column a of rowmul.  The two packed rows are
+        XORed as ints, and the elements whose bytes are all zero become bits."""
+        column = [prods[a] for prods in self.rowmul]
+        diff = 0
+        for ids in self._rowk:
+            diff |= (int.from_bytes(self.rowmul[ids[a]], "little")
+                     ^ int.from_bytes(self._gather(ids, column), "little"))
+        w = self._width
+        folded = diff
+        for s in range(1, w):  # fold each element's bytes into its first
+            folded |= diff >> 8 * s
+        same = folded.to_bytes(self.size * w, "little")[::w].translate(_ZERO_DIGITS)
+        return int(same[::-1], 2)
 
     # operation access (index-level)
 
     def comp(self, i, j):
-        if self.tabled:
-            return self.comp_t[i][j]
-        key = (i, j)
-        v = self._comp_memo.get(key)
-        if v is None:
-            v = self.index[_e_compose(self.quantale, self.elements[i], self.elements[j])]
-            self._comp_memo[key] = v
-        return v
+        return self._comp_rows[i][j]
 
     def join(self, i, j):
-        if self.tabled:
-            return self.join_t[i][j]
-        key = (min(i, j), max(i, j))
-        v = self._join_memo.get(key)
-        if v is None:
-            v = self.index[_e_join(self.quantale, self.elements[i], self.elements[j])]
-            self._join_memo[key] = v
-        return v
+        return self._join_rows[i][j]
 
     def dag(self, i):
-        if self.tabled:
-            return self.dag_t[i]
-        v = self._dag_memo.get(i)
-        if v is None:
-            v = self.index[_e_dagger(self.quantale, self.elements[i])]
-            self._dag_memo[i] = v
-        return v
+        return self.dag_t[i]
 
     def smul(self, s, i):
-        if self.tabled:
-            return self.smul_t[s][i]
-        key = (s, i)
-        v = self._smul_memo.get(key)
-        if v is None:
-            v = self.index[_e_scalar(self.quantale, s, self.elements[i])]
-            self._smul_memo[key] = v
-        return v
+        return self.smul_t[s][i]
 
     def comm_mask(self, i):
-        if self.tabled:
-            return self.comm_t[i]
-        v = self._comm_memo.get(i)
-        if v is None:
-            v = 0
-            for j in range(self.size):
-                if self.comp(i, j) == self.comp(j, i):
-                    v |= 1 << j
-            self._comm_memo[i] = v
-        return v
+        return self._comm[i]
 
     # mask utilities
 

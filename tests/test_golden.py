@@ -10,9 +10,10 @@ stored as specialization preorders, as were the check-quantale digests of
 the built-in quantales; the lukasiewicz4 and powerset2 digests (the one a
 larger chain with 34 scalar sections, the other a quantale with zero
 divisors and 16) from the code before the restriction maps became index
-tables and the sections were searched over the maximal algebras.  A
-refactor that
-changes any report byte fails here.  To re-record after an intended report
+tables and the sections were searched over the maximal algebras; the
+generated-mode digests from the code that still kept two Hom(X, X) paths,
+eager tables for small spaces and memoized operations for large ones.  A
+refactor that changes any report byte fails here.  To re-record after an intended report
 change, run this file as a script:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -78,15 +79,24 @@ GOLDEN_LARGER = {
     ("verdict", "powerset2"): "2f9df906f8480d68981c050e6b42d9ed9ff559dfa9cd59151575f5b2672432ca",
 }
 
+# algebras and verdict at |X| = 2 in generated mode, one generator per seed.
+GOLDEN_GENERATED = {
+    ("algebras", "boolean2"): "43865c9b4cc25e256a40f17abcb28f5c52d009eb84c6662c42333054f991197e",
+    ("verdict", "boolean2"): "3565d82b6b9f13667f328f6b90c2e33bdecd56ae9f83070f62768e15e6477af3",
+    ("algebras", "godel3"): "1754680d98ec703a72ccd796f0a19fd3e7df50a9a7f3a463d17d4ccd3b71df6a",
+    ("verdict", "godel3"): "af496afd3c09f0fea0289fe65b6cad0a5f389f4a5e554f3d15e1c17b9f9872aa",
+}
+GENERATED = ("--mode", "generated", "--max-generators", "1")
+
 GOLDEN_THREE_POINTS = {
     ("algebras", "boolean2"): "bb97c6977bcec513bb0259ba978c24ade2c75823ba2351edd388ff8b2a80556e",
 }
 
 
-def report_digest(command, quantale, out_path, size=2):
+def report_digest(command, quantale, out_path, size=2, extra=()):
     argv = [command, "--quantale", quantale, "--format", "json", "--out", str(out_path)]
     if command != "check-quantale":
-        argv += ["--size", str(size)]
+        argv += ["--size", str(size), *extra]
     assert main(argv) == 0
     return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
@@ -107,6 +117,12 @@ def test_three_point_report_bytes_match_the_recorded_digest(command, quantale, t
 def test_larger_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
     assert report_digest(command, quantale, tmp_path / "report.json") == \
         GOLDEN_LARGER[(command, quantale)]
+
+
+@pytest.mark.parametrize("command,quantale", GOLDEN_GENERATED)
+def test_generated_mode_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json", extra=GENERATED) == \
+        GOLDEN_GENERATED[(command, quantale)]
 
 
 @pytest.mark.parametrize("quantale", GOLDEN_CHECK_QUANTALE)
@@ -134,4 +150,9 @@ if __name__ == "__main__":
         print("three points:")
         for command, quantale in GOLDEN_THREE_POINTS:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json", 3)
+            print(f'    ("{command}", "{quantale}"): "{digest}",')
+        print("generated:")
+        for command, quantale in GOLDEN_GENERATED:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json",
+                                   extra=GENERATED)
             print(f'    ("{command}", "{quantale}"): "{digest}",')

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspec.checks import subset_joins
-from qspec.quantale import ZdfRequiredError, builtin_quantale, load_quantale
+from qspec.quantale import Quantale, ZdfRequiredError, builtin_quantale, load_quantale
 from qspec.relations import (
     QRel, add, all_relations, carrier, compose, dagger, identity_rel, rel,
     scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_dagger,
     _e_join, _e_scalar,
 )
 from qspec.subalgebra import (
-    EnumerationBoundExceeded, Subsemialgebra, close, commutant,
+    EndoSpace, EnumerationBoundExceeded, Subsemialgebra, close, commutant,
     diagonal_algebra, direct_sum, enumerate_vn, get_endospace, is_von_neumann,
     maximal_cliques, primitive_idempotents, restrict_component,
     subunital_idempotents, trivial_algebra, _poset_from_masks,
@@ -286,12 +286,11 @@ def test_commutant_and_von_neumann_match_the_oracles():
     assert verdicts == {True, False}
 
 
-def test_untabled_space_matches_the_oracles(monkeypatch):
+def test_godel3_three_point_space_matches_the_oracles(monkeypatch):
     import qspec.subalgebra as sub
     monkeypatch.setattr(sub, "_space_cache", {})
     x3 = carrier("X", 3)
-    space = sub.get_endospace(GODEL3, x3)
-    assert not space.tabled  # 3^9 = 19683 elements, past the table limit
+    space = sub.get_endospace(GODEL3, x3)  # 3^9 = 19683 elements
     gens = [
         subset_idempotent(GODEL3, x3, ["1"]),
         rel(GODEL3, x3, x3, {("1", "2"): "a"}),
@@ -303,6 +302,11 @@ def test_untabled_space_matches_the_oracles(monkeypatch):
         mask = space.close_mask([space.index[g.entries]])
         assert space.algebra_from_mask(mask).member_set == expected
         assert commutant(x3, [g]).member_set == oracle_commutant(x3, [g], GODEL3)
+    rng = random.Random(67)
+    assert_table_cells(space, [(rng.randrange(space.size), rng.randrange(space.size))
+                               for _ in range(2000)])
+    assert_comm_masks(space, [rng.randrange(space.size) for _ in range(3)]
+                      + [space.index[g.entries] for g in gens])
 
 
 # -- operation tables ------------------------------------------------------------------
@@ -311,19 +315,28 @@ def test_untabled_space_matches_the_oracles(monkeypatch):
 def assert_table_cells(space, pairs):
     q, els, idx = space.quantale, space.elements, space.index
     for i, j in pairs:
-        assert space.comp_t[i][j] == idx[_e_compose(q, els[i], els[j])]
-        assert space.join_t[i][j] == idx[_e_join(q, els[i], els[j])]
+        assert space.comp(i, j) == idx[_e_compose(q, els[i], els[j])]
+        assert space.join(i, j) == idx[_e_join(q, els[i], els[j])]
+
+
+def assert_comm_masks(space, indices):
+    """Each commutation mask against its definition on the entry kernels."""
+    q, els = space.quantale, space.elements
+    for i in indices:
+        expected = sum(1 << j for j in range(space.size)
+                       if _e_compose(q, els[i], els[j]) == _e_compose(q, els[j], els[i]))
+        assert space.comm_mask(i) == expected
 
 
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
 def test_tables_match_the_entry_kernels(q):
     space = get_endospace(q, X2)
-    assert space.tabled
     assert_table_cells(space, itertools.product(range(space.size), repeat=2))
-    comp = space.comp_t
-    for i in range(space.size):
-        expected = sum(1 << j for j in range(space.size) if comp[i][j] == comp[j][i])
-        assert space.comm_t[i] == expected
+    assert_comm_masks(space, range(space.size))
+    for i, a in enumerate(space.elements):
+        assert space.dag(i) == space.index[_e_dagger(q, a)]
+        for s in range(q.size):
+            assert space.smul(s, i) == space.index[_e_scalar(q, s, a)]
 
 
 def test_three_point_tables_match_on_random_pairs():
@@ -331,9 +344,44 @@ def test_three_point_tables_match_on_random_pairs():
     rng = random.Random(61)
     assert_table_cells(space, [(rng.randrange(space.size), rng.randrange(space.size))
                                for _ in range(2000)])
-    # cells share one int object per index, so the tables hold no fresh ints
-    for table in (space.comp_t, space.join_t):
-        assert len({id(v) for row in table for v in row}) <= space.size
+    assert_comm_masks(space, rng.sample(range(space.size), 20))
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_empty_carrier_space_has_one_element(q):
+    space = get_endospace(q, carrier("E", 0))
+    assert space.elements == [()] and space.zero_idx == space.id_idx == 0
+    assert (space.comp(0, 0), space.join(0, 0), space.dag(0)) == (0, 0, 0)
+    assert space.comm_mask(0) == space.full_mask == 1
+    assert all(space.smul(s, 0) == 0 for s in range(q.size))
+
+
+def long_chain(n, mul):
+    """An n-element chain with max as join and the given multiplication,
+    built directly, since the built-in chains stop at 28 elements."""
+    join = [[max(i, j) for j in range(n)] for i in range(n)]
+    return Quantale(f"chain{n}", [str(i) for i in range(n)], join,
+                    [[mul(i, j) for j in range(n)] for i in range(n)], n - 1)
+
+
+def test_wide_rows_past_256_row_vectors():
+    """With more than 256 row vectors a row index needs two bytes, so the
+    commutation masks are gathered without bytes.translate."""
+    x1 = carrier("X", 1)
+    chain = long_chain(300, min)
+    space = EndoSpace(chain, x1)
+    assert space.rowmul[0].itemsize == 2
+    assert all(space.comm_mask(i) == space.full_mask for i in range(space.size))
+    rng = random.Random(79)
+    pairs = [(rng.randrange(300), rng.randrange(300)) for _ in range(500)]
+    assert_table_cells(space, pairs + [(299, 299), (0, 299)])
+    # the only algebra is every scalar multiple of the identity
+    assert [a.size for a in enumerate_vn(x1, chain).algebras] == [300]
+    # a table that is no quantale keeps the kernel honest where commutation
+    # is rare: under left projection a∘b = a, so a commutes with itself only
+    left = EndoSpace(long_chain(300, lambda i, j: i), x1)
+    assert_comm_masks(left, rng.sample(range(300), 40))
+    assert all(left.comm_mask(i) == 1 << i for i in range(300))
 
 
 # -- member flags, semiring tables and subset joins --------------------------------------
