@@ -6,8 +6,16 @@ addition/multiplication/involution given by tables) that preserves zero, one,
 addition, multiplication and the involution.  The search assigns images in
 index order and checks each constraint at the first position where all of its
 participants are assigned, so pruning happens as early as possible.
-``is_hom`` checks one given map against the same laws; it serves both
-quantale maps and characters.
+
+The search can also extend homomorphisms from a unital sub-*-semiring.  A
+homomorphism restricts to one on every sub-*-semiring, so the homomorphisms
+of the whole are exactly the extensions of those of the part; and since the
+part is closed under the operations, every law whose operands both lie in it
+already holds for each of its homomorphisms.  Only the remaining elements
+are searched, against only the laws with an operand among them.  This is how
+the characters of an algebra are grown from those of a subalgebra (the
+Gelfand spectrum is a presheaf).  ``is_hom`` checks one given map against
+every law; it serves both quantale maps and characters.
 """
 
 from __future__ import annotations
@@ -27,60 +35,86 @@ class TableSemiring:
     one: int
 
 
-def enumerate_homs(src: TableSemiring, dst: TableSemiring):
-    """Yield every homomorphism src -> dst as a tuple of dst indices.
+def enumerate_homs(src: TableSemiring, dst: TableSemiring, fixed=(), bases=((),)):
+    """Yield every homomorphism src -> dst whose values at the positions
+    fixed equal one of bases, as a tuple of dst indices.
 
     A homomorphism sends zero to zero, one to one, and commutes with
     addition, multiplication and the involution.  Both operations are
-    assumed commutative (only the lower triangle of each table is checked).
-    Output order is lexicographic in the image tuple.
+    assumed commutative (only one of each pair (i, j), (j, i) is checked).
+    fixed must index a unital sub-*-semiring of src, and each base must be a
+    homomorphism from it, listing its values in the order of fixed; the laws
+    among fixed elements are then not checked again, so the search costs
+    O(gap * n) constraints for gap = n - len(fixed) new elements.  With
+    nothing fixed it is the full search.  Output is grouped by base, and
+    lexicographic in the remaining values within one base; callers that need
+    an order sort.
     """
     n = src.size
-    # Constraint triples (i, j, k) with op(i, j) = k, grouped by the largest
-    # index involved; same for involution pairs.
-    add_by_max = [[] for _ in range(n)]
-    mul_by_max = [[] for _ in range(n)]
-    star_by_max = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
+    fixed = tuple(fixed)
+    step = [-1] * n   # position -> the search step that assigns it; -1 if fixed
+    new = sorted(set(range(n)).difference(fixed))
+    for s, p in enumerate(new):
+        step[p] = s
+    # Constraint triples (i, j, k) with op(i, j) = k, grouped by the step at
+    # which the last of them is assigned; same for involution pairs.  A pair
+    # is listed at its newer operand, once.
+    adds = [[] for _ in new]
+    muls = [[] for _ in new]
+    stars = [[] for _ in new]
+    for s, i in enumerate(new):
+        for j in range(n):
+            if step[j] > s:
+                continue
             k = src.add[i][j]
-            add_by_max[max(i, j, k)].append((i, j, k))
+            adds[max(s, step[k])].append((i, j, k))
             k = src.mul[i][j]
-            mul_by_max[max(i, j, k)].append((i, j, k))
-        s = src.star[i]
-        star_by_max[max(i, s)].append((i, s))
+            muls[max(s, step[k])].append((i, j, k))
+        k = src.star[i]
+        stars[max(s, step[k])].append((i, k))
+    # zero and one are pinned when the search assigns them
+    candidates = [[v for v in range(dst.size)
+                   if (p != src.zero or v == dst.zero) and (p != src.one or v == dst.one)]
+                  for p in new]
 
     image = [None] * n
     dadd, dmul, dstar = dst.add, dst.mul, dst.star
 
-    def consistent(pos):
-        v = image[pos]
-        if pos == src.zero and v != dst.zero:
-            return False
-        if pos == src.one and v != dst.one:
-            return False
-        for (i, j, k) in add_by_max[pos]:
+    def consistent(s):
+        for (i, j, k) in adds[s]:
             if dadd[image[i]][image[j]] != image[k]:
                 return False
-        for (i, j, k) in mul_by_max[pos]:
+        for (i, j, k) in muls[s]:
             if dmul[image[i]][image[j]] != image[k]:
                 return False
-        for (i, s) in star_by_max[pos]:
-            if dstar[image[i]] != image[s]:
+        for (i, k) in stars[s]:
+            if dstar[image[i]] != image[k]:
                 return False
         return True
 
-    def search(pos):
-        if pos == n:
+    last = len(new) - 1
+    for base in bases:
+        for p, v in zip(fixed, base):
+            image[p] = v
+        if last < 0:
             yield tuple(image)
-            return
-        for v in range(dst.size):
-            image[pos] = v
-            if consistent(pos):
-                yield from search(pos + 1)
-        image[pos] = None
-
-    yield from search(0)
+            continue
+        # depth-first over the steps, one candidate iterator per open step
+        trying = [iter(candidates[0])]
+        while trying:
+            s = len(trying) - 1
+            pos = new[s]
+            for v in trying[s]:
+                image[pos] = v
+                if consistent(s):
+                    break
+            else:
+                trying.pop()
+                continue
+            if s == last:
+                yield tuple(image)
+            else:
+                trying.append(iter(candidates[s + 1]))
 
 
 def is_hom(src: TableSemiring, dst: TableSemiring, image):

@@ -15,13 +15,9 @@ from qspec.relations import (
     QRel, add, add_via_biproduct, carrier, compose, dagger, identity_rel,
     scalar_mul, scalar_mul_via_tensor, subset_idempotent, support, zero_rel,
 )
-from qspec.spectra import (
-    character_from_prime, character_kernel, characters_to_two,
-    functor_law_violation,
-)
+from qspec.spectra import character_from_prime, character_kernel, functor_law_violation
 from qspec.subalgebra import (
-    commutant, is_von_neumann, primitive_idempotents, trivial_algebra,
-    validate_decomposition,
+    commutant, is_von_neumann, trivial_algebra, validate_decomposition,
 )
 from qspec.zariski import (
     all_ideals, check_continuity, kolmogorov_quotient, separation_report,
@@ -164,9 +160,8 @@ def algebras_suite(poset, seed):
         out.append(_verdict("support-projections", supp_ok,
                             "a support projection escaped its algebra"))
         failures = []
-        for i, a in enumerate(algebras):
-            failures += [f"A{i}: {msg}" for msg in
-                         validate_decomposition(primitive_idempotents(a))]
+        for i, dec in enumerate(poset.decompositions):
+            failures += [f"A{i}: {msg}" for msg in validate_decomposition(dec)]
         out.append(_verdict("decomposition", not failures, "; ".join(failures[:5])))
     rng = random.Random(seed)
     hom = list(poset.algebras[-1].relations())  # largest algebra as a sample pool
@@ -191,19 +186,16 @@ def algebras_suite(poset, seed):
 def spectra_suite(poset):
     out = []
     q = poset.quantale
-    algebras = poset.algebras
     gelfands = poset.spectra("gelfand")
     primes = poset.spectra("prime")
     if is_zdf(q):
         bij = roundtrip = one_idem = True
-        for a, pr in zip(algebras, primes):
-            gammas = characters_to_two(a)
+        for gammas, dec, pr in zip(poset.two_valued, poset.decompositions, primes):
             kernels = sorted(character_kernel(g).members for g in gammas)
             if kernels != sorted(p.members for p in pr.points):
                 bij = False
             if len({tuple(k) for k in kernels}) != len(gammas):
                 bij = False
-            dec = primitive_idempotents(a)
             for g in gammas:
                 hits = [e for e in dec.idempotents
                         if g.value_of(e.entries) == g.target.unit]

@@ -309,6 +309,11 @@ def main(argv=None):
     except (QuantaleError, EnumerationBoundExceeded, OSError, ValueError) as exc:
         sys.stderr.write(f"qspec: error: {exc}\n")
         return 2
+    except MemoryError:
+        # the stack is unwound by now, so its tables are free to collect
+        sys.stderr.write("qspec: error: out of memory; try a smaller --size, or "
+                         "a lower QSPEC_MAX_HOM_SIZE to refuse such spaces early\n")
+        return 2
 
 
 if __name__ == "__main__":

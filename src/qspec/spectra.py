@@ -106,24 +106,38 @@ def _point_key(point):
 # -- character enumeration -----------------------------------------------------
 
 
-def _characters(algebra, target):
-    sr = algebra.semiring()
+def _characters(algebra, target, below):
+    """Every character of algebra into target, sorted by values.  below, when
+    given, is a pair (sub, characters): a subalgebra and all its characters
+    into target.  Each character of algebra restricts to one of sub's, so
+    only the extensions of those are searched."""
+    fixed, bases = (), ((),)
+    if below is not None:
+        sub, characters = below
+        _check_inclusion(sub, algebra)
+        fixed = map(algebra.member_pos.__getitem__, sub.members)
+        bases = [c.values for c in characters]
     out = [Character(algebra, target, values)
-           for values in enumerate_homs(sr, target.semiring())]
+           for values in enumerate_homs(algebra.semiring(), target.semiring(),
+                                        fixed, bases)]
     out.sort(key=lambda c: c.values)
     return out
 
 
-def gelfand_spectrum(algebra):
-    """All characters into the scalar quantale, by exhaustive backtracking."""
-    return SpectrumSet(algebra, "gelfand", tuple(_characters(algebra, algebra.quantale)))
+def gelfand_spectrum(algebra, below=None):
+    """All characters into the scalar quantale, by exhaustive backtracking;
+    below, a pair (subalgebra, its characters), limits the search to the
+    extensions of those characters."""
+    return SpectrumSet(algebra, "gelfand",
+                       tuple(_characters(algebra, algebra.quantale, below)))
 
 
-def characters_to_two(algebra):
+def characters_to_two(algebra, below=None):
     """All homomorphisms into the two-element quantale (needs a ZDF scalar
-    quantale for the collapse onto {0, 1} to respect multiplication)."""
+    quantale for the collapse onto {0, 1} to respect multiplication); below
+    as for gelfand_spectrum."""
     require_zdf(algebra.quantale, "characters into the two-element quantale")
-    return _characters(algebra, TWO)
+    return _characters(algebra, TWO, below)
 
 
 def is_character(algebra, target, values):

@@ -23,6 +23,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import attrgetter
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
@@ -633,18 +634,50 @@ class AlgebraPoset:
                 return i
         return None
 
+    @cached_property
+    def predecessors(self):
+        """For each algebra, the Hasse predecessor its characters are
+        extended from: the largest one, ties going to the lowest index; None
+        for a minimal algebra.  Algebras are sorted by size, so it always
+        comes first."""
+        best = [None] * len(self.algebras)
+        size = [a.size for a in self.algebras]
+        for i, j in self.hasse:
+            if best[j] is None or size[i] > size[best[j]]:
+                best[j] = i
+        return tuple(best)
+
+    def _along_hasse(self, characters, points):
+        """characters(algebra, below) for every algebra in poset order, each
+        one extending the characters points() reads from its predecessor's
+        result."""
+        out = []
+        for a, p in zip(self.algebras, self.predecessors):
+            below = None if p is None else (self.algebras[p], points(out[p]))
+            out.append(characters(a, below))
+        return tuple(out)
+
     def spectra(self, kind):
         """The spectrum of one kind ("gelfand" or "prime") of every algebra, in
         poset order; computed once per poset."""
         memo = self.__dict__.setdefault("_spectra", {})
         if kind not in memo:
             from qspec import spectra  # spectra imports this module
-            compute = {"gelfand": spectra.gelfand_spectrum,
-                       "prime": spectra.prime_spectrum}.get(kind)
-            if compute is None:
+            if kind == "gelfand":
+                memo[kind] = self._along_hasse(spectra.gelfand_spectrum,
+                                               attrgetter("points"))
+            elif kind == "prime":
+                memo[kind] = tuple(map(spectra.prime_spectrum, self.algebras))
+            else:
                 raise ValueError(f"unknown spectrum kind {kind!r}")
-            memo[kind] = tuple(compute(a) for a in self.algebras)
         return memo[kind]
+
+    @cached_property
+    def two_valued(self):
+        """The characters into the two-element quantale of every algebra, in
+        poset order; computed once per poset.  Needs ZDF scalars."""
+        from qspec import spectra
+        return self._along_hasse(spectra.characters_to_two, tuple)
 
     def restrictions(self, kind):
         """The restriction map of every proper inclusion (i, j) for one
@@ -727,20 +760,33 @@ class AlgebraPoset:
 
 
 def _poset_from_masks(space, masks, mode, max_generators, complete):
-    algebras = sorted((space.algebra_from_mask(m) for m in masks),
-                      key=lambda a: (a.size, a.members))
-    sets = [a.member_set for a in algebras]
-    leq = set()
-    for i, si in enumerate(sets):
-        for j, sj in enumerate(sets):
-            if si <= sj:
-                leq.add((i, j))
-    proper = {(i, j) for (i, j) in leq if i != j}
-    hasse = tuple(sorted(
-        (i, j) for (i, j) in proper
-        if not any((i, k) in proper and (k, j) in proper for k in range(len(sets)))))
-    return AlgebraPoset(space.quantale, space.carrier, tuple(algebras), mode,
-                        max_generators, complete, frozenset(leq), hasse)
+    """The inclusion poset of the algebras with the given member masks.
+    Each algebra gets the bitset of the algebras strictly above it: the AND,
+    over its members, of the algebras holding that member, less itself.  Its
+    covers are the algebras above it that are above no other one that is."""
+    pairs = sorted(((space.algebra_from_mask(m), m) for m in masks),
+                   key=lambda p: (p[0].size, p[0].members))
+    holding = {}  # Hom(X, X) index -> bitset of the algebras containing it
+    for i, (_, m) in enumerate(pairs):
+        for e in _bits(m):
+            holding[e] = holding.get(e, 0) | 1 << i
+    everything = (1 << len(pairs)) - 1
+    above = []  # strictly larger algebras containing algebra i
+    for i, (_, m) in enumerate(pairs):
+        up = everything
+        for e in _bits(m):
+            up &= holding[e]
+        above.append(up & ~(1 << i))
+    leq, hasse = set(), []
+    for i, up in enumerate(above):
+        leq.add((i, i))
+        leq.update((i, j) for j in _bits(up))
+        higher = 0
+        for j in _bits(up):
+            higher |= above[j]
+        hasse.extend((i, j) for j in _bits(up & ~higher))
+    return AlgebraPoset(space.quantale, space.carrier, tuple(a for a, _ in pairs), mode,
+                        max_generators, complete, frozenset(leq), tuple(hasse))
 
 
 def maximal_cliques(adj):

@@ -128,3 +128,59 @@ def test_a_corrupted_restriction_cell_fails_comparison_naturality():
         if kernel[i][c] != kernel[i][row[p]])
     tables[i, j][p] = other
     assert not verdicts(spectra_suite(poset))["comparison-naturality"]
+
+
+# -- spectra checks against one corrupted poset memo -------------------------------
+
+
+def poset_with_tables(q):
+    """A fresh |X|=2 poset with every restriction and comparison table
+    memoized, and the index of its largest algebra, which is maximal.  A
+    spectrum corrupted afterwards is read by the checks as it is, and no
+    table built from it refuses first."""
+    poset = enumerate_vn(X2, q)
+    for kind in ("gelfand", "prime"):
+        poset.restrictions(kind)
+    for name in ("kernel", "indicator"):
+        poset.comparisons(name)
+    return poset, len(poset.algebras) - 1
+
+
+def drop_first_point(poset, kind, i):
+    spectra = list(poset.spectra(kind))
+    spectra[i] = dataclasses.replace(spectra[i], points=spectra[i].points[1:])
+    poset.__dict__["_spectra"][kind] = tuple(spectra)
+
+
+def test_a_dropped_prime_point_fails_kernel_bijection():
+    intact = verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))
+    assert intact["kernel-bijection"]
+    poset, top = poset_with_tables(GODEL3)
+    drop_first_point(poset, "prime", top)
+    broken = verdicts(spectra_suite(poset))
+    assert not broken["kernel-bijection"]
+    assert broken["one-idempotent-per-character"] and broken["kernel-section-identity"]
+
+
+def test_a_duplicated_idempotent_fails_one_idempotent_per_character():
+    intact = verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))
+    assert intact["one-idempotent-per-character"]
+    poset, top = poset_with_tables(GODEL3)
+    decompositions = list(poset.decompositions)
+    dec = decompositions[top]
+    decompositions[top] = dataclasses.replace(
+        dec, idempotents=dec.idempotents + dec.idempotents[:1])
+    poset.__dict__["decompositions"] = tuple(decompositions)
+    broken = verdicts(spectra_suite(poset))
+    assert not broken["one-idempotent-per-character"]
+    assert broken["kernel-bijection"]
+
+
+def test_a_dropped_character_fails_two_spectra_coincide():
+    bool2 = builtin_quantale("boolean2")
+    assert verdicts(spectra_suite(enumerate_vn(X2, bool2)))["two-spectra-coincide"]
+    poset, top = poset_with_tables(bool2)
+    drop_first_point(poset, "gelfand", top)
+    broken = verdicts(spectra_suite(poset))
+    assert not broken["two-spectra-coincide"]
+    assert broken["kernel-bijection"]

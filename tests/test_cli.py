@@ -192,6 +192,21 @@ def test_bound_overflow_exits_two_for_every_enumerating_command(monkeypatch, cap
         assert out == ""
 
 
+def test_memory_exhaustion_exits_two_and_names_the_knobs(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    import qspec.contextuality as contextuality
+    monkeypatch.setattr(cli, "enumerate_vn", exhausted)
+    monkeypatch.setattr(contextuality, "enumerate_vn", exhausted)
+    for command in ("algebras", "spectrum", "verdict"):
+        code, out, err = run_cli(capsys, command, "--quantale", "boolean2", "--size", "2")
+        assert code == 2, command
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("qspec: error:")
+        assert "--size" in err and "QSPEC_MAX_HOM_SIZE" in err
+
+
 def test_failed_verdict_is_a_failed_check(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InvariantViolation("functor law broken along 0 <= 1 <= 2")

@@ -12,9 +12,12 @@ larger chain with 34 scalar sections, the other a quantale with zero
 divisors and 16) from the code before the restriction maps became index
 tables and the sections were searched over the maximal algebras; the
 generated-mode digests from the code that still kept two Hom(X, X) paths,
-eager tables for small spaces and memoized operations for large ones.  A
-refactor that changes any report byte fails here.  To re-record after an intended report
-change, run this file as a script:
+eager tables for small spaces and memoized operations for large ones; the
+godel4 algebras, spectrum, sections and verdict digests from the code that
+searched every algebra's characters from scratch, before they were extended
+along the Hasse diagram.  A refactor that changes any report byte fails
+here.  To re-record after an intended report change, run this file as a
+script:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -31,7 +34,8 @@ INVOCATIONS = [
     for command in ("check-quantale", "algebras", "spectrum", "sections",
                     "verdict", "topology")
 ] + [("sections", "lukasiewicz3"), ("verdict", "lukasiewicz3"),
-      ("topology", "godel4"), ("topology", "lukasiewicz3")]
+      ("topology", "godel4"), ("topology", "lukasiewicz3")] + [
+    (command, "godel4") for command in ("algebras", "spectrum", "sections", "verdict")]
 
 GOLDEN = {
     ("check-quantale", "boolean2"): "77f789ab1d9574021195bacfdc26034895a82f3023710c43317e7df7f5743a82",
@@ -50,6 +54,10 @@ GOLDEN = {
     ("verdict", "lukasiewicz3"): "cd7f04a88cdcedde7388372e2cce3a9d331d556058cc687e4eda49a541d12654",
     ("topology", "godel4"): "5431d5129c076c843479d1b408ce7f1a6003003d2ccef2a0babd60392d8f9d4c",
     ("topology", "lukasiewicz3"): "bfc1b106aaf54619285bd852a49e8fc80ab8a9a39855c36bc18e74249ecbdb5f",
+    ("algebras", "godel4"): "e4ac1f9544f10f3534e344ac79c67f9008cb112177465e4ce47dc66f8b354d7e",
+    ("spectrum", "godel4"): "54a10f9e3ab9cd9e26b4ebfd4b77293d9a862fadfadf9348506e58848e8dcb6e",
+    ("sections", "godel4"): "3ced519245e35cc111b668184f8d0e53975c488b55714a10ff8985ceb878c409",
+    ("verdict", "godel4"): "09cde16e526153e65befa8c538cf25fbb23d21021b75704bfdd8cef084d0c6ce",
 }
 
 # check-quantale on the built-in quantales, recorded from the code that

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspec.checks import subset_joins
-from qspec.quantale import Quantale, ZdfRequiredError, builtin_quantale, load_quantale
+from qspec.quantale import (
+    Quantale, ZdfRequiredError, builtin_quantale, load_quantale, parse_quantale_tag,
+)
 from qspec.relations import (
     QRel, add, all_relations, carrier, compose, dagger, identity_rel, rel,
     scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_dagger,
@@ -512,16 +514,22 @@ def test_enumerate_godel3_x2_self_checks():
 
 
 def test_poset_order_and_hasse():
-    poset = enumerate_vn(X2, BOOL2)
-    n = len(poset.algebras)
-    for i in range(n):
-        for j in range(n):
-            included = poset.algebras[i].member_set <= poset.algebras[j].member_set
-            assert ((i, j) in poset.leq_pairs) == included
-    proper = {(i, j) for (i, j) in poset.leq_pairs if i != j}
-    reduction = {(i, j) for (i, j) in proper
-                 if not any((i, k) in proper and (k, j) in proper for k in range(n))}
-    assert set(poset.hasse) == reduction
+    # the old construction as the oracle: a pairwise subset test for every
+    # inclusion, and the inclusions with nothing strictly between as covers,
+    # on the ladder configs and generated mode
+    for tag, size, mode in [
+            ("boolean2", 2, "exhaustive"), ("boolean2", 3, "exhaustive"),
+            ("godel3", 2, "exhaustive"), ("godel4", 2, "exhaustive"),
+            ("lukasiewicz3", 2, "exhaustive"), ("boolean2", 3, "generated")]:
+        poset = enumerate_vn(carrier("X", size), parse_quantale_tag(tag), mode=mode)
+        n = len(poset.algebras)
+        sets = [a.member_set for a in poset.algebras]
+        leq = {(i, j) for i in range(n) for j in range(n) if sets[i] <= sets[j]}
+        assert poset.leq_pairs == leq
+        proper = {(i, j) for (i, j) in leq if i != j}
+        reduction = sorted((i, j) for (i, j) in proper
+                           if not any((i, k) in proper and (k, j) in proper for k in range(n)))
+        assert list(poset.hasse) == reduction
 
 
 def test_generated_mode_is_a_sound_subset():
