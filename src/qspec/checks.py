@@ -17,7 +17,8 @@ from qspec.relations import (
 )
 from qspec.spectra import character_from_prime, character_kernel, functor_law_violation
 from qspec.subalgebra import (
-    commutant, is_von_neumann, trivial_algebra, validate_decomposition,
+    InvariantViolation, commutant, is_von_neumann, trivial_algebra,
+    validate_decomposition,
 )
 from qspec.zariski import (
     all_ideals, check_continuity, kolmogorov_quotient, separation_report,
@@ -159,9 +160,11 @@ def algebras_suite(poset, seed):
                     supp_ok = False
         out.append(_verdict("support-projections", supp_ok,
                             "a support projection escaped its algebra"))
-        failures = []
-        for i, dec in enumerate(poset.decompositions):
-            failures += [f"A{i}: {msg}" for msg in validate_decomposition(dec)]
+        try:  # an algebra that does not decompose is named by the exception
+            failures = [f"A{i}: {msg}" for i, dec in enumerate(poset.decompositions)
+                        for msg in validate_decomposition(dec)]
+        except InvariantViolation as exc:
+            failures = [str(exc)]
         out.append(_verdict("decomposition", not failures, "; ".join(failures[:5])))
     rng = random.Random(seed)
     hom = list(poset.algebras[-1].relations())  # largest algebra as a sample pool
@@ -189,25 +192,27 @@ def spectra_suite(poset):
     gelfands = poset.spectra("gelfand")
     primes = poset.spectra("prime")
     if is_zdf(q):
-        bij = roundtrip = one_idem = True
-        for gammas, dec, pr in zip(poset.two_valued, poset.decompositions, primes):
+        bij = roundtrip = True
+        for gammas, pr in zip(poset.two_valued, primes):
             kernels = sorted(character_kernel(g).members for g in gammas)
             if kernels != sorted(p.members for p in pr.points):
                 bij = False
             if len({tuple(k) for k in kernels}) != len(gammas):
                 bij = False
-            for g in gammas:
-                hits = [e for e in dec.idempotents
-                        if g.value_of(e.entries) == g.target.unit]
-                if len(hits) != 1:
-                    one_idem = False
             for p in pr.points:
                 if character_kernel(character_from_prime(p)).members != p.members:
                     roundtrip = False
         out.append(_verdict("kernel-bijection", bij,
                             "two-valued characters do not biject with the prime points"))
-        out.append(_verdict("one-idempotent-per-character", one_idem,
-                            "a two-valued character hits != 1 primitive idempotent"))
+        try:  # an algebra that does not decompose is named by the exception
+            one_idem = all(
+                sum(g.value_of(e.entries) == g.target.unit for e in dec.idempotents) == 1
+                for gammas, dec in zip(poset.two_valued, poset.decompositions)
+                for g in gammas)
+            detail = "a two-valued character hits != 1 primitive idempotent"
+        except InvariantViolation as exc:
+            one_idem, detail = False, str(exc)
+        out.append(_verdict("one-idempotent-per-character", one_idem, detail))
         out.append(_verdict("kernel-section-identity", roundtrip,
                             "kernel of an indicator character is not the ideal"))
         # kernel_i . r^g_ij = r^p_ij . kernel_j, and the same with the indicator

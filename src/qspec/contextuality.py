@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
-from qspec.relations import support, _e_compose
 from qspec.spectra import PrimeIdeal, functor_law_violation
-from qspec.subalgebra import (
-    AlgebraPoset, InvariantViolation, enumerate_vn, _zero_entries,
-)
+from qspec.subalgebra import AlgebraPoset, InvariantViolation, enumerate_vn
 
 
 @dataclass
@@ -36,11 +33,6 @@ class Presheaf:
     kind: str
     values: tuple  # SpectrumSet per poset index
     restrictions: dict  # (sub_idx, sup_idx) -> row: point of sup -> point of sub
-
-    def restrict_index(self, sub_idx, sup_idx, point_idx):
-        if sub_idx == sup_idx:
-            return point_idx
-        return self.restrictions[(sub_idx, sup_idx)][point_idx]
 
 
 @dataclass(frozen=True)
@@ -187,7 +179,8 @@ def global_sections(sheaf):
 
 def canonical_section(point, sheaf):
     """The prime section induced by a carrier point: in every algebra, pick the
-    complement ideal of the unique component whose idempotent supports the point."""
+    complement ideal of the unique component whose idempotent supports the
+    point, i.e. the members that idempotent multiplies to zero."""
     if sheaf.kind != "prime":
         raise ValueError("canonical sections live in the prime presheaf")
     poset = sheaf.poset
@@ -196,18 +189,14 @@ def canonical_section(point, sheaf):
         raise ValueError(f"unknown carrier point {point!r}")
     choice = []
     for idx, dec in enumerate(poset.decompositions):
-        owners = [i for i, e in enumerate(dec.idempotents)
-                  if point in support(e).supp]
+        owners = [i for i, pts in enumerate(dec.supports) if point in pts]
         if len(owners) != 1:
             raise InvariantViolation(
                 f"carrier point {point!r} not in exactly one component of algebra {idx}")
-        e = dec.idempotents[owners[0]]
         a = dec.algebra
-        q = a.quantale
-        zero = _zero_entries(q, a.carrier.size)
-        ideal_members = tuple(sorted(
-            m for m in a.members if _e_compose(q, e.entries, m) == zero))
-        target = PrimeIdeal(a, ideal_members)
+        sr = a.semiring()
+        row = sr.mul[a.member_pos[dec.idempotents[owners[0]].entries]]
+        target = PrimeIdeal(a, tuple(m for m, v in zip(a.members, row) if v == sr.zero))
         choice.append(sheaf.values[idx].index_of(target))
     section = Section(tuple(choice))
     if not is_natural(section, sheaf):
@@ -234,19 +223,20 @@ def section_element(section, sheaf):
     selected = []
     for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section.choice[idx]]
-        outside = [e for e in dec.idempotents if e.entries not in ideal.member_set]
+        outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
+                   if e.entries not in ideal.member_set]
         if len(outside) != 1:
             raise InvariantViolation(
                 f"section does not isolate one component in algebra {idx}")
         selected.append(outside[0])
     # Selected components are unit-diagonal idempotents: two of them compose to
     # zero only if their supports are disjoint, which the shared-point check rules out.
-    picked = support(selected[diag_idx]).supp
+    picked = selected[diag_idx]
     if len(picked) != 1:
         raise InvariantViolation("diagonal component is not a single carrier point")
     point = picked[0]
-    for ei in selected:
-        if point not in support(ei).supp:
+    for pts in selected:
+        if point not in pts:
             raise InvariantViolation("selected components do not share the point")
     return point
 

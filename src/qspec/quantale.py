@@ -95,12 +95,6 @@ class Quantale:
     def leq(self, i, j):
         return self.join_table[i][j] == j
 
-    def join_all(self, indices):
-        acc = self.bottom
-        for i in indices:
-            acc = self.join_table[acc][i] if acc is not None else i
-        return acc
-
     @property
     def fingerprint(self):
         fp = self.__dict__.get("_fingerprint")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import sys
 from array import array
@@ -106,9 +107,6 @@ class Subsemialgebra:
         return tuple(QRel(self.quantale, self.carrier, self.carrier, e)
                      for e in self.members)
 
-    def member_index(self, entries):
-        return self.members.index(entries)
-
     # flags
 
     @cached_property
@@ -147,18 +145,23 @@ class Subsemialgebra:
 
     def semiring(self):
         """Member-indexed *-semiring tables (join as addition, composition as
-        multiplication), read from the Hom(X, X) tables.  Requires the algebra
-        to be closed."""
+        multiplication), read from the Hom(X, X) tables; add and mul hold one
+        array row per member.  Requires the algebra to be closed.  After
+        enumeration this is the one arithmetic on an algebra's members."""
         cached = self.__dict__.get("_semiring")
         if cached is not None:
             return cached
         space, idx = self.in_space()
         pos = {h: p for p, h in enumerate(idx)}
+        code = _typecode(len(idx))
+
+        def table(rows):  # one array row of member positions per member
+            return tuple(array(code, map(pos.__getitem__, map(rows[a].__getitem__, idx)))
+                         for a in idx)
+
         try:
             sr = TableSemiring(
-                size=len(idx),
-                add=tuple(tuple(pos[space.join(a, b)] for b in idx) for a in idx),
-                mul=tuple(tuple(pos[space.comp(a, b)] for b in idx) for a in idx),
+                size=len(idx), add=table(space._join_rows), mul=table(space._comp_rows),
                 star=tuple(pos[space.dag(a)] for a in idx),
                 zero=pos[space.zero_idx], one=pos[space.id_idx])
         except KeyError:
@@ -286,18 +289,11 @@ def direct_sum(a, b):
 def subunital_idempotents(a):
     """Idempotent members admitting an orthogonal idempotent partner that
     joins with them to the identity."""
-    q = a.quantale
-    n = a.carrier.size
-    idem = [m for m in a.members if _e_compose(q, m, m) == m]
-    zero = _zero_entries(q, n)
-    ident = _identity_entries(q, n)
-    out = []
-    for p in idem:
-        for r in idem:
-            if _e_compose(q, p, r) == zero and _e_join(q, p, r) == ident:
-                out.append(p)
-                break
-    return out
+    sr = a.semiring()
+    mul, add = sr.mul, sr.add
+    idem = [i for i in range(sr.size) if mul[i][i] == i]
+    return [a.members[p] for p in idem
+            if any(mul[p][r] == sr.zero and add[p][r] == sr.one for r in idem)]
 
 
 def restrict_component(a, e):
@@ -321,9 +317,11 @@ def restrict_component(a, e):
             raise ValueError("e is not diagonal")
     sub = FiniteSet(f"{a.carrier.name}|{''.join(str(a.carrier.elements[i]) for i in keep)}",
                     tuple(a.carrier.elements[i] for i in keep))
+    mul = a.semiring().mul
+    p = a.member_pos[ee]
     members = []
-    for m in a.members:
-        cut = _e_compose(q, ee, _e_compose(q, m, ee))
+    for m in range(a.size):
+        cut = a.members[mul[p][mul[m][p]]]
         members.append(tuple(tuple(cut[i][j] for j in keep) for i in keep))
     return Subsemialgebra.from_entries(q, sub, members)
 
@@ -338,11 +336,7 @@ class Decomposition:
     algebra: Subsemialgebra
     idempotents: tuple  # QRel values, one per component
     components: tuple   # per idempotent, the sorted entry matrices of e A
-
-    def component_map(self, entries):
-        """The coordinates of one member across the components."""
-        q = self.algebra.quantale
-        return tuple(_e_compose(q, e.entries, entries) for e in self.idempotents)
+    supports: tuple     # per idempotent, its carrier points in carrier order
 
 
 def _support_indices(q, entries):
@@ -357,10 +351,11 @@ def primitive_idempotents(a):
     require_zdf(q, "primitive idempotent decomposition")
     if not is_von_neumann(a):
         raise ValueError("decomposition needs a von Neumann algebra")
+    points = a.carrier.elements
     supports = {_support_indices(q, m) for m in a.members}
     supports.discard(frozenset())
     for s in supports:
-        proj = subset_idempotent(q, a.carrier, [a.carrier.elements[i] for i in s])
+        proj = subset_idempotent(q, a.carrier, [points[i] for i in s])
         if proj.entries not in a.member_set:
             raise InvariantViolation(
                 "support projection escaped the algebra; enumeration is broken")
@@ -370,54 +365,56 @@ def primitive_idempotents(a):
     covered = set().union(*atoms) if atoms else set()
     if covered != set(range(a.carrier.size)):
         raise InvariantViolation("support atoms do not cover the carrier")
-    idempotents = tuple(
-        subset_idempotent(q, a.carrier, [a.carrier.elements[i] for i in sorted(s)])
-        for s in atoms)
+    atom_points = tuple(tuple(points[i] for i in sorted(s)) for s in atoms)
+    idempotents = tuple(subset_idempotent(q, a.carrier, pts) for pts in atom_points)
+    mul = a.semiring().mul
     components = tuple(
-        tuple(sorted({_e_compose(q, e.entries, m) for m in a.members}))
+        tuple(a.members[k] for k in sorted(set(mul[a.member_pos[e.entries]])))
         for e in idempotents)
-    return Decomposition(a, idempotents, components)
+    return Decomposition(a, idempotents, components, atom_points)
 
 
 def validate_decomposition(dec):
     """Orthogonality, join-to-unit, primitivity, and the product reassembly
     bijection; returns a list of failure strings (empty = all good)."""
     a = dec.algebra
-    q = a.quantale
-    n = a.carrier.size
-    zero = _zero_entries(q, n)
+    sr = a.semiring()
+    add, mul, zero = sr.add, sr.mul, sr.zero
+    es = [a.member_pos.get(e.entries) for e in dec.idempotents]
+    if None in es:  # no law can be looked up for a foreign idempotent
+        return [f"idempotent {i} is not subunital in the algebra"
+                for i, p in enumerate(es) if p is None]
     failures = []
-    es = [e.entries for e in dec.idempotents]
-    for i, e in enumerate(es):
-        if _e_compose(q, e, e) != e:
+    for i, p in enumerate(es):
+        if mul[p][p] != p:
             failures.append(f"idempotent {i} is not idempotent")
         for j in range(i + 1, len(es)):
-            if _e_compose(q, e, es[j]) != zero:
+            if mul[p][es[j]] != zero:
                 failures.append(f"idempotents {i},{j} not orthogonal")
     acc = zero
-    for e in es:
-        acc = _e_join(q, acc, e)
-    if acc != _identity_entries(q, n):
+    for p in es:
+        acc = add[acc][p]
+    if acc != sr.one:
         failures.append("idempotents do not join to the unit")
-    subunital = set(subunital_idempotents(a))
-    nontrivial = [p for p in subunital if p != zero]
-    for i, e in enumerate(es):
-        if e not in subunital:
+    subunital = [a.member_pos[m] for m in subunital_idempotents(a)]
+    nontrivial = [s for s in subunital if s != zero]
+    for i, p in enumerate(es):
+        if p not in subunital:
             failures.append(f"idempotent {i} is not subunital in the algebra")
         for s, t in itertools.combinations(nontrivial, 2):
-            if s != e and t != e and _e_join(q, s, t) == e:
-                failures.append(f"idempotent {i} splits as a join of {s} and {t}")
+            if s != p and t != p and add[s][t] == p:
+                failures.append(f"idempotent {i} splits as a join of "
+                                f"{a.members[s]} and {a.members[t]}")
     # product reassembly: member -> component tuple is a bijection onto the product
     seen = {}
-    for m in a.members:
-        key = dec.component_map(m)
+    for m in range(a.size):
+        key = tuple(mul[p][m] for p in es)
         if key in seen:
-            failures.append(f"members {seen[key]} and {m} agree on all components")
+            failures.append(f"members {a.members[seen[key]]} and {a.members[m]} "
+                            "agree on all components")
         seen[key] = m
-    expected = 1
-    for comp in dec.components:
-        expected *= len(comp)
-    if len(seen) != expected or len(a.members) != expected:
+    expected = math.prod(map(len, dec.components))
+    if len(seen) != expected or a.size != expected:
         failures.append("component map is not onto the product")
     return failures
 
@@ -594,12 +591,12 @@ class EndoSpace:
 _space_cache = {}
 
 
-def get_endospace(q, x, bound=None):
+def get_endospace(q, x):
     key = (q.fingerprint, x)
     space = _space_cache.get(key)
     if space is None:
         size = hom_size(q, x)
-        limit = bound if bound is not None else hom_bound()
+        limit = hom_bound()
         if size > limit:
             raise EnumerationBoundExceeded(
                 f"|Hom(X,X)| = {size} exceeds the bound {limit}; "
@@ -712,14 +709,22 @@ class AlgebraPoset:
     @cached_property
     def decompositions(self):
         """The primitive idempotent decomposition of every algebra, in poset
-        order; computed once per poset."""
-        return tuple(primitive_idempotents(a) for a in self.algebras)
+        order; computed once per poset.  An algebra that does not decompose
+        is a broken enumeration: InvariantViolation names it."""
+        require_zdf(self.quantale, "primitive idempotent decomposition")
+        out = []
+        for i, a in enumerate(self.algebras):
+            try:
+                out.append(primitive_idempotents(a))
+            except (ValueError, InvariantViolation) as exc:
+                raise InvariantViolation(f"A{i}: {exc}") from exc
+        return tuple(out)
 
-    @property
+    @cached_property
     def trivial_index(self):
         return self.index_of(trivial_algebra(self.carrier, self.quantale))
 
-    @property
+    @cached_property
     def diagonal_index(self):
         return self.index_of(diagonal_algebra(self.carrier, self.quantale))
 
@@ -815,7 +820,7 @@ def maximal_cliques(adj):
     return out
 
 
-def enumerate_vn(x, q, mode="exhaustive", max_generators=2, bound=None):
+def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     """Enumerate commutative unital star-closed von Neumann subsemialgebras.
 
     Exhaustive mode seeds a walk at every maximal clique C of the commutation
@@ -840,7 +845,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2, bound=None):
     elements and keeps the algebras that are commutative, star-closed and von
     Neumann, force-including the trivial and diagonal algebras.
     """
-    space = get_endospace(q, x, bound)
+    space = get_endospace(q, x)
     if mode == "exhaustive":
         comm = [space.comm_mask(i) for i in range(space.size)]
         singles = set(comm)
@@ -869,8 +874,9 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2, bound=None):
             if cl in seen_closures:
                 return
             seen_closures.add(cl)
-            if (space.is_commutative_mask(cl) and space.is_star_mask(cl)
-                    and space.double_commutant_mask(cl) == cl):
+            # commutative iff cl <= cl', von Neumann iff cl'' == cl: cl' is made once
+            comm = space.commutant_mask(cl)
+            if cl & ~comm == 0 and space.is_star_mask(cl) and space.commutant_mask(comm) == cl:
                 found.add(cl)
 
         consider(())

@@ -22,8 +22,8 @@ from qspec.quantale import require_zdf
 from qspec.spectra import (
     Character, gelfand_spectrum, kernel_table, prime_spectrum, restriction_table,
 )
-from qspec.relations import _e_compose, _e_join
-from qspec.subalgebra import _zero_entries
+
+MAX_IDEAL_SCAN_MEMBERS = 14  # all_ideals refuses larger algebras
 
 
 def _image(bits, mapping):
@@ -111,23 +111,24 @@ def zariski_topology(algebra, kind, spectrum=None):
     return cached
 
 
-def all_ideals(algebra, max_members=14):
-    """Every ideal (contains zero, join-closed, absorbs multiplication).  The
-    ideal generated by m is m.A, as A is join-closed and composition
-    distributes over joins, and every ideal is the elementwise join of the
+def all_ideals(algebra):
+    """Every ideal (contains zero, join-closed, absorbs multiplication), as
+    sorted member tuples.  The ideal generated by m is m.A, the values of m's
+    row of the multiplication table, as A is join-closed and composition
+    distributes over joins; and every ideal is the elementwise join of the
     ideals its members generate, so the ideals are the closure of {0} under
     joining with one generated ideal at a time."""
-    if algebra.size > max_members:
+    if algebra.size > MAX_IDEAL_SCAN_MEMBERS:
         raise ValueError(f"algebra too large for the ideal scan ({algebra.size} members)")
-    q = algebra.quantale
-    zero = _zero_entries(q, algebra.carrier.size)
-    members = algebra.members
-    family = {frozenset({zero})}
-    for m in members:
-        principal = {_e_compose(q, m, a) for a in members}
-        family |= {frozenset(_e_join(q, i, j) for i in ideal for j in principal)
+    sr = algebra.semiring()
+    add = sr.add
+    family = {frozenset({sr.zero})}
+    for row in sr.mul:
+        principal = set(row)
+        family |= {frozenset(add[i][j] for i in ideal for j in principal)
                    for ideal in family}
-    return sorted(tuple(sorted(ideal)) for ideal in family)
+    members = algebra.members  # sorted, so sorted positions give sorted members
+    return sorted(tuple(members[k] for k in sorted(ideal)) for ideal in family)
 
 
 def vanishing_set_of_ideal(spectrum, ideal_members):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from qspec import cli
 from qspec.checks import algebras_suite, spectra_suite, topology_suite
 from qspec.quantale import builtin_quantale
 from qspec.relations import carrier, diag_rel
@@ -13,6 +14,7 @@ from qspec.zariski import closed_family_from_basis
 # lukasiewicz3 has zero divisors, so algebras_suite skips the decomposition,
 # which would refuse the corrupted (no longer von Neumann) algebra outright.
 LUK3 = builtin_quantale("lukasiewicz_chain", 3)
+GODEL3 = builtin_quantale("godel_chain", 3)
 X2 = carrier("X", 2)
 ZERO, HALF, ONE = 0, 1, 2  # indices of "0", "1/2", "1"
 
@@ -52,9 +54,74 @@ def test_semiring_of_an_unclosed_algebra_is_an_invariant_violation():
         spectra_suite(poset)
 
 
-# -- topology checks on godel3 |X|=2, which is ZDF ------------------------------
+# -- algebra checks on ZDF posets whose diagonal algebra lost diag(1, 0) --------
 
-GODEL3 = builtin_quantale("godel_chain", 3)
+
+def poset_missing_a_diagonal_projection(q):
+    """The |X|=2 poset of q whose diagonal algebra lacks diag(1, 0), and the
+    diagonal's index.  What is left is still closed, commutative and
+    star-closed, but no longer its own double commutant."""
+    poset = enumerate_vn(X2, q)
+    d = poset.diagonal_index
+    gone = diag_rel(q, X2, (q.unit, q.bottom)).entries
+    broken = Subsemialgebra.from_entries(q, X2, poset.algebras[d].member_set - {gone})
+    algebras = poset.algebras[:d] + (broken,) + poset.algebras[d + 1:]
+    return dataclasses.replace(poset, algebras=algebras), d
+
+
+def test_a_lost_projection_fails_von_neumann_and_names_the_undecomposed_algebra():
+    bool2 = builtin_quantale("boolean2")
+    checks = ("von-neumann", "decomposition")
+    intact = verdicts(algebras_suite(enumerate_vn(X2, bool2), seed=0))
+    assert all(intact[c] for c in checks)
+    poset, d = poset_missing_a_diagonal_projection(bool2)
+    results = {r.name: r for r in algebras_suite(poset, seed=0)}
+    assert not any(results[c].passed for c in checks)
+    # {0, diag(0,1), id} keeps the projection of every member's support
+    assert results["closure-flags"].passed and results["support-projections"].passed
+    assert results["decomposition"].details == (
+        f"A{d}: decomposition needs a von Neumann algebra")
+    spectra = {r.name: r for r in spectra_suite(poset)}
+    assert not spectra["one-idempotent-per-character"].passed
+    assert spectra["one-idempotent-per-character"].details.startswith(f"A{d}: ")
+    assert spectra["kernel-bijection"].passed
+
+
+def test_a_lost_support_projection_fails_support_projections():
+    # diag(1/2, 0) is left, but its support projection diag(1, 0) is gone
+    assert verdicts(algebras_suite(enumerate_vn(X2, GODEL3), seed=0))["support-projections"]
+    poset, _ = poset_missing_a_diagonal_projection(GODEL3)
+    broken = verdicts(algebras_suite(poset, seed=0))
+    assert not broken["support-projections"]
+    assert broken["closure-flags"]
+
+
+def test_an_escaped_support_projection_is_a_failed_decomposition():
+    # Told that the broken diagonal is von Neumann, the decomposition finds a
+    # support projection outside it and raises InvariantViolation.
+    poset, d = poset_missing_a_diagonal_projection(GODEL3)
+    poset.algebras[d].__dict__["_von_neumann"] = True
+    results = {r.name: r for r in algebras_suite(poset, seed=0)}
+    assert not results["decomposition"].passed
+    assert results["decomposition"].details.startswith(
+        f"A{d}: support projection escaped the algebra")
+
+
+def test_an_undecomposed_algebra_fails_its_checks_and_still_writes_the_report(
+        monkeypatch, capsys):
+    bool2 = builtin_quantale("boolean2")
+    poset, d = poset_missing_a_diagonal_projection(bool2)
+    monkeypatch.setattr(cli, "enumerate_vn", lambda *args, **kwargs: poset)
+    for command, check in (("algebras", "decomposition"),
+                           ("spectrum", "one-idempotent-per-character")):
+        code = cli.main([command, "--quantale", "boolean2", "--size", "2"])
+        out = capsys.readouterr().out
+        assert code == 1, command
+        assert f"[FAIL] {check}  A{d}: decomposition needs a von Neumann algebra" in out
+        assert out.endswith("result: FAILED\n")
+
+
+# -- topology checks on godel3 |X|=2, which is ZDF ------------------------------
 
 
 def godel3_diagonal_prime():

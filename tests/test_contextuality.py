@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspec import csp
-from qspec.quantale import builtin_quantale, parse_quantale_tag
-from qspec.relations import carrier, subset_idempotent
+from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
+from qspec.relations import carrier, subset_idempotent, support, zero_rel, _e_compose
 from qspec.contextuality import (
     Presheaf, Section, build_presheaf, canonical_section, global_sections,
     is_natural, ks_verdict, section_element, transport_gelfand_section,
     transport_prime_section,
 )
-from qspec.spectra import SpectrumSet, restrict_point
+from qspec.spectra import PrimeIdeal, SpectrumSet, restrict_point
 from qspec.subalgebra import (
     AlgebraPoset, InvariantViolation, close, diagonal_algebra, enumerate_vn,
 )
@@ -165,6 +165,35 @@ def test_hand_built_contradiction_has_no_sections():
 
 
 # -- canonical sections ------------------------------------------------------------
+
+
+def oracle_canonical_choice(point, sheaf):
+    """The canonical section of a point by the entry kernels: in every
+    algebra, the members that the idempotent supporting the point composes
+    to zero."""
+    choice = []
+    for idx, dec in enumerate(sheaf.poset.decompositions):
+        a = dec.algebra
+        q = a.quantale
+        (e,) = [e for e in dec.idempotents if point in support(e).supp]
+        zero = zero_rel(q, a.carrier, a.carrier).entries
+        ideal = tuple(sorted(m for m in a.members if _e_compose(q, e.entries, m) == zero))
+        choice.append(sheaf.values[idx].index_of(PrimeIdeal(a, ideal)))
+    return tuple(choice)
+
+
+@pytest.mark.parametrize("tag,size,mode", [
+    (tag, size, "exhaustive") for tag, size in ORACLE_CONFIGS
+    if is_zdf(parse_quantale_tag(tag))] + [("boolean2", 3, "generated")])
+def test_canonical_sections_equal_the_entry_kernels(tag, size, mode):
+    x = carrier("X", size)
+    poset = (oracle_poset(tag, size) if mode == "exhaustive"
+             else enumerate_vn(x, parse_quantale_tag(tag), mode))
+    sheaf = build_presheaf(poset, "prime")
+    for p in x.elements:
+        section = canonical_section(p, sheaf)
+        assert section.choice == oracle_canonical_choice(p, sheaf)
+        assert section_element(section, sheaf) == p
 
 
 def test_canonical_section_single_point():

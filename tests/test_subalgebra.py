@@ -1,5 +1,7 @@
 """Closure, commutants, von Neumann enumeration, and the idempotent split."""
 
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -8,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from qspec.checks import subset_joins
 from qspec.quantale import (
-    Quantale, ZdfRequiredError, builtin_quantale, load_quantale, parse_quantale_tag,
+    Quantale, ZdfRequiredError, builtin_quantale, is_zdf, load_quantale,
+    parse_quantale_tag,
 )
 from qspec.relations import (
-    QRel, add, all_relations, carrier, compose, dagger, identity_rel, rel,
+    QRel, add, all_relations, carrier, compose, dagger, diag_rel, identity_rel, rel,
     scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_dagger,
     _e_join, _e_scalar,
 )
@@ -19,7 +22,7 @@ from qspec.subalgebra import (
     EndoSpace, EnumerationBoundExceeded, Subsemialgebra, close, commutant,
     diagonal_algebra, direct_sum, enumerate_vn, get_endospace, is_von_neumann,
     maximal_cliques, primitive_idempotents, restrict_component,
-    subunital_idempotents, trivial_algebra, _poset_from_masks,
+    subunital_idempotents, trivial_algebra, validate_decomposition, _poset_from_masks,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -393,7 +396,8 @@ def test_wide_rows_past_256_row_vectors():
 def test_semiring_tables_match_the_entry_kernels(q):
     for a in enumerate_vn(X2, q).algebras:
         sr = a.semiring()
-        assert (sr.add, sr.mul, sr.star) == oracle_semiring_tables(a)
+        rows = tuple(tuple(map(tuple, t)) for t in (sr.add, sr.mul))
+        assert rows + (sr.star,) == oracle_semiring_tables(a)
         assert sr.zero == a.member_pos[zero_rel(q, X2, X2).entries]
         assert sr.one == a.member_pos[identity_rel(q, X2).entries]
 
@@ -605,6 +609,150 @@ def oracle_check_decomposition(a, dec):
             assert compose(e, rebuilt).entries == part
 
 
+# Oracles: the decomposition layer written on entry matrices.
+
+
+def oracle_subunital_idempotents(a):
+    q = a.quantale
+    zero = zero_rel(q, a.carrier, a.carrier).entries
+    ident = identity_rel(q, a.carrier).entries
+    idem = [m for m in a.members if _e_compose(q, m, m) == m]
+    return [p for p in idem
+            if any(_e_compose(q, p, r) == zero and _e_join(q, p, r) == ident for r in idem)]
+
+
+def oracle_components(a, idempotents):
+    q = a.quantale
+    return tuple(tuple(sorted({_e_compose(q, e.entries, m) for m in a.members}))
+                 for e in idempotents)
+
+
+def oracle_validate_decomposition(dec):
+    a = dec.algebra
+    q = a.quantale
+    zero = zero_rel(q, a.carrier, a.carrier).entries
+    failures = []
+    es = [e.entries for e in dec.idempotents]
+    for i, e in enumerate(es):
+        if _e_compose(q, e, e) != e:
+            failures.append(f"idempotent {i} is not idempotent")
+        for j in range(i + 1, len(es)):
+            if _e_compose(q, e, es[j]) != zero:
+                failures.append(f"idempotents {i},{j} not orthogonal")
+    acc = zero
+    for e in es:
+        acc = _e_join(q, acc, e)
+    if acc != identity_rel(q, a.carrier).entries:
+        failures.append("idempotents do not join to the unit")
+    subunital = set(oracle_subunital_idempotents(a))
+    nontrivial = [p for p in subunital if p != zero]
+    for i, e in enumerate(es):
+        if e not in subunital:
+            failures.append(f"idempotent {i} is not subunital in the algebra")
+        for s, t in itertools.combinations(nontrivial, 2):
+            if s != e and t != e and _e_join(q, s, t) == e:
+                failures.append(f"idempotent {i} splits as a join of {s} and {t}")
+    seen = {}
+    for m in a.members:
+        key = tuple(_e_compose(q, e, m) for e in es)
+        if key in seen:
+            failures.append(f"members {seen[key]} and {m} agree on all components")
+        seen[key] = m
+    expected = 1
+    for comp in dec.components:
+        expected *= len(comp)
+    if len(seen) != expected or len(a.members) != expected:
+        failures.append("component map is not onto the product")
+    return failures
+
+
+def oracle_restrict_component(a, e):
+    """The members of e A e, cut down to the support of e."""
+    q = a.quantale
+    keep = [i for i in range(a.carrier.size) if e.entries[i][i] == q.unit]
+    cuts = {_e_compose(q, e.entries, _e_compose(q, m, e.entries)) for m in a.members}
+    return tuple(sorted({tuple(tuple(c[i][j] for j in keep) for i in keep) for c in cuts}))
+
+
+# (quantale tag, |X|, mode): the section-search oracle configs of
+# test_contextuality plus boolean2 |X|=3 in generated mode
+ORACLE_POSETS = [("boolean2", 2, "exhaustive"), ("godel3", 2, "exhaustive"),
+                 ("godel4", 2, "exhaustive"), ("lukasiewicz3", 2, "exhaustive"),
+                 ("lukasiewicz4", 2, "exhaustive"), ("powerset2", 2, "exhaustive"),
+                 ("boolean2", 3, "exhaustive"), ("boolean2", 3, "generated")]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_poset(tag, size, mode):
+    return enumerate_vn(carrier("X", size), parse_quantale_tag(tag), mode)
+
+
+@pytest.mark.parametrize("tag, size, mode", ORACLE_POSETS)
+def test_decomposition_layer_equals_the_entry_kernels(tag, size, mode):
+    poset = oracle_poset(tag, size, mode)
+    zdf = is_zdf(poset.quantale)
+    for a in poset.algebras:
+        assert subunital_idempotents(a) == oracle_subunital_idempotents(a)
+        if not zdf:
+            continue
+        dec = primitive_idempotents(a)
+        assert dec.components == oracle_components(a, dec.idempotents)
+        assert dec.supports == tuple(support(e).supp for e in dec.idempotents)
+        assert validate_decomposition(dec) == oracle_validate_decomposition(dec) == []
+        for e in dec.idempotents:
+            assert restrict_component(a, e).members == oracle_restrict_component(a, e)
+
+
+def _diagonal_decomposition(q, n=2):
+    return primitive_idempotents(diagonal_algebra(carrier("X", n), q))
+
+
+def _with_idempotents(dec, *pointsets):
+    x = dec.algebra.carrier
+    return dataclasses.replace(dec, idempotents=tuple(
+        subset_idempotent(dec.algebra.quantale, x, pts) for pts in pointsets))
+
+
+def corrupted_decompositions():
+    """One corrupted decomposition per failure string of validate_decomposition,
+    keyed by the start of that string."""
+    diag = _diagonal_decomposition(BOOL2)
+    # boolean2 |X|=2: {0, swap, id, all-ones} decomposes along id alone
+    swapping = next(a for a in enumerate_vn(X2, BOOL2).algebras
+                    if ((0, 1), (1, 0)) in a.member_set)
+    swap = QRel(BOOL2, X2, X2, ((0, 1), (1, 0)))
+    godel = _diagonal_decomposition(GODEL3)
+    half_one = diag_rel(GODEL3, X2, (1, 2))  # diag(1/2, 1): idempotent, no partner
+    return {
+        "idempotent 0 is not idempotent": dataclasses.replace(
+            primitive_idempotents(swapping), idempotents=(swap,)),
+        "idempotents 0,1 not orthogonal": _with_idempotents(diag, ["1"], ["1", "2"]),
+        "idempotents do not join to the unit": _with_idempotents(diag, ["1"]),
+        "idempotent 1 is not subunital in the algebra": dataclasses.replace(
+            godel, idempotents=(godel.idempotents[0], half_one)),
+        "idempotent 0 is not subunital in the algebra": dataclasses.replace(
+            primitive_idempotents(trivial_algebra(X2, BOOL2)),
+            idempotents=(subset_idempotent(BOOL2, X2, ["1"]),)),  # not a member
+        "idempotent 0 splits as a join of": dataclasses.replace(
+            _with_idempotents(diag, ["1", "2"]), components=(diag.algebra.members,)),
+        "members ": _with_idempotents(diag, ["1"]),  # ... agree on all components
+        "component map is not onto the product": dataclasses.replace(
+            diag, components=(diag.components[0], diag.components[1][:1])),
+    }
+
+
+@pytest.mark.parametrize("failure", list(corrupted_decompositions()))
+def test_each_decomposition_failure_has_a_corrupted_input(failure):
+    dec = corrupted_decompositions()[failure]
+    assert any(f.startswith(failure) for f in validate_decomposition(dec))
+    assert any(f.startswith(failure) for f in oracle_validate_decomposition(dec))
+
+
+def test_a_foreign_idempotent_is_a_failure_not_a_key_error():
+    dec = corrupted_decompositions()["idempotent 0 is not subunital in the algebra"]
+    assert validate_decomposition(dec) == ["idempotent 0 is not subunital in the algebra"]
+
+
 def test_decomposition_trivial_algebra():
     dec = primitive_idempotents(trivial_algebra(X2, BOOL2))
     assert len(dec.idempotents) == 1
@@ -651,15 +799,15 @@ def test_decomposition_requires_zdf_and_von_neumann():
 
 
 def test_von_neumann_answer_is_computed_once(monkeypatch):
-    import qspec.subalgebra as sub
     vn = diagonal_algebra(X2, BOOL2)
     not_vn = close(X2, [e1_rel()])
     assert is_von_neumann(vn) and not is_von_neumann(not_vn)
 
-    def no_space(*args, **kwargs):
+    def again(*args, **kwargs):
         raise AssertionError("the double commutant was computed again")
 
-    monkeypatch.setattr(sub, "get_endospace", no_space)
+    # the decomposition reads the semiring tables, which need the space
+    monkeypatch.setattr(EndoSpace, "double_commutant_mask", again)
     assert is_von_neumann(vn) and not is_von_neumann(not_vn)
     assert len(primitive_idempotents(vn).idempotents) == 2
     with pytest.raises(ValueError, match="von Neumann"):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspec.quantale import ZdfRequiredError, builtin_quantale
+from qspec.quantale import ZdfRequiredError, builtin_quantale, parse_quantale_tag
 from qspec.relations import _e_compose, _e_join, carrier
 from qspec.spectra import (
     character_kernel, gelfand_spectrum, prime_spectrum,
@@ -14,7 +14,7 @@ from qspec.subalgebra import (
     _zero_entries, diagonal_algebra, enumerate_vn, trivial_algebra,
 )
 from qspec.zariski import (
-    FiniteTopology, all_ideals, check_continuity, closed_family_from_basis,
+    MAX_IDEAL_SCAN_MEMBERS, FiniteTopology, all_ideals, check_continuity, closed_family_from_basis,
     is_homeomorphism, kolmogorov_quotient, separation_report,
     topology_to_json, vanishing_set, vanishing_set_of_ideal,
     verify_quotient_xi, zariski_topology,
@@ -144,6 +144,40 @@ def test_all_ideals_equal_the_subset_scan():
                 assert all_ideals(a) == oracle_all_ideals(a), (q.name, a)
                 checked += 1
     assert checked == 79
+
+
+def oracle_ideal_closure(algebra):
+    """The ideal closure of all_ideals on entry matrices: {0} joined with one
+    principal ideal m.A at a time."""
+    q = algebra.quantale
+    members = algebra.members
+    family = {frozenset({_zero_entries(q, algebra.carrier.size)})}
+    for m in members:
+        principal = {_e_compose(q, m, a) for a in members}
+        family |= {frozenset(_e_join(q, i, j) for i in ideal for j in principal)
+                   for ideal in family}
+    return sorted(tuple(sorted(ideal)) for ideal in family)
+
+
+# (quantale tag, |X|, mode): the section-search oracle configs of
+# test_contextuality plus boolean2 |X|=3 in generated mode
+ORACLE_POSETS = [("boolean2", 2, "exhaustive"), ("godel3", 2, "exhaustive"),
+                 ("godel4", 2, "exhaustive"), ("lukasiewicz3", 2, "exhaustive"),
+                 ("lukasiewicz4", 2, "exhaustive"), ("powerset2", 2, "exhaustive"),
+                 ("boolean2", 3, "exhaustive"), ("boolean2", 3, "generated")]
+
+
+@pytest.mark.parametrize("tag, size, mode", ORACLE_POSETS)
+def test_all_ideals_equal_the_entry_matrix_closure(tag, size, mode):
+    algebras = enumerate_vn(carrier("X", size), parse_quantale_tag(tag), mode).algebras
+    small = [a for a in algebras if a.size <= MAX_IDEAL_SCAN_MEMBERS]
+    assert small
+    for a in small:
+        assert all_ideals(a) == oracle_ideal_closure(a), (tag, a)
+    for a in algebras:
+        if a.size > MAX_IDEAL_SCAN_MEMBERS:
+            with pytest.raises(ValueError, match="too large"):
+                all_ideals(a)
 
 
 def test_topology_is_built_once_per_spectrum():
