@@ -22,10 +22,9 @@ from qspec.subalgebra import (
     validate_decomposition,
 )
 from qspec.spectra import (
-    Character, PrimeIdeal, SpectrumSet, character_from_prime,
-    character_from_two, character_kernel, characters_to_two, gelfand_spectrum,
-    is_character, is_prime_kstar_ideal, prime_spectrum, restrict_character,
-    restrict_point, restrict_prime,
+    TWO, Character, SpectrumSet, character_from_prime, character_kernel,
+    characters_to_two, gelfand_spectrum, is_character, is_prime_kstar_ideal,
+    prime_spectrum, restrict_character, restrict_prime,
 )
 from qspec.contextuality import (
     Presheaf, Section, Verdict, build_presheaf, canonical_section,

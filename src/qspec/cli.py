@@ -187,7 +187,7 @@ def _cmd_spectrum(args):
             "size": a.size,
             "characters": [[q.elements[v] for v in rho.values] for rho in gel.points],
             "prime_ideals": [
-                [_member_label(q, m) for m in p.members] for p in pri.points],
+                [_member_label(q, m) for m in p.kernel_members()] for p in pri.points],
             "improper_prime_closed": [
                 [_member_label(q, m) for m in ms] for ms in pri.improper],
         }
@@ -267,10 +267,9 @@ def _cmd_topology(args):
     chosen = _select_algebras(poset, args.algebra)
     data = {}
     for i in chosen:
-        a = poset.algebras[i]
         entry = {}
         for kind in ("gelfand", "prime"):
-            t = zariski_topology(a, kind, poset.spectra(kind)[i])
+            t = zariski_topology(poset.spectra(kind)[i])
             rep = separation_report(t)
             quotient, mapping = kolmogorov_quotient(t)
             entry[kind] = {

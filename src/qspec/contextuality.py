@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
-from qspec.spectra import PrimeIdeal, functor_law_violation
+from qspec.spectra import TWO, Character, functor_law_violation
 from qspec.subalgebra import AlgebraPoset, InvariantViolation, enumerate_vn
 
 
@@ -180,7 +180,8 @@ def global_sections(sheaf):
 def canonical_section(point, sheaf):
     """The prime section induced by a carrier point: in every algebra, pick the
     complement ideal of the unique component whose idempotent supports the
-    point, i.e. the members that idempotent multiplies to zero."""
+    point, i.e. the members that idempotent multiplies to zero.  Its prime
+    point is 0 at those members' positions and 1 elsewhere."""
     if sheaf.kind != "prime":
         raise ValueError("canonical sections live in the prime presheaf")
     poset = sheaf.poset
@@ -196,8 +197,8 @@ def canonical_section(point, sheaf):
         a = dec.algebra
         sr = a.semiring()
         row = sr.mul[a.member_pos[dec.idempotents[owners[0]].entries]]
-        target = PrimeIdeal(a, tuple(m for m, v in zip(a.members, row) if v == sr.zero))
-        choice.append(sheaf.values[idx].index_of(target))
+        values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)
+        choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
     section = Section(tuple(choice))
     if not is_natural(section, sheaf):
         raise InvariantViolation("canonical section failed the naturality check")
@@ -224,7 +225,7 @@ def section_element(section, sheaf):
     for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section.choice[idx]]
         outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
-                   if e.entries not in ideal.member_set]
+                   if ideal.value_of(e.entries) != TWO.bottom]
         if len(outside) != 1:
             raise InvariantViolation(
                 f"section does not isolate one component in algebra {idx}")

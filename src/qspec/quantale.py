@@ -144,9 +144,6 @@ class RigHom:
     target: Quantale
     mapping: tuple
 
-    def apply(self, i):
-        return self.mapping[i]
-
     def is_valid(self):
         return is_hom(self.source.semiring(), self.target.semiring(), self.mapping)
 

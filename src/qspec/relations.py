@@ -279,13 +279,6 @@ def product_set(x, y):
     return FiniteSet(f"({x.name}*{y.name})", pts)
 
 
-def coprojection(q, x, y, part):
-    """kappa_part: the inclusion of one summand into the disjoint union."""
-    src = (x, y)[part]
-    return rel(q, src, direct_sum_set(x, y),
-               {(p, (part, p)): q.elements[q.unit] for p in src.elements})
-
-
 def oplus(f, g):
     """Block-diagonal sum on the disjoint unions of carriers."""
     _check_same_quantale(f, g)

@@ -1,12 +1,21 @@
 """Gelfand and prime spectra of a subsemialgebra, and the maps between them.
 
 A character is a unital *-semiring homomorphism from the algebra into the
-scalar quantale (or into the two-element quantale): it preserves zero, binary
-join, composition, the unit and the involution.  A point of the prime
+scalar quantale (or into the two-element quantale TWO): it preserves zero,
+binary join, composition, the unit and the involution.  A point of the prime
 spectrum is a proper prime k*-ideal; in a finite algebra every k-ideal is the
 down-set of its largest element, which reduces the enumeration to a scan over
 members.  The kernel map sends characters onto prime ideals and admits a
 section that assigns to each prime ideal its two-valued indicator character.
+
+Both spectra hold one point type, Character.  A proper prime k*-ideal P is
+the kernel of exactly one homomorphism into TWO, the map that is 0 on P and
+1 off it: P is a proper down-set closed under joins, so the map preserves
+zero, joins and the unit; P absorbs multiplication and is prime, so a
+product lies outside P exactly when both factors do; and P is star-closed.
+So a prime point is stored as that character, its ideal is
+``kernel_members()``, and restriction, lookup and the vanishing sets work
+the same way on both spectra.
 
 Restriction along an inclusion and the two comparison maps are also built as
 index tables over canonically ordered spectra; the pipeline reads those, and
@@ -34,7 +43,8 @@ TWO = builtin_quantale("boolean2")
 @dataclass(frozen=True)
 class Character:
     """A homomorphism from an algebra into a target quantale, stored as the
-    tuple of target element indices over the algebra's canonical member order."""
+    tuple of target element indices over the algebra's canonical member order.
+    A prime point is the character into TWO whose kernel is the ideal."""
 
     algebra: Subsemialgebra
     target: Quantale
@@ -53,24 +63,6 @@ class Character:
 
 
 @dataclass(frozen=True)
-class PrimeIdeal:
-    """A proper prime k*-ideal, stored as its sorted member matrices."""
-
-    algebra: Subsemialgebra
-    members: tuple
-
-    @cached_property
-    def member_set(self):
-        return frozenset(self.members)
-
-    def __contains__(self, entries):
-        return entries in self.member_set
-
-    def __repr__(self):
-        return f"PrimeIdeal({len(self.members)} of {self.algebra.size} members)"
-
-
-@dataclass(frozen=True)
 class SpectrumSet:
     """Canonically ordered points of one spectrum of one algebra."""
 
@@ -85,22 +77,18 @@ class SpectrumSet:
 
     @cached_property
     def point_index(self):
-        """Each point's index, keyed on its values (a character) or its
-        member set (a prime ideal); a repeated point keeps its first index."""
+        """Each point's index, keyed on its values; a repeated point keeps
+        its first index."""
         out = {}
         for i, p in enumerate(self.points):
-            out.setdefault(_point_key(p), i)
+            out.setdefault(p.values, i)
         return out
 
     def index_of(self, point):
-        i = self.point_index.get(_point_key(point))
+        i = self.point_index.get(point.values)
         if i is None or self.points[i] != point:
             raise ValueError(f"{point!r} is not a point of this spectrum")
         return i
-
-
-def _point_key(point):
-    return point.values if isinstance(point, Character) else point.member_set
 
 
 # -- character enumeration -----------------------------------------------------
@@ -160,13 +148,14 @@ def is_character(algebra, target, values):
 
 
 def prime_spectrum(algebra):
-    """All proper prime k*-ideals.
+    """All proper prime k*-ideals, each as the character into TWO that is 0
+    exactly on it, in descending order of values.
 
     In a finite join-semilattice a k-ideal is exactly the down-set of its
     join, so candidates are down-sets of star-fixed members absorbed by the
     algebra's top; primality and properness are then checked directly.
-    Prime-closed candidates that fail only properness are reported in the
-    ``improper`` slot instead of being silently dropped.
+    Prime-closed candidates that fail only properness are reported, as their
+    member tuples, in the ``improper`` slot instead of being silently dropped.
     """
     sr = algebra.semiring()
     n = sr.size
@@ -197,15 +186,14 @@ def prime_spectrum(algebra):
                 break
         if not prime:
             continue
-        ideal_members = tuple(sorted(
-            algebra.members[i] for i in range(n) if leq(i, m)))
         if leq(sr.one, m):
-            improper.append(ideal_members)
+            improper.append(tuple(algebra.members[i] for i in range(n) if leq(i, m)))
             continue
-        points.append(PrimeIdeal(algebra, ideal_members))
-    member_order = algebra.members
-    points.sort(key=lambda p: tuple(1 if mm in p.member_set else 0 for mm in member_order))
-    return SpectrumSet(algebra, "prime", tuple(points), tuple(improper))
+        points.append(tuple(TWO.bottom if leq(i, m) else TWO.unit for i in range(n)))
+    points.sort(reverse=True)
+    return SpectrumSet(algebra, "prime",
+                       tuple(Character(algebra, TWO, values) for values in points),
+                       tuple(improper))
 
 
 def is_prime_kstar_ideal(algebra, members):
@@ -253,18 +241,10 @@ def restrict_character(rho, sub):
                      tuple(rho.values[pos[m]] for m in sub.members))
 
 
-def restrict_prime(ideal, sub):
-    """Pull a prime ideal back along an inclusion (preimage, i.e. intersection)."""
-    _check_inclusion(sub, ideal.algebra)
-    return PrimeIdeal(sub, tuple(sorted(ideal.member_set & sub.member_set)))
-
-
-def restrict_point(point, sub):
-    if isinstance(point, Character):
-        return restrict_character(point, sub)
-    if isinstance(point, PrimeIdeal):
-        return restrict_prime(point, sub)
-    raise TypeError(f"not a spectrum point: {point!r}")
+def restrict_prime(point, sub):
+    """Pull a prime point back along an inclusion: the preimage of its ideal,
+    the intersection with sub, is the kernel of the restricted character."""
+    return restrict_character(point, sub)
 
 
 def _table(keys, spectrum, escaped):
@@ -281,20 +261,15 @@ def _table(keys, spectrum, escaped):
 def restriction_table(sub_spectrum, sup_spectrum, edge=None):
     """The restriction map Spec(sup) -> Spec(sub) of one inclusion as an
     index table: cell p is the index in sub_spectrum of the restriction of
-    point p of sup_spectrum.  A character restricts to its values at the
-    positions of the smaller algebra's members, a prime ideal to its
-    intersection with the smaller algebra.  edge, the poset indices (i, j)
-    of the inclusion, only names it in the error."""
+    point p of sup_spectrum.  A point of either kind restricts to its values
+    at the positions of the smaller algebra's members.  edge, the poset
+    indices (i, j) of the inclusion, only names it in the error."""
     sub, sup = sub_spectrum.algebra, sup_spectrum.algebra
     _check_inclusion(sub, sup)
-    if sup_spectrum.kind == "gelfand":
-        positions = [sup.member_pos[m] for m in sub.members]
-        pick = (itemgetter(*positions) if len(positions) > 1
-                else lambda values: tuple(values[k] for k in positions))
-        keys = (pick(rho.values) for rho in sup_spectrum.points)
-    else:
-        members = sub.member_set
-        keys = (p.member_set & members for p in sup_spectrum.points)
+    positions = [sup.member_pos[m] for m in sub.members]
+    pick = (itemgetter(*positions) if len(positions) > 1
+            else lambda values: tuple(values[k] for k in positions))
+    keys = (pick(p.values) for p in sup_spectrum.points)
     return _table(keys, sub_spectrum, lambda: (
         f"restriction of a {sup_spectrum.kind} point escaped the spectrum"
         + (f" (algebras {edge[0]} <= {edge[1]})" if edge else "")))
@@ -303,27 +278,35 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
 # -- comparison maps between the spectra ----------------------------------------------
 
 
+def _kernel_values(rho):
+    """The values of the prime point of rho's kernel: 0 where rho is bottom."""
+    b = rho.target.bottom
+    return tuple(TWO.bottom if v == b else TWO.unit for v in rho.values)
+
+
 def character_kernel(rho):
-    """The prime ideal of members a character sends to bottom (ZDF scalars)."""
+    """The prime point of the members a character sends to bottom (ZDF
+    scalars)."""
     require_zdf(rho.algebra.quantale, "the kernel comparison map")
-    return PrimeIdeal(rho.algebra, tuple(sorted(rho.kernel_members())))
+    return Character(rho.algebra, TWO, _kernel_values(rho))
 
 
-def character_from_prime(ideal):
-    """The indicator character of a prime ideal's complement, valued in the
-    scalar quantale through the unique embedding of the two-element quantale."""
-    a = ideal.algebra
+def character_from_prime(gamma):
+    """The indicator character of a prime point, or of any character into
+    TWO: gamma followed by the unique quantale embedding of TWO into the
+    scalars."""
+    a = gamma.algebra
     require_zdf(a.quantale, "the indicator character of a prime ideal")
     q = a.quantale
-    values = tuple(q.bottom if m in ideal.member_set else q.unit for m in a.members)
-    return Character(a, q, values)
+    embed = {TWO.bottom: q.bottom, TWO.unit: q.unit}
+    return Character(a, q, tuple(embed[v] for v in gamma.values))
 
 
 def kernel_table(gelfand, prime):
     """The kernel map of one algebra as an index table: cell r is the index
     in prime of the kernel of character r."""
     require_zdf(gelfand.algebra.quantale, "the kernel comparison map")
-    keys = (frozenset(rho.kernel_members()) for rho in gelfand.points)
+    keys = map(_kernel_values, gelfand.points)
     return _table(keys, prime, lambda: "the kernel of a character is not a "
                   f"prime point of algebra {gelfand.algebra.algebra_id}")
 
@@ -351,13 +334,3 @@ def functor_law_violation(tables):
                                                 r_ik)):
                     return i, j, k
     return None
-
-
-def character_from_two(gamma):
-    """Post-compose a two-valued character with the unique quantale embedding
-    of the two-element quantale into the scalars."""
-    a = gamma.algebra
-    require_zdf(a.quantale, "embedding a two-valued character")
-    q = a.quantale
-    embed = {TWO.bottom: q.bottom, TWO.unit: q.unit}
-    return Character(a, q, tuple(embed[v] for v in gamma.values))

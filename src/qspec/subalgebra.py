@@ -622,12 +622,9 @@ class AlgebraPoset:
     leq_pairs: frozenset  # (i, j) with algebra i included in algebra j
     hasse: tuple
 
-    def index_of(self, algebra_or_members):
-        members = (algebra_or_members.members
-                   if isinstance(algebra_or_members, Subsemialgebra)
-                   else tuple(sorted(algebra_or_members)))
+    def index_of(self, algebra):
         for i, a in enumerate(self.algebras):
-            if a.members == members:
+            if a.members == algebra.members:
                 return i
         return None
 

@@ -2,8 +2,10 @@
 
 Closed sets are generated by the vanishing sets of ideals: on the prime side
 V(J) collects the prime ideals containing J, on the scalar side the characters
-whose kernel contains J.  Principal ideals suffice to generate the family,
-since V(J) is the intersection of the V(<a>) over a in J.
+whose kernel contains J.  A prime point is the character into the two-element
+quantale whose kernel is its ideal, so on either side V(J) is the set of
+points whose kernel contains J.  Principal ideals suffice to generate the
+family, since V(J) is the intersection of the V(<a>) over a in J.
 
 Every finite space is an Alexandrov space: its closed sets are exactly the
 down-sets of its specialization preorder, x <= y iff x lies in the closure of
@@ -19,9 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from qspec.quantale import require_zdf
-from qspec.spectra import (
-    Character, gelfand_spectrum, kernel_table, prime_spectrum, restriction_table,
-)
+from qspec.spectra import kernel_table, restriction_table
 
 MAX_IDEAL_SCAN_MEMBERS = 14  # all_ideals refuses larger algebras
 
@@ -83,26 +83,17 @@ def closed_family_from_basis(points, basis):
 
 
 def vanishing_set(spectrum, member_entries):
-    """Point indices where one algebra member vanishes: prime ideals containing
-    it, resp. characters killing it."""
-    out = []
-    for i, p in enumerate(spectrum.points):
-        if isinstance(p, Character):
-            if p.value_of(member_entries) == p.target.bottom:
-                out.append(i)
-        else:
-            if member_entries in p.member_set:
-                out.append(i)
-    return frozenset(out)
+    """Point indices where one algebra member vanishes: the points whose
+    kernel contains it (prime ideals containing it, characters killing it)."""
+    k = spectrum.algebra.member_pos[member_entries]
+    return frozenset(i for i, p in enumerate(spectrum.points)
+                     if p.values[k] == p.target.bottom)
 
 
-def zariski_topology(algebra, kind, spectrum=None):
+def zariski_topology(spectrum):
     """The Zariski topology on one spectrum, generated from the vanishing sets
     of the principal ideals (one per algebra member); built once per spectrum
     and stored on it."""
-    if spectrum is None:
-        spectrum = (prime_spectrum(algebra) if kind == "prime"
-                    else gelfand_spectrum(algebra))
     cached = spectrum.__dict__.get("_zariski")
     if cached is None:
         basis = [vanishing_set(spectrum, m) for m in spectrum.algebra.members]
@@ -164,35 +155,27 @@ def kolmogorov_quotient(topology):
     return quotient, mapping
 
 
-def check_continuity(sub, sup, kind, sub_spectrum=None, sup_spectrum=None):
+def check_continuity(sub_spectrum, sup_spectrum):
     """Is the restriction map Spec(sup) -> Spec(sub) continuous for the
     Zariski topologies?  On finite spaces that is monotonicity: the image of
     every point closure lies in the closure of the point's image."""
-    if sub_spectrum is None:
-        sub_spectrum = prime_spectrum(sub) if kind == "prime" else gelfand_spectrum(sub)
-    if sup_spectrum is None:
-        sup_spectrum = prime_spectrum(sup) if kind == "prime" else gelfand_spectrum(sup)
-    t_sub = zariski_topology(sub, kind, sub_spectrum)
-    t_sup = zariski_topology(sup, kind, sup_spectrum)
+    t_sub = zariski_topology(sub_spectrum)
+    t_sup = zariski_topology(sup_spectrum)
     mapping = restriction_table(sub_spectrum, sup_spectrum)
     return all(_image(d, mapping) | t_sub.down[m] == t_sub.down[m]
                for d, m in zip(t_sup.down, mapping))
 
 
-def verify_quotient_xi(algebra, gelfand=None, prime=None):
+def verify_quotient_xi(gelfand, prime):
     """Does the kernel map exhibit the prime space as the Kolmogorov quotient
     of the scalar-valued spectrum?  Checks that it is onto, that its fibers
     are exactly the indistinguishability classes, and that it carries every
     point closure onto the closure of the point's image.  Given the first
     two, the third says that the map is continuous and the prime topology
     final for it."""
-    require_zdf(algebra.quantale, "the quotient comparison")
-    if gelfand is None:
-        gelfand = gelfand_spectrum(algebra)
-    if prime is None:
-        prime = prime_spectrum(algebra)
-    g_down = zariski_topology(algebra, "gelfand", gelfand).down
-    p_down = zariski_topology(algebra, "prime", prime).down
+    require_zdf(gelfand.algebra.quantale, "the quotient comparison")
+    g_down = zariski_topology(gelfand).down
+    p_down = zariski_topology(prime).down
     mapping = kernel_table(gelfand, prime)
     if set(mapping) != set(range(prime.size)):
         return False
@@ -211,10 +194,10 @@ def is_homeomorphism(t1, t2, point_map):
                for d, m in zip(t1.down, point_map))
 
 
-def topology_to_json(topology, labels=None):
-    labels = labels or [str(p) for p in topology.points]
+def topology_to_json(topology):
+    labels = [str(p) for p in topology.points]
     closed = sorted(topology.closed_sets, key=lambda c: (len(c), sorted(c)))
     return {
-        "points": list(labels),
+        "points": labels,
         "closed_sets": [[labels[p] for p in sorted(c)] for c in closed],
     }

@@ -151,9 +151,9 @@ def test_criterion_4_spectra_correspondence():
     for poset in enumerated_posets().values():
         for a in poset.algebras:
             gammas = characters_to_two(a)
-            kernels = [character_kernel(g).members for g in gammas]
+            kernels = [character_kernel(g).kernel_members() for g in gammas]
             prime = prime_spectrum(a)
-            if sorted(kernels) != sorted(p.members for p in prime.points):
+            if sorted(kernels) != sorted(p.kernel_members() for p in prime.points):
                 failures += 1
             if len(set(kernels)) != len(gammas):
                 failures += 1
@@ -164,7 +164,7 @@ def test_criterion_4_spectra_correspondence():
                     failures += 1
             if poset.quantale.size == 2:
                 gel = gelfand_spectrum(a)
-                ker_g = {character_kernel(rho).members for rho in gel.points}
+                ker_g = {character_kernel(rho).kernel_members() for rho in gel.points}
                 if not (len(ker_g) == gel.size == prime.size):
                     failures += 1
     assert failures == 0
@@ -178,10 +178,10 @@ def test_criterion_5_chain_surrogate_example():
     pri = prime_spectrum(d)
     assert pri.size == 4
     assert gel.size == 6
-    t_p = zariski_topology(d, "prime", pri)
+    t_p = zariski_topology(pri)
     rep_p = separation_report(t_p)
     assert rep_p.t0 and not rep_p.t1
-    t_g = zariski_topology(d, "gelfand", gel)
+    t_g = zariski_topology(gel)
     rep_g = separation_report(t_g)
     assert not rep_g.t0
     assert len(rep_g.indistinguishable_pairs) == 2
@@ -220,16 +220,14 @@ def test_criterion_7_topology_functoriality():
     for poset in enumerated_posets().values():
         gelfands = [gelfand_spectrum(a) for a in poset.algebras]
         primes = [prime_spectrum(a) for a in poset.algebras]
-        for a, pri in zip(poset.algebras, primes):
-            rep = separation_report(zariski_topology(a, "prime", pri))
+        for pri in primes:
+            rep = separation_report(zariski_topology(pri))
             if not (rep.t0 and rep.compact):
                 failures += 1
         for (i, j) in poset.hasse:
-            if not check_continuity(poset.algebras[i], poset.algebras[j],
-                                    "prime", primes[i], primes[j]):
+            if not check_continuity(primes[i], primes[j]):
                 failures += 1
-            if not check_continuity(poset.algebras[i], poset.algebras[j],
-                                    "gelfand", gelfands[i], gelfands[j]):
+            if not check_continuity(gelfands[i], gelfands[j]):
                 failures += 1
     assert failures == 0
     report("criterion-7 topology functoriality", time.time() - start, 60.0)

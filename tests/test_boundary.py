@@ -1,10 +1,17 @@
-"""The arithmetic boundary: past enumeration, algebra members are combined
-only through their semiring tables (Subsemialgebra.semiring), never through
-the entry-matrix kernels of qspec.relations."""
+"""Module boundaries.  Past enumeration, algebra members are combined only
+through their semiring tables (Subsemialgebra.semiring), never through the
+entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
+it is handed and computes none, and a prime point is a Character into the
+two-element quantale, with no type of its own."""
 
 import importlib
+import pkgutil
 
 import pytest
+
+import qspec
+
+QSPEC_MODULES = sorted(f"qspec.{m.name}" for m in pkgutil.iter_modules(qspec.__path__))
 
 
 @pytest.mark.parametrize("module", ["qspec.contextuality", "qspec.zariski", "qspec.checks"])
@@ -15,3 +22,11 @@ def test_module_binds_no_entry_kernel(module):
 
 def test_sections_read_supports_from_the_decomposition():
     assert "support" not in vars(importlib.import_module("qspec.contextuality"))
+
+
+@pytest.mark.parametrize("module,names", [
+    ("qspec.zariski", {"gelfand_spectrum", "prime_spectrum"}),
+    *((module, {"PrimeIdeal"}) for module in ["qspec", *QSPEC_MODULES]),
+])
+def test_module_binds_none_of(module, names):
+    assert names.isdisjoint(vars(importlib.import_module(module)))

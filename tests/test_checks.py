@@ -243,6 +243,24 @@ def test_a_duplicated_idempotent_fails_one_idempotent_per_character():
     assert broken["kernel-bijection"]
 
 
+def test_a_foreign_idempotent_fails_one_idempotent_per_character():
+    # diag(1, 0) is no member of the trivial algebra {0, id}, so no
+    # two-valued character has a value there: a failure, not a KeyError
+    bool2 = builtin_quantale("boolean2")
+    assert verdicts(spectra_suite(enumerate_vn(X2, bool2)))["one-idempotent-per-character"]
+    poset = enumerate_vn(X2, bool2)
+    t = poset.trivial_index
+    decompositions = list(poset.decompositions)
+    decompositions[t] = dataclasses.replace(
+        decompositions[t], idempotents=(diag_rel(bool2, X2, (bool2.unit, bool2.bottom)),))
+    poset.__dict__["decompositions"] = tuple(decompositions)
+    results = {r.name: r for r in spectra_suite(poset)}
+    assert not results["one-idempotent-per-character"].passed
+    assert results["one-idempotent-per-character"].details == (
+        f"A{t}: a primitive idempotent is not a member of the algebra")
+    assert results["kernel-bijection"].passed
+
+
 def test_a_dropped_character_fails_two_spectra_coincide():
     bool2 = builtin_quantale("boolean2")
     assert verdicts(spectra_suite(enumerate_vn(X2, bool2)))["two-spectra-coincide"]

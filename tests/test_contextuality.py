@@ -14,7 +14,7 @@ from qspec.contextuality import (
     is_natural, ks_verdict, section_element, transport_gelfand_section,
     transport_prime_section,
 )
-from qspec.spectra import PrimeIdeal, SpectrumSet, restrict_point
+from qspec.spectra import TWO, Character, SpectrumSet, restrict_character
 from qspec.subalgebra import (
     AlgebraPoset, InvariantViolation, close, diagonal_algebra, enumerate_vn,
 )
@@ -87,7 +87,7 @@ def test_presheaf_tables_match_pointwise_restriction():
         for (i, j), table in sheaf.restrictions.items():
             sub = poset.algebras[i]
             for pj, point in enumerate(sheaf.values[j].points):
-                assert sheaf.values[i].points[table[pj]] == restrict_point(point, sub)
+                assert sheaf.values[i].points[table[pj]] == restrict_character(point, sub)
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
@@ -100,7 +100,7 @@ def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
             sub = poset.algebras[i]
             assert len(table) == sheaf.values[j].size
             for pj, point in enumerate(sheaf.values[j].points):
-                assert table[pj] == sheaf.values[i].index_of(restrict_point(point, sub))
+                assert table[pj] == sheaf.values[i].index_of(restrict_character(point, sub))
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
@@ -169,16 +169,17 @@ def test_hand_built_contradiction_has_no_sections():
 
 def oracle_canonical_choice(point, sheaf):
     """The canonical section of a point by the entry kernels: in every
-    algebra, the members that the idempotent supporting the point composes
-    to zero."""
+    algebra, the prime point that is 0 at the members the idempotent
+    supporting the point composes to zero."""
     choice = []
     for idx, dec in enumerate(sheaf.poset.decompositions):
         a = dec.algebra
         q = a.quantale
         (e,) = [e for e in dec.idempotents if point in support(e).supp]
         zero = zero_rel(q, a.carrier, a.carrier).entries
-        ideal = tuple(sorted(m for m in a.members if _e_compose(q, e.entries, m) == zero))
-        choice.append(sheaf.values[idx].index_of(PrimeIdeal(a, ideal)))
+        values = tuple(TWO.bottom if _e_compose(q, e.entries, m) == zero else TWO.unit
+                       for m in a.members)
+        choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
     return tuple(choice)
 
 
@@ -213,11 +214,11 @@ def test_canonical_section_boolean_picks_the_complement_ideal():
     chosen = sheaf.values[d_idx].points[s.choice[d_idx]]
     q = BOOL2
     # the ideal must kill everything supported at "1": zero and the idempotent at "2"
-    labels = {"".join(str(v) for row in m for v in row) for m in chosen.members}
+    labels = {"".join(str(v) for row in m for v in row) for m in chosen.kernel_members()}
     assert labels == {"0000", "0001"}
     t_idx = poset.trivial_index
     chosen_t = sheaf.values[t_idx].points[s.choice[t_idx]]
-    assert {m for m in chosen_t.members} == {((0, 0), (0, 0))}
+    assert set(chosen_t.kernel_members()) == {((0, 0), (0, 0))}
     assert is_natural(s, sheaf)
 
 

@@ -96,6 +96,14 @@ GOLDEN_GENERATED = {
 }
 GENERATED = ("--mode", "generated", "--max-generators", "1")
 
+# Reports that print prime points over quantales with zero divisors,
+# recorded from the code that stored each prime ideal as its member set,
+# before every prime point became a character into the two-element quantale.
+GOLDEN_PRIME_POINTS = {
+    ("spectrum", "lukasiewicz3"): "ea7b43977ae1e1adf47667caa91f40ab68e16cef2a41e6d07607ffd406688b97",
+    ("topology", "powerset2"): "0a633e04de42fa625fff48943a5bd37a1017248bda3a943e5224b2c1e7c6b3f0",
+}
+
 GOLDEN_THREE_POINTS = {
     ("algebras", "boolean2"): "bb97c6977bcec513bb0259ba978c24ade2c75823ba2351edd388ff8b2a80556e",
 }
@@ -127,6 +135,12 @@ def test_larger_report_bytes_match_the_recorded_digest(command, quantale, tmp_pa
         GOLDEN_LARGER[(command, quantale)]
 
 
+@pytest.mark.parametrize("command,quantale", GOLDEN_PRIME_POINTS)
+def test_prime_point_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json") == \
+        GOLDEN_PRIME_POINTS[(command, quantale)]
+
+
 @pytest.mark.parametrize("command,quantale", GOLDEN_GENERATED)
 def test_generated_mode_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
     assert report_digest(command, quantale, tmp_path / "report.json", extra=GENERATED) == \
@@ -153,6 +167,10 @@ if __name__ == "__main__":
             print(f'    "{quantale}": "{digest}",')
         print("larger:")
         for command, quantale in GOLDEN_LARGER:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
+            print(f'    ("{command}", "{quantale}"): "{digest}",')
+        print("prime points:")
+        for command, quantale in GOLDEN_PRIME_POINTS:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
             print(f'    ("{command}", "{quantale}"): "{digest}",')
         print("three points:")

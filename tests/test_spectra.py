@@ -1,15 +1,19 @@
-"""Characters, prime ideals, restriction, and the kernel/indicator maps."""
+"""Characters, prime ideals, restriction, and the kernel/indicator maps.
+
+A prime point is the character into the two-element quantale TWO that is 0
+exactly on its ideal, so its ideal is read as ``kernel_members()``."""
 
 import itertools
 
 import pytest
 
+from qspec._homsearch import enumerate_homs
 from qspec.quantale import ZdfRequiredError, builtin_quantale
 from qspec.relations import QRel, add, carrier, compose, dagger, identity_rel, scalar_mul, zero_rel
 from qspec.spectra import (
-    Character, PrimeIdeal, character_from_prime, character_kernel,
+    TWO, Character, character_from_prime, character_kernel,
     characters_to_two, gelfand_spectrum, is_character, is_prime_kstar_ideal,
-    prime_spectrum, restrict_character, restrict_point, restrict_prime,
+    prime_spectrum, restrict_character, restrict_prime,
 )
 from qspec.subalgebra import diagonal_algebra, enumerate_vn, trivial_algebra
 
@@ -164,13 +168,13 @@ def test_is_character_validation():
 def test_prime_spectrum_trivial_boolean():
     spec = prime_spectrum(trivial_algebra(X2, BOOL2))
     assert spec.size == 1
-    assert spec.points[0].members == (zero_rel(BOOL2, X2, X2).entries,)
+    assert spec.points[0].kernel_members() == (zero_rel(BOOL2, X2, X2).entries,)
 
 
 def test_prime_spectrum_diagonal_godel_has_four_ideals():
     d = diagonal_algebra(X2, GODEL3)
     spec = prime_spectrum(d)
-    assert sorted(p.members for p in spec.points) == oracle_prime_ideals(d)
+    assert sorted(p.kernel_members() for p in spec.points) == oracle_prime_ideals(d)
     assert spec.size == 4
     expected = [
         {diag(GODEL3, p, "0") for p in ("0", "a", "1")},
@@ -178,7 +182,7 @@ def test_prime_spectrum_diagonal_godel_has_four_ideals():
         {diag(GODEL3, "0", r) for r in ("0", "a", "1")},
         {diag(GODEL3, p, r) for p in ("0", "a") for r in ("0", "a", "1")},
     ]
-    got = [set(p.members) for p in spec.points]
+    got = [set(p.kernel_members()) for p in spec.points]
     for want in expected:
         assert want in got
 
@@ -188,7 +192,7 @@ def test_prime_spectrum_matches_oracle_on_small_algebras():
         for a in enumerate_vn(X2, q).algebras:
             if a.size > cap:
                 continue
-            assert sorted(p.members for p in prime_spectrum(a).points) == \
+            assert sorted(p.kernel_members() for p in prime_spectrum(a).points) == \
                 oracle_prime_ideals(a)
 
 
@@ -198,10 +202,24 @@ def test_prime_spectrum_flags_improper_candidates():
     assert spec.improper == (diagonal_algebra(X2, GODEL3).members,)
 
 
+@pytest.mark.parametrize("q", [LUK3, builtin_quantale("powerset", 2),
+                               builtin_quantale("godel_chain", 4)],
+                         ids=lambda q: q.name)
+def test_prime_points_are_the_homomorphisms_into_two(q):
+    # lukasiewicz3 and powerset2 have zero divisors, where characters_to_two
+    # refuses; the search into TWO runs here directly on the semiring tables
+    for a in enumerate_vn(X2, q).algebras:
+        points = prime_spectrum(a).points
+        assert [p.values for p in points] == \
+            sorted(enumerate_homs(a.semiring(), TWO.semiring()), reverse=True)
+        assert all(p.target == TWO for p in points)
+        assert all(is_prime_kstar_ideal(a, p.kernel_members()) for p in points)
+
+
 def test_is_prime_kstar_ideal_validation():
     d = diagonal_algebra(X2, GODEL3)
     for p in prime_spectrum(d).points:
-        assert is_prime_kstar_ideal(d, p.members)
+        assert is_prime_kstar_ideal(d, p.kernel_members())
     assert not is_prime_kstar_ideal(d, d.members)
     assert not is_prime_kstar_ideal(d, (zero_rel(GODEL3, X2, X2).entries,))
 
@@ -213,8 +231,8 @@ def test_characters_to_two_diagonal_godel():
     d = diagonal_algebra(X2, GODEL3)
     gammas = characters_to_two(d)
     assert len(gammas) == 4
-    kernels = sorted(character_kernel(g).members for g in gammas)
-    assert kernels == sorted(p.members for p in prime_spectrum(d).points)
+    kernels = sorted(character_kernel(g).kernel_members() for g in gammas)
+    assert kernels == sorted(p.kernel_members() for p in prime_spectrum(d).points)
 
 
 def test_characters_to_two_requires_zdf():
@@ -227,9 +245,9 @@ def test_kernel_bijection_everywhere():
     for q in (BOOL2, GODEL3, godel4):
         for a in enumerate_vn(X2, q).algebras:
             gammas = characters_to_two(a)
-            kernels = [character_kernel(g).members for g in gammas]
+            kernels = [character_kernel(g).kernel_members() for g in gammas]
             assert len(set(kernels)) == len(gammas)
-            assert sorted(kernels) == sorted(p.members for p in prime_spectrum(a).points)
+            assert sorted(kernels) == sorted(p.kernel_members() for p in prime_spectrum(a).points)
 
 
 def test_exactly_one_primitive_idempotent_maps_to_one():
@@ -248,7 +266,7 @@ def test_component_complements_are_prime_ideals():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             dec = primitive_idempotents(a)
-            prime_members = {p.members for p in prime_spectrum(a).points}
+            prime_members = {p.kernel_members() for p in prime_spectrum(a).points}
             for e in dec.idempotents:
                 complement = tuple(sorted(
                     m for m in a.members
@@ -263,9 +281,9 @@ def test_component_complements_are_prime_ideals():
 def test_restriction_along_identity():
     d = diagonal_algebra(X2, GODEL3)
     for rho in gelfand_spectrum(d).points:
-        assert restrict_point(rho, d) == rho
+        assert restrict_character(rho, d) == rho
     for p in prime_spectrum(d).points:
-        assert restrict_point(p, d) == p
+        assert restrict_prime(p, d) == p
 
 
 def test_restrict_diagonal_character_to_trivial():
@@ -277,7 +295,7 @@ def test_restrict_diagonal_character_to_trivial():
     for rho in gelfand_spectrum(d).points:
         assert is_character(t, GODEL3, restrict_character(rho, t).values)
     for p in prime_spectrum(d).points:
-        assert is_prime_kstar_ideal(t, restrict_prime(p, t).members)
+        assert is_prime_kstar_ideal(t, restrict_prime(p, t).kernel_members())
 
 
 def test_restriction_functor_law_on_a_chain():
@@ -306,17 +324,16 @@ def test_kernel_of_indicator_recovers_the_ideal():
             for p in prime_spectrum(a).points:
                 rho = character_from_prime(p)
                 assert is_character(a, q, rho.values)
-                assert character_kernel(rho).members == p.members
+                assert character_kernel(rho).kernel_members() == p.kernel_members()
 
 
 def test_embedding_two_valued_characters_preserves_kernels():
-    from qspec.spectra import character_from_two
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             for gamma in characters_to_two(a):
-                rho = character_from_two(gamma)
+                rho = character_from_prime(gamma)
                 assert is_character(a, q, rho.values)
-                assert character_kernel(rho).members == character_kernel(gamma).members
+                assert character_kernel(rho).values == gamma.values
 
 
 def test_kernel_values_on_the_six_diagonal_characters():
@@ -329,9 +346,9 @@ def test_kernel_values_on_the_six_diagonal_characters():
     lift_first = by_values[(0, 0, 0, 2, 2, 2, 2, 2, 2)]
     keep_first = by_values[(0, 0, 0, 1, 1, 1, 2, 2, 2)]
     drop_first = by_values[(0, 0, 0, 0, 0, 0, 2, 2, 2)]
-    assert character_kernel(lift_first).members == k1
-    assert character_kernel(keep_first).members == k1
-    assert character_kernel(drop_first).members == k2
+    assert character_kernel(lift_first).kernel_members() == k1
+    assert character_kernel(keep_first).kernel_members() == k1
+    assert character_kernel(drop_first).kernel_members() == k2
 
 
 def test_comparison_naturality_over_the_boolean_poset():
@@ -340,8 +357,8 @@ def test_comparison_naturality_over_the_boolean_poset():
     for (i, j) in poset.inclusions():
         sub, sup = algebras[i], algebras[j]
         for rho in gelfand_spectrum(sup).points:
-            assert character_kernel(restrict_character(rho, sub)).members == \
-                restrict_prime(character_kernel(rho), sub).members
+            assert character_kernel(restrict_character(rho, sub)).kernel_members() == \
+                restrict_prime(character_kernel(rho), sub).kernel_members()
         for p in prime_spectrum(sup).points:
             assert restrict_character(character_from_prime(p), sub).values == \
                 character_from_prime(restrict_prime(p, sub)).values
@@ -351,5 +368,5 @@ def test_two_element_scalars_make_the_spectra_coincide():
     for a in enumerate_vn(X2, BOOL2).algebras:
         gel = gelfand_spectrum(a)
         pri = prime_spectrum(a)
-        kernels = {character_kernel(rho).members for rho in gel.points}
+        kernels = {character_kernel(rho).kernel_members() for rho in gel.points}
         assert len(kernels) == gel.size == pri.size

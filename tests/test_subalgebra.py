@@ -898,5 +898,5 @@ def test_three_point_carrier_exhaustive_contains_generated():
     assert exhaustive.complete and not generated.complete
     for a in exhaustive.algebras:
         assert not validate_decomposition(primitive_idempotents(a))
-        kers = sorted(character_kernel(g).members for g in characters_to_two(a))
-        assert kers == sorted(p.members for p in prime_spectrum(a).points)
+        kers = sorted(character_kernel(g).kernel_members() for g in characters_to_two(a))
+        assert kers == sorted(p.kernel_members() for p in prime_spectrum(a).points)

@@ -102,7 +102,7 @@ def test_closed_sets_equal_the_fixpoint_closure_on_every_spectrum():
         for kind in ("gelfand", "prime"):
             for a, spec in zip(poset.algebras, poset.spectra(kind)):
                 basis = [vanishing_set(spec, m) for m in a.members]
-                assert zariski_topology(a, kind, spec).closed_sets == \
+                assert zariski_topology(spec).closed_sets == \
                     oracle_closed_family(range(spec.size), basis), (q.name, kind, a)
                 spaces += 1
     assert spaces == 1524
@@ -183,7 +183,7 @@ def test_all_ideals_equal_the_entry_matrix_closure(tag, size, mode):
 def test_topology_is_built_once_per_spectrum():
     d = diagonal_algebra(X2, GODEL3)
     pri = prime_spectrum(d)
-    assert zariski_topology(d, "prime", pri) is zariski_topology(d, "prime", pri)
+    assert zariski_topology(pri) is zariski_topology(pri)
 
 
 def diag(q, p, r):
@@ -194,27 +194,27 @@ def godel_diag_labels():
     d = diagonal_algebra(X2, GODEL3)
     pri = prime_spectrum(d)
     j1 = pri.index_of(next(p for p in pri.points
-                           if set(p.members) == {diag(GODEL3, x, "0") for x in "0a1"}))
+                           if set(p.kernel_members()) == {diag(GODEL3, x, "0") for x in "0a1"}))
     j2 = pri.index_of(next(p for p in pri.points
-                           if len(p.members) == 6
-                           and diag(GODEL3, "1", "a") in p.member_set))
+                           if len(p.kernel_members()) == 6
+                           and diag(GODEL3, "1", "a") in p.kernel_members()))
     k1 = pri.index_of(next(p for p in pri.points
-                           if set(p.members) == {diag(GODEL3, "0", x) for x in "0a1"}))
+                           if set(p.kernel_members()) == {diag(GODEL3, "0", x) for x in "0a1"}))
     k2 = pri.index_of(next(p for p in pri.points
-                           if len(p.members) == 6
-                           and diag(GODEL3, "a", "1") in p.member_set))
+                           if len(p.kernel_members()) == 6
+                           and diag(GODEL3, "a", "1") in p.kernel_members()))
     return d, pri, j1, j2, k1, k2
 
 
 def test_trivial_algebra_prime_topology_is_the_point():
-    t = zariski_topology(trivial_algebra(X2, BOOL2), "prime")
+    t = zariski_topology(prime_spectrum(trivial_algebra(X2, BOOL2)))
     assert t.size == 1
     assert t.closed_sets == frozenset({frozenset(), frozenset({0})})
 
 
 def test_godel_diagonal_prime_closed_sets():
     d, pri, j1, j2, k1, k2 = godel_diag_labels()
-    t = zariski_topology(d, "prime", pri)
+    t = zariski_topology(pri)
     closed = t.closed_sets
     # the vanishing sets of the two maximal ideals are singletons; the smaller
     # ideals capture their whole side of the spectrum
@@ -239,7 +239,7 @@ def test_godel_diagonal_gelfand_closed_sets_and_indistinguishability():
     drop2 = by_values[(0, 0, 2, 0, 0, 2, 0, 0, 2)]
     keep2 = by_values[(0, 1, 2, 0, 1, 2, 0, 1, 2)]
     lift2 = by_values[(0, 2, 2, 0, 2, 2, 0, 2, 2)]
-    t = zariski_topology(d, "gelfand", gel)
+    t = zariski_topology(gel)
     closed = t.closed_sets
     assert frozenset({drop1, keep1, lift1}) in closed
     assert frozenset({drop1}) in closed
@@ -254,7 +254,7 @@ def test_godel_diagonal_gelfand_closed_sets_and_indistinguishability():
 def test_prime_side_t0_and_compact_everywhere():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
-            rep = separation_report(zariski_topology(a, "prime"))
+            rep = separation_report(zariski_topology(prime_spectrum(a)))
             assert rep.t0 and rep.compact
 
 
@@ -263,18 +263,19 @@ def test_continuity_along_every_hasse_edge():
         poset = enumerate_vn(X2, q)
         for (i, j) in poset.hasse:
             for kind in ("prime", "gelfand"):
-                assert check_continuity(poset.algebras[i], poset.algebras[j], kind)
+                spectra = poset.spectra(kind)
+                assert check_continuity(spectra[i], spectra[j])
 
 
 def test_identity_restriction_is_continuous():
     d = diagonal_algebra(X2, GODEL3)
-    assert check_continuity(d, d, "prime")
-    assert check_continuity(d, d, "gelfand")
+    assert check_continuity(prime_spectrum(d), prime_spectrum(d))
+    assert check_continuity(gelfand_spectrum(d), gelfand_spectrum(d))
 
 
 def test_kolmogorov_quotient_on_t0_space_is_isomorphic():
     d = diagonal_algebra(X2, GODEL3)
-    t = zariski_topology(d, "prime")
+    t = zariski_topology(prime_spectrum(d))
     quotient, mapping = kolmogorov_quotient(t)
     assert quotient.size == t.size
     assert sorted(mapping) == list(range(t.size))
@@ -294,7 +295,7 @@ def test_kolmogorov_quotient_of_gelfand_diagonal():
     d = diagonal_algebra(X2, GODEL3)
     gel = gelfand_spectrum(d)
     pri = prime_spectrum(d)
-    t = zariski_topology(d, "gelfand", gel)
+    t = zariski_topology(gel)
     quotient, mapping = kolmogorov_quotient(t)
     assert quotient.size == 4
     assert separation_report(quotient).t0
@@ -305,33 +306,34 @@ def test_kolmogorov_quotient_of_gelfand_diagonal():
     for g_idx, cls in enumerate(mapping):
         assert cls_to_prime.setdefault(cls, kernel_idx[g_idx]) == kernel_idx[g_idx]
     point_map = tuple(cls_to_prime[i] for i in range(quotient.size))
-    assert is_homeomorphism(quotient, zariski_topology(d, "prime", pri), point_map)
+    assert is_homeomorphism(quotient, zariski_topology(pri), point_map)
 
 
 def test_quotient_comparison_everywhere():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
-            assert verify_quotient_xi(a)
+            assert verify_quotient_xi(gelfand_spectrum(a), prime_spectrum(a))
 
 
 def test_quotient_comparison_checks_fibers_and_closures():
     d = diagonal_algebra(X2, GODEL3)
     gel, pri = gelfand_spectrum(d), prime_spectrum(d)
-    assert verify_quotient_xi(d, gel, pri)
+    assert verify_quotient_xi(gel, pri)
 
     def discrete(spectrum):
         spectrum.__dict__["_zariski"] = closed_family_from_basis(
             range(spectrum.size), [{p} for p in range(spectrum.size)])
 
     discrete(pri)  # the fibers are still the classes, the closures are not
-    assert not verify_quotient_xi(d, gel, pri)
+    assert not verify_quotient_xi(gel, pri)
     discrete(gel)  # closures match now, but six classes map onto four points
-    assert not verify_quotient_xi(d, gel, pri)
+    assert not verify_quotient_xi(gel, pri)
 
 
 def test_quotient_comparison_requires_zdf():
     with pytest.raises(ZdfRequiredError):
-        verify_quotient_xi(trivial_algebra(X2, LUK3))
+        t = trivial_algebra(X2, LUK3)
+        verify_quotient_xi(gelfand_spectrum(t), prime_spectrum(t))
 
 
 def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
@@ -343,7 +345,7 @@ def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
             gel = gelfand_spectrum(a)
             ideals = all_ideals(a)
             for kind, spec in (("prime", pri), ("gelfand", gel)):
-                principal = zariski_topology(a, kind, spec)
+                principal = zariski_topology(spec)
                 oracle = closed_family_from_basis(
                     range(spec.size),
                     [vanishing_set_of_ideal(spec, j) for j in ideals])
@@ -351,6 +353,6 @@ def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
 
 
 def test_topology_json():
-    t = zariski_topology(trivial_algebra(X2, BOOL2), "prime")
+    t = zariski_topology(prime_spectrum(trivial_algebra(X2, BOOL2)))
     js = topology_to_json(t)
     assert js == {"points": ["0"], "closed_sets": [[], ["0"]]}
