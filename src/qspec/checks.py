@@ -16,7 +16,7 @@ from qspec.relations import (
     scalar_mul, scalar_mul_via_tensor, subset_idempotent, support, zero_rel,
 )
 from qspec.spectra import (
-    TWO, character_from_prime, character_kernel, functor_law_violation,
+    TWO, character_from_prime, character_kernel, restriction_mismatch,
 )
 from qspec.subalgebra import (
     InvariantViolation, commutant, is_von_neumann, trivial_algebra,
@@ -225,7 +225,7 @@ def spectra_suite(poset):
             == list(map(r_p[i, j].__getitem__, kernel[j]))
             and list(map(indicator[i].__getitem__, r_p[i, j]))
             == list(map(r_g[i, j].__getitem__, indicator[j]))
-            for i, j in poset.inclusions())
+            for i, j in poset.hasse)
         out.append(_verdict("comparison-naturality", natural,
                             "a kernel/indicator naturality square failed"))
         if q.size == 2:
@@ -233,10 +233,13 @@ def spectra_suite(poset):
                            for k, g, p in zip(kernel, gelfands, primes))
             out.append(_verdict("two-spectra-coincide", coincide,
                                 "kernel map is not a bijection over the two-element quantale"))
-    functorial = all(functor_law_violation(poset.restrictions(kind)) is None
-                     for kind in ("gelfand", "prime"))
+    try:  # a restricted point outside the smaller spectrum is named by the exception
+        functorial = all(restriction_mismatch(poset, kind) is None
+                         for kind in ("gelfand", "prime"))
+    except InvariantViolation:
+        functorial = False
     out.append(_verdict("restriction-functorial", functorial,
-                        "restriction along a composite differs from the composite"))
+                        "a Hasse edge table is not the restriction of its spectra"))
     return out
 
 
@@ -274,16 +277,17 @@ def topology_suite(poset):
         # finite subcover), so prime-compact cannot fail; the key is kept for
         # report stability, not as evidence.
         out.append(_verdict("prime-compact", compact_ok, "a prime-side topology is not compact"))
-        quot = all(map(verify_quotient_xi, gelfands, primes))
+        quot = all(map(verify_quotient_xi, gelfands, primes, poset.comparisons("kernel")))
         out.append(_verdict("quotient-comparison", quot,
                             "kernel map is not the Kolmogorov quotient somewhere"))
     # Vanishing sets pull back to vanishing sets, so every restriction map is
     # continuous for topologies built from their spectra: only a topology that
     # does not come from its spectrum can fail restriction-continuity.
     cont = True
+    r_p, r_g = poset.restrictions("prime"), poset.restrictions("gelfand")
     for (i, j) in poset.hasse:
-        cont &= check_continuity(primes[i], primes[j])
-        cont &= check_continuity(gelfands[i], gelfands[j])
+        cont &= check_continuity(primes[i], primes[j], r_p[i, j])
+        cont &= check_continuity(gelfands[i], gelfands[j], r_g[i, j])
     out.append(_verdict("restriction-continuity", cont,
                         "a restriction map is not continuous"))
     # Any finite space has a T0 quotient whose quotient is itself, so no input

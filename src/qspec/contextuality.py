@@ -7,12 +7,13 @@ spectrum presheaf has no global section.  Over a zero-divisor-free quantale
 the prime presheaf answers the same existence question, and every carrier
 point induces a canonical prime section through the idempotent decomposition.
 
-A presheaf is read from the poset's restriction tables.  Its sections are
-searched over the maximal algebras only, since a natural section is
-determined by its values there: every other algebra lies below a maximal
-one, and its value is that value restricted.  This is the measurement-cover
-view of Abramsky and Brandenburger (New J. Phys. 13, 2011).  The generic
-constraint solver in ``qspec.csp`` is the tests' oracle for this search.
+A presheaf is read from the poset's restriction tables, one per Hasse edge:
+restriction is projection and projections compose, so a section natural on
+every edge is natural on every inclusion.  Sections are searched over the
+maximal algebras only, since every other algebra lies below one and takes
+its value restricted.  This is the measurement-cover view of Abramsky and
+Brandenburger (New J. Phys. 13, 2011).  The generic constraint solver in
+``qspec.csp`` is the tests' oracle for this search.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
-from qspec.spectra import TWO, Character, functor_law_violation
-from qspec.subalgebra import AlgebraPoset, InvariantViolation, enumerate_vn
+from qspec.spectra import TWO, Character, restriction_mismatch
+from qspec.subalgebra import AlgebraPoset, InvariantViolation, _bits, enumerate_vn
 
 
 @dataclass
 class Presheaf:
     """Materialized spectrum presheaf: one point set per algebra plus the
-    restriction table for every proper inclusion."""
+    restriction table of every Hasse edge, which compose to every other."""
 
     poset: AlgebraPoset
     kind: str
     values: tuple  # SpectrumSet per poset index
-    restrictions: dict  # (sub_idx, sup_idx) -> row: point of sup -> point of sub
+    restrictions: dict  # Hasse edge (sub_idx, sup_idx) -> row: sup point -> sub point
 
 
 @dataclass(frozen=True)
@@ -80,55 +81,57 @@ class Verdict:
 
 
 def build_presheaf(poset, kind):
-    """Take every spectrum and restriction table from the poset, then verify
-    the functor laws before handing the presheaf out."""
-    sheaf = Presheaf(poset, kind, poset.spectra(kind), poset.restrictions(kind))
-    _verify_functor_laws(sheaf)
-    return sheaf
-
-
-def _verify_functor_laws(sheaf):
-    broken = functor_law_violation(sheaf.restrictions)
+    """Take every spectrum and Hasse edge table from the poset, then check
+    each table against its spectra before handing the presheaf out."""
+    broken = restriction_mismatch(poset, kind)
     if broken is not None:
-        raise InvariantViolation("functor law broken along {} <= {} <= {}".format(*broken))
+        raise InvariantViolation(f"restriction table {broken} is not the projection")
+    return Presheaf(poset, kind, poset.spectra(kind), poset.restrictions(kind))
 
 
 def global_sections(sheaf):
     """Every global section, in lexicographic order.
 
     Depth-first search that branches on the maximal algebras, those with the
-    largest down-set first.  A choice at an algebra forces the value of every
-    algebra below it, and a forced value that conflicts with one already set
-    backtracks, so at a maximal algebra only the values that agree with the
-    largest algebra an earlier choice has set below it are tried.  An
-    algebra still unset once the maximal ones are set is branched on in turn;
-    none is when the inclusions are transitive.  A complete assignment is
-    kept when it is natural under every table, so the search is exact even
-    for tables that break the functor laws: a natural section agrees with
-    every value its own choices force.
+    largest down-set first.  A choice forces values down the Hasse edges,
+    and a forced value that conflicts with one already set backtracks.  Each
+    table is checked when its larger algebra is set, so the search is exact
+    even for tables that do not compose.  At a maximal algebra only the
+    values that agree with the largest algebra an earlier choice has set
+    below it are tried, through the tables composed along one path to it.
     """
     values = sheaf.values
     n = len(values)
-    below = [[] for _ in range(n)]  # below[j]: (i, row of (i, j))
-    maximal = [True] * n
+    below = [[] for _ in range(n)]  # below[j]: (i, table of the edge (i, j))
     for (i, j), row in sheaf.restrictions.items():
         below[j].append((i, row))
-        maximal[i] = False
-    order = sorted(range(n), key=lambda a: (not maximal[a], -len(below[a]), a))
-    # A maximal algebra is never forced, so every one is branched on, in
-    # order.  anchors[a] = (i, fibers of the table (i, a)) for the largest i
-    # below a and below an earlier maximal algebra.
-    anchors = {}
-    set_before = set()
-    for a in order[:maximal.count(True)]:
-        shared = [(i, row) for i, row in below[a] if i in set_before]
-        if shared:
-            i, row = max(shared, key=lambda e: (values[e[0]].size, e[0]))
+    down = {}  # a -> bitset of the algebras strictly below a
+
+    def down_of(a):
+        if a not in down:
+            down[a] = 0
+            for i, _ in below[a]:
+                down[a] |= 1 << i | down_of(i)
+        return down[a]
+
+    # Every algebra lies below a maximal one, and a maximal one is never
+    # forced, so the search sets every algebra by branching on these alone.
+    order = sorted(set(range(n)).difference(i for i, _ in sheaf.restrictions),
+                   key=lambda a: (-down_of(a).bit_count(), a))
+    anchors = {}  # a -> (i, fibers of the composite table from a down to i)
+    set_before = 0
+    for a in order:
+        if shared := down_of(a) & set_before:
+            i = max(_bits(shared), key=lambda e: (values[e].size, e))
+            row, j = range(values[a].size), a
+            while j != i:
+                j, table = next((c, t) for c, t in below[j] if c == i or down_of(c) >> i & 1)
+                row = [table[v] for v in row]
             fibers = {}
             for v, w in enumerate(row):
                 fibers.setdefault(w, []).append(v)
             anchors[a] = (i, fibers)
-        set_before.update(i for i, _ in below[a])
+        set_before |= down_of(a)
     choice = [None] * n
     trail = []  # algebras set since the search began, in order
     stack = []  # (position in order, candidate values, next candidate, trail mark)
@@ -137,29 +140,29 @@ def global_sections(sheaf):
     def assign(a, v):
         choice[a] = v
         trail.append(a)
-        for i, row in below[a]:
-            w = row[v]
-            if choice[i] is None:
-                choice[i] = w
-                trail.append(i)
-            elif choice[i] != w:
-                return False
+        todo = [a]
+        while todo:
+            j = todo.pop()
+            for i, row in below[j]:
+                w = row[choice[j]]
+                if choice[i] is None:
+                    choice[i] = w
+                    trail.append(i)
+                    todo.append(i)
+                elif choice[i] != w:
+                    return False
         return True
 
     def descend(pos):
-        """Open the next unset algebra from pos on, or keep a complete assignment."""
-        while pos < n and choice[order[pos]] is not None:
-            pos += 1
-        if pos < n:
-            a = order[pos]
-            anchor = anchors.get(a)
-            candidates = (range(values[a].size) if anchor is None
-                          else anchor[1].get(choice[anchor[0]], ()))
-            stack.append((pos, candidates, 0, len(trail)))
+        """Open the maximal algebra at pos, or keep a complete assignment."""
+        if pos == len(order):
+            found.append(Section(tuple(choice)))
             return
-        section = Section(tuple(choice))
-        if is_natural(section, sheaf):
-            found.append(section)
+        a = order[pos]
+        anchor = anchors.get(a)
+        candidates = (range(values[a].size) if anchor is None
+                      else anchor[1].get(choice[anchor[0]], ()))
+        stack.append((pos, candidates, 0, len(trail)))
 
     descend(0)
     while stack:
@@ -196,13 +199,22 @@ def canonical_section(point, sheaf):
                 f"carrier point {point!r} not in exactly one component of algebra {idx}")
         a = dec.algebra
         sr = a.semiring()
-        row = sr.mul[a.member_pos[dec.idempotents[owners[0]].entries]]
+        row = sr.mul[_member_index(dec, idx, dec.idempotents[owners[0]])]
         values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)
         choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
     section = Section(tuple(choice))
     if not is_natural(section, sheaf):
         raise InvariantViolation("canonical section failed the naturality check")
     return section
+
+
+def _member_index(dec, idx, e):
+    """The position of idempotent e in dec's algebra, of poset index idx."""
+    pos = dec.algebra.member_pos.get(e.entries)
+    if pos is None:
+        raise InvariantViolation(
+            f"A{idx}: primitive idempotent {e.entries} is not a member of the algebra")
+    return pos
 
 
 def is_natural(section, sheaf):
@@ -225,7 +237,7 @@ def section_element(section, sheaf):
     for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section.choice[idx]]
         outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
-                   if ideal.value_of(e.entries) != TWO.bottom]
+                   if ideal.values[_member_index(dec, idx, e)] != TWO.bottom]
         if len(outside) != 1:
             raise InvariantViolation(
                 f"section does not isolate one component in algebra {idx}")

@@ -28,7 +28,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, ne
+from operator import itemgetter
 
 from qspec._homsearch import enumerate_homs, is_hom
 from qspec.quantale import Quantale, builtin_quantale, require_zdf
@@ -275,6 +275,16 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
         + (f" (algebras {edge[0]} <= {edge[1]})" if edge else "")))
 
 
+def restriction_mismatch(poset, kind):
+    """The first Hasse edge (i, j) whose stored table of one kind is not the
+    projection of spectrum j onto spectrum i, or None.  Projections compose,
+    so if there is none, every path composes to the restriction along every
+    inclusion: the functor law."""
+    values, tables = poset.spectra(kind), poset.restrictions(kind)
+    return next((e for e in poset.hasse
+                 if tables[e] != restriction_table(values[e[0]], values[e[1]], e)), None)
+
+
 # -- comparison maps between the spectra ----------------------------------------------
 
 
@@ -317,20 +327,3 @@ def indicator_table(prime, gelfand):
     keys = (character_from_prime(p).values for p in prime.points)
     return _table(keys, gelfand, lambda: "the indicator of a prime ideal is "
                   f"not a character of algebra {prime.algebra.algebra_id}")
-
-
-def functor_law_violation(tables):
-    """The first chain i < j < k, in inclusion order, along which the
-    restriction tables (i, j) -> row break r_ij . r_jk = r_ik, or None."""
-    above = {}  # i -> every j with a table (i, j), ascending
-    for i, j in sorted(tables):
-        above.setdefault(i, []).append(j)
-    for i, js in above.items():
-        for j in js:
-            r_ij = tables[i, j]
-            for k in above.get(j, ()):
-                r_ik = tables.get((i, k))
-                if r_ik is not None and any(map(ne, map(r_ij.__getitem__, tables[j, k]),
-                                                r_ik)):
-                    return i, j, k
-    return None

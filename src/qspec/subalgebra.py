@@ -674,16 +674,16 @@ class AlgebraPoset:
         return self._along_hasse(spectra.characters_to_two, tuple)
 
     def restrictions(self, kind):
-        """The restriction map of every proper inclusion (i, j) for one
-        spectrum kind, as an index table: cell p of row (i, j) is the index in
-        spectrum i of the restriction of point p of spectrum j.  Computed once
-        per poset."""
+        """The restriction map of every Hasse edge (i, j) for one spectrum
+        kind, as an index table: cell p of row (i, j) is the index in
+        spectrum i of the restriction of point p of spectrum j.  These compose
+        to the map of every inclusion.  Computed once per poset."""
         memo = self.__dict__.setdefault("_restrictions", {})
         if kind not in memo:
             from qspec.spectra import restriction_table
             values = self.spectra(kind)
             memo[kind] = {(i, j): restriction_table(values[i], values[j], (i, j))
-                          for i, j in self.inclusions()}
+                          for i, j in self.hasse}
         return memo[kind]
 
     def comparisons(self, name):
@@ -725,10 +725,6 @@ class AlgebraPoset:
     def diagonal_index(self):
         return self.index_of(diagonal_algebra(self.carrier, self.quantale))
 
-    def inclusions(self):
-        """Proper inclusion pairs (i, j), i strictly below j."""
-        return sorted(p for p in self.leq_pairs if p[0] != p[1])
-
     def to_json(self):
         q = self.quantale
         return {
@@ -747,7 +743,7 @@ class AlgebraPoset:
                 }
                 for i, a in enumerate(self.algebras)
             ],
-            "inclusions": [list(p) for p in self.inclusions()],
+            "inclusions": sorted([i, j] for i, j in self.leq_pairs if i != j),
             "hasse_edges": [list(p) for p in self.hasse],
         }
 

@@ -20,9 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from qspec.quantale import require_zdf
-from qspec.spectra import kernel_table, restriction_table
-
 MAX_IDEAL_SCAN_MEMBERS = 14  # all_ideals refuses larger algebras
 
 
@@ -155,28 +152,25 @@ def kolmogorov_quotient(topology):
     return quotient, mapping
 
 
-def check_continuity(sub_spectrum, sup_spectrum):
-    """Is the restriction map Spec(sup) -> Spec(sub) continuous for the
-    Zariski topologies?  On finite spaces that is monotonicity: the image of
-    every point closure lies in the closure of the point's image."""
+def check_continuity(sub_spectrum, sup_spectrum, mapping):
+    """Is the restriction map Spec(sup) -> Spec(sub), as the index table
+    mapping, continuous for the Zariski topologies?  On finite spaces that is
+    monotonicity: the image of a point's closure lies in its image's closure."""
     t_sub = zariski_topology(sub_spectrum)
     t_sup = zariski_topology(sup_spectrum)
-    mapping = restriction_table(sub_spectrum, sup_spectrum)
     return all(_image(d, mapping) | t_sub.down[m] == t_sub.down[m]
                for d, m in zip(t_sup.down, mapping))
 
 
-def verify_quotient_xi(gelfand, prime):
-    """Does the kernel map exhibit the prime space as the Kolmogorov quotient
-    of the scalar-valued spectrum?  Checks that it is onto, that its fibers
-    are exactly the indistinguishability classes, and that it carries every
-    point closure onto the closure of the point's image.  Given the first
-    two, the third says that the map is continuous and the prime topology
-    final for it."""
-    require_zdf(gelfand.algebra.quantale, "the quotient comparison")
+def verify_quotient_xi(gelfand, prime, mapping):
+    """Does the kernel map, given as its index table, exhibit the prime space
+    as the Kolmogorov quotient of the scalar-valued spectrum?  Checks that
+    it is onto, that its fibers are exactly the indistinguishability
+    classes, and that it carries every point closure onto the closure of the
+    point's image.  Given the first two, the third says that the map is
+    continuous and the prime topology final for it."""
     g_down = zariski_topology(gelfand).down
     p_down = zariski_topology(prime).down
-    mapping = kernel_table(gelfand, prime)
     if set(mapping) != set(range(prime.size)):
         return False
     # fibers are classes iff (closure, image) pairs match closures one to one

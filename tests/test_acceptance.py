@@ -19,6 +19,7 @@ from qspec.relations import (
 )
 from qspec.spectra import (
     character_kernel, characters_to_two, gelfand_spectrum, prime_spectrum,
+    restriction_table,
 )
 from qspec.subalgebra import (
     diagonal_algebra, enumerate_vn, primitive_idempotents,
@@ -225,9 +226,11 @@ def test_criterion_7_topology_functoriality():
             if not (rep.t0 and rep.compact):
                 failures += 1
         for (i, j) in poset.hasse:
-            if not check_continuity(primes[i], primes[j]):
+            if not check_continuity(primes[i], primes[j],
+                                    restriction_table(primes[i], primes[j])):
                 failures += 1
-            if not check_continuity(gelfands[i], gelfands[j]):
+            if not check_continuity(gelfands[i], gelfands[j],
+                                    restriction_table(gelfands[i], gelfands[j])):
                 failures += 1
     assert failures == 0
     report("criterion-7 topology functoriality", time.time() - start, 60.0)

@@ -1,8 +1,8 @@
 """Module boundaries.  Past enumeration, algebra members are combined only
 through their semiring tables (Subsemialgebra.semiring), never through the
 entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
-it is handed and computes none, and a prime point is a Character into the
-two-element quantale, with no type of its own."""
+and index tables it is handed and computes none, and a prime point is a
+Character into the two-element quantale, with no type of its own."""
 
 import importlib
 import pkgutil
@@ -27,6 +27,8 @@ def test_sections_read_supports_from_the_decomposition():
 @pytest.mark.parametrize("module,names", [
     ("qspec.zariski", {"gelfand_spectrum", "prime_spectrum"}),
     *((module, {"PrimeIdeal"}) for module in ["qspec", *QSPEC_MODULES]),
+    ("qspec.zariski", {"restriction_table", "kernel_table"}),
+    ("qspec.checks", {"functor_law_violation"}),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))

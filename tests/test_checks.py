@@ -6,8 +6,10 @@ import pytest
 
 from qspec import cli
 from qspec.checks import algebras_suite, spectra_suite, topology_suite
+from qspec.contextuality import build_presheaf
 from qspec.quantale import builtin_quantale
 from qspec.relations import carrier, diag_rel
+from qspec.spectra import restriction_mismatch
 from qspec.subalgebra import InvariantViolation, Subsemialgebra, enumerate_vn
 from qspec.zariski import closed_family_from_basis
 
@@ -85,6 +87,17 @@ def test_a_lost_projection_fails_von_neumann_and_names_the_undecomposed_algebra(
     assert not spectra["one-idempotent-per-character"].passed
     assert spectra["one-idempotent-per-character"].details.startswith(f"A{d}: ")
     assert spectra["kernel-bijection"].passed
+
+
+def test_a_poset_without_the_trivial_algebra_fails_trivial_included():
+    poset = enumerate_vn(X2, GODEL3)
+    assert verdicts(algebras_suite(poset, seed=0))["trivial-included"]
+    t = poset.trivial_index
+    pruned = dataclasses.replace(
+        poset, algebras=poset.algebras[:t] + poset.algebras[t + 1:])
+    broken = verdicts(algebras_suite(pruned, seed=0))
+    assert not broken["trivial-included"]
+    assert broken["closure-flags"] and broken["von-neumann"]
 
 
 def test_a_lost_support_projection_fails_support_projections():
@@ -171,22 +184,32 @@ def test_a_topology_foreign_to_its_spectrum_fails_the_principal_basis_oracle():
 # -- spectra checks on godel3 |X|=2: one corrupted cell of a stored table --------
 
 
-def test_a_corrupted_restriction_cell_fails_restriction_functorial():
+def test_a_corrupted_restriction_cell_fails_restriction_functorial(monkeypatch, capsys):
     assert verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))["restriction-functorial"]
     poset = enumerate_vn(X2, GODEL3)
-    tables = poset.restrictions("gelfand")
-    i, _, k = next((i, j, k) for (i, j) in tables for (j2, k) in tables
-                   if j2 == j and (i, k) in tables)
-    row = tables[i, k]  # r_ik, which must equal r_ij . r_jk
+    # a cell moved to another valid index, in any Hasse table, is found
+    for kind in ("gelfand", "prime"):
+        size = [s.size for s in poset.spectra(kind)]
+        for (i, j), row in poset.restrictions(kind).items():
+            if size[i] > 1:
+                row[0] = (row[0] + 1) % size[i]
+                assert restriction_mismatch(poset, kind) == (i, j)
+                row[0] = (row[0] - 1) % size[i]
+    (i, j), row = next(iter(poset.restrictions("gelfand").items()))
     row[0] = (row[0] + 1) % poset.spectra("gelfand")[i].size
     assert not verdicts(spectra_suite(poset))["restriction-functorial"]
+    with pytest.raises(InvariantViolation, match=rf"table \({i}, {j}\) is not the projection"):
+        build_presheaf(poset, "gelfand")
+    monkeypatch.setattr(cli, "enumerate_vn", lambda *args, **kwargs: poset)
+    assert cli.main(["spectrum", "--quantale", "godel3", "--size", "2"]) == 1
+    assert "[FAIL] restriction-functorial" in capsys.readouterr().out
 
 
 def test_a_corrupted_restriction_cell_fails_comparison_naturality():
     assert verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))["comparison-naturality"]
     poset = enumerate_vn(X2, GODEL3)
     kernel = poset.comparisons("kernel")
-    tables = poset.restrictions("gelfand")
+    tables = poset.restrictions("gelfand")  # one per Hasse edge
     # send a character to one with another kernel: kernel_i . r_ij moves,
     # r^p_ij . kernel_j does not
     (i, j), p, other = next(

@@ -6,8 +6,11 @@ import json
 import pytest
 
 import qspec.cli as cli
+import qspec.contextuality as ctx
 import qspec.subalgebra as sub
 from qspec.cli import main
+from qspec.quantale import builtin_quantale
+from qspec.relations import carrier, diag_rel
 from qspec.subalgebra import InvariantViolation
 
 
@@ -267,3 +270,26 @@ def test_a_verdict_missing_a_canonical_section_fails_its_count(monkeypatch, caps
     failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == [{"name": "canonical-sections-count", "passed": False,
                        "details": "one distinct canonical section per carrier point"}]
+
+
+def test_a_foreign_idempotent_fails_the_verdict_instead_of_a_traceback(monkeypatch, capsys):
+    # diag(1, 0) is no member of the trivial algebra {0, id}, so no section
+    # has a value there: a failed check, not a KeyError
+    real = sub.enumerate_vn
+
+    def foreign(*args, **kwargs):
+        poset = real(*args, **kwargs)
+        q, t = poset.quantale, poset.trivial_index
+        decompositions = list(poset.decompositions)
+        decompositions[t] = dataclasses.replace(
+            decompositions[t], idempotents=(diag_rel(q, poset.carrier, (q.unit, q.bottom)),))
+        poset.__dict__["decompositions"] = tuple(decompositions)
+        return poset
+
+    monkeypatch.setattr(ctx, "enumerate_vn", foreign)
+    t = real(carrier("X", 2), builtin_quantale("boolean2")).trivial_index
+    for command in ("verdict", "sections"):
+        code, out, _ = run_cli(capsys, command, "--quantale", "boolean2", "--size", "2")
+        assert code == 1, command
+        assert (f"[FAIL] verdict-computed  A{t}: primitive idempotent ((1, 0), (0, 0)) "
+                "is not a member of the algebra") in out

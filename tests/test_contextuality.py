@@ -1,20 +1,26 @@
 """Presheaves over the algebra poset, global sections, and the verdict."""
 
+import dataclasses
 import functools
 import itertools
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspec import csp
 from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
-from qspec.relations import carrier, subset_idempotent, support, zero_rel, _e_compose
+from qspec.relations import (
+    carrier, diag_rel, subset_idempotent, support, zero_rel, _e_compose,
+)
 from qspec.contextuality import (
     Presheaf, Section, build_presheaf, canonical_section, global_sections,
     is_natural, ks_verdict, section_element, transport_gelfand_section,
     transport_prime_section,
 )
-from qspec.spectra import TWO, Character, SpectrumSet, restrict_character
+from qspec.spectra import (
+    TWO, Character, SpectrumSet, restrict_character, restriction_table,
+)
 from qspec.subalgebra import (
     AlgebraPoset, InvariantViolation, close, diagonal_algebra, enumerate_vn,
 )
@@ -31,6 +37,31 @@ ORACLE_CONFIGS = [("boolean2", 2), ("godel3", 2), ("godel4", 2), ("lukasiewicz3"
 @functools.lru_cache(maxsize=None)
 def oracle_poset(tag, size):
     return enumerate_vn(carrier("X", size), parse_quantale_tag(tag))
+
+
+def all_inclusion_tables(poset, kind):
+    """The restriction table of every proper inclusion, not only of the
+    Hasse edges the poset stores."""
+    values = poset.spectra(kind)
+    return {(i, j): restriction_table(values[i], values[j], (i, j))
+            for i, j in sorted(poset.leq_pairs) if i != j}
+
+
+def functor_law_violation(tables):
+    """The first chain i < j < k, in inclusion order, along which the
+    restriction tables (i, j) -> row break r_ij . r_jk = r_ik, or None."""
+    above = {}  # i -> every j with a table (i, j), ascending
+    for i, j in sorted(tables):
+        above.setdefault(i, []).append(j)
+    for i, js in above.items():
+        for j in js:
+            r_ij = tables[i, j]
+            for k in above.get(j, ()):
+                r_ik = tables.get((i, k))
+                if r_ik is not None and any(map(ne, map(r_ij.__getitem__, tables[j, k]),
+                                                r_ik)):
+                    return i, j, k
+    return None
 
 
 def oracle_sections(sheaf):
@@ -95,7 +126,7 @@ def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
     poset = oracle_poset(tag, size)
     for kind in ("gelfand", "prime"):
         sheaf = build_presheaf(poset, kind)
-        assert sorted(sheaf.restrictions) == poset.inclusions()
+        assert sorted(sheaf.restrictions) == sorted(poset.hasse)
         for (i, j), table in sheaf.restrictions.items():
             sub = poset.algebras[i]
             assert len(table) == sheaf.values[j].size
@@ -104,11 +135,30 @@ def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
+def test_hasse_tables_compose_to_every_inclusion_table(tag, size):
+    # By induction on path length: if every composite of the oracle table
+    # (i, c) with a Hasse edge table (c, k) is the oracle table (i, k), then
+    # so is every composite along every Hasse path from k down to i.
+    poset = oracle_poset(tag, size)
+    for kind in ("gelfand", "prime"):
+        oracle = all_inclusion_tables(poset, kind)
+        assert functor_law_violation(oracle) is None
+        hasse = poset.restrictions(kind)
+        for (i, k), table in oracle.items():
+            identity = range(poset.spectra(kind)[i].size)
+            for (c, k2), edge in hasse.items():
+                if k2 == k and (i, c) in poset.leq_pairs:
+                    r_ic = oracle.get((i, c), identity)
+                    assert [r_ic[w] for w in edge] == list(table), (i, c, k)
+
+
+@pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
 def test_sections_equal_the_csp_oracle_in_order(tag, size):
     poset = oracle_poset(tag, size)
     for kind in ("gelfand", "prime"):
         sheaf = build_presheaf(poset, kind)
-        assert global_sections(sheaf) == oracle_sections(sheaf)
+        every = Presheaf(poset, kind, sheaf.values, all_inclusion_tables(poset, kind))
+        assert global_sections(sheaf) == oracle_sections(sheaf) == oracle_sections(every)
 
 
 # A hand-built poset: algebra a is the coordinate set COORDS[a], ordered by
@@ -117,13 +167,15 @@ def test_sections_equal_the_csp_oracle_in_order(tag, size):
 COORDS = ((0,), (0, 1), (0, 2), (0, 1, 2), (0, 2, 3), (4,))
 LEQ = [(i, j) for i, j in itertools.permutations(range(len(COORDS)), 2)
        if set(COORDS[i]) <= set(COORDS[j])]
+HASSE = [(i, j) for i, j in LEQ if not any((i, k) in LEQ and (k, j) in LEQ
+                                           for k in range(len(COORDS)))]
 
 
 @st.composite
 def projection_presheaves(draw):
-    """Random point sets, closed downward under projection, and their
-    restriction tables; some draws then overwrite cells, which breaks the
-    functor laws."""
+    """Random point sets, closed downward under projection, and the
+    restriction tables of their Hasse edges; some draws then overwrite
+    cells, so that the tables no longer compose to the projections."""
     points = [draw(st.sets(st.tuples(*[st.integers(0, 2)] * len(c)),
                            min_size=1, max_size=4))
               for c in COORDS]
@@ -132,7 +184,7 @@ def projection_presheaves(draw):
         points[i] |= {tuple(p[k] for k in keep) for p in points[j]}
     points = [sorted(p) for p in points]
     tables = {}
-    for i, j in LEQ:
+    for i, j in HASSE:
         keep = [COORDS[j].index(c) for c in COORDS[i]]
         tables[i, j] = [points[i].index(tuple(p[k] for k in keep)) for p in points[j]]
     for (i, j), row in tables.items():
@@ -156,7 +208,7 @@ def test_hand_built_contradiction_has_no_sections():
     i = poset.trivial_index
     bad = dict(sheaf.restrictions)
     # force two parents of the trivial algebra to demand different values
-    parents = [j for (s, j) in poset.inclusions() if s == i][:2]
+    parents = [j for (s, j) in poset.hasse if s == i][:2]
     assert len(parents) == 2
     bad[(i, parents[0])] = tuple(0 for _ in bad[(i, parents[0])])
     bad[(i, parents[1])] = tuple(1 for _ in bad[(i, parents[1])])
@@ -275,6 +327,23 @@ def test_section_element_rejects_components_without_a_common_point():
     spliced = Section((at_2.choice[0], at_1.choice[1]))
     with pytest.raises(InvariantViolation, match="do not share the point"):
         section_element(spliced, sheaf)
+
+
+def test_a_foreign_idempotent_is_an_invariant_violation():
+    # diag(1, 0) is no member of the trivial algebra {0, id}
+    x2 = carrier("X", 2)
+    poset = enumerate_vn(x2, BOOL2)
+    t = poset.trivial_index
+    decompositions = list(poset.decompositions)
+    decompositions[t] = dataclasses.replace(
+        decompositions[t], idempotents=(diag_rel(BOOL2, x2, (BOOL2.unit, BOOL2.bottom)),))
+    poset.__dict__["decompositions"] = tuple(decompositions)
+    sheaf = build_presheaf(poset, "prime")
+    match = rf"A{t}: primitive idempotent \(\(1, 0\), \(0, 0\)\) is not a member"
+    with pytest.raises(InvariantViolation, match=match):
+        canonical_section("1", sheaf)
+    with pytest.raises(InvariantViolation, match=match):
+        section_element(global_sections(sheaf)[0], sheaf)
 
 
 # -- transports ----------------------------------------------------------------------

@@ -82,7 +82,8 @@ def test_extensions_of_one_base_are_the_homs_restricting_to_it():
     q = builtin_quantale("godel_chain", 3)
     poset = enumerate_vn(X2, q)
     rng = random.Random(3)
-    for i, j in rng.sample(poset.inclusions(), 25):
+    proper = sorted((i, j) for i, j in poset.leq_pairs if i != j)
+    for i, j in rng.sample(proper, 25):
         sub, sup = poset.algebras[i], poset.algebras[j]
         fixed = [sup.member_pos[m] for m in sub.members]
         src, dst = sup.semiring(), q.semiring()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qspec.quantale import ZdfRequiredError, builtin_quantale, parse_quantale_tag
 from qspec.relations import _e_compose, _e_join, carrier
 from qspec.spectra import (
-    character_kernel, gelfand_spectrum, prime_spectrum,
+    character_kernel, gelfand_spectrum, kernel_table, prime_spectrum, restriction_table,
 )
 from qspec.subalgebra import (
     _zero_entries, diagonal_algebra, enumerate_vn, trivial_algebra,
@@ -264,13 +264,14 @@ def test_continuity_along_every_hasse_edge():
         for (i, j) in poset.hasse:
             for kind in ("prime", "gelfand"):
                 spectra = poset.spectra(kind)
-                assert check_continuity(spectra[i], spectra[j])
+                assert check_continuity(spectra[i], spectra[j],
+                                        poset.restrictions(kind)[i, j])
 
 
 def test_identity_restriction_is_continuous():
     d = diagonal_algebra(X2, GODEL3)
-    assert check_continuity(prime_spectrum(d), prime_spectrum(d))
-    assert check_continuity(gelfand_spectrum(d), gelfand_spectrum(d))
+    for spectrum in (prime_spectrum(d), gelfand_spectrum(d)):
+        assert check_continuity(spectrum, spectrum, restriction_table(spectrum, spectrum))
 
 
 def test_kolmogorov_quotient_on_t0_space_is_isomorphic():
@@ -312,28 +313,31 @@ def test_kolmogorov_quotient_of_gelfand_diagonal():
 def test_quotient_comparison_everywhere():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
-            assert verify_quotient_xi(gelfand_spectrum(a), prime_spectrum(a))
+            gel, pri = gelfand_spectrum(a), prime_spectrum(a)
+            assert verify_quotient_xi(gel, pri, kernel_table(gel, pri))
 
 
 def test_quotient_comparison_checks_fibers_and_closures():
     d = diagonal_algebra(X2, GODEL3)
     gel, pri = gelfand_spectrum(d), prime_spectrum(d)
-    assert verify_quotient_xi(gel, pri)
+    kernel = kernel_table(gel, pri)
+    assert verify_quotient_xi(gel, pri, kernel)
 
     def discrete(spectrum):
         spectrum.__dict__["_zariski"] = closed_family_from_basis(
             range(spectrum.size), [{p} for p in range(spectrum.size)])
 
     discrete(pri)  # the fibers are still the classes, the closures are not
-    assert not verify_quotient_xi(gel, pri)
+    assert not verify_quotient_xi(gel, pri, kernel)
     discrete(gel)  # closures match now, but six classes map onto four points
-    assert not verify_quotient_xi(gel, pri)
+    assert not verify_quotient_xi(gel, pri, kernel)
 
 
 def test_quotient_comparison_requires_zdf():
     with pytest.raises(ZdfRequiredError):
         t = trivial_algebra(X2, LUK3)
-        verify_quotient_xi(gelfand_spectrum(t), prime_spectrum(t))
+        gel, pri = gelfand_spectrum(t), prime_spectrum(t)
+        verify_quotient_xi(gel, pri, kernel_table(gel, pri))
 
 
 def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
