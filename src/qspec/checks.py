@@ -15,9 +15,7 @@ from qspec.relations import (
     QRel, add, add_via_biproduct, carrier, compose, dagger, identity_rel,
     scalar_mul, scalar_mul_via_tensor, subset_idempotent, support, zero_rel,
 )
-from qspec.spectra import (
-    TWO, character_from_prime, character_kernel, restriction_mismatch,
-)
+from qspec.spectra import TWO, prime_ideal_scan, restriction_mismatch
 from qspec.subalgebra import (
     InvariantViolation, commutant, is_von_neumann, trivial_algebra,
     validate_decomposition,
@@ -198,27 +196,21 @@ def spectra_suite(poset):
     primes = poset.spectra("prime")
     if is_zdf(q):
         # the homomorphism search into TWO against the down-set scan
-        bij = roundtrip = True
-        for gammas, pr in zip(poset.two_valued, primes):
-            kernels = sorted(character_kernel(g).values for g in gammas)
-            if kernels != sorted(p.values for p in pr.points):
-                bij = False
-            if len(set(kernels)) != len(gammas):
-                bij = False
-            for p in pr.points:
-                if character_kernel(character_from_prime(p)).values != p.values:
-                    roundtrip = False
+        bij = all([p.values for p in pr.points] == prime_ideal_scan(a)
+                  for a, pr in zip(poset.algebras, primes))
         out.append(_verdict("kernel-bijection", bij,
-                            "two-valued characters do not biject with the prime points"))
+                            "the two-valued characters are not the down-set scan's ideals"))
         try:  # an algebra that does not decompose is named by the exception
             one_idem, detail = _one_idempotent_per_character(poset)
         except InvariantViolation as exc:
             one_idem, detail = False, str(exc)
         out.append(_verdict("one-idempotent-per-character", one_idem, detail))
-        out.append(_verdict("kernel-section-identity", roundtrip,
+        kernel, indicator = poset.comparisons("kernel"), poset.comparisons("indicator")
+        section = all(k[r] == p for k, ind in zip(kernel, indicator)
+                      for p, r in enumerate(ind))
+        out.append(_verdict("kernel-section-identity", section,
                             "kernel of an indicator character is not the ideal"))
         # kernel_i . r^g_ij = r^p_ij . kernel_j, and the same with the indicator
-        kernel, indicator = poset.comparisons("kernel"), poset.comparisons("indicator")
         r_g, r_p = poset.restrictions("gelfand"), poset.restrictions("prime")
         natural = all(
             list(map(kernel[i].__getitem__, r_g[i, j]))
@@ -244,14 +236,15 @@ def spectra_suite(poset):
 
 
 def _one_idempotent_per_character(poset):
-    """Does every two-valued character send exactly one primitive idempotent
-    to 1?  An idempotent outside its algebra has no value: a failure."""
-    for i, (gammas, dec) in enumerate(zip(poset.two_valued, poset.decompositions)):
+    """Does every two-valued character (every prime point) send exactly one
+    primitive idempotent to 1?  An idempotent outside its algebra has no
+    value: a failure."""
+    for i, (pr, dec) in enumerate(zip(poset.spectra("prime"), poset.decompositions)):
         pos = poset.algebras[i].member_pos
         if any(e.entries not in pos for e in dec.idempotents):
             return False, f"A{i}: a primitive idempotent is not a member of the algebra"
         at = [pos[e.entries] for e in dec.idempotents]
-        for g in gammas:
+        for g in pr.points:
             if sum(g.values[k] == TWO.unit for k in at) != 1:
                 return False, f"A{i}: a two-valued character hits != 1 primitive idempotent"
     return True, ""

@@ -130,8 +130,8 @@ def _finish(report, results, args, dot_text=None):
 def _config(args, q):
     cfg = {"quantale": q.name, "seed": args.seed}
     for key in ("size", "mode", "max_generators", "algebra"):
-        if hasattr(args, key.replace("-", "_")):
-            cfg[key] = getattr(args, key.replace("-", "_"))
+        if hasattr(args, key):
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -188,8 +188,9 @@ def _cmd_spectrum(args):
             "characters": [[q.elements[v] for v in rho.values] for rho in gel.points],
             "prime_ideals": [
                 [_member_label(q, m) for m in p.kernel_members()] for p in pri.points],
-            "improper_prime_closed": [
-                [_member_label(q, m) for m in ms] for ms in pri.improper],
+            # m >= 1 and m.top = m give top = 1.top <= m: the one prime-closed
+            # down-set that holds the unit is the whole algebra
+            "improper_prime_closed": [[_member_label(q, m) for m in a.members]],
         }
         if is_zdf(q):
             entry["kernel_map"] = list(poset.comparisons("kernel")[i])

@@ -35,8 +35,7 @@ class Quantale:
     not assume the axioms hold: run :func:`verify_quantale` for that.
     """
 
-    def __init__(self, name, elements, join_table, mul_table, unit,
-                 involution=None, involution_explicit=None):
+    def __init__(self, name, elements, join_table, mul_table, unit, involution=None):
         self.name = name
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
@@ -45,14 +44,10 @@ class Quantale:
         self.join_table = tuple(tuple(row) for row in join_table)
         self.mul_table = tuple(tuple(row) for row in mul_table)
         self.unit = unit
+        self.involution_explicit = involution is not None
         if involution is None:
-            involution = tuple(range(len(self.elements)))
-            if involution_explicit is None:
-                involution_explicit = False
-        elif involution_explicit is None:
-            involution_explicit = True
+            involution = range(len(self.elements))
         self.involution = tuple(involution)
-        self.involution_explicit = involution_explicit
         self.bottom = self._find_bottom()
         self.top = self._fold_join()
 
@@ -198,15 +193,12 @@ def load_quantale(doc):
     mul_table = table("mul")
     unit = lookup(doc["unit"], "for unit")
     involution = None
-    explicit = False
     if "involution" in doc:
         inv = doc["involution"]
         if not isinstance(inv, list) or len(inv) != n:
             raise QuantaleError("arity error: involution must list one image per element")
         involution = tuple(lookup(e, "in involution") for e in inv)
-        explicit = True
-    return Quantale(name, elements, join_table, mul_table, unit,
-                    involution, involution_explicit=explicit)
+    return Quantale(name, elements, join_table, mul_table, unit, involution)
 
 
 def load_quantale_file(path):

@@ -3,19 +3,21 @@
 A character is a unital *-semiring homomorphism from the algebra into the
 scalar quantale (or into the two-element quantale TWO): it preserves zero,
 binary join, composition, the unit and the involution.  A point of the prime
-spectrum is a proper prime k*-ideal; in a finite algebra every k-ideal is the
-down-set of its largest element, which reduces the enumeration to a scan over
-members.  The kernel map sends characters onto prime ideals and admits a
-section that assigns to each prime ideal its two-valued indicator character.
+spectrum is a proper prime k*-ideal.  The kernel map sends characters onto
+prime ideals and admits a section that assigns to each prime ideal its
+two-valued indicator character.
 
-Both spectra hold one point type, Character.  A proper prime k*-ideal P is
-the kernel of exactly one homomorphism into TWO, the map that is 0 on P and
-1 off it: P is a proper down-set closed under joins, so the map preserves
-zero, joins and the unit; P absorbs multiplication and is prime, so a
-product lies outside P exactly when both factors do; and P is star-closed.
-So a prime point is stored as that character, its ideal is
+Both spectra hold one point type, Character, and come from one search.  A
+proper prime k*-ideal P is the kernel of exactly one homomorphism into TWO,
+the map that is 0 on P and 1 off it: P is a proper down-set closed under
+joins, so the map preserves zero, joins and the unit; P absorbs
+multiplication and is prime, so a product lies outside P exactly when both
+factors do; and P is star-closed.  Conversely the kernel of any homomorphism
+into TWO is such an ideal, over any scalar quantale.  So the prime spectrum
+is Hom(A, TWO), a prime point is stored as its character, its ideal is
 ``kernel_members()``, and restriction, lookup and the vanishing sets work
-the same way on both spectra.
+the same way on both spectra.  ``prime_ideal_scan`` finds the same ideals by
+another route, the oracle that the kernel-bijection check holds them to.
 
 Restriction along an inclusion and the two comparison maps are also built as
 index tables over canonically ordered spectra; the pipeline reads those, and
@@ -69,7 +71,6 @@ class SpectrumSet:
     algebra: Subsemialgebra
     kind: str  # "gelfand" | "prime"
     points: tuple
-    improper: tuple = ()  # prime-closed down-sets rejected only for containing the unit
 
     @property
     def size(self):
@@ -120,12 +121,20 @@ def gelfand_spectrum(algebra, below=None):
                        tuple(_characters(algebra, algebra.quantale, below)))
 
 
-def characters_to_two(algebra, below=None):
-    """All homomorphisms into the two-element quantale (needs a ZDF scalar
-    quantale for the collapse onto {0, 1} to respect multiplication); below
-    as for gelfand_spectrum."""
+def prime_spectrum(algebra, below=None):
+    """All proper prime k*-ideals, each as the character into TWO that is 0
+    exactly on it, in descending order of values: the characters into TWO,
+    searched as for gelfand_spectrum, with below as there."""
+    return SpectrumSet(algebra, "prime",
+                       tuple(reversed(_characters(algebra, TWO, below))))
+
+
+def characters_to_two(algebra):
+    """All homomorphisms into the two-element quantale, in ascending order
+    of values (needs a ZDF scalar quantale for the collapse onto {0, 1} to
+    respect multiplication)."""
     require_zdf(algebra.quantale, "characters into the two-element quantale")
-    return _characters(algebra, TWO, below)
+    return _characters(algebra, TWO, None)
 
 
 def is_character(algebra, target, values):
@@ -144,56 +153,32 @@ def is_character(algebra, target, values):
     return True
 
 
-# -- prime ideal enumeration -----------------------------------------------------
+# -- the prime ideals without the character search ------------------------------
 
 
-def prime_spectrum(algebra):
-    """All proper prime k*-ideals, each as the character into TWO that is 0
-    exactly on it, in descending order of values.
+def prime_ideal_scan(algebra):
+    """The proper prime k*-ideals by a scan over members, without the
+    character search: each as its values in TWO, in descending order.
 
     In a finite join-semilattice a k-ideal is exactly the down-set of its
     join, so candidates are down-sets of star-fixed members absorbed by the
-    algebra's top; primality and properness are then checked directly.
-    Prime-closed candidates that fail only properness are reported, as their
-    member tuples, in the ``improper`` slot instead of being silently dropped.
+    algebra's top; primality and properness are then checked directly on
+    the semiring tables.
     """
     sr = algebra.semiring()
-    n = sr.size
-    add, mul = sr.add, sr.mul
-
-    def leq(i, j):
-        return add[i][j] == j
-
+    n, add, mul = sr.size, sr.add, sr.mul
     top = 0
     for i in range(n):
         top = add[top][i]
-    points = []
-    improper = []
+    out = []
     for m in range(n):
-        if mul[m][top] != m:      # not absorbing, so the down-set is no ideal
+        down = [add[i][m] == m for i in range(n)]
+        if mul[m][top] != m or sr.star[m] != m or down[sr.one]:
             continue
-        if sr.star[m] != m:       # not closed under the involution
-            continue
-        prime = True
-        for s in range(n):
-            if leq(s, m):
-                continue
-            for t in range(s, n):
-                if not leq(t, m) and leq(mul[s][t], m):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if not prime:
-            continue
-        if leq(sr.one, m):
-            improper.append(tuple(algebra.members[i] for i in range(n) if leq(i, m)))
-            continue
-        points.append(tuple(TWO.bottom if leq(i, m) else TWO.unit for i in range(n)))
-    points.sort(reverse=True)
-    return SpectrumSet(algebra, "prime",
-                       tuple(Character(algebra, TWO, values) for values in points),
-                       tuple(improper))
+        if all(down[s] or down[t] or not down[mul[s][t]]
+               for s in range(n) for t in range(s, n)):
+            out.append(tuple(TWO.bottom if d else TWO.unit for d in down))
+    return sorted(out, reverse=True)
 
 
 def is_prime_kstar_ideal(algebra, members):

@@ -24,7 +24,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import attrgetter
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
@@ -641,14 +640,13 @@ class AlgebraPoset:
                 best[j] = i
         return tuple(best)
 
-    def _along_hasse(self, characters, points):
-        """characters(algebra, below) for every algebra in poset order, each
-        one extending the characters points() reads from its predecessor's
-        result."""
+    def _along_hasse(self, spectrum):
+        """spectrum(algebra, below) for every algebra in poset order, each one
+        extending the points of its predecessor's spectrum."""
         out = []
         for a, p in zip(self.algebras, self.predecessors):
-            below = None if p is None else (self.algebras[p], points(out[p]))
-            out.append(characters(a, below))
+            below = None if p is None else (self.algebras[p], out[p].points)
+            out.append(spectrum(a, below))
         return tuple(out)
 
     def spectra(self, kind):
@@ -657,21 +655,12 @@ class AlgebraPoset:
         memo = self.__dict__.setdefault("_spectra", {})
         if kind not in memo:
             from qspec import spectra  # spectra imports this module
-            if kind == "gelfand":
-                memo[kind] = self._along_hasse(spectra.gelfand_spectrum,
-                                               attrgetter("points"))
-            elif kind == "prime":
-                memo[kind] = tuple(map(spectra.prime_spectrum, self.algebras))
-            else:
+            build = {"gelfand": spectra.gelfand_spectrum,
+                     "prime": spectra.prime_spectrum}.get(kind)
+            if build is None:
                 raise ValueError(f"unknown spectrum kind {kind!r}")
+            memo[kind] = self._along_hasse(build)
         return memo[kind]
-
-    @cached_property
-    def two_valued(self):
-        """The characters into the two-element quantale of every algebra, in
-        poset order; computed once per poset.  Needs ZDF scalars."""
-        from qspec import spectra
-        return self._along_hasse(spectra.characters_to_two, tuple)
 
     def restrictions(self, kind):
         """The restriction map of every Hasse edge (i, j) for one spectrum

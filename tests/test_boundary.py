@@ -2,7 +2,9 @@
 through their semiring tables (Subsemialgebra.semiring), never through the
 entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
 and index tables it is handed and computes none, and a prime point is a
-Character into the two-element quantale, with no type of its own."""
+Character into the two-element quantale, with no type of its own.  The
+down-set scan of prime ideals and the ZDF-gated search into that quantale
+are oracles of a check, not pipeline stages."""
 
 import importlib
 import pkgutil
@@ -29,6 +31,8 @@ def test_sections_read_supports_from_the_decomposition():
     *((module, {"PrimeIdeal"}) for module in ["qspec", *QSPEC_MODULES]),
     ("qspec.zariski", {"restriction_table", "kernel_table"}),
     ("qspec.checks", {"functor_law_violation"}),
+    *((module, {"characters_to_two", "prime_ideal_scan"})
+      for module in ["qspec.contextuality", "qspec.zariski", "qspec.cli"]),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))

@@ -252,6 +252,21 @@ def test_a_dropped_prime_point_fails_kernel_bijection():
     assert broken["one-idempotent-per-character"] and broken["kernel-section-identity"]
 
 
+def test_a_misdirected_indicator_cell_fails_kernel_section_identity(monkeypatch, capsys):
+    assert verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))["kernel-section-identity"]
+    poset, top = poset_with_tables(GODEL3)
+    kernel, indicator = poset.comparisons("kernel")[top], poset.comparisons("indicator")[top]
+    # point prime point 0 at a character whose kernel is another prime point
+    indicator[0] = next(r for r in range(len(kernel)) if kernel[r] != 0)
+    broken = verdicts(spectra_suite(poset))
+    assert not broken["kernel-section-identity"]
+    assert broken["kernel-bijection"] and broken["one-idempotent-per-character"]
+    monkeypatch.setattr(cli, "enumerate_vn", lambda *args, **kwargs: poset)
+    assert cli.main(["spectrum", "--quantale", "godel3", "--size", "2"]) == 1
+    assert ("[FAIL] kernel-section-identity  kernel of an indicator character is not "
+            "the ideal") in capsys.readouterr().out
+
+
 def test_a_duplicated_idempotent_fails_one_idempotent_per_character():
     intact = verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))
     assert intact["one-idempotent-per-character"]

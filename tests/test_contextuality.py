@@ -19,7 +19,8 @@ from qspec.contextuality import (
     transport_prime_section,
 )
 from qspec.spectra import (
-    TWO, Character, SpectrumSet, restrict_character, restriction_table,
+    TWO, Character, SpectrumSet, prime_ideal_scan, restrict_character,
+    restriction_table,
 )
 from qspec.subalgebra import (
     AlgebraPoset, InvariantViolation, close, diagonal_algebra, enumerate_vn,
@@ -132,6 +133,15 @@ def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
             assert len(table) == sheaf.values[j].size
             for pj, point in enumerate(sheaf.values[j].points):
                 assert table[pj] == sheaf.values[i].index_of(restrict_character(point, sub))
+
+
+@pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
+def test_the_prime_ideal_scan_finds_every_prime_spectrum(tag, size):
+    # kernel-bijection holds the spectra to the scan over ZDF scalars only;
+    # here also where the scalars have zero divisors
+    poset = oracle_poset(tag, size)
+    for a, spectrum in zip(poset.algebras, poset.spectra("prime")):
+        assert prime_ideal_scan(a) == [p.values for p in spectrum.points]
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qspec._homsearch import enumerate_homs, is_hom
-from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
+from qspec.quantale import builtin_quantale, parse_quantale_tag
 from qspec.relations import carrier
 from qspec.spectra import TWO
 from qspec.subalgebra import enumerate_vn
@@ -109,8 +109,10 @@ def test_everything_fixed_yields_each_base_once():
     assert list(enumerate_homs(sr, sr, range(sr.size), homs)) == homs
 
 
-# The poset extends each algebra's characters from its largest Hasse
-# predecessor; algebra by algebra they must be the from-scratch search's.
+# The poset extends each algebra's characters, into the scalars and into TWO
+# (the prime points, in descending order), from its largest Hasse
+# predecessor; algebra by algebra they must be the from-scratch search's,
+# over every scalar quantale, zero divisors or not.
 POSETS = [
     ("boolean2", 2, "exhaustive"), ("boolean2", 3, "exhaustive"),
     ("godel3", 2, "exhaustive"), ("godel4", 2, "exhaustive"),
@@ -123,9 +125,10 @@ POSETS = [
 def test_poset_characters_match_the_from_scratch_search(tag, size, mode):
     q = parse_quantale_tag(tag)
     poset = enumerate_vn(carrier("X", size), q, mode=mode)
-    targets = [(q, [tuple(c.values for c in s.points) for s in poset.spectra("gelfand")])]
-    if is_zdf(q):
-        targets.append((TWO, [tuple(c.values for c in cs) for cs in poset.two_valued]))
+    targets = [
+        (q, [tuple(c.values for c in s.points) for s in poset.spectra("gelfand")]),
+        (TWO, [tuple(c.values for c in reversed(s.points)) for s in poset.spectra("prime")]),
+    ]
     for target, found in targets:
         dst = target.semiring()
         for a, values in zip(poset.algebras, found):

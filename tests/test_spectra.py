@@ -196,10 +196,39 @@ def test_prime_spectrum_matches_oracle_on_small_algebras():
                 oracle_prime_ideals(a)
 
 
-def test_prime_spectrum_flags_improper_candidates():
-    spec = prime_spectrum(diagonal_algebra(X2, GODEL3))
-    # the whole algebra is prime-closed but contains the unit
-    assert spec.improper == (diagonal_algebra(X2, GODEL3).members,)
+def down_sets(sr):
+    """Every down-set of a semiring's order, as a frozenset of positions,
+    built along a linear extension: a position joins each set already
+    holding everything strictly below it."""
+    below = [frozenset(i for i in range(sr.size) if sr.add[i][j] == j)
+             for j in range(sr.size)]
+    out = [frozenset()]
+    for j in sorted(range(sr.size), key=lambda j: len(below[j])):
+        out += [s | {j} for s in out if below[j] - {j} <= s]
+    return out
+
+
+@pytest.mark.parametrize("q", [GODEL3, LUK3, builtin_quantale("powerset", 2)],
+                         ids=lambda q: q.name)
+def test_the_one_prime_closed_down_set_holding_the_unit_is_the_whole_algebra(q):
+    # the spectrum report's improper_prime_closed key lists the whole algebra
+    # on this fact; every down-set is tried, not only the principal ones, and
+    # those without the unit are the prime spectrum
+    for a in enumerate_vn(X2, q).algebras:
+        sr = a.semiring()
+        n, add, mul = sr.size, sr.add, sr.mul
+        closed = [
+            s for s in down_sets(sr)
+            if sr.zero in s
+            and all(add[x][y] in s for x in s for y in s)
+            and all(mul[x][m] in s for x in s for m in range(n))
+            and all(sr.star[x] in s for x in s)
+            and all(x in s or y in s for x in range(n) for y in range(n)
+                    if mul[x][y] in s)]
+        assert [s for s in closed if sr.one in s] == [frozenset(range(n))]
+        assert sorted(sorted(s) for s in closed if sr.one not in s) == sorted(
+            [k for k, v in enumerate(p.values) if v == TWO.bottom]
+            for p in prime_spectrum(a).points)
 
 
 @pytest.mark.parametrize("q", [LUK3, builtin_quantale("powerset", 2),
