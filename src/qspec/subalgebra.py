@@ -4,14 +4,14 @@ A subsemialgebra of Hom(X, X) is a set of endo-relations containing the zero
 and identity relations, closed under pointwise join, composition, dagger and
 scalar multiples.  The commutative von Neumann ones (equal to their double
 commutant) form an inclusion poset.  Enumerating it exactly is feasible
-because each of them lies in a maximal clique C of the commutation graph,
-C is its own commutant, and the algebra is C cut down by single-element
-commutants; so a walk seeded at the maximal cliques (Bron–Kerbosch with
-pivoting) reaches all of them and nothing else.  Hom(X, X) itself is
-tabulated by row lookup: row k of a product or join depends on row k of the
-left factor only.  Each algebra over a zero-divisor-free quantale splits
-along its primitive subunital idempotents, which are recovered from the
-Boolean algebra of member supports.
+because each of them lies in a maximal clique M of the star-commutation
+graph on the normal elements, M is itself a maximal algebra, and the algebra
+is M cut down by the commutants of pairs {s, s†}; so a walk seeded at those
+cliques (Bron–Kerbosch with pivoting) visits all of them and nothing else.
+Hom(X, X) itself is tabulated by row lookup: row k of a product or join
+depends on row k of the left factor only.  Each algebra over a
+zero-divisor-free quantale splits along its primitive subunital idempotents,
+which are recovered from the Boolean algebra of member supports.
 """
 
 from __future__ import annotations
@@ -776,9 +776,10 @@ def _poset_from_masks(space, masks, mode, max_generators, complete):
                         max_generators, complete, frozenset(leq), tuple(hasse))
 
 
-def maximal_cliques(adj):
-    """Every maximal clique of the graph whose vertex v has the neighbour
-    bitset adj[v] (no self-loops), as vertex bitsets.
+def maximal_cliques(adj, vertices):
+    """Every maximal clique of the subgraph induced on the vertex bitset
+    vertices, where vertex v has the neighbour bitset adj[v] (no self-loops),
+    as vertex bitsets.
 
     Bron–Kerbosch with Tomita's pivot: the pivot u in P ∪ X has the most
     neighbours in P, and only the candidates outside N(u) are branched on.
@@ -786,7 +787,7 @@ def maximal_cliques(adj):
     bounded by the interpreter's recursion limit.
     """
     out = []
-    stack = [(0, (1 << len(adj)) - 1, 0)]
+    stack = [(0, vertices, 0)]
     while stack:
         clique, p, x = stack.pop()
         if not p:
@@ -805,23 +806,28 @@ def maximal_cliques(adj):
 def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     """Enumerate commutative unital star-closed von Neumann subsemialgebras.
 
-    Exhaustive mode seeds a walk at every maximal clique C of the commutation
-    graph (i ~ j when i and j commute, i != j) and closes it under
-    intersection with the single-element commutants comm(s).  This reaches
-    exactly the commutative von Neumann subsemialgebras:
+    Exhaustive mode seeds a walk at every maximal clique M of the
+    star-commutation graph, whose vertices are the normal elements
+    (s∘s† = s†∘s), with i ~ j when j ∈ pair(i) = comm(i) ∩ comm(i†), and
+    closes it under intersection with the pair(s).  Every mask it visits is
+    a commutative star-closed von Neumann subsemialgebra, and it reaches all:
 
-    - C is its own commutant: C ⊆ C' because C is a clique, and an element of
-      C' outside C would extend the clique.
-    - A commutative A = A'' is a clique, so it lies in some maximal clique C,
-      and C ⊆ A'.  Hence A = A'' = C' ∩ ⋂_{s∈A'∖C} comm(s)
-      = C ∩ ⋂_{s∈A'∖C} comm(s), which the walk from C reaches.
-    - Conversely, C ∩ ⋂_{s∈S} comm(s) = (C ∪ S)' is a commutant, hence von
-      Neumann, and it lies inside the clique C, hence commutative.
+    - M is a maximal commutative star-closed set: the graph is closed under
+      † as (a∘b)† = b†∘a†, so a maximal clique holds each member's dagger.
+    - M is von Neumann: from M ⊆ M' we get M'' ⊆ M''' = M', so M'' is
+      commutative; it is star-closed and contains M, so M'' = M.
+    - A commutative star-closed A = A'' is a clique, so it lies in some M.
+      A' is star-closed and every s ∈ M has pair(s) ⊇ M, so
+      A = M ∩ ⋂_{s∈A'∖M} pair(s), which the walk from M reaches.
+    - Conversely, M ∩ ⋂_{s∈S} pair(s) = (M' ∪ S ∪ S†)' is the commutant of a
+      star-closed set, hence star-closed and von Neumann, and it lies inside
+      M, hence commutative.
 
-    So only the star-closure filter remains.  Below C a commutant s acts
-    through s ∩ C alone, so each walk intersects with the distinct proper
-    cuts s ∩ C.  One family set is shared across the cliques: a mask inside
-    two cliques has the same successors from either, so it is expanded once.
+    So the seeds are the maximal algebras and the star filter is only a
+    guard.  Below M a pair(s) acts through M ∩ pair(s) alone, so each walk
+    cuts with those distinct proper masks.  One family set is shared across
+    the seeds: a mask's successors m ∩ pair(s) do not depend on its seed, so
+    it is expanded once.
 
     Generated mode closes every generator set of at most max_generators
     elements and keeps the algebras that are commutative, star-closed and von
@@ -829,10 +835,12 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     """
     space = get_endospace(q, x)
     if mode == "exhaustive":
-        comm = [space.comm_mask(i) for i in range(space.size)]
-        singles = set(comm)
+        pair = [space.comm_mask(i) & space.comm_mask(space.dag(i))
+                for i in range(space.size)]
+        normal = _mask(i for i, m in enumerate(pair) if m >> i & 1)  # i ∈ pair(i)
+        singles = set(pair)
         family = set()
-        for c in maximal_cliques([m & ~(1 << i) for i, m in enumerate(comm)]):
+        for c in maximal_cliques([m & ~(1 << i) for i, m in enumerate(pair)], normal):
             cuts = {c & s for s in singles}
             cuts.discard(c)
             family.add(c)

@@ -13,7 +13,7 @@ from qspec.relations import QRel, add, carrier, compose, dagger, identity_rel, s
 from qspec.spectra import (
     TWO, Character, character_from_prime, character_kernel,
     characters_to_two, gelfand_spectrum, is_character, is_prime_kstar_ideal,
-    prime_spectrum, restrict_character, restrict_prime,
+    prime_ideal_scan, prime_spectrum, restrict_character, restrict_prime,
 )
 from qspec.subalgebra import diagonal_algebra, enumerate_vn, trivial_algebra
 
@@ -256,12 +256,20 @@ def test_is_prime_kstar_ideal_validation():
 # -- two-valued characters and the kernel bijection ------------------------------------
 
 
+def scan_kernels(a):
+    """The prime k*-ideals of the down-set scan, which shares no code with
+    the character search, each as its sorted members."""
+    return sorted(tuple(m for m, v in zip(a.members, values) if v == TWO.bottom)
+                  for values in prime_ideal_scan(a))
+
+
 def test_characters_to_two_diagonal_godel():
     d = diagonal_algebra(X2, GODEL3)
     gammas = characters_to_two(d)
     assert len(gammas) == 4
     kernels = sorted(character_kernel(g).kernel_members() for g in gammas)
-    assert kernels == sorted(p.kernel_members() for p in prime_spectrum(d).points)
+    assert kernels == scan_kernels(d)
+    assert sorted(g.values for g in gammas) == sorted(prime_ideal_scan(d))
 
 
 def test_characters_to_two_requires_zdf():
@@ -276,7 +284,8 @@ def test_kernel_bijection_everywhere():
             gammas = characters_to_two(a)
             kernels = [character_kernel(g).kernel_members() for g in gammas]
             assert len(set(kernels)) == len(gammas)
-            assert sorted(kernels) == sorted(p.kernel_members() for p in prime_spectrum(a).points)
+            assert sorted(kernels) == scan_kernels(a)
+            assert sorted(g.values for g in gammas) == sorted(prime_ideal_scan(a))
 
 
 def test_exactly_one_primitive_idempotent_maps_to_one():

@@ -169,6 +169,36 @@ def oracle_walk(space):
             if space.is_commutative_mask(m) and space.is_star_mask(m)]
 
 
+def oracle_clique_walk(space):
+    """The commutation-clique walk: from every maximal clique C of the
+    commutation graph on all of Hom(X, X), every intersection with the
+    distinct cuts C ∩ comm(s), filtered to the star-closed masks."""
+    comm = [space.comm_mask(i) for i in range(space.size)]
+    singles = set(comm)
+    family = set()
+    for c in maximal_cliques([m & ~(1 << i) for i, m in enumerate(comm)],
+                             space.full_mask):
+        cuts = {c & s for s in singles} - {c}
+        family.add(c)
+        frontier = [c]
+        while frontier:
+            m = frontier.pop()
+            for s in cuts:
+                if m & s not in family:
+                    family.add(m & s)
+                    frontier.append(m & s)
+    return [m for m in family if space.is_star_mask(m)]
+
+
+def star_commutation_seeds(space):
+    """The maximal cliques of the star-commutation graph on the normal
+    elements, where i ~ j when j commutes with i and with i†."""
+    pair = [space.comm_mask(i) & space.comm_mask(space.dag(i)) for i in range(space.size)]
+    normal = sum(1 << i for i in range(space.size)
+                 if space.comp(i, space.dag(i)) == space.comp(space.dag(i), i))
+    return maximal_cliques([m & ~(1 << i) for i, m in enumerate(pair)], normal)
+
+
 def oracle_maximal_cliques(adj):
     """Scan every vertex subset for cliques that no outside vertex extends."""
     n = len(adj)
@@ -456,16 +486,24 @@ def graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs())
-def test_maximal_cliques_match_a_subset_scan(adj):
-    assert sorted(maximal_cliques(adj)) == oracle_maximal_cliques(adj)
+@given(graphs(), st.data())
+def test_maximal_cliques_match_a_subset_scan(adj, data):
+    full = (1 << len(adj)) - 1
+    assert sorted(maximal_cliques(adj, full)) == oracle_maximal_cliques(adj)
+    # on a vertex subset: the cliques of the induced subgraph, relabelled back
+    vertices = data.draw(st.integers(0, full))
+    kept = [v for v in range(len(adj)) if vertices >> v & 1]
+    induced = [sum(1 << k for k, w in enumerate(kept) if adj[v] >> w & 1) for v in kept]
+    expected = sorted(sum(1 << kept[k] for k in range(len(kept)) if c >> k & 1)
+                      for c in oracle_maximal_cliques(induced))
+    assert sorted(maximal_cliques(adj, vertices)) == expected
 
 
 def test_maximal_cliques_of_empty_and_complete_graphs():
-    assert maximal_cliques([]) == [0]
-    assert sorted(maximal_cliques([0] * 6)) == [1 << v for v in range(6)]
+    assert maximal_cliques([], 0) == [0]
+    assert sorted(maximal_cliques([0] * 6, 0b111111)) == [1 << v for v in range(6)]
     complete = [0b111111 & ~(1 << v) for v in range(6)]
-    assert maximal_cliques(complete) == [0b111111]
+    assert maximal_cliques(complete, 0b111111) == [0b111111]
 
 
 # -- enumeration -------------------------------------------------------------------------
@@ -500,6 +538,40 @@ def test_enumerate_matches_the_moore_walk_oracle(q):
     assert poset.algebras == expected.algebras
     assert poset.leq_pairs == expected.leq_pairs
     assert poset.hasse == expected.hasse
+
+
+# godel4 |X|=2 is among the ORACLE_QUANTALES
+@pytest.mark.parametrize("q, n", [(q, 2) for q in ORACLE_QUANTALES] + [
+    (BOOL2, 3), (builtin_quantale("godel_chain", 5), 2),
+    (builtin_quantale("lukasiewicz_chain", 4), 2)], ids=lambda v: getattr(v, "name", str(v)))
+def test_enumerate_matches_the_clique_walk_oracle(q, n):
+    x = carrier("X", n)
+    space = get_endospace(q, x)
+    expected = _poset_from_masks(space, oracle_clique_walk(space), "exhaustive", None, True)
+    poset = enumerate_vn(x, q)
+    assert poset.algebras == expected.algebras
+    assert poset.leq_pairs == expected.leq_pairs
+    assert poset.hasse == expected.hasse
+
+
+@pytest.mark.parametrize("q, n", [(q, 2) for q in ORACLE_QUANTALES] + [(BOOL2, 3)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_the_walk_seeds_are_the_maximal_algebras(q, n, monkeypatch):
+    x = carrier("X", n)
+    space = get_endospace(q, x)
+    seeds = star_commutation_seeds(space)
+    for m in seeds:
+        assert space.is_star_mask(m) and space.is_commutative_mask(m)
+        assert space.double_commutant_mask(m) == m
+    answers = []
+    star = space.is_star_mask
+    monkeypatch.setattr(space, "is_star_mask", lambda m: answers.append(star(m)) or answers[-1])
+    poset = enumerate_vn(x, q)
+    # the walk visits only algebras it keeps, so its star filter drops nothing
+    assert answers == [True] * len(poset.algebras)
+    below = {i for i, _ in poset.hasse}
+    maximal = {space.mask_of(a.members) for k, a in enumerate(poset.algebras) if k not in below}
+    assert len(seeds) == len(set(seeds)) and set(seeds) == maximal
 
 
 def test_enumerate_godel3_x2_self_checks():
