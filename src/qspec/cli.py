@@ -66,6 +66,8 @@ def _parser():
 def _load_quantale(args):
     if getattr(args, "size", 1) < 1:
         raise QuantaleError("carrier size must be at least 1")
+    if getattr(args, "max_generators", 0) < 0:
+        raise QuantaleError("--max-generators must be at least 0")
     if args.quantale:
         return parse_quantale_tag(args.quantale)
     return load_quantale_file(args.file)

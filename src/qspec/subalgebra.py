@@ -190,11 +190,14 @@ def _ambient(x, gens, quantale):
     return q
 
 
-def _closure(seed, dag, smul, join, comp, scalars):
-    """Fixed point of the seed under dag, every scalar multiple, join and
-    composition on both sides; elements are whatever the four operations take."""
-    members = set(seed)
-    frontier = list(members)
+def _closure(closed, seed, dag, smul, join, comp, scalars):
+    """Fixed point of closed ∪ seed under dag, every scalar multiple, join and
+    composition on both sides, where closed is already such a fixed point:
+    only the pairs with at least one element outside it are evaluated
+    (semi-naive evaluation).  Elements are whatever the operations take."""
+    members = set(closed)
+    frontier = list(set(seed) - members)
+    members.update(frontier)
     while frontier:
         fresh = []
 
@@ -223,7 +226,7 @@ def close(x, gens, quantale=None):
     q = _ambient(x, gens, quantale)
     n = x.size
     seed = {_zero_entries(q, n), _identity_entries(q, n)} | {g.entries for g in gens}
-    members = _closure(seed, partial(_e_dagger, q), partial(_e_scalar, q),
+    members = _closure((), seed, partial(_e_dagger, q), partial(_e_scalar, q),
                        partial(_e_join, q), partial(_e_compose, q), range(q.size))
     return Subsemialgebra.from_entries(q, x, members)
 
@@ -435,7 +438,8 @@ def _typecode(limit):
 
 
 class _Rows(dict):
-    """Table rows made on first use by one function of the row index."""
+    """Values made on first use by one function of their key: table rows,
+    and the closures and commutants that generated mode reuses."""
 
     def __init__(self, make):
         super().__init__()
@@ -576,9 +580,11 @@ class EndoSpace:
     def is_star_mask(self, mask):
         return all(mask >> self.dag(i) & 1 for i in self.bits(mask))
 
-    def close_mask(self, seed):
-        members = _closure({self.zero_idx, self.id_idx, *seed}, self.dag, self.smul,
-                           self.join, self.comp, range(self.quantale.size))
+    def close_mask(self, closed, seed):
+        """The closure, as a mask, of the closed mask `closed` (0 or an
+        algebra) with the seed indices, 0 and id."""
+        members = _closure(_bits(closed), {self.zero_idx, self.id_idx, *seed}, self.dag,
+                           self.smul, self.join, self.comp, range(self.quantale.size))
         return _mask(members)
 
     def algebra_from_mask(self, mask):
@@ -829,9 +835,21 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     the seeds: a mask's successors m ∩ pair(s) do not depend on its seed, so
     it is expanded once.
 
-    Generated mode closes every generator set of at most max_generators
-    elements and keeps the algebras that are commutative, star-closed and von
-    Neumann, force-including the trivial and diagonal algebras.
+    Generated mode keeps the commutative, star-closed, von Neumann closures
+    cl(S) of the sets S of at most max_generators pairwise star-commuting
+    normal elements, plus the trivial and diagonal algebras.  It walks the
+    distinct closures level by level instead of closing every S:
+
+    - The quantale is commutative, so scalars are central and composition
+      distributes over joins; hence the commutant of a star-closed set is a
+      star-closed unital subsemialgebra.
+    - So cl(S) ⊆ (S ∪ S†)″, and cl(S)′ = (S ∪ S†)′ = ⋂_{s∈S} pair(s): S ∪ {b}
+      is star-commuting exactly when b is normal and b ∈ cl(S)′.
+    - cl(S ∪ {b}) = cl(cl(S) ∪ cl(b)) depends only on (cl(S), b), and
+      b ∈ cl(S) gives cl(S) back.
+    - So expanding each closure once, at the level d = |S| where it first
+      appears, reaches exactly {cl(S) : |S| ≤ max_generators}.  Each union is
+      closed once, from its closed part cl(S).
     """
     space = get_endospace(q, x)
     if mode == "exhaustive":
@@ -856,37 +874,34 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
         return _poset_from_masks(space, keep, "exhaustive", None, True)
     if mode == "generated":
         k = max_generators
-        found = set()
-        seen_closures = set()
+        if k < 0:
+            raise ValueError(f"max_generators must be at least 0, not {k}")
+        normal = _mask(i for i in range(space.size)
+                       if space.comm_mask(i) >> space.dag(i) & 1)
+        found = {space.mask_of(diagonal_algebra(x, q).members)}
+        double = _Rows(space.commutant_mask)  # a commutant -> its commutant
 
-        def consider(seed):
-            cl = space.close_mask(seed)
-            if cl in seen_closures:
-                return
-            seen_closures.add(cl)
+        def consider(cl):
             # commutative iff cl <= cl', von Neumann iff cl'' == cl: cl' is made once
             comm = space.commutant_mask(cl)
-            if cl & ~comm == 0 and space.is_star_mask(cl) and space.commutant_mask(comm) == cl:
+            if cl & ~comm == 0 and space.is_star_mask(cl) and double[comm] == cl:
                 found.add(cl)
+            return cl, comm
 
-        consider(())
-        found.add(space.mask_of(diagonal_algebra(x, q).members))
-        # Only sets whose elements and daggers commute pairwise can close to a
-        # commutative star-closed algebra, so prune on that before closing.
-        normals = [i for i in range(space.size)
-                   if space.comm_mask(i) >> space.dag(i) & 1]
-
-        def compatible(combo):
-            for a, b in itertools.combinations(combo, 2):
-                ca = space.comm_mask(a)
-                if not (ca >> b & 1 and ca >> space.dag(b) & 1
-                        and space.comm_mask(space.dag(a)) >> b & 1):
-                    return False
-            return True
-
-        for size in range(1, k + 1):
-            for combo in itertools.combinations(normals, size):
-                if compatible(combo):
-                    consider(combo)
+        base = space.close_mask(0, ())
+        single = _Rows(lambda b: space.close_mask(base, (b,)))  # b -> cl(b)
+        known = {base}  # every closure and every union met so far
+        level = [consider(base)]
+        for _ in range(k):
+            fresh = []
+            for c, comm in level:
+                for b in _bits(comm & normal & ~c):
+                    u = c | single[b]
+                    if u not in known:
+                        cl = space.close_mask(c, _bits(u & ~c))
+                        if cl not in known:
+                            fresh.append(consider(cl))
+                        known |= {u, cl}
+            level = fresh
         return _poset_from_masks(space, found, "generated", k, False)
     raise ValueError(f"unknown enumeration mode {mode!r}")

@@ -178,6 +178,25 @@ def test_generated_mode_flag(capsys):
     assert report["poset"]["mode"] == "generated"
 
 
+def test_a_negative_generator_count_exits_two(capsys):
+    for command in ("algebras", "verdict"):
+        code, out, err = run_cli(capsys, command, "--quantale", "boolean2", "--size", "3",
+                                 "--mode", "generated", "--max-generators", "-1")
+        assert code == 2, command
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("qspec: error:")
+        assert "--max-generators" in err
+
+
+def test_no_generators_gives_the_trivial_and_diagonal_algebras(capsys):
+    code, out, _ = run_cli(capsys, "algebras", "--quantale", "boolean2", "--size", "3",
+                           "--mode", "generated", "--max-generators", "0", "--format", "json")
+    assert code == 0
+    poset = json.loads(out)["poset"]
+    # the scalar multiples of the identity, and the 2^3 diagonal relations
+    assert [a["size"] for a in poset["algebras"]] == [2, 8]
+
+
 def test_unknown_algebra_selector(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--quantale", "boolean2",
                            "--size", "2", "--algebra", "zorp")

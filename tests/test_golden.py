@@ -87,6 +87,11 @@ GOLDEN_LARGER = {
     ("verdict", "powerset2"): "2f9df906f8480d68981c050e6b42d9ed9ff559dfa9cd59151575f5b2672432ca",
 }
 
+
+def generated(k):
+    return ("--mode", "generated", "--max-generators", str(k))
+
+
 # algebras and verdict at |X| = 2 in generated mode, one generator per seed.
 GOLDEN_GENERATED = {
     ("algebras", "boolean2"): "43865c9b4cc25e256a40f17abcb28f5c52d009eb84c6662c42333054f991197e",
@@ -94,7 +99,23 @@ GOLDEN_GENERATED = {
     ("algebras", "godel3"): "1754680d98ec703a72ccd796f0a19fd3e7df50a9a7f3a463d17d4ccd3b71df6a",
     ("verdict", "godel3"): "af496afd3c09f0fea0289fe65b6cad0a5f389f4a5e554f3d15e1c17b9f9872aa",
 }
-GENERATED = ("--mode", "generated", "--max-generators", "1")
+GENERATED = generated(1)
+
+# The same with more generators per seed, recorded from the code that closed
+# every generator set from scratch, before generated mode walked the distinct
+# closures: k = 2 on four quantales, and k = 3 on godel3.
+GOLDEN_GENERATED_K = {
+    ("algebras", "boolean2", 2): "8d0da46ea22a8f92a99a6a6bcc3e13c822c02e8e9c550374c594e8bedc07d4a1",
+    ("verdict", "boolean2", 2): "f189144446df46ea95656318bb07f312516b8c3d456b97feb4511b5fa3f80cf9",
+    ("algebras", "godel3", 2): "63d270b09606689b18710a798704cb42143672e3a3bf88b0f40625f6f213c83b",
+    ("verdict", "godel3", 2): "e11f3d573e6c276c4e5b72fdfb3b4dbab0f07f0ec8af4bb085c2535d404583b5",
+    ("algebras", "lukasiewicz3", 2): "8a12c4a1a5a666748edd0f8ba80a4e501151a42a7af30b7ca991277d68e4fc5c",
+    ("verdict", "lukasiewicz3", 2): "7249ee559ec6b7e07e7adb3d24434b075d8c0302911255780994a4ca7118b8d7",
+    ("algebras", "powerset2", 2): "d552e4091fc1877d00b040cc88e317f03583c4ada6a6fd35cec35e66cbc34d2d",
+    ("verdict", "powerset2", 2): "13b149f6bc3626c4ff5b26221e61c32357616ddaa5758b5a76a016a902d4fa80",
+    ("algebras", "godel3", 3): "1b2aa49644ba2fc00bb0ec694a5780382a6c30ba274532479ed4ccceb4fae362",
+    ("verdict", "godel3", 3): "1ce9b12273178c5c658e794309cec14338e98a34a21370172ba4d308eedafdb8",
+}
 
 # Reports that print prime points over quantales with zero divisors,
 # recorded from the code that stored each prime ideal as its member set,
@@ -147,6 +168,13 @@ def test_generated_mode_report_bytes_match_the_recorded_digest(command, quantale
         GOLDEN_GENERATED[(command, quantale)]
 
 
+@pytest.mark.parametrize("command,quantale,k", GOLDEN_GENERATED_K)
+def test_generated_mode_with_more_generators_matches_the_recorded_digest(
+        command, quantale, k, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json", extra=generated(k)) == \
+        GOLDEN_GENERATED_K[(command, quantale, k)]
+
+
 @pytest.mark.parametrize("quantale", GOLDEN_CHECK_QUANTALE)
 def test_check_quantale_report_of_every_builtin_matches_the_recorded_digest(quantale, tmp_path):
     assert report_digest("check-quantale", quantale, tmp_path / "report.json") == \
@@ -182,3 +210,8 @@ if __name__ == "__main__":
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json",
                                    extra=GENERATED)
             print(f'    ("{command}", "{quantale}"): "{digest}",')
+        print("generated, more generators:")
+        for command, quantale, k in GOLDEN_GENERATED_K:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json",
+                                   extra=generated(k))
+            print(f'    ("{command}", "{quantale}", {k}): "{digest}",')

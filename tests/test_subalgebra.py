@@ -209,6 +209,33 @@ def oracle_maximal_cliques(adj):
                   if not any(s | 1 << v in cliques for v in range(n) if not s >> v & 1))
 
 
+def oracle_generated_walk(space, x, q, k):
+    """Generated mode by brute force: close every set of at most k normal
+    elements whose members and daggers commute pairwise, each from scratch,
+    and keep the commutative, star-closed, von Neumann closures plus the
+    diagonal."""
+    found = {space.mask_of(diagonal_algebra(x, q).members)}
+    normals = [i for i in range(space.size) if space.comm_mask(i) >> space.dag(i) & 1]
+
+    def compatible(combo):
+        for a, b in itertools.combinations(combo, 2):
+            ca = space.comm_mask(a)
+            if not (ca >> b & 1 and ca >> space.dag(b) & 1
+                    and space.comm_mask(space.dag(a)) >> b & 1):
+                return False
+        return True
+
+    for size in range(k + 1):
+        for combo in itertools.combinations(normals, size):
+            if compatible(combo):
+                cl = space.close_mask(0, combo)
+                comm = space.commutant_mask(cl)
+                if (cl & ~comm == 0 and space.is_star_mask(cl)
+                        and space.commutant_mask(comm) == cl):
+                    found.add(cl)
+    return found
+
+
 # Document-loaded quantales: boolean2 listed top first, so bottom is index 1,
 # and the two-point powerset with its points swapped by the involution.
 BOOL2_TOP_FIRST = load_quantale({
@@ -334,7 +361,7 @@ def test_godel3_three_point_space_matches_the_oracles(monkeypatch):
     for g in gens:
         expected = oracle_closure(x3, [g], GODEL3)
         assert close(x3, [g]).member_set == expected
-        mask = space.close_mask([space.index[g.entries]])
+        mask = space.close_mask(0, [space.index[g.entries]])
         assert space.algebra_from_mask(mask).member_set == expected
         assert commutant(x3, [g]).member_set == oracle_commutant(x3, [g], GODEL3)
     rng = random.Random(67)
@@ -620,6 +647,81 @@ def test_generated_mode_is_a_sound_subset():
         assert a.is_commutative and a.is_star_closed and is_von_neumann(a)
 
 
+@pytest.mark.parametrize("q, n, k", [(q, 2, k) for q in ORACLE_QUANTALES for k in range(4)]
+                         + [(BOOL2, 3, k) for k in (1, 2, 3)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_generated_mode_matches_the_combination_oracle(q, n, k):
+    x = carrier("X", n)
+    space = get_endospace(q, x)
+    expected = _poset_from_masks(space, oracle_generated_walk(space, x, q, k),
+                                 "generated", k, False)
+    poset = enumerate_vn(x, q, "generated", k)
+    assert poset.algebras == expected.algebras
+    assert poset.leq_pairs == expected.leq_pairs
+    assert poset.hasse == expected.hasse
+
+
+@pytest.mark.parametrize("q, n", [(GODEL3, 2), (SWAP, 2), (BOOL2, 3)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_generated_mode_closes_only_star_commuting_sets(q, n, monkeypatch):
+    # each union is grown by a normal element of the closure's commutant, so
+    # every closure the walk makes is commutative; an incompatible union
+    # would close to a larger algebra that consider() then throws away
+    space = get_endospace(q, carrier("X", n))
+    made = []
+    real = EndoSpace.close_mask
+
+    def recording(self, closed, seed):
+        made.append(real(self, closed, seed))
+        return made[-1]
+
+    monkeypatch.setattr(EndoSpace, "close_mask", recording)
+    enumerate_vn(carrier("X", n), q, "generated", 2)
+    assert made and all(space.is_commutative_mask(m) for m in made)
+
+
+def test_generated_mode_with_no_generators_and_a_negative_count():
+    poset = enumerate_vn(X2, GODEL3, "generated", 0)
+    assert [a.members for a in poset.algebras] == sorted(
+        (trivial_algebra(X2, GODEL3).members, diagonal_algebra(X2, GODEL3).members),
+        key=len)
+    with pytest.raises(ValueError, match="max_generators"):
+        enumerate_vn(X2, GODEL3, "generated", -1)
+
+
+@pytest.mark.parametrize("q, n", [(GODEL3, 2), (SWAP, 2), (BOOL2, 3)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_a_closure_of_star_commuting_normals_has_the_pairs_as_commutant(q, n):
+    # cl(S)' = ⋂_{s∈S} pair(s), which lets generated mode expand a closure by
+    # the normal elements of its commutant
+    space = get_endospace(q, carrier("X", n))
+    pair = [space.comm_mask(i) & space.comm_mask(space.dag(i)) for i in range(space.size)]
+    normals = [i for i in range(space.size) if pair[i] >> i & 1]
+    checked = 0
+    for size in range(3):
+        for combo in itertools.combinations(normals, size):
+            if all(pair[a] >> b & 1 for a, b in itertools.combinations(combo, 2)):
+                meet = space.full_mask
+                for s in combo:
+                    meet &= pair[s]
+                assert space.commutant_mask(space.close_mask(0, combo)) == meet, combo
+                checked += 1
+    assert checked > len(normals)
+
+
+@pytest.mark.parametrize("q", [GODEL3, SWAP, LUK3], ids=lambda q: q.name)
+def test_closing_a_seed_onto_a_closed_part_is_the_full_closure(q):
+    space = get_endospace(q, X2)
+    rng = random.Random(83)
+    for _ in range(6):
+        gens = rng.sample(range(space.size), rng.randrange(3))
+        closed = space.close_mask(0, gens)
+        seed = rng.sample(range(space.size), rng.randrange(1, 3))
+        got = space.algebra_from_mask(space.close_mask(closed, seed)).member_set
+        rels = [QRel(q, X2, X2, space.elements[i]) for i in gens + seed]
+        assert got == oracle_closure(X2, rels, q), (gens, seed)
+
+
 def test_enumeration_bound(monkeypatch):
     monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", "10")
     import qspec.subalgebra as sub
@@ -858,7 +960,7 @@ def test_space_closure_agrees_with_direct_closure():
     rng = random.Random(41)
     for _ in range(8):
         idxs = rng.sample(range(space.size), 2)
-        via_space = {space.elements[i] for i in space.bits(space.close_mask(idxs))}
+        via_space = {space.elements[i] for i in space.bits(space.close_mask(0, idxs))}
         gens = [QRel(GODEL3, X2, X2, space.elements[i]) for i in idxs]
         assert via_space == close(X2, gens).member_set
 
