@@ -23,8 +23,8 @@ from qspec.subalgebra import (
 )
 from qspec.spectra import (
     TWO, Character, SpectrumSet, character_from_prime, character_kernel,
-    characters_to_two, gelfand_spectrum, is_character, is_prime_kstar_ideal,
-    prime_spectrum, restrict_character, restrict_prime,
+    characters_to_two, gelfand_spectrum, prime_spectrum, restrict_character,
+    restrict_prime,
 )
 from qspec.contextuality import (
     Presheaf, Section, Verdict, build_presheaf, canonical_section,

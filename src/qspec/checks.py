@@ -34,16 +34,8 @@ class CheckResult:
     details: str = ""
 
 
-def _ok(name, details=""):
-    return CheckResult(name, True, details)
-
-
-def _fail(name, details):
-    return CheckResult(name, False, details)
-
-
 def _verdict(name, passed, details_on_fail):
-    return _ok(name) if passed else _fail(name, details_on_fail)
+    return CheckResult(name, passed, "" if passed else details_on_fail)
 
 
 # -- quantale-level checks -----------------------------------------------------

@@ -68,9 +68,13 @@ def _load_quantale(args):
         raise QuantaleError("carrier size must be at least 1")
     if getattr(args, "max_generators", 0) < 0:
         raise QuantaleError("--max-generators must be at least 0")
-    if args.quantale:
-        return parse_quantale_tag(args.quantale)
-    return load_quantale_file(args.file)
+    q = parse_quantale_tag(args.quantale) if args.quantale else load_quantale_file(args.file)
+    if hasattr(args, "mode"):  # the enumerating commands need a quantale
+        report = verify_quantale(q)
+        if not report.passed:
+            axiom, witness = report.violations[0]
+            raise QuantaleError(f"not a quantale: {axiom} fails at ({', '.join(witness)})")
+    return q
 
 
 def _select_algebras(poset, selector):

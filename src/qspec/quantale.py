@@ -227,64 +227,32 @@ def quantale_to_doc(q):
 def verify_quantale(q):
     """Exhaustively check the quantale axioms; every violated axiom gets one
     witness tuple (the first in canonical element order)."""
-    n = q.size
-    ids = q.elements
+    join, mul, inv = q.join_table, q.mul_table, q.involution
+    u, b = q.unit, q.bottom
+    laws = (  # (axiom, arity, law), in report order
+        ("join-commutative", 2, lambda x, y: join[x][y] == join[y][x]),
+        ("join-idempotent", 1, lambda x: join[x][x] == x),
+        ("join-associative", 3,
+         lambda x, y, z: join[x][join[y][z]] == join[join[x][y]][z]),
+        ("join-identity", 0, lambda: b is not None),
+        ("mul-commutative", 2, lambda x, y: mul[x][y] == mul[y][x]),
+        ("mul-associative", 3, lambda x, y, z: mul[x][mul[y][z]] == mul[mul[x][y]][z]),
+        ("mul-unit", 1, lambda x: mul[u][x] == x),
+        ("distributivity", 3,
+         lambda x, y, z: mul[x][join[y][z]] == join[mul[x][y]][mul[x][z]]),
+        ("bottom-absorbing", 1, lambda x: b is None or mul[x][b] == b),
+        ("involution-involutive", 1, lambda x: inv[inv[x]] == x),
+        ("involution-join", 2, lambda x, y: inv[join[x][y]] == join[inv[x]][inv[y]]),
+        ("involution-mul", 2, lambda x, y: inv[mul[x][y]] == mul[inv[x]][inv[y]]),
+        ("involution-unit", 0, lambda: inv[u] == u),
+        ("non-trivial", 0, lambda: b is None or b != q.top),
+    )
     violations = []
-
-    def record(axiom, witness):
-        violations.append((axiom, tuple(ids[w] for w in witness)))
-
-    for x, y in itertools.product(range(n), repeat=2):
-        if q.join(x, y) != q.join(y, x):
-            record("join-commutative", (x, y))
-            break
-    for x in range(n):
-        if q.join(x, x) != x:
-            record("join-idempotent", (x,))
-            break
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if q.join(x, q.join(y, z)) != q.join(q.join(x, y), z):
-            record("join-associative", (x, y, z))
-            break
-    if q.bottom is None:
-        record("join-identity", ())
-    for x, y in itertools.product(range(n), repeat=2):
-        if q.mul(x, y) != q.mul(y, x):
-            record("mul-commutative", (x, y))
-            break
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if q.mul(x, q.mul(y, z)) != q.mul(q.mul(x, y), z):
-            record("mul-associative", (x, y, z))
-            break
-    for x in range(n):
-        if q.mul(q.unit, x) != x:
-            record("mul-unit", (x,))
-            break
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if q.mul(x, q.join(y, z)) != q.join(q.mul(x, y), q.mul(x, z)):
-            record("distributivity", (x, y, z))
-            break
-    if q.bottom is not None:
-        for x in range(n):
-            if q.mul(x, q.bottom) != q.bottom:
-                record("bottom-absorbing", (x,))
+    for axiom, arity, law in laws:
+        for witness in itertools.product(range(q.size), repeat=arity):
+            if not law(*witness):
+                violations.append((axiom, tuple(q.elements[w] for w in witness)))
                 break
-    for x in range(n):
-        if q.inv(q.inv(x)) != x:
-            record("involution-involutive", (x,))
-            break
-    for x, y in itertools.product(range(n), repeat=2):
-        if q.inv(q.join(x, y)) != q.join(q.inv(x), q.inv(y)):
-            record("involution-join", (x, y))
-            break
-    for x, y in itertools.product(range(n), repeat=2):
-        if q.inv(q.mul(x, y)) != q.mul(q.inv(x), q.inv(y)):
-            record("involution-mul", (x, y))
-            break
-    if q.inv(q.unit) != q.unit:
-        record("involution-unit", ())
-    if q.bottom is not None and q.bottom == q.top:
-        record("non-trivial", ())
     return AxiomReport(passed=not violations, violations=tuple(violations))
 
 
@@ -368,6 +336,9 @@ def builtin_quantale(name, n=None):
     raise QuantaleError(f"unknown builtin quantale tag {name!r}")
 
 
+TWO = builtin_quantale("boolean2")  # the two-element quantale 0 < 1
+
+
 _TAG_RE = re.compile(r"^([a-z_]+?)(?:_chain)?(?:\((\d+)\)|(\d+))?$")
 
 
@@ -408,14 +379,12 @@ def rig_homs(source, target):
 
 def two_embedding(q):
     """The unique quantale map from the two-element quantale into q."""
-    two = builtin_quantale("boolean2")
-    return RigHom(two, q, (q.bottom, q.unit))
+    return RigHom(TWO, q, (q.bottom, q.unit))
 
 
 def zdf_collapse(q):
     """The map onto the two-element quantale sending every non-bottom element
     to the unit; multiplicative exactly because q has no zero divisors."""
     require_zdf(q, "the collapse onto the two-element quantale")
-    two = builtin_quantale("boolean2")
-    return RigHom(q, two, tuple(two.bottom if i == q.bottom else two.unit
+    return RigHom(q, TWO, tuple(TWO.bottom if i == q.bottom else TWO.unit
                                 for i in range(q.size)))

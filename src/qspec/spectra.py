@@ -5,7 +5,9 @@ scalar quantale (or into the two-element quantale TWO): it preserves zero,
 binary join, composition, the unit and the involution.  A point of the prime
 spectrum is a proper prime k*-ideal.  The kernel map sends characters onto
 prime ideals and admits a section that assigns to each prime ideal its
-two-valued indicator character.
+two-valued indicator character.  Each is a point followed by a quantale
+map: the kernel by the collapse of the scalars onto TWO, the indicator by
+the embedding of TWO into the scalars.
 
 Both spectra hold one point type, Character, and come from one search.  A
 proper prime k*-ideal P is the kernel of exactly one homomorphism into TWO,
@@ -26,20 +28,14 @@ the object-level maps stay as the public API and the tests' oracles.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from qspec._homsearch import enumerate_homs, is_hom
-from qspec.quantale import Quantale, builtin_quantale, require_zdf
-from qspec.relations import _e_compose, _e_dagger, _e_join, _e_scalar
-from qspec.subalgebra import (
-    InvariantViolation, Subsemialgebra, _identity_entries, _zero_entries,
-)
-
-TWO = builtin_quantale("boolean2")
+from qspec._homsearch import enumerate_homs
+from qspec.quantale import TWO, Quantale, require_zdf, two_embedding, zdf_collapse
+from qspec.subalgebra import InvariantViolation, Subsemialgebra
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,7 @@ def _characters(algebra, target, below):
     fixed, bases = (), ((),)
     if below is not None:
         sub, characters = below
-        _check_inclusion(sub, algebra)
-        fixed = map(algebra.member_pos.__getitem__, sub.members)
+        fixed = _positions(sub, algebra)
         bases = [c.values for c in characters]
     out = [Character(algebra, target, values)
            for values in enumerate_homs(algebra.semiring(), target.semiring(),
@@ -137,22 +132,6 @@ def characters_to_two(algebra):
     return _characters(algebra, TWO, None)
 
 
-def is_character(algebra, target, values):
-    """Full homomorphism validation for one value table, including the derived
-    scalar compatibility value(s * m) = value(s * id) . value(m)."""
-    sr = algebra.semiring()
-    if not is_hom(sr, target.semiring(), values):
-        return False
-    q = algebra.quantale
-    pos = algebra.member_pos
-    for s in range(q.size):
-        scaled_unit = values[pos[_e_scalar(q, s, algebra.members[sr.one])]]
-        for i, m in enumerate(algebra.members):
-            if values[pos[_e_scalar(q, s, m)]] != target.mul(scaled_unit, values[i]):
-                return False
-    return True
-
-
 # -- the prime ideals without the character search ------------------------------
 
 
@@ -181,33 +160,6 @@ def prime_ideal_scan(algebra):
     return sorted(out, reverse=True)
 
 
-def is_prime_kstar_ideal(algebra, members):
-    """Direct validation of one subset against the prime k*-ideal conditions."""
-    q = algebra.quantale
-    n = algebra.carrier.size
-    s = frozenset(members)
-    if not s <= algebra.member_set or _zero_entries(q, n) not in s:
-        return False
-    if _identity_entries(q, n) in s:
-        return False
-    for a in s:
-        if _e_dagger(q, a) not in s:
-            return False
-        for b in s:
-            if _e_join(q, a, b) not in s:
-                return False
-        for b in algebra.members:
-            if _e_compose(q, a, b) not in s:
-                return False
-            joined = _e_join(q, a, b)
-            if joined in s and b not in s:
-                return False
-    for a, b in itertools.combinations_with_replacement(algebra.members, 2):
-        if _e_compose(q, a, b) in s and a not in s and b not in s:
-            return False
-    return True
-
-
 # -- restriction along inclusions ---------------------------------------------------
 
 
@@ -218,12 +170,17 @@ def _check_inclusion(sub, sup):
         raise ValueError("not an inclusion of algebras")
 
 
+def _positions(sub, sup):
+    """The positions of sub's members in sup's member order; the values of a
+    point of sup there are the values of its restriction to sub."""
+    _check_inclusion(sub, sup)
+    return [sup.member_pos[m] for m in sub.members]
+
+
 def restrict_character(rho, sub):
     """Restrict a character of the larger algebra to a subalgebra."""
-    _check_inclusion(sub, rho.algebra)
-    pos = rho.algebra.member_pos
-    return Character(sub, rho.target,
-                     tuple(rho.values[pos[m]] for m in sub.members))
+    positions = _positions(sub, rho.algebra)
+    return Character(sub, rho.target, tuple(map(rho.values.__getitem__, positions)))
 
 
 def restrict_prime(point, sub):
@@ -249,9 +206,7 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
     point p of sup_spectrum.  A point of either kind restricts to its values
     at the positions of the smaller algebra's members.  edge, the poset
     indices (i, j) of the inclusion, only names it in the error."""
-    sub, sup = sub_spectrum.algebra, sup_spectrum.algebra
-    _check_inclusion(sub, sup)
-    positions = [sup.member_pos[m] for m in sub.members]
+    positions = _positions(sub_spectrum.algebra, sup_spectrum.algebra)
     pick = (itemgetter(*positions) if len(positions) > 1
             else lambda values: tuple(values[k] for k in positions))
     keys = (pick(p.values) for p in sup_spectrum.points)
@@ -273,35 +228,32 @@ def restriction_mismatch(poset, kind):
 # -- comparison maps between the spectra ----------------------------------------------
 
 
-def _kernel_values(rho):
-    """The values of the prime point of rho's kernel: 0 where rho is bottom."""
-    b = rho.target.bottom
-    return tuple(TWO.bottom if v == b else TWO.unit for v in rho.values)
+def _then(values, f):
+    """A point's values followed by the quantale map f."""
+    mapping = f.mapping
+    return tuple([mapping[v] for v in values])  # tuple(map(...)) is slower here
 
 
 def character_kernel(rho):
-    """The prime point of the members a character sends to bottom (ZDF
-    scalars)."""
-    require_zdf(rho.algebra.quantale, "the kernel comparison map")
-    return Character(rho.algebra, TWO, _kernel_values(rho))
+    """The prime point of the members a character sends to bottom: rho
+    followed by the collapse of the scalars onto TWO (ZDF scalars)."""
+    return Character(rho.algebra, TWO, _then(rho.values, zdf_collapse(rho.algebra.quantale)))
 
 
 def character_from_prime(gamma):
     """The indicator character of a prime point, or of any character into
     TWO: gamma followed by the unique quantale embedding of TWO into the
     scalars."""
-    a = gamma.algebra
-    require_zdf(a.quantale, "the indicator character of a prime ideal")
-    q = a.quantale
-    embed = {TWO.bottom: q.bottom, TWO.unit: q.unit}
-    return Character(a, q, tuple(embed[v] for v in gamma.values))
+    q = gamma.algebra.quantale
+    require_zdf(q, "the indicator character of a prime ideal")
+    return Character(gamma.algebra, q, _then(gamma.values, two_embedding(q)))
 
 
 def kernel_table(gelfand, prime):
     """The kernel map of one algebra as an index table: cell r is the index
     in prime of the kernel of character r."""
-    require_zdf(gelfand.algebra.quantale, "the kernel comparison map")
-    keys = map(_kernel_values, gelfand.points)
+    collapse = zdf_collapse(gelfand.algebra.quantale)
+    keys = (_then(p.values, collapse) for p in gelfand.points)
     return _table(keys, prime, lambda: "the kernel of a character is not a "
                   f"prime point of algebra {gelfand.algebra.algebra_id}")
 
@@ -309,6 +261,9 @@ def kernel_table(gelfand, prime):
 def indicator_table(prime, gelfand):
     """The indicator map of one algebra as an index table: cell p is the
     index in gelfand of the indicator character of prime ideal p."""
-    keys = (character_from_prime(p).values for p in prime.points)
+    q = prime.algebra.quantale
+    require_zdf(q, "the indicator character of a prime ideal")
+    embed = two_embedding(q)
+    keys = (_then(p.values, embed) for p in prime.points)
     return _table(keys, gelfand, lambda: "the indicator of a prime ideal is "
                   f"not a character of algebra {prime.algebra.algebra_id}")

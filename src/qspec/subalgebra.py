@@ -29,7 +29,7 @@ from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
 from qspec.relations import (
     FiniteSet, QRel, diag_rel, direct_sum_set, hom_size, identity_rel,
-    subset_idempotent, _e_compose, _e_dagger, _e_join, _e_scalar,
+    subset_idempotent, zero_rel, _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 
 DEFAULT_HOM_BOUND = 65536
@@ -50,19 +50,6 @@ class InvariantViolation(RuntimeError):
 
 def hom_bound():
     return int(os.environ.get("QSPEC_MAX_HOM_SIZE", DEFAULT_HOM_BOUND))
-
-
-# -- entry matrices of the constant relations -----------------------------------
-
-
-def _identity_entries(q, n):
-    u, b = q.unit, q.bottom
-    return tuple(tuple(u if i == j else b for j in range(n)) for i in range(n))
-
-
-def _zero_entries(q, n):
-    b = q.bottom
-    return tuple((b,) * n for _ in range(n))
 
 
 # -- the algebra value ------------------------------------------------------------
@@ -110,9 +97,9 @@ class Subsemialgebra:
 
     @cached_property
     def is_unital(self):
-        n = self.carrier.size
-        return (_identity_entries(self.quantale, n) in self.member_set
-                and _zero_entries(self.quantale, n) in self.member_set)
+        q, x = self.quantale, self.carrier
+        return (identity_rel(q, x).entries in self.member_set
+                and zero_rel(q, x, x).entries in self.member_set)
 
     def in_space(self):
         """The Hom(X, X) space and the members' indices in it, in member order.
@@ -131,16 +118,16 @@ class Subsemialgebra:
         return space.is_commutative_mask(_mask(idx))
 
     def is_closed(self):
-        """Closed under join, composition, dagger and every scalar multiple."""
+        """Holds zero and the identity and is closed under join, composition,
+        dagger and every scalar multiple: the semiring tables exist, which
+        needs all but the scalars, and no scalar multiple escapes."""
+        try:
+            self.semiring()
+        except InvariantViolation:
+            return False
         space, idx = self.in_space()
         mask = _mask(idx)
-        for a in idx:
-            if not (mask >> space.dag(a) & 1
-                    and all(mask >> space.smul(s, a) & 1 for s in range(self.quantale.size))
-                    and all(mask >> space.join(a, b) & 1 and mask >> space.comp(a, b) & 1
-                            for b in idx)):
-                return False
-        return self.is_unital
+        return all(mask >> row[a] & 1 for row in space.smul_t for a in idx)
 
     def semiring(self):
         """Member-indexed *-semiring tables (join as addition, composition as
@@ -224,8 +211,7 @@ def close(x, gens, quantale=None):
     Works on entry matrices, so Hom(X, X) is never built."""
     gens = list(gens)
     q = _ambient(x, gens, quantale)
-    n = x.size
-    seed = {_zero_entries(q, n), _identity_entries(q, n)} | {g.entries for g in gens}
+    seed = {zero_rel(q, x, x).entries, identity_rel(q, x).entries, *(g.entries for g in gens)}
     members = _closure((), seed, partial(_e_dagger, q), partial(_e_scalar, q),
                        partial(_e_join, q), partial(_e_compose, q), range(q.size))
     return Subsemialgebra.from_entries(q, x, members)
@@ -483,8 +469,8 @@ class EndoSpace:
         rowpos = {r: i for i, r in enumerate(rows)}
         els = self.elements = list(itertools.product(rows, repeat=n))
         self.index = {e: i for i, e in enumerate(els)}
-        self.zero_idx = self.index[_zero_entries(q, n)]
-        self.id_idx = self.index[_identity_entries(q, n)]
+        self.zero_idx = self.index[zero_rel(q, x, x).entries]
+        self.id_idx = self.index[identity_rel(q, x).entries]
         self.full_mask = (1 << self.size) - 1
         code = self._code = _typecode(self.size)
         self._nbytes = self.size * array(code).itemsize

@@ -4,7 +4,8 @@ entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
 and index tables it is handed and computes none, and a prime point is a
 Character into the two-element quantale, with no type of its own.  The
 down-set scan of prime ideals and the ZDF-gated search into that quantale
-are oracles of a check, not pipeline stages."""
+are oracles of a check, not pipeline stages; the entry-matrix validators of
+one character or one prime ideal live in the tests."""
 
 import importlib
 import pkgutil
@@ -16,7 +17,8 @@ import qspec
 QSPEC_MODULES = sorted(f"qspec.{m.name}" for m in pkgutil.iter_modules(qspec.__path__))
 
 
-@pytest.mark.parametrize("module", ["qspec.contextuality", "qspec.zariski", "qspec.checks"])
+@pytest.mark.parametrize("module", ["qspec.contextuality", "qspec.zariski", "qspec.checks",
+                                    "qspec.spectra"])
 def test_module_binds_no_entry_kernel(module):
     names = vars(importlib.import_module(module))
     assert [n for n in names if n.startswith("_e_") or n == "_zero_entries"] == []

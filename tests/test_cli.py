@@ -80,6 +80,30 @@ def test_broken_quantale_fails_with_exit_one(tmp_path, capsys):
     assert "[FAIL] axioms" in out
 
 
+NOT_A_QUANTALE = {  # the chain 0 < a < 1 with a·a = 1 and a·1 = a
+    "name": "chain", "elements": ["0", "a", "1"],
+    "join": [["0", "a", "1"], ["a", "a", "1"], ["1", "1", "1"]],
+    "mul": [["0", "0", "0"], ["0", "1", "a"], ["0", "a", "1"]],
+    "unit": "1",
+}
+
+
+@pytest.mark.parametrize("command", ["algebras", "spectrum", "sections", "verdict", "topology"])
+def test_enumerating_commands_refuse_a_table_that_is_not_a_quantale(
+        command, tmp_path, monkeypatch, capsys):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("a table that is not a quantale was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_vn", enumerated)
+    monkeypatch.setattr(ctx, "enumerate_vn", enumerated)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(NOT_A_QUANTALE))
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "qspec: error: not a quantale: distributivity fails at (a, a, 1)\n"
+
+
 def test_invalid_config_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-quantale", "--quantale", "nonsense7")
     assert code == 2

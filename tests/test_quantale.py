@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspec.quantale import (
-    QuantaleError, builtin_quantale, endomorphisms, is_zdf, load_quantale,
+    Quantale, QuantaleError, builtin_quantale, endomorphisms, is_zdf, load_quantale,
     parse_quantale_tag, quantale_to_doc, verify_quantale, zdf_witness,
 )
 
@@ -213,6 +213,65 @@ def test_multiple_violations_each_get_a_witness():
     assert "join-idempotent" in names
     assert len(report.violations) >= 2
     assert all(len(w) >= 0 for _, w in report.violations)
+
+
+def doctored_godel3(join=(), mul=(), unit=2, involution=None):
+    """The 3-chain 0 < a < 1 (join max, multiplication min) with some cells
+    of its tables overwritten."""
+    tables = ([[max(i, j) for j in range(3)] for i in range(3)],
+              [[min(i, j) for j in range(3)] for i in range(3)])
+    for table, cells in zip(tables, (join, mul)):
+        for (i, j), v in cells:
+            table[i][j] = v
+    return Quantale("doctored", ("0", "a", "1"), *tables, unit, involution)
+
+
+# One doctored table per axiom, with every violation it reports, in report
+# order, each with its first witness in itertools.product order.
+DOCTORED = {
+    "join-commutative": (doctored_godel3(join=[((0, 1), 2)]), (
+        ("join-commutative", ("0", "a")), ("join-associative", ("a", "0", "a")),
+        ("join-identity", ()), ("distributivity", ("a", "0", "a")))),
+    "join-idempotent": (doctored_godel3(join=[((1, 1), 2)]), (
+        ("join-idempotent", ("a",)), ("distributivity", ("a", "a", "a")))),
+    "join-associative": (doctored_godel3(join=[((1, 2), 0), ((2, 1), 0)]), (
+        ("join-associative", ("a", "a", "1")), ("distributivity", ("a", "a", "1")),
+        ("non-trivial", ()))),
+    "join-identity": (doctored_godel3(join=[((0, 1), 2), ((1, 0), 2)]), (
+        ("join-identity", ()), ("distributivity", ("a", "0", "a")))),
+    "mul-commutative": (doctored_godel3(mul=[((1, 2), 0)]), (
+        ("mul-commutative", ("a", "1")), ("mul-associative", ("a", "1", "a")),
+        ("distributivity", ("a", "a", "1")))),
+    "mul-associative": (doctored_godel3(mul=[((0, 1), 2), ((1, 0), 2)]), (
+        ("mul-associative", ("0", "0", "a")), ("distributivity", ("0", "a", "1")),
+        ("bottom-absorbing", ("a",)))),
+    "mul-unit": (doctored_godel3(unit=1), (("mul-unit", ("1",)),)),
+    "distributivity": (doctored_godel3(mul=[((1, 1), 2)]), (
+        ("distributivity", ("a", "a", "1")),)),
+    "bottom-absorbing": (doctored_godel3(mul=[((1, 0), 1), ((0, 1), 1)]), (
+        ("distributivity", ("0", "a", "1")), ("bottom-absorbing", ("a",)))),
+    "involution-involutive": (doctored_godel3(involution=(0, 2, 2)), (
+        ("involution-involutive", ("a",)),)),
+    "involution-join": (doctored_godel3(involution=(0, 2, 1)), (
+        ("involution-join", ("a", "1")), ("involution-mul", ("a", "1")),
+        ("involution-unit", ()))),
+    "involution-mul": (doctored_godel3(involution=(1, 0, 2)), (
+        ("involution-join", ("0", "a")), ("involution-mul", ("0", "a")))),
+    "involution-unit": (doctored_godel3(involution=(2, 1, 0)), (
+        ("involution-join", ("0", "a")), ("involution-mul", ("0", "a")),
+        ("involution-unit", ()))),
+    "non-trivial": (Quantale("one", ("0",), ((0,),), ((0,),), 0), (
+        ("non-trivial", ()),)),
+}
+
+
+@pytest.mark.parametrize("axiom", DOCTORED)
+def test_each_axiom_is_reported_with_its_first_witness(axiom):
+    q, expected = DOCTORED[axiom]
+    report = verify_quantale(q)
+    assert report.violations == expected
+    assert axiom in dict(expected)
+    assert not report.passed
 
 
 def test_zdf():

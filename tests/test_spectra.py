@@ -7,13 +7,16 @@ import itertools
 
 import pytest
 
-from qspec._homsearch import enumerate_homs
+from qspec._homsearch import enumerate_homs, is_hom
 from qspec.quantale import ZdfRequiredError, builtin_quantale
-from qspec.relations import QRel, add, carrier, compose, dagger, identity_rel, scalar_mul, zero_rel
+from qspec.relations import (
+    QRel, add, carrier, compose, dagger, identity_rel, scalar_mul, zero_rel,
+    _e_compose, _e_dagger, _e_join, _e_scalar,
+)
 from qspec.spectra import (
     TWO, Character, character_from_prime, character_kernel,
-    characters_to_two, gelfand_spectrum, is_character, is_prime_kstar_ideal,
-    prime_ideal_scan, prime_spectrum, restrict_character, restrict_prime,
+    characters_to_two, gelfand_spectrum, prime_ideal_scan, prime_spectrum,
+    restrict_character, restrict_prime,
 )
 from qspec.subalgebra import diagonal_algebra, enumerate_vn, trivial_algebra
 
@@ -24,6 +27,48 @@ X2 = carrier("X", 2)
 
 
 # -- independent oracles ---------------------------------------------------------
+
+
+def is_character(algebra, target, values):
+    """Full homomorphism validation for one value table, including the derived
+    scalar compatibility value(s * m) = value(s * id) . value(m)."""
+    sr = algebra.semiring()
+    if not is_hom(sr, target.semiring(), values):
+        return False
+    q = algebra.quantale
+    pos = algebra.member_pos
+    for s in range(q.size):
+        scaled_unit = values[pos[_e_scalar(q, s, algebra.members[sr.one])]]
+        for i, m in enumerate(algebra.members):
+            if values[pos[_e_scalar(q, s, m)]] != target.mul(scaled_unit, values[i]):
+                return False
+    return True
+
+
+def is_prime_kstar_ideal(algebra, members):
+    """Direct validation of one subset against the prime k*-ideal conditions."""
+    q, x = algebra.quantale, algebra.carrier
+    s = frozenset(members)
+    if not s <= algebra.member_set or zero_rel(q, x, x).entries not in s:
+        return False
+    if identity_rel(q, x).entries in s:
+        return False
+    for a in s:
+        if _e_dagger(q, a) not in s:
+            return False
+        for b in s:
+            if _e_join(q, a, b) not in s:
+                return False
+        for b in algebra.members:
+            if _e_compose(q, a, b) not in s:
+                return False
+            joined = _e_join(q, a, b)
+            if joined in s and b not in s:
+                return False
+    for a, b in itertools.combinations_with_replacement(algebra.members, 2):
+        if _e_compose(q, a, b) in s and a not in s and b not in s:
+            return False
+    return True
 
 
 def oracle_characters(a, target):

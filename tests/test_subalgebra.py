@@ -464,11 +464,14 @@ def test_flags_match_their_entry_definitions(q):
     rng = random.Random(71)
     rels = list(all_relations(q, X2, X2))
     algebras = enumerate_vn(X2, q).algebras
+    # zero and the identity: a unital *-semiring, but over more than two
+    # scalars not closed under their multiples
+    constants = Subsemialgebra.from_rels([zero_rel(q, X2, X2), identity_rel(q, X2)])
     seen = set()
     for _ in range(12):
         sample = rng.sample(rels, rng.randint(1, 6))
         for a in (Subsemialgebra.from_rels(sample), commutant(X2, sample[:2]),
-                  join_star_closure(X2, sample[:1], q), rng.choice(algebras)):
+                  join_star_closure(X2, sample[:1], q), rng.choice(algebras), constants):
             flags = (a.is_closed(), a.is_commutative, a.is_star_closed)
             assert flags == (oracle_is_closed(a), oracle_is_commutative(a),
                              oracle_is_star_closed(a))

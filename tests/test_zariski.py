@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspec.quantale import ZdfRequiredError, builtin_quantale, parse_quantale_tag
-from qspec.relations import _e_compose, _e_join, carrier
+from qspec.relations import _e_compose, _e_join, carrier, zero_rel
 from qspec.spectra import (
     character_kernel, gelfand_spectrum, kernel_table, prime_spectrum, restriction_table,
 )
-from qspec.subalgebra import (
-    _zero_entries, diagonal_algebra, enumerate_vn, trivial_algebra,
-)
+from qspec.subalgebra import diagonal_algebra, enumerate_vn, trivial_algebra
 from qspec.zariski import (
     MAX_IDEAL_SCAN_MEMBERS, FiniteTopology, all_ideals, check_continuity, closed_family_from_basis,
     is_homeomorphism, kolmogorov_quotient, separation_report,
@@ -75,7 +73,7 @@ def oracle_all_ideals(algebra):
     """Every subset containing zero that is join-closed and absorbs
     multiplication, by scanning all subsets."""
     q = algebra.quantale
-    zero = _zero_entries(q, algebra.carrier.size)
+    zero = zero_rel(q, algebra.carrier, algebra.carrier).entries
     rest = [m for m in algebra.members if m != zero]
     out = []
     for bits in range(1 << len(rest)):
@@ -151,7 +149,7 @@ def oracle_ideal_closure(algebra):
     principal ideal m.A at a time."""
     q = algebra.quantale
     members = algebra.members
-    family = {frozenset({_zero_entries(q, algebra.carrier.size)})}
+    family = {frozenset({zero_rel(q, algebra.carrier, algebra.carrier).entries})}
     for m in members:
         principal = {_e_compose(q, m, a) for a in members}
         family |= {frozenset(_e_join(q, i, j) for i in ideal for j in principal)
