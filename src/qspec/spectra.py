@@ -236,8 +236,9 @@ def _then(values, f):
 
 def character_kernel(rho):
     """The prime point of the members a character sends to bottom: rho
-    followed by the collapse of the scalars onto TWO (ZDF scalars)."""
-    return Character(rho.algebra, TWO, _then(rho.values, zdf_collapse(rho.algebra.quantale)))
+    followed by the collapse of its target onto TWO (ZDF scalars)."""
+    require_zdf(rho.algebra.quantale, "the kernel comparison map")
+    return Character(rho.algebra, TWO, _then(rho.values, zdf_collapse(rho.target)))
 
 
 def character_from_prime(gamma):
@@ -261,9 +262,6 @@ def kernel_table(gelfand, prime):
 def indicator_table(prime, gelfand):
     """The indicator map of one algebra as an index table: cell p is the
     index in gelfand of the indicator character of prime ideal p."""
-    q = prime.algebra.quantale
-    require_zdf(q, "the indicator character of a prime ideal")
-    embed = two_embedding(q)
-    keys = (_then(p.values, embed) for p in prime.points)
+    keys = (character_from_prime(p).values for p in prime.points)
     return _table(keys, gelfand, lambda: "the indicator of a prime ideal is "
                   f"not a character of algebra {prime.algebra.algebra_id}")

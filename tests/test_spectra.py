@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from qspec._homsearch import enumerate_homs, is_hom
-from qspec.quantale import ZdfRequiredError, builtin_quantale
+from qspec.quantale import ZdfRequiredError, builtin_quantale, load_quantale
 from qspec.relations import (
     QRel, add, carrier, compose, dagger, identity_rel, scalar_mul, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
@@ -24,6 +24,14 @@ BOOL2 = builtin_quantale("boolean2")
 GODEL3 = builtin_quantale("godel_chain", 3)
 LUK3 = builtin_quantale("lukasiewicz_chain", 3)
 X2 = carrier("X", 2)
+# boolean2 listed top first, so its bottom is index 1, not 0
+BOOL2_TOP_FIRST = load_quantale({
+    "name": "boolean2-top-first",
+    "elements": ["1", "0"],
+    "join": [["1", "1"], ["1", "0"]],
+    "mul": [["1", "0"], ["0", "0"]],
+    "unit": "1",
+})
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -324,13 +332,15 @@ def test_characters_to_two_requires_zdf():
 
 def test_kernel_bijection_everywhere():
     godel4 = builtin_quantale("godel_chain", 4)
-    for q in (BOOL2, GODEL3, godel4):
+    for q in (BOOL2, GODEL3, godel4, BOOL2_TOP_FIRST):
         for a in enumerate_vn(X2, q).algebras:
             gammas = characters_to_two(a)
             kernels = [character_kernel(g).kernel_members() for g in gammas]
             assert len(set(kernels)) == len(gammas)
             assert sorted(kernels) == scan_kernels(a)
             assert sorted(g.values for g in gammas) == sorted(prime_ideal_scan(a))
+            for rho in gelfand_spectrum(a).points:
+                assert character_kernel(rho).kernel_members() == rho.kernel_members()
 
 
 def test_exactly_one_primitive_idempotent_maps_to_one():
