@@ -27,8 +27,8 @@ from qspec.spectra import (
     restrict_prime,
 )
 from qspec.contextuality import (
-    Presheaf, Section, Verdict, build_presheaf, canonical_section,
-    global_sections, is_natural, ks_verdict, section_element,
+    Presheaf, Verdict, build_presheaf, canonical_section, global_sections,
+    is_natural, ks_verdict, section_element,
 )
 from qspec.zariski import (
     FiniteTopology, SeparationReport, check_continuity, is_homeomorphism,

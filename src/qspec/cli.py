@@ -17,7 +17,7 @@ import sys
 from qspec import checks
 from qspec.contextuality import ks_verdict
 from qspec.quantale import (
-    QuantaleError, is_zdf, load_quantale_file, parse_quantale_tag,
+    QuantaleError, endomorphisms, is_zdf, load_quantale_file, parse_quantale_tag,
     quantale_to_doc, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
@@ -156,7 +156,6 @@ def _cmd_check_quantale(args):
     results = checks.quantale_suite(q)
     if axioms.passed:
         results += checks.relations_suite(q, args.seed)
-        from qspec.quantale import endomorphisms
         report["endomorphisms"] = [[q.elements[v] for v in h.mapping]
                                    for h in endomorphisms(q)]
     return _finish(report, results, args)

@@ -36,13 +36,6 @@ class Presheaf:
     restrictions: dict  # Hasse edge (sub_idx, sup_idx) -> row: sup point -> sub point
 
 
-@dataclass(frozen=True)
-class Section:
-    """A choice of one point index per algebra, natural under restriction."""
-
-    choice: tuple
-
-
 @dataclass
 class Verdict:
     carrier: tuple
@@ -50,7 +43,7 @@ class Verdict:
     mode: str
     zdf: bool
     contextual: bool
-    gelfand_sections: tuple
+    gelfand_sections: tuple  # each a choice tuple: one point index per algebra
     prime_sections: tuple | None
     canonical_by_point: dict
     element_map: dict  # prime section -> carrier point
@@ -65,17 +58,16 @@ class Verdict:
             "hypotheses_met": self.zdf,
             "contextual": self.contextual,
             "section_count": len(self.gelfand_sections),
-            "sections": [list(s.choice) for s in self.gelfand_sections],
+            "sections": [list(s) for s in self.gelfand_sections],
             "prime_section_count": (None if self.prime_sections is None
                                     else len(self.prime_sections)),
             "prime_sections": (None if self.prime_sections is None
-                               else [list(s.choice) for s in self.prime_sections]),
-            "canonical_sections": {str(k): list(v.choice)
+                               else [list(s) for s in self.prime_sections]),
+            "canonical_sections": {str(k): list(v)
                                    for k, v in sorted(self.canonical_by_point.items(),
                                                       key=lambda kv: str(kv[0]))},
-            "element_map": {",".join(map(str, k.choice)): str(v)
-                            for k, v in sorted(self.element_map.items(),
-                                               key=lambda kv: kv[0].choice)},
+            "element_map": {",".join(map(str, k)): str(v)
+                            for k, v in sorted(self.element_map.items())},
             "notes": list(self.notes),
         }
 
@@ -90,7 +82,8 @@ def build_presheaf(poset, kind):
 
 
 def global_sections(sheaf):
-    """Every global section, in lexicographic order.
+    """Every global section, as a tuple of point indices in poset order, in
+    lexicographic order.
 
     Depth-first search that branches on the maximal algebras, those with the
     largest down-set first.  A choice forces values down the Hasse edges,
@@ -156,7 +149,7 @@ def global_sections(sheaf):
     def descend(pos):
         """Open the maximal algebra at pos, or keep a complete assignment."""
         if pos == len(order):
-            found.append(Section(tuple(choice)))
+            found.append(tuple(choice))
             return
         a = order[pos]
         anchor = anchors.get(a)
@@ -173,7 +166,7 @@ def global_sections(sheaf):
             stack.append((pos, candidates, k + 1, mark))
             if assign(order[pos], candidates[k]):
                 descend(pos + 1)
-    found.sort(key=lambda s: s.choice)
+    found.sort()
     return found
 
 
@@ -202,7 +195,7 @@ def canonical_section(point, sheaf):
         row = sr.mul[_member_index(dec, idx, dec.idempotents[owners[0]])]
         values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)
         choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
-    section = Section(tuple(choice))
+    section = tuple(choice)
     if not is_natural(section, sheaf):
         raise InvariantViolation("canonical section failed the naturality check")
     return section
@@ -219,7 +212,7 @@ def _member_index(dec, idx, e):
 
 def is_natural(section, sheaf):
     for (i, j), table in sheaf.restrictions.items():
-        if table[section.choice[j]] != section.choice[i]:
+        if table[section[j]] != section[i]:
             return False
     return True
 
@@ -235,7 +228,7 @@ def section_element(section, sheaf):
         raise ValueError("the diagonal algebra is not part of the poset")
     selected = []
     for idx, dec in enumerate(poset.decompositions):
-        ideal = sheaf.values[idx].points[section.choice[idx]]
+        ideal = sheaf.values[idx].points[section[idx]]
         outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
                    if ideal.values[_member_index(dec, idx, e)] != TWO.bottom]
         if len(outside) != 1:
@@ -261,7 +254,7 @@ def transport_prime_section(section, prime_sheaf, gelfand_sheaf):
     """Map a prime section pointwise to characters; the image must be a global
     section of the scalar-valued presheaf."""
     indicator = prime_sheaf.poset.comparisons("indicator")
-    out = Section(tuple(t[c] for t, c in zip(indicator, section.choice)))
+    out = tuple(t[c] for t, c in zip(indicator, section))
     if not is_natural(out, gelfand_sheaf):
         raise InvariantViolation("transported prime section is not natural")
     return out
@@ -270,7 +263,7 @@ def transport_prime_section(section, prime_sheaf, gelfand_sheaf):
 def transport_gelfand_section(section, gelfand_sheaf, prime_sheaf):
     """Map a scalar-valued section pointwise to its kernels on the prime side."""
     kernel = gelfand_sheaf.poset.comparisons("kernel")
-    out = Section(tuple(t[c] for t, c in zip(kernel, section.choice)))
+    out = tuple(t[c] for t, c in zip(kernel, section))
     if not is_natural(out, prime_sheaf):
         raise InvariantViolation("transported scalar section is not natural")
     return out
@@ -312,7 +305,7 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
             transport_gelfand_section(s, gelfand, prime)
         for p in x.elements:
             canonical[p] = canonical_section(p, prime)
-        if len({c.choice for c in canonical.values()}) != len(x.elements):
+        if len(set(canonical.values())) != len(x.elements):
             raise InvariantViolation("carrier points induced colliding sections")
         for p, c in canonical.items():
             if section_element(c, prime) != p:

@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from qspec._homsearch import enumerate_homs
 from qspec.quantale import TWO, Quantale, require_zdf, two_embedding, zdf_collapse
-from qspec.subalgebra import InvariantViolation, Subsemialgebra
+from qspec.subalgebra import InvariantViolation, Subsemialgebra, _typecode
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,8 @@ def _table(keys, spectrum, escaped):
     """The indices in spectrum of the points with the given keys, as an
     unsigned array; a key outside the spectrum raises InvariantViolation
     with the message escaped() returns."""
-    code = "H" if spectrum.size <= 1 << 16 else "L"
     try:
-        return array(code, map(spectrum.point_index.__getitem__, keys))
+        return array(_typecode(spectrum.size), map(spectrum.point_index.__getitem__, keys))
     except KeyError:
         raise InvariantViolation(escaped()) from None
 
@@ -244,9 +243,9 @@ def character_kernel(rho):
 def character_from_prime(gamma):
     """The indicator character of a prime point, or of any character into
     TWO: gamma followed by the unique quantale embedding of TWO into the
-    scalars."""
+    scalars.  The embedding is a quantale map whatever the scalars, so zero
+    divisors do no harm here."""
     q = gamma.algebra.quantale
-    require_zdf(q, "the indicator character of a prime ideal")
     return Character(gamma.algebra, q, _then(gamma.values, two_embedding(q)))
 
 

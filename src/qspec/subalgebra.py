@@ -28,8 +28,8 @@ from functools import cached_property, partial
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
 from qspec.relations import (
-    FiniteSet, QRel, diag_rel, direct_sum_set, hom_size, identity_rel,
-    subset_idempotent, zero_rel, _e_compose, _e_dagger, _e_join, _e_scalar,
+    FiniteSet, QRel, diag_rel, direct_sum_set, hom_size, identity_rel, zero_rel,
+    _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 
 DEFAULT_HOM_BOUND = 65536
@@ -327,9 +327,18 @@ class Decomposition:
     supports: tuple     # per idempotent, its carrier points in carrier order
 
 
-def _support_indices(q, entries):
+def support_projections(a):
+    """Each distinct member support, as a frozenset of carrier indices (the
+    empty support included), mapped to the entries of its subset projection:
+    the identity on the support and bottom elsewhere."""
+    q, x = a.quantale, a.carrier
     b = q.bottom
-    return frozenset(i for i, row in enumerate(entries) if any(v != b for v in row))
+    out = {}
+    for m in a.members:
+        s = frozenset(i for i, row in enumerate(m) if any(v != b for v in row))
+        if s not in out:
+            out[s] = diag_rel(q, x, [q.unit if i in s else b for i in range(x.size)]).entries
+    return out
 
 
 def primitive_idempotents(a):
@@ -339,22 +348,18 @@ def primitive_idempotents(a):
     require_zdf(q, "primitive idempotent decomposition")
     if not is_von_neumann(a):
         raise ValueError("decomposition needs a von Neumann algebra")
-    points = a.carrier.elements
-    supports = {_support_indices(q, m) for m in a.members}
-    supports.discard(frozenset())
-    for s in supports:
-        proj = subset_idempotent(q, a.carrier, [points[i] for i in s])
-        if proj.entries not in a.member_set:
-            raise InvariantViolation(
-                "support projection escaped the algebra; enumeration is broken")
-    atoms = [s for s in supports
-             if not any(t < s for t in supports if t)]
+    projections = support_projections(a)
+    if not a.member_set.issuperset(projections.values()):
+        raise InvariantViolation(
+            "support projection escaped the algebra; enumeration is broken")
+    supports = [s for s in projections if s]
+    atoms = [s for s in supports if not any(t < s for t in supports)]
     atoms.sort(key=min)
-    covered = set().union(*atoms) if atoms else set()
-    if covered != set(range(a.carrier.size)):
+    if set().union(*atoms) != set(range(a.carrier.size)):
         raise InvariantViolation("support atoms do not cover the carrier")
+    points = a.carrier.elements
     atom_points = tuple(tuple(points[i] for i in sorted(s)) for s in atoms)
-    idempotents = tuple(subset_idempotent(q, a.carrier, pts) for pts in atom_points)
+    idempotents = tuple(QRel(q, a.carrier, a.carrier, projections[s]) for s in atoms)
     mul = a.semiring().mul
     components = tuple(
         tuple(a.members[k] for k in sorted(set(mul[a.member_pos[e.entries]])))
@@ -609,9 +614,13 @@ class AlgebraPoset:
     algebras: tuple
     mode: str
     max_generators: int | None
-    complete: bool
     leq_pairs: frozenset  # (i, j) with algebra i included in algebra j
     hasse: tuple
+
+    @property
+    def complete(self):
+        """Only the exhaustive walk is known to list every algebra."""
+        return self.mode == "exhaustive"
 
     def index_of(self, algebra):
         for i, a in enumerate(self.algebras):
@@ -671,7 +680,7 @@ class AlgebraPoset:
         """The kernel map ("kernel", characters to prime points) or the
         indicator map ("indicator", prime points to characters) of every
         algebra as an index table, in poset order; computed once per poset.
-        Both need zero-divisor-free scalars."""
+        The kernel map needs zero-divisor-free scalars."""
         memo = self.__dict__.setdefault("_comparisons", {})
         if name not in memo:
             from qspec import spectra
@@ -738,7 +747,7 @@ class AlgebraPoset:
         return "\n".join(lines) + "\n"
 
 
-def _poset_from_masks(space, masks, mode, max_generators, complete):
+def _poset_from_masks(space, masks, mode, max_generators):
     """The inclusion poset of the algebras with the given member masks.
     Each algebra gets the bitset of the algebras strictly above it: the AND,
     over its members, of the algebras holding that member, less itself.  Its
@@ -765,7 +774,7 @@ def _poset_from_masks(space, masks, mode, max_generators, complete):
             higher |= above[j]
         hasse.extend((i, j) for j in _bits(up & ~higher))
     return AlgebraPoset(space.quantale, space.carrier, tuple(a for a, _ in pairs), mode,
-                        max_generators, complete, frozenset(leq), tuple(hasse))
+                        max_generators, frozenset(leq), tuple(hasse))
 
 
 def maximal_cliques(adj, vertices):
@@ -857,7 +866,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
                         family.add(nm)
                         frontier.append(nm)
         keep = [m for m in family if space.is_star_mask(m)]
-        return _poset_from_masks(space, keep, "exhaustive", None, True)
+        return _poset_from_masks(space, keep, "exhaustive", None)
     if mode == "generated":
         k = max_generators
         if k < 0:
@@ -889,5 +898,5 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
                             fresh.append(consider(cl))
                         known |= {u, cl}
             level = fresh
-        return _poset_from_masks(space, found, "generated", k, False)
+        return _poset_from_masks(space, found, "generated", k)
     raise ValueError(f"unknown enumeration mode {mode!r}")

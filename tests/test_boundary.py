@@ -5,7 +5,9 @@ and index tables it is handed and computes none, and a prime point is a
 Character into the two-element quantale, with no type of its own.  The
 down-set scan of prime ideals and the ZDF-gated search into that quantale
 are oracles of a check, not pipeline stages; the entry-matrix validators of
-one character or one prime ideal live in the tests."""
+one character or one prime ideal live in the tests.  A global section is a
+plain tuple of point indices, and the support checks read their projections
+from qspec.subalgebra, not from the relation-level support."""
 
 import importlib
 import pkgutil
@@ -32,9 +34,10 @@ def test_sections_read_supports_from_the_decomposition():
     ("qspec.zariski", {"gelfand_spectrum", "prime_spectrum"}),
     *((module, {"PrimeIdeal"}) for module in ["qspec", *QSPEC_MODULES]),
     ("qspec.zariski", {"restriction_table", "kernel_table"}),
-    ("qspec.checks", {"functor_law_violation"}),
+    ("qspec.checks", {"functor_law_violation", "support", "subset_idempotent"}),
     *((module, {"characters_to_two", "prime_ideal_scan"})
       for module in ["qspec.contextuality", "qspec.zariski", "qspec.cli"]),
+    *((module, {"Section"}) for module in ["qspec", "qspec.contextuality"]),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))

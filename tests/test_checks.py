@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from qspec import cli
-from qspec.checks import algebras_suite, spectra_suite, topology_suite
+from qspec import checks as checks_module, cli
+from qspec.checks import algebras_suite, quantale_suite, spectra_suite, topology_suite
 from qspec.contextuality import build_presheaf
-from qspec.quantale import builtin_quantale
+from qspec.quantale import AxiomReport, builtin_quantale
 from qspec.relations import carrier, diag_rel
 from qspec.spectra import restriction_mismatch
 from qspec.subalgebra import InvariantViolation, Subsemialgebra, enumerate_vn
@@ -132,6 +132,46 @@ def test_an_undecomposed_algebra_fails_its_checks_and_still_writes_the_report(
         assert code == 1, command
         assert f"[FAIL] {check}  A{d}: decomposition needs a von Neumann algebra" in out
         assert out.endswith("result: FAILED\n")
+
+
+def test_a_commutant_that_ignores_a_relation_fails_triple_commutant(monkeypatch):
+    # Ignoring the last relation keeps the commutant antitone (the larger
+    # sample still covers the smaller), so only B''' = B' can see it.
+    poset = enumerate_vn(X2, builtin_quantale("boolean2"))
+    intact = verdicts(algebras_suite(poset, seed=0))
+    assert all(intact.values())
+    real = checks_module.commutant
+    monkeypatch.setattr(checks_module, "commutant",
+                        lambda x, rels, q=None: real(x, list(rels)[:-1], q))
+    broken = verdicts(algebras_suite(poset, seed=0))
+    assert [c for c, ok in broken.items() if not ok] == ["triple-commutant"]
+
+
+# -- quantale checks on godel3, whose endomorphism monoid is checked ------------
+
+
+def failed_quantale_checks():
+    return [r.name for r in quantale_suite(GODEL3) if not r.passed]
+
+
+def test_an_endomorphism_list_without_the_identity_fails_endomorphism_monoid(monkeypatch):
+    assert failed_quantale_checks() == []
+    real = checks_module.endomorphisms
+    monkeypatch.setattr(checks_module, "endomorphisms", lambda q: [
+        h for h in real(q) if h.mapping != tuple(range(q.size))])
+    assert failed_quantale_checks() == ["endomorphism-monoid"]
+
+
+def test_a_verifier_that_changes_its_answer_fails_verify_deterministic(monkeypatch):
+    assert failed_quantale_checks() == []
+    real, calls = checks_module.verify_quantale, []
+
+    def flaky(q):  # the first answer is right, every later one a made-up failure
+        calls.append(q)
+        return real(q) if len(calls) == 1 else AxiomReport(False, (("distributivity", ()),))
+
+    monkeypatch.setattr(checks_module, "verify_quantale", flaky)
+    assert failed_quantale_checks() == ["verify-deterministic"]
 
 
 # -- topology checks on godel3 |X|=2, which is ZDF ------------------------------

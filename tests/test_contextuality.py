@@ -14,7 +14,7 @@ from qspec.relations import (
     carrier, diag_rel, subset_idempotent, support, zero_rel, _e_compose,
 )
 from qspec.contextuality import (
-    Presheaf, Section, build_presheaf, canonical_section, global_sections,
+    Presheaf, build_presheaf, canonical_section, global_sections,
     is_natural, ks_verdict, section_element, transport_gelfand_section,
     transport_prime_section,
 )
@@ -71,8 +71,7 @@ def oracle_sections(sheaf):
     domains = [list(range(v.size)) for v in sheaf.values]
     constraints = {(i, j): {(table[pj], pj) for pj in range(len(table))}
                    for (i, j), table in sheaf.restrictions.items()}
-    return [Section(choice)
-            for choice in csp.solve_all(len(sheaf.values), domains, constraints)]
+    return csp.solve_all(len(sheaf.values), domains, constraints)
 
 
 # -- the solver itself ---------------------------------------------------------
@@ -108,7 +107,7 @@ def test_single_object_poset_sections_are_the_points():
         sheaf = build_presheaf(poset, "gelfand")
         secs = global_sections(sheaf)
         assert len(secs) == expected
-        assert [s.choice for s in secs] == [(i,) for i in range(expected)]
+        assert secs == [(i,) for i in range(expected)]
 
 
 def test_presheaf_tables_match_pointwise_restriction():
@@ -255,7 +254,7 @@ def test_canonical_sections_equal_the_entry_kernels(tag, size, mode):
     sheaf = build_presheaf(poset, "prime")
     for p in x.elements:
         section = canonical_section(p, sheaf)
-        assert section.choice == oracle_canonical_choice(p, sheaf)
+        assert section == oracle_canonical_choice(p, sheaf)
         assert section_element(section, sheaf) == p
 
 
@@ -273,13 +272,13 @@ def test_canonical_section_boolean_picks_the_complement_ideal():
     sheaf = build_presheaf(poset, "prime")
     s = canonical_section("1", sheaf)
     d_idx = poset.diagonal_index
-    chosen = sheaf.values[d_idx].points[s.choice[d_idx]]
+    chosen = sheaf.values[d_idx].points[s[d_idx]]
     q = BOOL2
     # the ideal must kill everything supported at "1": zero and the idempotent at "2"
     labels = {"".join(str(v) for row in m for v in row) for m in chosen.kernel_members()}
     assert labels == {"0000", "0001"}
     t_idx = poset.trivial_index
-    chosen_t = sheaf.values[t_idx].points[s.choice[t_idx]]
+    chosen_t = sheaf.values[t_idx].points[s[t_idx]]
     assert set(chosen_t.kernel_members()) == {((0, 0), (0, 0))}
     assert is_natural(s, sheaf)
 
@@ -319,7 +318,7 @@ def test_section_element_requires_the_diagonal():
         leq_pairs=frozenset((i, j) for (i, j) in [] ), hasse=())
     small_sheaf = build_presheaf(smaller, "prime")
     with pytest.raises(ValueError, match="diagonal"):
-        section_element(Section(tuple(0 for _ in pruned_algebras)), small_sheaf)
+        section_element(tuple(0 for _ in pruned_algebras), small_sheaf)
 
 
 def test_section_element_rejects_components_without_a_common_point():
@@ -329,12 +328,12 @@ def test_section_element_rejects_components_without_a_common_point():
     x3 = carrier("X", 3)
     split = close(x3, [subset_idempotent(BOOL2, x3, pts) for pts in (["1"], ["2", "3"])])
     poset = AlgebraPoset(BOOL2, x3, (split, diagonal_algebra(x3, BOOL2)), "exhaustive",
-                         None, True, frozenset({(0, 0), (1, 1), (0, 1)}), ((0, 1),))
+                         None, frozenset({(0, 0), (1, 1), (0, 1)}), ((0, 1),))
     sheaf = build_presheaf(poset, "prime")
     at_1, at_2 = (canonical_section(p, sheaf) for p in ("1", "2"))
     assert section_element(at_2, sheaf) == "2"
     # The diagonal now picks {1} while the split algebra still picks {2,3}.
-    spliced = Section((at_2.choice[0], at_1.choice[1]))
+    spliced = (at_2[0], at_1[1])
     with pytest.raises(InvariantViolation, match="do not share the point"):
         section_element(spliced, sheaf)
 
@@ -369,10 +368,10 @@ def test_transports_carry_sections_both_ways():
         p_secs = global_sections(prime)
         for s in p_secs:
             out = transport_prime_section(s, prime, gelfand)
-            assert out.choice in {g.choice for g in g_secs}
+            assert out in g_secs
         for s in g_secs:
             out = transport_gelfand_section(s, gelfand, prime)
-            assert out.choice in {p.choice for p in p_secs}
+            assert out in p_secs
 
 
 # -- verdicts ---------------------------------------------------------------------------
@@ -387,7 +386,7 @@ def test_verdicts_zdf_quantales():
             assert not v.contextual
             assert v.prime_sections, "prime route found no sections"
             assert len(v.canonical_by_point) == n
-            assert len({s.choice for s in v.canonical_by_point.values()}) == n
+            assert len(set(v.canonical_by_point.values())) == n
             for p, s in v.canonical_by_point.items():
                 assert v.element_map[s] == p
             for s in v.prime_sections:

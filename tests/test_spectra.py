@@ -420,6 +420,15 @@ def test_kernel_of_indicator_recovers_the_ideal():
                 assert character_kernel(rho).kernel_members() == p.kernel_members()
 
 
+def test_the_indicator_of_a_prime_point_needs_no_zdf_scalars():
+    # two_embedding is a quantale map into any scalars, zero divisors or not
+    for a in enumerate_vn(X2, LUK3).algebras:
+        for p in prime_spectrum(a).points:
+            rho = character_from_prime(p)
+            assert is_character(a, LUK3, rho.values)
+            assert rho.kernel_members() == p.kernel_members()
+
+
 def test_embedding_two_valued_characters_preserves_kernels():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:

@@ -563,7 +563,7 @@ def test_enumerate_boolean2_x2_matches_subset_scan_oracle():
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
 def test_enumerate_matches_the_moore_walk_oracle(q):
     space = get_endospace(q, X2)
-    expected = _poset_from_masks(space, oracle_walk(space), "exhaustive", None, True)
+    expected = _poset_from_masks(space, oracle_walk(space), "exhaustive", None)
     poset = enumerate_vn(X2, q)
     assert poset.algebras == expected.algebras
     assert poset.leq_pairs == expected.leq_pairs
@@ -577,7 +577,7 @@ def test_enumerate_matches_the_moore_walk_oracle(q):
 def test_enumerate_matches_the_clique_walk_oracle(q, n):
     x = carrier("X", n)
     space = get_endospace(q, x)
-    expected = _poset_from_masks(space, oracle_clique_walk(space), "exhaustive", None, True)
+    expected = _poset_from_masks(space, oracle_clique_walk(space), "exhaustive", None)
     poset = enumerate_vn(x, q)
     assert poset.algebras == expected.algebras
     assert poset.leq_pairs == expected.leq_pairs
@@ -657,7 +657,7 @@ def test_generated_mode_matches_the_combination_oracle(q, n, k):
     x = carrier("X", n)
     space = get_endospace(q, x)
     expected = _poset_from_masks(space, oracle_generated_walk(space, x, q, k),
-                                 "generated", k, False)
+                                 "generated", k)
     poset = enumerate_vn(x, q, "generated", k)
     assert poset.algebras == expected.algebras
     assert poset.leq_pairs == expected.leq_pairs
