@@ -194,7 +194,10 @@ def canonical_section(point, sheaf):
         sr = a.semiring()
         row = sr.mul[_member_index(dec, idx, dec.idempotents[owners[0]])]
         values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)
-        choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
+        try:
+            choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
+        except ValueError as exc:
+            raise InvariantViolation(f"A{idx}: canonical section of {point!r}: {exc}") from None
     section = tuple(choice)
     if not is_natural(section, sheaf):
         raise InvariantViolation("canonical section failed the naturality check")

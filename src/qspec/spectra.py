@@ -126,9 +126,7 @@ def prime_spectrum(algebra, below=None):
 
 def characters_to_two(algebra):
     """All homomorphisms into the two-element quantale, in ascending order
-    of values (needs a ZDF scalar quantale for the collapse onto {0, 1} to
-    respect multiplication)."""
-    require_zdf(algebra.quantale, "characters into the two-element quantale")
+    of values: the prime spectrum's search, over any scalar quantale."""
     return _characters(algebra, TWO, None)
 
 

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from qspec._homsearch import TableSemiring
 from qspec.quantale import Quantale, QuantaleError, require_zdf
 from qspec.relations import (
-    FiniteSet, QRel, diag_rel, direct_sum_set, hom_size, identity_rel, zero_rel,
+    FiniteSet, QRel, diag_rel, hom_size, identity_rel, oplus, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 
@@ -120,14 +120,14 @@ class Subsemialgebra:
     def is_closed(self):
         """Holds zero and the identity and is closed under join, composition,
         dagger and every scalar multiple: the semiring tables exist, which
-        needs all but the scalars, and no scalar multiple escapes."""
+        needs all but the scalars, and the scalar line lies inside, which then
+        gives every s·a = (s·id)∘a."""
         try:
             self.semiring()
         except InvariantViolation:
             return False
         space, idx = self.in_space()
-        mask = _mask(idx)
-        return all(mask >> row[a] & 1 for row in space.smul_t for a in idx)
+        return space.scalar_line & ~_mask(idx) == 0
 
     def semiring(self):
         """Member-indexed *-semiring tables (join as addition, composition as
@@ -177,11 +177,22 @@ def _ambient(x, gens, quantale):
     return q
 
 
-def _closure(closed, seed, dag, smul, join, comp, scalars):
-    """Fixed point of closed ∪ seed under dag, every scalar multiple, join and
-    composition on both sides, where closed is already such a fixed point:
-    only the pairs with at least one element outside it are evaluated
-    (semi-naive evaluation).  Elements are whatever the operations take."""
+def _scalar_line(q, x):
+    """The entries of s·id for every scalar s.  The line is closed: s·id ∨
+    t·id = (s∨t)·id, (s·id)∘(t·id) = st·id and (s·id)† = s*·id; so it is the
+    trivial algebra, and it holds 0 and id.  Every scalar multiple is a
+    composite with it: s·a = (s·id)∘a."""
+    one = identity_rel(q, x).entries
+    return {_e_scalar(q, s, one) for s in range(q.size)}
+
+
+def _closure(closed, seed, dag, join, comp):
+    """Fixed point of closed ∪ seed under dag, join and composition on both
+    sides, where closed is already such a fixed point: only the pairs with at
+    least one element outside it are evaluated (semi-naive evaluation).
+    Elements are whatever the operations take.  Seeded with the scalar line,
+    or with closed holding it, the fixed point is closed under every scalar
+    multiple too, since s·a = (s·id)∘a."""
     members = set(closed)
     frontier = list(set(seed) - members)
     members.update(frontier)
@@ -195,8 +206,6 @@ def _closure(closed, seed, dag, smul, join, comp, scalars):
 
         for a in frontier:
             push(dag(a))
-            for s in scalars:
-                push(smul(s, a))
             for b in list(members):
                 push(join(a, b))
                 push(comp(a, b))
@@ -207,13 +216,13 @@ def _closure(closed, seed, dag, smul, join, comp, scalars):
 
 def close(x, gens, quantale=None):
     """Smallest subsemialgebra containing the generators: fixed-point closure
-    under join, composition, dagger and scalar multiples, seeded with 0 and id.
-    Works on entry matrices, so Hom(X, X) is never built."""
+    under join, composition, dagger and scalar multiples, seeded with the
+    scalar line.  Works on entry matrices, so Hom(X, X) is never built."""
     gens = list(gens)
     q = _ambient(x, gens, quantale)
-    seed = {zero_rel(q, x, x).entries, identity_rel(q, x).entries, *(g.entries for g in gens)}
-    members = _closure((), seed, partial(_e_dagger, q), partial(_e_scalar, q),
-                       partial(_e_join, q), partial(_e_compose, q), range(q.size))
+    seed = _scalar_line(q, x) | {g.entries for g in gens}
+    members = _closure((), seed, partial(_e_dagger, q), partial(_e_join, q),
+                       partial(_e_compose, q))
     return Subsemialgebra.from_entries(q, x, members)
 
 
@@ -243,8 +252,9 @@ def is_von_neumann(a):
 
 
 def trivial_algebra(x, q):
-    """The closure of the scalar multiples of the identity."""
-    return close(x, [identity_rel(q, x)], q)
+    """The smallest subsemialgebra: the scalar line {s·id : s in Q}, which is
+    already closed."""
+    return Subsemialgebra.from_entries(q, x, _scalar_line(q, x))
 
 
 def diagonal_algebra(x, q):
@@ -261,17 +271,8 @@ def direct_sum(a, b):
     """Block-diagonal sum on the disjoint union of the carriers."""
     if a.quantale != b.quantale:
         raise MixedAmbientError("direct sum needs one quantale")
-    q = a.quantale
-    x = direct_sum_set(a.carrier, b.carrier)
-    na, nb = a.carrier.size, b.carrier.size
-    bot = q.bottom
-    members = []
-    for ma in a.members:
-        for mb in b.members:
-            rows = [row + (bot,) * nb for row in ma]
-            rows += [(bot,) * na + row for row in mb]
-            members.append(tuple(rows))
-    return Subsemialgebra.from_entries(q, x, members)
+    return Subsemialgebra.from_rels([oplus(f, g) for f in a.relations()
+                                     for g in b.relations()])
 
 
 def subunital_idempotents(a):
@@ -461,8 +462,9 @@ class EndoSpace:
     row indices; each such part is packed into one int, one fixed-width lane
     per element, and no lane overflows because every sum is an index, so the
     n int additions add all |Hom| lanes at once.  These rows and the
-    commutation masks are made on first use; the dagger and scalar tables are
-    built eagerly.
+    commutation masks are made on first use; the dagger table is built
+    eagerly.  Scalars act through scalar_line, the mask of the trivial
+    algebra {s·id}: s·a is the composite (s·id)∘a.
     """
 
     def __init__(self, quantale, x):
@@ -476,6 +478,7 @@ class EndoSpace:
         self.index = {e: i for i, e in enumerate(els)}
         self.zero_idx = self.index[zero_rel(q, x, x).entries]
         self.id_idx = self.index[identity_rel(q, x).entries]
+        self.scalar_line = self.mask_of(_scalar_line(q, x))
         self.full_mask = (1 << self.size) - 1
         code = self._code = _typecode(self.size)
         self._nbytes = self.size * array(code).itemsize
@@ -508,8 +511,6 @@ class EndoSpace:
             self._gather = lambda ids, column: array(row_code, map(column.__getitem__, ids))
         self._comm = _Rows(self._commutation)
         self.dag_t = array(code, [self.index[_e_dagger(q, a)] for a in els])
-        self.smul_t = [array(code, [self.index[_e_scalar(q, s, a)] for a in els])
-                       for s in range(q.size)]
 
     def _summed(self, parts, a):
         total = sum(part[ids[a]] for part, ids in zip(parts, self._rowk))
@@ -543,9 +544,6 @@ class EndoSpace:
     def dag(self, i):
         return self.dag_t[i]
 
-    def smul(self, s, i):
-        return self.smul_t[s][i]
-
     def comm_mask(self, i):
         return self._comm[i]
 
@@ -573,9 +571,9 @@ class EndoSpace:
 
     def close_mask(self, closed, seed):
         """The closure, as a mask, of the closed mask `closed` (0 or an
-        algebra) with the seed indices, 0 and id."""
-        members = _closure(_bits(closed), {self.zero_idx, self.id_idx, *seed}, self.dag,
-                           self.smul, self.join, self.comp, range(self.quantale.size))
+        algebra) with the seed indices and the scalar line."""
+        members = _closure(_bits(closed), {*_bits(self.scalar_line), *seed},
+                           self.dag, self.join, self.comp)
         return _mask(members)
 
     def algebra_from_mask(self, mask):
@@ -883,7 +881,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
                 found.add(cl)
             return cl, comm
 
-        base = space.close_mask(0, ())
+        base = space.scalar_line  # the trivial algebra, cl(∅)
         single = _Rows(lambda b: space.close_mask(base, (b,)))  # b -> cl(b)
         known = {base}  # every closure and every union met so far
         level = [consider(base)]

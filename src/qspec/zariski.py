@@ -155,28 +155,28 @@ def kolmogorov_quotient(topology):
 def check_continuity(sub_spectrum, sup_spectrum, mapping):
     """Is the restriction map Spec(sup) -> Spec(sub), as the index table
     mapping, continuous for the Zariski topologies?  On finite spaces that is
-    monotonicity: the image of a point's closure lies in its image's closure."""
-    t_sub = zariski_topology(sub_spectrum)
-    t_sup = zariski_topology(sup_spectrum)
-    return all(_image(d, mapping) | t_sub.down[m] == t_sub.down[m]
-               for d, m in zip(t_sup.down, mapping))
+    monotonicity: the image of a point's closure lies in its image's closure.
+    That depends only on the pair of closures, so each distinct pair is
+    tested once."""
+    sub_down = zariski_topology(sub_spectrum).down
+    pairs = {(d, sub_down[m]) for d, m in zip(zariski_topology(sup_spectrum).down, mapping)}
+    return all(_image(d, mapping) | c == c for d, c in pairs)
 
 
 def verify_quotient_xi(gelfand, prime, mapping):
     """Does the kernel map, given as its index table, exhibit the prime space
-    as the Kolmogorov quotient of the scalar-valued spectrum?  Checks that
-    it is onto, that its fibers are exactly the indistinguishability
-    classes, and that it carries every point closure onto the closure of the
-    point's image.  Given the first two, the third says that the map is
-    continuous and the prime topology final for it."""
-    g_down = zariski_topology(gelfand).down
-    p_down = zariski_topology(prime).down
-    if set(mapping) != set(range(prime.size)):
+    as the Kolmogorov quotient of the scalar-valued spectrum?  It must be
+    constant on the classes of kolmogorov_quotient of the Gelfand space, and
+    the map it induces on the quotient must be a homeomorphism onto the prime
+    space: onto with the classes as its fibers, carrying every point closure
+    onto the closure of the point's image.  The quotient is built from the
+    Gelfand side alone, so the prime side is not consulted to make it."""
+    quotient, classes = kolmogorov_quotient(zariski_topology(gelfand))
+    induced = dict(zip(classes, mapping))
+    if len(set(zip(classes, mapping))) != len(induced):  # not constant on a class
         return False
-    # fibers are classes iff (closure, image) pairs match closures one to one
-    if not len(set(zip(g_down, mapping))) == len(set(g_down)) == prime.size:
-        return False
-    return all(_image(d, mapping) == p_down[m] for d, m in zip(g_down, mapping))
+    return is_homeomorphism(quotient, zariski_topology(prime),
+                            [induced[c] for c in range(quotient.size)])
 
 
 def is_homeomorphism(t1, t2, point_map):

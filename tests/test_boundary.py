@@ -3,8 +3,8 @@ through their semiring tables (Subsemialgebra.semiring), never through the
 entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
 and index tables it is handed and computes none, and a prime point is a
 Character into the two-element quantale, with no type of its own.  The
-down-set scan of prime ideals and the ZDF-gated search into that quantale
-are oracles of a check, not pipeline stages; the entry-matrix validators of
+down-set scan of prime ideals and the standalone search into that quantale
+(characters_to_two) are oracles of a check, not pipeline stages; the entry-matrix validators of
 one character or one prime ideal live in the tests.  A global section is a
 plain tuple of point indices, and the support checks read their projections
 from qspec.subalgebra, not from the relation-level support."""

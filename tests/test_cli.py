@@ -270,6 +270,18 @@ def test_failed_verdict_is_a_failed_check(monkeypatch, capsys):
                                  "details": "functor law broken along 0 <= 1 <= 2"}]
 
 
+def test_bad_input_from_the_verdict_exits_two(monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise ValueError("unknown enumeration mode 'sideways'")
+
+    monkeypatch.setattr(cli, "ks_verdict", refused)
+    for command in ("verdict", "sections"):
+        code, out, err = run_cli(capsys, command, "--quantale", "boolean2", "--size", "2")
+        assert code == 2, command
+        assert out == ""
+        assert err == "qspec: error: unknown enumeration mode 'sideways'\n"
+
+
 def test_programming_errors_in_the_verdict_propagate(monkeypatch):
     def buggy(*args, **kwargs):
         raise TypeError("unhashable type")

@@ -355,6 +355,19 @@ def test_a_foreign_idempotent_is_an_invariant_violation():
         section_element(global_sections(sheaf)[0], sheaf)
 
 
+def test_a_prime_spectrum_without_the_canonical_point_is_an_invariant_violation():
+    poset = enumerate_vn(carrier("X", 2), BOOL2)
+    sheaf = build_presheaf(poset, "prime")
+    d = poset.diagonal_index
+    spectrum = sheaf.values[d]
+    missing = spectrum.points[canonical_section("1", sheaf)[d]]
+    values = list(sheaf.values)
+    values[d] = dataclasses.replace(
+        spectrum, points=tuple(p for p in spectrum.points if p != missing))
+    with pytest.raises(InvariantViolation, match=rf"^A{d}: canonical section of '1'"):
+        canonical_section("1", dataclasses.replace(sheaf, values=tuple(values)))
+
+
 # -- transports ----------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from qspec._homsearch import enumerate_homs, is_hom
-from qspec.quantale import ZdfRequiredError, builtin_quantale, load_quantale
+from qspec.quantale import builtin_quantale, load_quantale
 from qspec.relations import (
     QRel, add, carrier, compose, dagger, identity_rel, scalar_mul, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
@@ -288,8 +288,8 @@ def test_the_one_prime_closed_down_set_holding_the_unit_is_the_whole_algebra(q):
                                builtin_quantale("godel_chain", 4)],
                          ids=lambda q: q.name)
 def test_prime_points_are_the_homomorphisms_into_two(q):
-    # lukasiewicz3 and powerset2 have zero divisors, where characters_to_two
-    # refuses; the search into TWO runs here directly on the semiring tables
+    # lukasiewicz3 and powerset2 have zero divisors; the search into TWO runs
+    # here directly on the semiring tables
     for a in enumerate_vn(X2, q).algebras:
         points = prime_spectrum(a).points
         assert [p.values for p in points] == \
@@ -325,9 +325,10 @@ def test_characters_to_two_diagonal_godel():
     assert sorted(g.values for g in gammas) == sorted(prime_ideal_scan(d))
 
 
-def test_characters_to_two_requires_zdf():
-    with pytest.raises(ZdfRequiredError):
-        characters_to_two(trivial_algebra(X2, LUK3))
+@pytest.mark.parametrize("q", [LUK3, builtin_quantale("powerset", 2)], ids=lambda q: q.name)
+def test_characters_to_two_equal_the_scan_over_zero_divisors(q):
+    for a in enumerate_vn(X2, q).algebras:
+        assert [g.values for g in characters_to_two(a)] == sorted(prime_ideal_scan(a))
 
 
 def test_kernel_bijection_everywhere():

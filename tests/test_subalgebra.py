@@ -390,6 +390,17 @@ def assert_comm_masks(space, indices):
         assert space.comm_mask(i) == expected
 
 
+def assert_scalar_line(space):
+    """scalar_line is the mask of the s·id, and composing with s·id is the
+    scalar multiple s·a on the entry kernels."""
+    q, els = space.quantale, space.elements
+    line = {s: space.index[_e_scalar(q, s, els[space.id_idx])] for s in range(q.size)}
+    assert space.scalar_line == sum(1 << i for i in set(line.values()))
+    for i, a in enumerate(els):
+        for s, si in line.items():
+            assert space.comp(si, i) == space.index[_e_scalar(q, s, a)]
+
+
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
 def test_tables_match_the_entry_kernels(q):
     space = get_endospace(q, X2)
@@ -397,8 +408,7 @@ def test_tables_match_the_entry_kernels(q):
     assert_comm_masks(space, range(space.size))
     for i, a in enumerate(space.elements):
         assert space.dag(i) == space.index[_e_dagger(q, a)]
-        for s in range(q.size):
-            assert space.smul(s, i) == space.index[_e_scalar(q, s, a)]
+    assert_scalar_line(space)
 
 
 def test_three_point_tables_match_on_random_pairs():
@@ -415,7 +425,7 @@ def test_empty_carrier_space_has_one_element(q):
     assert space.elements == [()] and space.zero_idx == space.id_idx == 0
     assert (space.comp(0, 0), space.join(0, 0), space.dag(0)) == (0, 0, 0)
     assert space.comm_mask(0) == space.full_mask == 1
-    assert all(space.smul(s, 0) == 0 for s in range(q.size))
+    assert_scalar_line(space)
 
 
 def long_chain(n, mul):
@@ -1004,6 +1014,13 @@ def test_trivial_algebra_godel():
     t = trivial_algebra(X2, GODEL3)
     assert t.size == 3
     assert is_von_neumann(t)
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_scalar_line_is_the_closure_of_nothing(q, n):
+    x = carrier("X", n)
+    assert trivial_algebra(x, q).member_set == oracle_closure(x, [], q)
 
 
 # -- direct sums and restriction -----------------------------------------------------------

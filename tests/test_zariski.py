@@ -1,6 +1,7 @@
 """Spectral topologies: closed-set families, separation, quotients, continuity."""
 
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +330,45 @@ def test_quotient_comparison_checks_fibers_and_closures():
     assert not verify_quotient_xi(gel, pri, kernel)
     discrete(gel)  # closures match now, but six classes map onto four points
     assert not verify_quotient_xi(gel, pri, kernel)
+
+
+def test_a_kernel_table_that_splits_a_class_fails_the_quotient_comparison():
+    d = diagonal_algebra(X2, GODEL3)
+    gel, pri = gelfand_spectrum(d), prime_spectrum(d)
+    kernel = kernel_table(gel, pri)
+    down = zariski_topology(gel).down
+    a, b = next((a, b) for a, b in itertools.combinations(range(gel.size), 2)
+                if down[a] == down[b])  # two indistinguishable characters
+    split = array(kernel.typecode, kernel)
+    split[b] = (kernel[a] + 1) % pri.size
+    assert verify_quotient_xi(gel, pri, kernel)
+    assert not verify_quotient_xi(gel, pri, split)
+
+
+def test_a_restriction_cell_moved_out_of_its_closure_fails_continuity():
+    # at godel3|2 every such move is still monotone: each space is one closed
+    # point below points whose closure is everything
+    poset = enumerate_vn(X2, parse_quantale_tag("godel4"))
+    spectra, tables = poset.spectra("gelfand"), poset.restrictions("gelfand")
+
+    def moves():  # each cell moved outside the closure of its image
+        for (i, j), table in tables.items():
+            sub_down = zariski_topology(spectra[i]).down
+            for p, image in enumerate(table):
+                for m in range(spectra[i].size):
+                    if not sub_down[image] >> m & 1:
+                        moved = array(table.typecode, table)
+                        moved[p] = m
+                        yield i, j, moved
+
+    def monotone(i, j, table):  # the definition, point pair by point pair
+        sub_down, sup_down = (zariski_topology(spectra[k]).down for k in (i, j))
+        return all(sub_down[table[y]] >> table[x] & 1
+                   for y, d in enumerate(sup_down) for x in range(len(table)) if d >> x & 1)
+
+    i, j, moved = next(m for m in moves() if not monotone(*m))
+    assert check_continuity(spectra[i], spectra[j], tables[i, j])
+    assert not check_continuity(spectra[i], spectra[j], moved)
 
 
 def test_quotient_comparison_requires_zdf():
