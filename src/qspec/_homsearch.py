@@ -20,19 +20,15 @@ every law; it serves both quantale maps and characters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class TableSemiring:
-    """A finite *-semiring presented by index tables."""
+class TableSemiring(namedtuple("TableSemiring", "size add mul star zero one")):
+    """A finite *-semiring presented by index tables on the elements
+    0..size-1: add[i][j] and mul[i][j] are indices, star[i] is the index of
+    the involute, zero and one are the indices of the units."""
 
-    size: int
-    add: tuple      # add[i][j] -> index
-    mul: tuple
-    star: tuple     # star[i] -> index
-    zero: int
-    one: int
+    __slots__ = ()
 
 
 def enumerate_homs(src: TableSemiring, dst: TableSemiring, fixed=(), bases=((),)):

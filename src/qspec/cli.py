@@ -23,7 +23,7 @@ from qspec.quantale import (
 from qspec.relations import carrier
 from qspec.subalgebra import EnumerationBoundExceeded, InvariantViolation, enumerate_vn
 from qspec.zariski import (
-    kolmogorov_quotient, separation_report, topology_to_json, zariski_topology,
+    separation_report, topology_to_json, zariski_quotient, zariski_topology,
 )
 
 
@@ -275,9 +275,10 @@ def _cmd_topology(args):
     for i in chosen:
         entry = {}
         for kind in ("gelfand", "prime"):
-            t = zariski_topology(poset.spectra(kind)[i])
+            spectrum = poset.spectra(kind)[i]
+            t = zariski_topology(spectrum)
             rep = separation_report(t)
-            quotient, mapping = kolmogorov_quotient(t)
+            quotient, mapping = zariski_quotient(spectrum)
             entry[kind] = {
                 "topology": topology_to_json(t),
                 "t0": rep.t0,

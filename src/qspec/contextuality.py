@@ -18,36 +18,31 @@ Brandenburger (New J. Phys. 13, 2011).  The generic constraint solver in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
 from qspec.spectra import TWO, Character, restriction_mismatch
-from qspec.subalgebra import AlgebraPoset, InvariantViolation, _bits, enumerate_vn
+from qspec.subalgebra import InvariantViolation, _bits, enumerate_vn
 
 
-@dataclass
-class Presheaf:
+class Presheaf(namedtuple("Presheaf", "poset kind values restrictions")):
     """Materialized spectrum presheaf: one point set per algebra plus the
-    restriction table of every Hasse edge, which compose to every other."""
+    restriction table of every Hasse edge, which compose to every other.
+    values holds the SpectrumSet of each poset index; restrictions maps each
+    Hasse edge (sub_idx, sup_idx) to its row, sup point -> sub point."""
 
-    poset: AlgebraPoset
-    kind: str
-    values: tuple  # SpectrumSet per poset index
-    restrictions: dict  # Hasse edge (sub_idx, sup_idx) -> row: sup point -> sub point
+    __slots__ = ()
 
 
-@dataclass
-class Verdict:
-    carrier: tuple
-    quantale: str
-    mode: str
-    zdf: bool
-    contextual: bool
-    gelfand_sections: tuple  # each a choice tuple: one point index per algebra
-    prime_sections: tuple | None
-    canonical_by_point: dict
-    element_map: dict  # prime section -> carrier point
-    notes: tuple = ()
+class Verdict(namedtuple("Verdict", "carrier quantale mode zdf contextual gelfand_sections "
+                                    "prime_sections canonical_by_point element_map notes",
+                         defaults=((),))):
+    """The contextuality verdict of one carrier.  Each section is a choice
+    tuple, one point index per algebra; prime_sections is None over scalars
+    with zero divisors; element_map sends a prime section to its carrier
+    point."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -227,8 +222,8 @@ def section_element(section, sheaf):
         raise ValueError("section elements are read off the prime presheaf")
     poset = sheaf.poset
     diag_idx = poset.diagonal_index
-    if diag_idx is None:
-        raise ValueError("the diagonal algebra is not part of the poset")
+    if diag_idx is None:  # both walks list it, so the enumeration is broken
+        raise InvariantViolation("the diagonal algebra is not part of the poset")
     selected = []
     for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section[idx]]

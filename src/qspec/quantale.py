@@ -13,8 +13,7 @@ import itertools
 import json
 import re
 import string
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from qspec._homsearch import TableSemiring, enumerate_homs, is_hom
 
@@ -120,24 +119,25 @@ class Quantale:
         )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(namedtuple("AxiomReport", "passed violations")):
     """Outcome of the exhaustive quantale axiom check."""
 
-    passed: bool
-    violations: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.passed == (len(self.violations) == 0)
+    def __new__(cls, passed, violations):
+        assert passed == (len(violations) == 0)
+        return super().__new__(cls, passed, violations)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class RigHom:
-    """A map of quantales preserving join, bottom, multiplication, unit and involution."""
+class RigHom(namedtuple("RigHom", "source target mapping")):
+    """A map of quantales preserving join, bottom, multiplication, unit and
+    involution: element i of source goes to element mapping[i] of target."""
 
-    source: Quantale
-    target: Quantale
-    mapping: tuple
+    __slots__ = ()
 
     def is_valid(self):
         return is_hom(self.source.semiring(), self.target.semiring(), self.mapping)
@@ -315,6 +315,7 @@ def builtin_quantale(name, n=None):
     if name == "lukasiewicz_chain":
         if n is None or n < 2:
             raise QuantaleError("invalid parameter: lukasiewicz_chain needs n >= 2")
+        from fractions import Fraction  # not at the top: it loads decimal on every start
         names = [str(Fraction(i, n - 1)) for i in range(n)]
         join = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
         mul = tuple(tuple(max(0, i + j - (n - 1)) for j in range(n)) for i in range(n))

@@ -12,21 +12,24 @@ cross-checked against their categorical composites.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from qspec.quantale import Quantale, QuantaleError
+from qspec.quantale import QuantaleError
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(namedtuple("FiniteSet", "name elements")):
     """Ordered finite carrier; point ids must be unique and hashable."""
 
-    name: str
-    elements: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError(f"duplicate point ids in {self.name!r}")
+    def __new__(cls, name, elements):
+        if len(set(elements)) != len(elements):
+            raise ValueError(f"duplicate point ids in {name!r}")
+        return super().__new__(cls, name, elements)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks the ids too
+        return cls(*fields)
 
     @property
     def size(self):
@@ -44,14 +47,11 @@ def carrier(name, n):
     return FiniteSet(name, tuple(str(i + 1) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class QRel:
-    """A Q-valued relation: entries[x][y] is an index into quantale.elements."""
+class QRel(namedtuple("QRel", "quantale dom cod entries")):
+    """A Q-valued relation from dom to cod: entries[x][y] is an index into
+    quantale.elements."""
 
-    quantale: Quantale
-    dom: FiniteSet
-    cod: FiniteSet
-    entries: tuple
+    __slots__ = ()
 
     def entry(self, x, y):
         return self.entries[x][y]
@@ -62,10 +62,7 @@ class QRel:
         return f"QRel({self.dom.name}->{self.cod.name} [{rows}])"
 
 
-@dataclass(frozen=True)
-class SupportPair:
-    supp: tuple
-    cosupp: tuple
+SupportPair = namedtuple("SupportPair", "supp cosupp")
 
 
 def _check_same_quantale(f, g):

@@ -29,24 +29,21 @@ the object-level maps stay as the public API and the tests' oracles.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
 from qspec._homsearch import enumerate_homs
-from qspec.quantale import TWO, Quantale, require_zdf, two_embedding, zdf_collapse
-from qspec.subalgebra import InvariantViolation, Subsemialgebra, _typecode
+from qspec.quantale import TWO, require_zdf, two_embedding, zdf_collapse
+from qspec.subalgebra import InvariantViolation, _typecode
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "algebra target values")):
     """A homomorphism from an algebra into a target quantale, stored as the
     tuple of target element indices over the algebra's canonical member order.
     A prime point is the character into TWO whose kernel is the ideal."""
 
-    algebra: Subsemialgebra
-    target: Quantale
-    values: tuple
+    __slots__ = ()
 
     def value_of(self, entries):
         return self.values[self.algebra.member_pos[entries]]
@@ -60,13 +57,9 @@ class Character:
         return f"Character({','.join(ids[v] for v in self.values)})"
 
 
-@dataclass(frozen=True)
-class SpectrumSet:
-    """Canonically ordered points of one spectrum of one algebra."""
-
-    algebra: Subsemialgebra
-    kind: str  # "gelfand" | "prime"
-    points: tuple
+class SpectrumSet(namedtuple("SpectrumSet", "algebra kind points")):
+    """Canonically ordered points of one spectrum of one algebra; kind is
+    "gelfand" or "prime"."""
 
     @property
     def size(self):

@@ -16,17 +16,16 @@ which are recovered from the Boolean algebra of member supports.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 
 from qspec._homsearch import TableSemiring
-from qspec.quantale import Quantale, QuantaleError, require_zdf
+from qspec.quantale import QuantaleError, require_zdf
 from qspec.relations import (
     FiniteSet, QRel, diag_rel, hom_size, identity_rel, oplus, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
@@ -55,13 +54,9 @@ def hom_bound():
 # -- the algebra value ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subsemialgebra:
-    """A set of endo-relations on one carrier, canonically ordered."""
-
-    quantale: Quantale
-    carrier: FiniteSet
-    members: tuple  # sorted entry matrices
+class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
+    """A set of endo-relations on one carrier, canonically ordered: members
+    are the sorted entry matrices."""
 
     @classmethod
     def from_entries(cls, quantale, carrier, entries_iterable):
@@ -82,8 +77,8 @@ class Subsemialgebra:
 
     @cached_property
     def algebra_id(self):
-        digest = hashlib.sha256(repr(self.members).encode()).hexdigest()
-        return digest[:12]
+        import hashlib  # not at the top: it loads OpenSSL on every start
+        return hashlib.sha256(repr(self.members).encode()).hexdigest()[:12]
 
     @property
     def size(self):
@@ -318,14 +313,14 @@ def restrict_component(a, e):
 # -- primitive idempotent decomposition ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Primitive subunital idempotents of an algebra and the member sets they cut out."""
+class Decomposition(namedtuple("Decomposition",
+                                "algebra idempotents components supports")):
+    """Primitive subunital idempotents of an algebra and the member sets they
+    cut out: idempotents holds one QRel per component, and per idempotent e,
+    components holds the sorted entry matrices of eA and supports its carrier
+    points in carrier order."""
 
-    algebra: Subsemialgebra
-    idempotents: tuple  # QRel values, one per component
-    components: tuple   # per idempotent, the sorted entry matrices of e A
-    supports: tuple     # per idempotent, its carrier points in carrier order
+    __slots__ = ()
 
 
 def support_projections(a):
@@ -603,17 +598,11 @@ def get_endospace(q, x):
 # -- enumeration ------------------------------------------------------------------------
 
 
-@dataclass
-class AlgebraPoset:
-    """Inclusion poset of enumerated algebras with covering edges."""
-
-    quantale: Quantale
-    carrier: FiniteSet
-    algebras: tuple
-    mode: str
-    max_generators: int | None
-    leq_pairs: frozenset  # (i, j) with algebra i included in algebra j
-    hasse: tuple
+class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
+                                              "max_generators leq_pairs hasse")):
+    """Inclusion poset of enumerated algebras with covering edges: leq_pairs
+    holds (i, j) when algebra i is included in algebra j, hasse the covering
+    pairs among them; max_generators is None in exhaustive mode."""
 
     @property
     def complete(self):
@@ -631,10 +620,17 @@ class AlgebraPoset:
         """For each algebra, the Hasse predecessor its characters are
         extended from: the largest one, ties going to the lowest index; None
         for a minimal algebra.  Algebras are sorted by size, so it always
-        comes first."""
+        comes first.  Every spectrum and restriction table is built along the
+        Hasse edges after this, so a Hasse edge that is not an inclusion, a
+        broken enumeration, is caught here: InvariantViolation names it."""
+        from qspec.spectra import _check_inclusion  # spectra imports this module
         best = [None] * len(self.algebras)
         size = [a.size for a in self.algebras]
         for i, j in self.hasse:
+            try:
+                _check_inclusion(self.algebras[i], self.algebras[j])
+            except ValueError as exc:
+                raise InvariantViolation(f"A{j}: Hasse edge ({i}, {j}): {exc}") from None
             if best[j] is None or size[i] > size[best[j]]:
                 best[j] = i
         return tuple(best)

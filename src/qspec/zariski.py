@@ -18,7 +18,7 @@ closed-set family is listed from the preorder only for the reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_IDEAL_SCAN_MEMBERS = 14  # all_ideals refuses larger algebras
 
@@ -32,13 +32,11 @@ def _image(bits, mapping):
     return out
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(namedtuple("FiniteTopology", "points down")):
     """A finite space on the point indices 0..n-1 as its specialization
     preorder: bit x of down[y] is set iff x lies in the closure of {y}."""
 
-    points: tuple
-    down: tuple
+    __slots__ = ()
 
     @property
     def size(self):
@@ -54,12 +52,7 @@ class FiniteTopology:
                          for c in family)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    t0: bool
-    t1: bool
-    compact: bool
-    indistinguishable_pairs: tuple
+SeparationReport = namedtuple("SeparationReport", "t0 t1 compact indistinguishable_pairs")
 
 
 def closed_family_from_basis(points, basis):
@@ -152,6 +145,16 @@ def kolmogorov_quotient(topology):
     return quotient, mapping
 
 
+def zariski_quotient(spectrum):
+    """kolmogorov_quotient of the Zariski topology on one spectrum; built
+    once per spectrum and stored on it, next to the topology."""
+    cached = spectrum.__dict__.get("_quotient")
+    if cached is None:
+        cached = kolmogorov_quotient(zariski_topology(spectrum))
+        spectrum.__dict__["_quotient"] = cached
+    return cached
+
+
 def check_continuity(sub_spectrum, sup_spectrum, mapping):
     """Is the restriction map Spec(sup) -> Spec(sub), as the index table
     mapping, continuous for the Zariski topologies?  On finite spaces that is
@@ -166,12 +169,12 @@ def check_continuity(sub_spectrum, sup_spectrum, mapping):
 def verify_quotient_xi(gelfand, prime, mapping):
     """Does the kernel map, given as its index table, exhibit the prime space
     as the Kolmogorov quotient of the scalar-valued spectrum?  It must be
-    constant on the classes of kolmogorov_quotient of the Gelfand space, and
+    constant on the classes of zariski_quotient of the Gelfand space, and
     the map it induces on the quotient must be a homeomorphism onto the prime
     space: onto with the classes as its fibers, carrying every point closure
     onto the closure of the point's image.  The quotient is built from the
     Gelfand side alone, so the prime side is not consulted to make it."""
-    quotient, classes = kolmogorov_quotient(zariski_topology(gelfand))
+    quotient, classes = zariski_quotient(gelfand)
     induced = dict(zip(classes, mapping))
     if len(set(zip(classes, mapping))) != len(induced):  # not constant on a class
         return False

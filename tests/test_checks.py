@@ -1,6 +1,5 @@
 """Fault injection: a corrupted input turns its named checks to FAIL."""
 
-import dataclasses
 
 import pytest
 
@@ -36,7 +35,7 @@ def poset_missing_a_join():
             diag_rel(LUK3, X2, (ZERO, ONE)).entries} <= diag.member_set
     broken = Subsemialgebra.from_entries(LUK3, X2, diag.member_set - {gone})
     algebras = poset.algebras[:d] + (broken,) + poset.algebras[d + 1:]
-    return dataclasses.replace(poset, algebras=algebras), broken
+    return poset._replace(algebras=algebras), broken
 
 
 def test_a_missing_join_fails_the_closure_checks():
@@ -68,7 +67,7 @@ def poset_missing_a_diagonal_projection(q):
     gone = diag_rel(q, X2, (q.unit, q.bottom)).entries
     broken = Subsemialgebra.from_entries(q, X2, poset.algebras[d].member_set - {gone})
     algebras = poset.algebras[:d] + (broken,) + poset.algebras[d + 1:]
-    return dataclasses.replace(poset, algebras=algebras), d
+    return poset._replace(algebras=algebras), d
 
 
 def test_a_lost_projection_fails_von_neumann_and_names_the_undecomposed_algebra():
@@ -93,8 +92,7 @@ def test_a_poset_without_the_trivial_algebra_fails_trivial_included():
     poset = enumerate_vn(X2, GODEL3)
     assert verdicts(algebras_suite(poset, seed=0))["trivial-included"]
     t = poset.trivial_index
-    pruned = dataclasses.replace(
-        poset, algebras=poset.algebras[:t] + poset.algebras[t + 1:])
+    pruned = poset._replace(algebras=poset.algebras[:t] + poset.algebras[t + 1:])
     broken = verdicts(algebras_suite(pruned, seed=0))
     assert not broken["trivial-included"]
     assert broken["closure-flags"] and broken["von-neumann"]
@@ -189,8 +187,8 @@ def test_a_duplicated_prime_point_fails_t0_and_the_quotient_comparison():
     assert all(verdicts(topology_suite(enumerate_vn(X2, GODEL3)))[c] for c in checks)
     poset, spectrum = godel3_diagonal_prime()
     primes = list(poset.spectra("prime"))
-    primes[poset.diagonal_index] = dataclasses.replace(
-        spectrum, points=spectrum.points + spectrum.points[:1])
+    primes[poset.diagonal_index] = spectrum._replace(
+        points=spectrum.points + spectrum.points[:1])
     poset.__dict__["_spectra"]["prime"] = tuple(primes)
     broken = verdicts(topology_suite(poset))
     assert not any(broken[c] for c in checks)
@@ -278,7 +276,7 @@ def poset_with_tables(q):
 
 def drop_first_point(poset, kind, i):
     spectra = list(poset.spectra(kind))
-    spectra[i] = dataclasses.replace(spectra[i], points=spectra[i].points[1:])
+    spectra[i] = spectra[i]._replace(points=spectra[i].points[1:])
     poset.__dict__["_spectra"][kind] = tuple(spectra)
 
 
@@ -313,8 +311,8 @@ def test_a_duplicated_idempotent_fails_one_idempotent_per_character():
     poset, top = poset_with_tables(GODEL3)
     decompositions = list(poset.decompositions)
     dec = decompositions[top]
-    decompositions[top] = dataclasses.replace(
-        dec, idempotents=dec.idempotents + dec.idempotents[:1])
+    decompositions[top] = dec._replace(
+        idempotents=dec.idempotents + dec.idempotents[:1])
     poset.__dict__["decompositions"] = tuple(decompositions)
     broken = verdicts(spectra_suite(poset))
     assert not broken["one-idempotent-per-character"]
@@ -329,8 +327,8 @@ def test_a_foreign_idempotent_fails_one_idempotent_per_character():
     poset = enumerate_vn(X2, bool2)
     t = poset.trivial_index
     decompositions = list(poset.decompositions)
-    decompositions[t] = dataclasses.replace(
-        decompositions[t], idempotents=(diag_rel(bool2, X2, (bool2.unit, bool2.bottom)),))
+    decompositions[t] = decompositions[t]._replace(
+        idempotents=(diag_rel(bool2, X2, (bool2.unit, bool2.bottom)),))
     poset.__dict__["decompositions"] = tuple(decompositions)
     results = {r.name: r for r in spectra_suite(poset)}
     assert not results["one-idempotent-per-character"].passed

@@ -1,6 +1,5 @@
 """The qspec command line driver: reports, exit codes, determinism."""
 
-import dataclasses
 import json
 
 import pytest
@@ -295,7 +294,7 @@ def test_route_agreement_is_read_from_the_verdict(monkeypatch, capsys):
     real = cli.ks_verdict
 
     def doctored(*args, **kwargs):  # scalar sections without prime ones
-        return dataclasses.replace(real(*args, **kwargs), prime_sections=())
+        return real(*args, **kwargs)._replace(prime_sections=())
 
     argv = ("verdict", "--quantale", "boolean2", "--size", "2", "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
@@ -314,8 +313,8 @@ def test_a_verdict_missing_a_canonical_section_fails_its_count(monkeypatch, caps
     def doctored(*args, **kwargs):  # the search "lost" the section of point 1
         v = real(*args, **kwargs)
         lost = v.canonical_by_point["1"]
-        return dataclasses.replace(
-            v, prime_sections=tuple(s for s in v.prime_sections if s != lost),
+        return v._replace(
+            prime_sections=tuple(s for s in v.prime_sections if s != lost),
             element_map={s: p for s, p in v.element_map.items() if s != lost})
 
     monkeypatch.setattr(cli, "ks_verdict", doctored)
@@ -336,8 +335,8 @@ def test_a_foreign_idempotent_fails_the_verdict_instead_of_a_traceback(monkeypat
         poset = real(*args, **kwargs)
         q, t = poset.quantale, poset.trivial_index
         decompositions = list(poset.decompositions)
-        decompositions[t] = dataclasses.replace(
-            decompositions[t], idempotents=(diag_rel(q, poset.carrier, (q.unit, q.bottom)),))
+        decompositions[t] = decompositions[t]._replace(
+            idempotents=(diag_rel(q, poset.carrier, (q.unit, q.bottom)),))
         poset.__dict__["decompositions"] = tuple(decompositions)
         return poset
 
@@ -348,3 +347,38 @@ def test_a_foreign_idempotent_fails_the_verdict_instead_of_a_traceback(monkeypat
         assert code == 1, command
         assert (f"[FAIL] verdict-computed  A{t}: primitive idempotent ((1, 0), (0, 0)) "
                 "is not a member of the algebra") in out
+
+
+def test_a_poset_without_the_diagonal_fails_the_verdict(monkeypatch, capsys):
+    real = sub.enumerate_vn
+
+    def without_diagonal(*args, **kwargs):
+        poset = real(*args, **kwargs)
+        poset.__dict__["diagonal_index"] = None
+        return poset
+
+    monkeypatch.setattr(ctx, "enumerate_vn", without_diagonal)
+    for command in ("verdict", "sections"):
+        code, out, err = run_cli(capsys, command, "--quantale", "boolean2", "--size", "2")
+        assert code == 1, command
+        assert err == ""
+        assert ("[FAIL] verdict-computed  the diagonal algebra is not part of the poset"
+                in out)
+
+
+def test_a_hasse_edge_that_is_no_inclusion_fails_the_verdict(monkeypatch, capsys):
+    real = sub.enumerate_vn
+
+    def reversed_edge(*args, **kwargs):  # the top of the first edge placed below its bottom
+        poset = real(*args, **kwargs)
+        i, j = poset.hasse[0]
+        return poset._replace(hasse=poset.hasse + ((j, i),))
+
+    monkeypatch.setattr(ctx, "enumerate_vn", reversed_edge)
+    poset = real(carrier("X", 2), builtin_quantale("boolean2"))
+    i, j = poset.hasse[0]
+    code, out, err = run_cli(capsys, "verdict", "--quantale", "boolean2", "--size", "2")
+    assert code == 1
+    assert err == ""
+    assert (f"[FAIL] verdict-computed  A{i}: Hasse edge ({j}, {i}): "
+            "not an inclusion of algebras") in out

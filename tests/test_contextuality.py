@@ -1,6 +1,5 @@
 """Presheaves over the algebra poset, global sections, and the verdict."""
 
-import dataclasses
 import functools
 import itertools
 from operator import ne
@@ -312,12 +311,11 @@ def test_section_element_requires_the_diagonal():
     sheaf = build_presheaf(poset, "prime")
     pruned_algebras = tuple(a for i, a in enumerate(poset.algebras)
                             if i != poset.diagonal_index)
-    import dataclasses
-    smaller = dataclasses.replace(
-        poset, algebras=pruned_algebras,
+    smaller = poset._replace(
+        algebras=pruned_algebras,
         leq_pairs=frozenset((i, j) for (i, j) in [] ), hasse=())
     small_sheaf = build_presheaf(smaller, "prime")
-    with pytest.raises(ValueError, match="diagonal"):
+    with pytest.raises(InvariantViolation, match="diagonal"):
         section_element(tuple(0 for _ in pruned_algebras), small_sheaf)
 
 
@@ -344,8 +342,8 @@ def test_a_foreign_idempotent_is_an_invariant_violation():
     poset = enumerate_vn(x2, BOOL2)
     t = poset.trivial_index
     decompositions = list(poset.decompositions)
-    decompositions[t] = dataclasses.replace(
-        decompositions[t], idempotents=(diag_rel(BOOL2, x2, (BOOL2.unit, BOOL2.bottom)),))
+    decompositions[t] = decompositions[t]._replace(
+        idempotents=(diag_rel(BOOL2, x2, (BOOL2.unit, BOOL2.bottom)),))
     poset.__dict__["decompositions"] = tuple(decompositions)
     sheaf = build_presheaf(poset, "prime")
     match = rf"A{t}: primitive idempotent \(\(1, 0\), \(0, 0\)\) is not a member"
@@ -362,10 +360,10 @@ def test_a_prime_spectrum_without_the_canonical_point_is_an_invariant_violation(
     spectrum = sheaf.values[d]
     missing = spectrum.points[canonical_section("1", sheaf)[d]]
     values = list(sheaf.values)
-    values[d] = dataclasses.replace(
-        spectrum, points=tuple(p for p in spectrum.points if p != missing))
+    values[d] = spectrum._replace(
+        points=tuple(p for p in spectrum.points if p != missing))
     with pytest.raises(InvariantViolation, match=rf"^A{d}: canonical section of '1'"):
-        canonical_section("1", dataclasses.replace(sheaf, values=tuple(values)))
+        canonical_section("1", sheaf._replace(values=tuple(values)))
 
 
 # -- transports ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Closure, commutants, von Neumann enumeration, and the idempotent split."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -896,7 +895,7 @@ def _diagonal_decomposition(q, n=2):
 
 def _with_idempotents(dec, *pointsets):
     x = dec.algebra.carrier
-    return dataclasses.replace(dec, idempotents=tuple(
+    return dec._replace(idempotents=tuple(
         subset_idempotent(dec.algebra.quantale, x, pts) for pts in pointsets))
 
 
@@ -911,20 +910,20 @@ def corrupted_decompositions():
     godel = _diagonal_decomposition(GODEL3)
     half_one = diag_rel(GODEL3, X2, (1, 2))  # diag(1/2, 1): idempotent, no partner
     return {
-        "idempotent 0 is not idempotent": dataclasses.replace(
-            primitive_idempotents(swapping), idempotents=(swap,)),
+        "idempotent 0 is not idempotent": primitive_idempotents(swapping)._replace(
+            idempotents=(swap,)),
         "idempotents 0,1 not orthogonal": _with_idempotents(diag, ["1"], ["1", "2"]),
         "idempotents do not join to the unit": _with_idempotents(diag, ["1"]),
-        "idempotent 1 is not subunital in the algebra": dataclasses.replace(
-            godel, idempotents=(godel.idempotents[0], half_one)),
-        "idempotent 0 is not subunital in the algebra": dataclasses.replace(
-            primitive_idempotents(trivial_algebra(X2, BOOL2)),
-            idempotents=(subset_idempotent(BOOL2, X2, ["1"]),)),  # not a member
-        "idempotent 0 splits as a join of": dataclasses.replace(
-            _with_idempotents(diag, ["1", "2"]), components=(diag.algebra.members,)),
+        "idempotent 1 is not subunital in the algebra": godel._replace(
+            idempotents=(godel.idempotents[0], half_one)),
+        "idempotent 0 is not subunital in the algebra":
+            primitive_idempotents(trivial_algebra(X2, BOOL2))._replace(
+                idempotents=(subset_idempotent(BOOL2, X2, ["1"]),)),  # not a member
+        "idempotent 0 splits as a join of": _with_idempotents(diag, ["1", "2"])._replace(
+            components=(diag.algebra.members,)),
         "members ": _with_idempotents(diag, ["1"]),  # ... agree on all components
-        "component map is not onto the product": dataclasses.replace(
-            diag, components=(diag.components[0], diag.components[1][:1])),
+        "component map is not onto the product": diag._replace(
+            components=(diag.components[0], diag.components[1][:1])),
     }
 
 

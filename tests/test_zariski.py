@@ -16,7 +16,7 @@ from qspec.zariski import (
     MAX_IDEAL_SCAN_MEMBERS, FiniteTopology, all_ideals, check_continuity, closed_family_from_basis,
     is_homeomorphism, kolmogorov_quotient, separation_report,
     topology_to_json, vanishing_set, vanishing_set_of_ideal,
-    verify_quotient_xi, zariski_topology,
+    verify_quotient_xi, zariski_quotient, zariski_topology,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -183,6 +183,12 @@ def test_topology_is_built_once_per_spectrum():
     d = diagonal_algebra(X2, GODEL3)
     pri = prime_spectrum(d)
     assert zariski_topology(pri) is zariski_topology(pri)
+
+
+def test_quotient_is_built_once_per_spectrum():
+    gel = gelfand_spectrum(diagonal_algebra(X2, GODEL3))
+    assert zariski_quotient(gel) is zariski_quotient(gel)
+    assert zariski_quotient(gel) == kolmogorov_quotient(zariski_topology(gel))
 
 
 def diag(q, p, r):
