@@ -22,9 +22,8 @@ from qspec.subalgebra import (
     validate_decomposition,
 )
 from qspec.spectra import (
-    TWO, Character, SpectrumSet, character_from_prime, character_kernel,
-    characters_to_two, gelfand_spectrum, prime_spectrum, restrict_character,
-    restrict_prime,
+    TWO, SpectrumSet, character_from_prime, character_kernel, characters_to_two,
+    gelfand_spectrum, prime_spectrum, restrict_character, restrict_prime,
 )
 from qspec.contextuality import (
     Presheaf, Verdict, build_presheaf, canonical_section, global_sections,

@@ -179,7 +179,7 @@ def spectra_suite(poset):
     primes = poset.spectra("prime")
     if is_zdf(q):
         # the homomorphism search into TWO against the down-set scan
-        bij = all([p.values for p in pr.points] == prime_ideal_scan(a)
+        bij = all(list(pr.points) == prime_ideal_scan(a)
                   for a, pr in zip(poset.algebras, primes))
         out.append(_verdict("kernel-bijection", bij,
                             "the two-valued characters are not the down-set scan's ideals"))
@@ -224,11 +224,11 @@ def _one_idempotent_per_character(poset):
     value: a failure."""
     for i, (pr, dec) in enumerate(zip(poset.spectra("prime"), poset.decompositions)):
         pos = poset.algebras[i].member_pos
-        if any(e.entries not in pos for e in dec.idempotents):
+        if any(e not in pos for e in dec.idempotents):
             return False, f"A{i}: a primitive idempotent is not a member of the algebra"
-        at = [pos[e.entries] for e in dec.idempotents]
+        at = [pos[e] for e in dec.idempotents]
         for g in pr.points:
-            if sum(g.values[k] == TWO.unit for k in at) != 1:
+            if sum(g[k] == TWO.unit for k in at) != 1:
                 return False, f"A{i}: a two-valued character hits != 1 primitive idempotent"
     return True, ""
 

@@ -190,9 +190,9 @@ def _cmd_spectrum(args):
         entry = {
             "id": a.algebra_id,
             "size": a.size,
-            "characters": [[q.elements[v] for v in rho.values] for rho in gel.points],
+            "characters": [[q.elements[v] for v in rho] for rho in gel.points],
             "prime_ideals": [
-                [_member_label(q, m) for m in p.kernel_members()] for p in pri.points],
+                [_member_label(q, m) for m in pri.kernel_members(p)] for p in pri.points],
             # m >= 1 and m.top = m give top = 1.top <= m: the one prime-closed
             # down-set that holds the unit is the whole algebra
             "improper_prime_closed": [[_member_label(q, m) for m in a.members]],

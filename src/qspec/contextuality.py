@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from qspec.quantale import is_zdf, require_zdf, verify_quantale
-from qspec.spectra import TWO, Character, restriction_mismatch
+from qspec.spectra import TWO, restriction_mismatch
 from qspec.subalgebra import InvariantViolation, _bits, enumerate_vn
 
 
@@ -34,7 +34,7 @@ class Presheaf(namedtuple("Presheaf", "poset kind values restrictions")):
     __slots__ = ()
 
 
-class Verdict(namedtuple("Verdict", "carrier quantale mode zdf contextual gelfand_sections "
+class Verdict(namedtuple("Verdict", "carrier quantale mode zdf gelfand_sections "
                                     "prime_sections canonical_by_point element_map notes",
                          defaults=((),))):
     """The contextuality verdict of one carrier.  Each section is a choice
@@ -43,6 +43,11 @@ class Verdict(namedtuple("Verdict", "carrier quantale mode zdf contextual gelfan
     point."""
 
     __slots__ = ()
+
+    @property
+    def contextual(self):
+        """No global section of the scalar-valued presheaf."""
+        return not self.gelfand_sections
 
     def to_json(self):
         return {
@@ -185,12 +190,11 @@ def canonical_section(point, sheaf):
         if len(owners) != 1:
             raise InvariantViolation(
                 f"carrier point {point!r} not in exactly one component of algebra {idx}")
-        a = dec.algebra
-        sr = a.semiring()
+        sr = dec.algebra.semiring()
         row = sr.mul[_member_index(dec, idx, dec.idempotents[owners[0]])]
         values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)
         try:
-            choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
+            choice.append(sheaf.values[idx].index_of(values))
         except ValueError as exc:
             raise InvariantViolation(f"A{idx}: canonical section of {point!r}: {exc}") from None
     section = tuple(choice)
@@ -201,10 +205,10 @@ def canonical_section(point, sheaf):
 
 def _member_index(dec, idx, e):
     """The position of idempotent e in dec's algebra, of poset index idx."""
-    pos = dec.algebra.member_pos.get(e.entries)
+    pos = dec.algebra.member_pos.get(e)
     if pos is None:
         raise InvariantViolation(
-            f"A{idx}: primitive idempotent {e.entries} is not a member of the algebra")
+            f"A{idx}: primitive idempotent {e} is not a member of the algebra")
     return pos
 
 
@@ -228,7 +232,7 @@ def section_element(section, sheaf):
     for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section[idx]]
         outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
-                   if ideal.values[_member_index(dec, idx, e)] != TWO.bottom]
+                   if ideal[_member_index(dec, idx, e)] != TWO.bottom]
         if len(outside) != 1:
             raise InvariantViolation(
                 f"section does not isolate one component in algebra {idx}")
@@ -283,7 +287,6 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
     poset = enumerate_vn(x, q, mode=mode, max_generators=max_generators)
     gelfand = build_presheaf(poset, "gelfand")
     g_sections = global_sections(gelfand)
-    contextual = len(g_sections) == 0
     notes = []
     prime_sections = None
     canonical = {}
@@ -292,7 +295,7 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
         prime = build_presheaf(poset, "prime")
         p_sections = global_sections(prime)
         prime_sections = tuple(p_sections)
-        if (len(p_sections) == 0) != contextual:
+        if bool(p_sections) != bool(g_sections):
             raise InvariantViolation(
                 "prime and scalar section existence disagree: "
                 f"{len(p_sections)} prime vs {len(g_sections)} scalar sections")
@@ -318,7 +321,6 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
         quantale=q.name,
         mode=mode,
         zdf=is_zdf(q),
-        contextual=contextual,
         gelfand_sections=tuple(g_sections),
         prime_sections=prime_sections,
         canonical_by_point=canonical,

@@ -119,18 +119,15 @@ class Quantale:
         )
 
 
-class AxiomReport(namedtuple("AxiomReport", "passed violations")):
-    """Outcome of the exhaustive quantale axiom check."""
+class AxiomReport(namedtuple("AxiomReport", "violations")):
+    """Outcome of the exhaustive quantale axiom check: one (axiom, witness)
+    pair per violated axiom."""
 
     __slots__ = ()
 
-    def __new__(cls, passed, violations):
-        assert passed == (len(violations) == 0)
-        return super().__new__(cls, passed, violations)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace checks too
-        return cls(*fields)
+    @property
+    def passed(self):
+        return not self.violations
 
 
 class RigHom(namedtuple("RigHom", "source target mapping")):
@@ -253,7 +250,7 @@ def verify_quantale(q):
             if not law(*witness):
                 violations.append((axiom, tuple(q.elements[w] for w in witness)))
                 break
-    return AxiomReport(passed=not violations, violations=tuple(violations))
+    return AxiomReport(tuple(violations))
 
 
 def is_zdf(q):

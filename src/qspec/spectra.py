@@ -9,7 +9,9 @@ two-valued indicator character.  Each is a point followed by a quantale
 map: the kernel by the collapse of the scalars onto TWO, the indicator by
 the embedding of TWO into the scalars.
 
-Both spectra hold one point type, Character, and come from one search.  A
+A point of either spectrum is a character, stored as its tuple of value
+indices over the algebra's canonical member order; the SpectrumSet holding
+it fixes the algebra and the target.  Both spectra come from one search.  A
 proper prime k*-ideal P is the kernel of exactly one homomorphism into TWO,
 the map that is 0 on P and 1 off it: P is a proper down-set closed under
 joins, so the map preserves zero, joins and the unit; P absorbs
@@ -17,13 +19,15 @@ multiplication and is prime, so a product lies outside P exactly when both
 factors do; and P is star-closed.  Conversely the kernel of any homomorphism
 into TWO is such an ideal, over any scalar quantale.  So the prime spectrum
 is Hom(A, TWO), a prime point is stored as its character, its ideal is
-``kernel_members()``, and restriction, lookup and the vanishing sets work
-the same way on both spectra.  ``prime_ideal_scan`` finds the same ideals by
-another route, the oracle that the kernel-bijection check holds them to.
+``SpectrumSet.kernel_members(point)``, and restriction, lookup and the
+vanishing sets work the same way on both spectra.  ``prime_ideal_scan`` finds
+the same ideals by another route, the oracle that the kernel-bijection check
+holds them to.
 
 Restriction along an inclusion and the two comparison maps are also built as
 index tables over canonically ordered spectra; the pipeline reads those, and
-the object-level maps stay as the public API and the tests' oracles.
+the object-level maps, which take the algebra and the target as arguments,
+stay as the public API and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -38,46 +42,40 @@ from qspec.quantale import TWO, require_zdf, two_embedding, zdf_collapse
 from qspec.subalgebra import InvariantViolation, _typecode
 
 
-class Character(namedtuple("Character", "algebra target values")):
-    """A homomorphism from an algebra into a target quantale, stored as the
-    tuple of target element indices over the algebra's canonical member order.
-    A prime point is the character into TWO whose kernel is the ideal."""
-
-    __slots__ = ()
-
-    def value_of(self, entries):
-        return self.values[self.algebra.member_pos[entries]]
-
-    def kernel_members(self):
-        b = self.target.bottom
-        return tuple(m for m, v in zip(self.algebra.members, self.values) if v == b)
-
-    def __repr__(self):
-        ids = self.target.elements
-        return f"Character({','.join(ids[v] for v in self.values)})"
-
-
 class SpectrumSet(namedtuple("SpectrumSet", "algebra kind points")):
     """Canonically ordered points of one spectrum of one algebra; kind is
-    "gelfand" or "prime"."""
+    "gelfand" (characters into the scalars) or "prime" (characters into
+    TWO).  Each point is its tuple of target element indices over the
+    algebra's member order."""
 
     @property
     def size(self):
         return len(self.points)
 
+    @property
+    def target(self):
+        return self.algebra.quantale if self.kind == "gelfand" else TWO
+
+    def kernel_members(self, point):
+        """The members the point sends to the target's bottom: for a prime
+        point, its ideal."""
+        b = self.target.bottom
+        return tuple(m for m, v in zip(self.algebra.members, point) if v == b)
+
     @cached_property
     def point_index(self):
-        """Each point's index, keyed on its values; a repeated point keeps
-        its first index."""
+        """Each point's index; a repeated point keeps its first index."""
         out = {}
         for i, p in enumerate(self.points):
-            out.setdefault(p.values, i)
+            out.setdefault(p, i)
         return out
 
     def index_of(self, point):
-        i = self.point_index.get(point.values)
-        if i is None or self.points[i] != point:
-            raise ValueError(f"{point!r} is not a point of this spectrum")
+        i = self.point_index.get(point)
+        if i is None:
+            ids = self.target.elements
+            raise ValueError(f"({','.join(ids[v] for v in point)}) is not a point "
+                             "of this spectrum")
         return i
 
 
@@ -85,20 +83,15 @@ class SpectrumSet(namedtuple("SpectrumSet", "algebra kind points")):
 
 
 def _characters(algebra, target, below):
-    """Every character of algebra into target, sorted by values.  below, when
-    given, is a pair (sub, characters): a subalgebra and all its characters
-    into target.  Each character of algebra restricts to one of sub's, so
-    only the extensions of those are searched."""
+    """Every character of algebra into target, sorted.  below, when given,
+    is a pair (sub, characters): a subalgebra and all its characters into
+    target.  Each character of algebra restricts to one of sub's, so only
+    the extensions of those are searched."""
     fixed, bases = (), ((),)
     if below is not None:
-        sub, characters = below
+        sub, bases = below
         fixed = _positions(sub, algebra)
-        bases = [c.values for c in characters]
-    out = [Character(algebra, target, values)
-           for values in enumerate_homs(algebra.semiring(), target.semiring(),
-                                        fixed, bases)]
-    out.sort(key=lambda c: c.values)
-    return out
+    return sorted(enumerate_homs(algebra.semiring(), target.semiring(), fixed, bases))
 
 
 def gelfand_spectrum(algebra, below=None):
@@ -118,8 +111,8 @@ def prime_spectrum(algebra, below=None):
 
 
 def characters_to_two(algebra):
-    """All homomorphisms into the two-element quantale, in ascending order
-    of values: the prime spectrum's search, over any scalar quantale."""
+    """All homomorphisms into the two-element quantale, in ascending order:
+    the prime spectrum's search, over any scalar quantale."""
     return _characters(algebra, TWO, None)
 
 
@@ -168,16 +161,16 @@ def _positions(sub, sup):
     return [sup.member_pos[m] for m in sub.members]
 
 
-def restrict_character(rho, sub):
-    """Restrict a character of the larger algebra to a subalgebra."""
-    positions = _positions(sub, rho.algebra)
-    return Character(sub, rho.target, tuple(map(rho.values.__getitem__, positions)))
+def restrict_character(rho, algebra, sub):
+    """Restrict a character of algebra to its subalgebra sub."""
+    return tuple(map(rho.__getitem__, _positions(sub, algebra)))
 
 
-def restrict_prime(point, sub):
-    """Pull a prime point back along an inclusion: the preimage of its ideal,
-    the intersection with sub, is the kernel of the restricted character."""
-    return restrict_character(point, sub)
+def restrict_prime(point, algebra, sub):
+    """Pull a prime point of algebra back along an inclusion: the preimage of
+    its ideal, the intersection with sub, is the kernel of the restricted
+    character."""
+    return restrict_character(point, algebra, sub)
 
 
 def _table(keys, spectrum, escaped):
@@ -199,7 +192,7 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
     positions = _positions(sub_spectrum.algebra, sup_spectrum.algebra)
     pick = (itemgetter(*positions) if len(positions) > 1
             else lambda values: tuple(values[k] for k in positions))
-    keys = (pick(p.values) for p in sup_spectrum.points)
+    keys = map(pick, sup_spectrum.points)
     return _table(keys, sub_spectrum, lambda: (
         f"restriction of a {sup_spectrum.kind} point escaped the spectrum"
         + (f" (algebras {edge[0]} <= {edge[1]})" if edge else "")))
@@ -224,27 +217,27 @@ def _then(values, f):
     return tuple([mapping[v] for v in values])  # tuple(map(...)) is slower here
 
 
-def character_kernel(rho):
-    """The prime point of the members a character sends to bottom: rho
-    followed by the collapse of its target onto TWO (ZDF scalars)."""
-    require_zdf(rho.algebra.quantale, "the kernel comparison map")
-    return Character(rho.algebra, TWO, _then(rho.values, zdf_collapse(rho.target)))
+def character_kernel(rho, algebra, target):
+    """The prime point of the members a character of algebra into target
+    sends to bottom: rho followed by the collapse of target onto TWO (ZDF
+    scalars)."""
+    require_zdf(algebra.quantale, "the kernel comparison map")
+    return _then(rho, zdf_collapse(target))
 
 
-def character_from_prime(gamma):
-    """The indicator character of a prime point, or of any character into
-    TWO: gamma followed by the unique quantale embedding of TWO into the
-    scalars.  The embedding is a quantale map whatever the scalars, so zero
-    divisors do no harm here."""
-    q = gamma.algebra.quantale
-    return Character(gamma.algebra, q, _then(gamma.values, two_embedding(q)))
+def character_from_prime(gamma, algebra):
+    """The indicator character of a prime point of algebra, or of any
+    character into TWO: gamma followed by the unique quantale embedding of
+    TWO into the scalars.  The embedding is a quantale map whatever the
+    scalars, so zero divisors do no harm here."""
+    return _then(gamma, two_embedding(algebra.quantale))
 
 
 def kernel_table(gelfand, prime):
     """The kernel map of one algebra as an index table: cell r is the index
     in prime of the kernel of character r."""
     collapse = zdf_collapse(gelfand.algebra.quantale)
-    keys = (_then(p.values, collapse) for p in gelfand.points)
+    keys = (_then(p, collapse) for p in gelfand.points)
     return _table(keys, prime, lambda: "the kernel of a character is not a "
                   f"prime point of algebra {gelfand.algebra.algebra_id}")
 
@@ -252,6 +245,6 @@ def kernel_table(gelfand, prime):
 def indicator_table(prime, gelfand):
     """The indicator map of one algebra as an index table: cell p is the
     index in gelfand of the indicator character of prime ideal p."""
-    keys = (character_from_prime(p).values for p in prime.points)
+    keys = (character_from_prime(p, prime.algebra) for p in prime.points)
     return _table(keys, gelfand, lambda: "the indicator of a prime ideal is "
                   f"not a character of algebra {prime.algebra.algebra_id}")

@@ -316,9 +316,9 @@ def restrict_component(a, e):
 class Decomposition(namedtuple("Decomposition",
                                 "algebra idempotents components supports")):
     """Primitive subunital idempotents of an algebra and the member sets they
-    cut out: idempotents holds one QRel per component, and per idempotent e,
-    components holds the sorted entry matrices of eA and supports its carrier
-    points in carrier order."""
+    cut out: idempotents holds the entry matrix of one per component, and per
+    idempotent e, components holds the sorted entry matrices of eA and
+    supports its carrier points in carrier order."""
 
     __slots__ = ()
 
@@ -355,10 +355,10 @@ def primitive_idempotents(a):
         raise InvariantViolation("support atoms do not cover the carrier")
     points = a.carrier.elements
     atom_points = tuple(tuple(points[i] for i in sorted(s)) for s in atoms)
-    idempotents = tuple(QRel(q, a.carrier, a.carrier, projections[s]) for s in atoms)
+    idempotents = tuple(projections[s] for s in atoms)
     mul = a.semiring().mul
     components = tuple(
-        tuple(a.members[k] for k in sorted(set(mul[a.member_pos[e.entries]])))
+        tuple(a.members[k] for k in sorted(set(mul[a.member_pos[e]])))
         for e in idempotents)
     return Decomposition(a, idempotents, components, atom_points)
 
@@ -369,7 +369,7 @@ def validate_decomposition(dec):
     a = dec.algebra
     sr = a.semiring()
     add, mul, zero = sr.add, sr.mul, sr.zero
-    es = [a.member_pos.get(e.entries) for e in dec.idempotents]
+    es = [a.member_pos.get(e) for e in dec.idempotents]
     if None in es:  # no law can be looked up for a foreign idempotent
         return [f"idempotent {i} is not subunital in the algebra"
                 for i, p in enumerate(es) if p is None]
@@ -584,9 +584,12 @@ def get_endospace(q, x):
     key = (q.fingerprint, x)
     space = _space_cache.get(key)
     if space is None:
-        size = hom_size(q, x)
-        limit = hom_bound()
-        if size > limit:
+        limit, cells = hom_bound(), x.size * x.size
+        # |Q| >= 2 and cells past the bound's bit length give 2**cells > limit:
+        # refuse without forming the power, which has about `cells` digits
+        huge = q.size > 1 and cells > limit.bit_length()
+        size = f"{q.size}^{cells}" if huge else hom_size(q, x)
+        if huge or size > limit:
             raise EnumerationBoundExceeded(
                 f"|Hom(X,X)| = {size} exceeds the bound {limit}; "
                 "use generated mode on a smaller carrier or raise QSPEC_MAX_HOM_SIZE")
@@ -882,6 +885,8 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
         known = {base}  # every closure and every union met so far
         level = [consider(base)]
         for _ in range(k):
+            if not level:  # nothing new to extend: every deeper level is empty too
+                break
             fresh = []
             for c, comm in level:
                 for b in _bits(comm & normal & ~c):

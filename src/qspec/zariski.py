@@ -76,8 +76,8 @@ def vanishing_set(spectrum, member_entries):
     """Point indices where one algebra member vanishes: the points whose
     kernel contains it (prime ideals containing it, characters killing it)."""
     k = spectrum.algebra.member_pos[member_entries]
-    return frozenset(i for i, p in enumerate(spectrum.points)
-                     if p.values[k] == p.target.bottom)
+    b = spectrum.target.bottom
+    return frozenset(i for i, p in enumerate(spectrum.points) if p[k] == b)
 
 
 def zariski_topology(spectrum):

@@ -18,7 +18,7 @@ from qspec.relations import (
     identity_rel, scalar_mul, scalar_mul_via_tensor, zero_rel, _e_join,
 )
 from qspec.spectra import (
-    character_kernel, characters_to_two, gelfand_spectrum, prime_spectrum,
+    TWO, character_kernel, characters_to_two, gelfand_spectrum, prime_spectrum,
     restriction_table,
 )
 from qspec.subalgebra import (
@@ -118,7 +118,7 @@ def test_criterion_3_decomposition():
         zero = zero_rel(q, poset.carrier, poset.carrier)
         for a in poset.algebras:
             dec = primitive_idempotents(a)
-            es = dec.idempotents
+            es = [QRel(q, a.carrier, a.carrier, e) for e in dec.idempotents]
             for e, f in itertools.combinations(es, 2):
                 if compose(e, f) != zero:
                     failures += 1
@@ -152,20 +152,20 @@ def test_criterion_4_spectra_correspondence():
     for poset in enumerated_posets().values():
         for a in poset.algebras:
             gammas = characters_to_two(a)
-            kernels = [character_kernel(g).kernel_members() for g in gammas]
             prime = prime_spectrum(a)
-            if sorted(kernels) != sorted(p.kernel_members() for p in prime.points):
+            kernels = [prime.kernel_members(character_kernel(g, a, TWO)) for g in gammas]
+            if sorted(kernels) != sorted(map(prime.kernel_members, prime.points)):
                 failures += 1
             if len(set(kernels)) != len(gammas):
                 failures += 1
             dec = primitive_idempotents(a)
             for g in gammas:
-                hits = [e for e in dec.idempotents if g.value_of(e.entries) == 1]
+                hits = [e for e in dec.idempotents if g[a.member_pos[e]] == 1]
                 if len(hits) != 1:
                     failures += 1
             if poset.quantale.size == 2:
                 gel = gelfand_spectrum(a)
-                ker_g = {character_kernel(rho).kernel_members() for rho in gel.points}
+                ker_g = {character_kernel(rho, a, gel.target) for rho in gel.points}
                 if not (len(ker_g) == gel.size == prime.size):
                     failures += 1
     assert failures == 0
@@ -187,7 +187,7 @@ def test_criterion_5_chain_surrogate_example():
     assert not rep_g.t0
     assert len(rep_g.indistinguishable_pairs) == 2
     quotient, mapping = kolmogorov_quotient(t_g)
-    kernel_idx = [pri.index_of(character_kernel(rho)) for rho in gel.points]
+    kernel_idx = [pri.index_of(character_kernel(rho, d, GODEL3)) for rho in gel.points]
     cls_to_prime = {}
     for g_idx, cls in enumerate(mapping):
         assert cls_to_prime.setdefault(cls, kernel_idx[g_idx]) == kernel_idx[g_idx]

@@ -1,15 +1,17 @@
 """Module boundaries.  Past enumeration, algebra members are combined only
 through their semiring tables (Subsemialgebra.semiring), never through the
 entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
-and index tables it is handed and computes none, and a prime point is a
-Character into the two-element quantale, with no type of its own.  The
-down-set scan of prime ideals and the standalone search into that quantale
-(characters_to_two) are oracles of a check, not pipeline stages; the entry-matrix validators of
-one character or one prime ideal live in the tests.  A global section is a
+and index tables it is handed and computes none.  A spectrum point is the
+plain tuple of its values, with no type of its own; a prime point is such a
+character into the two-element quantale.  The down-set scan of prime ideals
+and the standalone search into that quantale (characters_to_two) are oracles
+of a check, not pipeline stages; the entry-matrix validators of one
+character or one prime ideal live in the tests.  A global section is a
 plain tuple of point indices, and the support checks read their projections
 from qspec.subalgebra, not from the relation-level support.  The records are
 namedtuples, so starting the CLI loads neither dataclasses nor the modules
-only a few commands need."""
+only a few commands need, and no record stores a field that its owner or a
+sibling field already holds."""
 
 import importlib
 import pkgutil
@@ -20,10 +22,11 @@ from pathlib import Path
 import pytest
 
 import qspec
-from qspec.quantale import builtin_quantale
+from qspec.contextuality import Verdict
+from qspec.quantale import AxiomReport, builtin_quantale
 from qspec.relations import FiniteSet, carrier, identity_rel
-from qspec.spectra import gelfand_spectrum
-from qspec.subalgebra import diagonal_algebra
+from qspec.spectra import gelfand_spectrum, prime_spectrum
+from qspec.subalgebra import diagonal_algebra, enumerate_vn
 
 QSPEC_MODULES = sorted(f"qspec.{m.name}" for m in pkgutil.iter_modules(qspec.__path__))
 
@@ -47,6 +50,7 @@ def test_sections_read_supports_from_the_decomposition():
     *((module, {"characters_to_two", "prime_ideal_scan"})
       for module in ["qspec.contextuality", "qspec.zariski", "qspec.cli"]),
     *((module, {"Section"}) for module in ["qspec", "qspec.contextuality"]),
+    *((module, {"Character"}) for module in ["qspec", *QSPEC_MODULES]),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))
@@ -62,6 +66,24 @@ def test_the_cli_starts_without_the_heavy_modules():
     assert "qspec.cli" in loaded
     heavy = {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
     assert heavy.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("spectrum", [gelfand_spectrum, prime_spectrum])
+def test_spectrum_points_are_tuples_of_ints(spectrum):
+    for a in enumerate_vn(carrier("X", 2), builtin_quantale("godel_chain", 3)).algebras:
+        for point in spectrum(a).points:
+            assert type(point) is tuple and {type(v) for v in point} == {int}
+
+
+def test_decomposition_idempotents_are_members_of_their_algebra():
+    poset = enumerate_vn(carrier("X", 2), builtin_quantale("godel_chain", 3))
+    for dec in poset.decompositions:
+        assert dec.idempotents and set(dec.idempotents) <= dec.algebra.member_set
+
+
+def test_records_store_no_derivable_flag():
+    assert AxiomReport._fields == ("violations",)
+    assert "contextual" not in Verdict._fields
 
 
 def test_points_and_relations_carry_no_instance_dict():

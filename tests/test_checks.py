@@ -4,10 +4,12 @@
 import pytest
 
 from qspec import checks as checks_module, cli
-from qspec.checks import algebras_suite, quantale_suite, spectra_suite, topology_suite
+from qspec.checks import (
+    algebras_suite, quantale_suite, relations_suite, spectra_suite, topology_suite,
+)
 from qspec.contextuality import build_presheaf
 from qspec.quantale import AxiomReport, builtin_quantale
-from qspec.relations import carrier, diag_rel
+from qspec.relations import QRel, carrier, diag_rel, zero_rel
 from qspec.spectra import restriction_mismatch
 from qspec.subalgebra import InvariantViolation, Subsemialgebra, enumerate_vn
 from qspec.zariski import closed_family_from_basis
@@ -166,10 +168,40 @@ def test_a_verifier_that_changes_its_answer_fails_verify_deterministic(monkeypat
 
     def flaky(q):  # the first answer is right, every later one a made-up failure
         calls.append(q)
-        return real(q) if len(calls) == 1 else AxiomReport(False, (("distributivity", ()),))
+        return real(q) if len(calls) == 1 else AxiomReport((("distributivity", ()),))
 
     monkeypatch.setattr(checks_module, "verify_quantale", flaky)
     assert failed_quantale_checks() == ["verify-deterministic"]
+
+
+@pytest.mark.parametrize("check,leq", [
+    # every pair related both ways: reflexive and transitive, not antisymmetric
+    ("order-partial-order", lambda q: lambda i, j: True),
+    # the join order turned upside down: a partial order with bottom on top
+    ("order-bounds", lambda q: lambda i, j: q.join(i, j) == i),
+])
+def test_a_wrong_order_fails_its_order_check(check, leq):
+    # verify_quantale reads the tables, never leq, so the axioms still pass
+    q = builtin_quantale("godel_chain", 3)
+    assert [r.name for r in quantale_suite(q) if not r.passed] == []
+    q.leq = leq(q)
+    assert [r.name for r in quantale_suite(q) if not r.passed] == [check]
+
+
+@pytest.mark.parametrize("name,check,fake", [
+    # each operation as qspec.checks binds it, replaced by a wrong one of
+    # the same type that no other check of the suite calls
+    ("add_via_biproduct", "convolution-oracle", lambda f, g: f),
+    ("scalar_mul_via_tensor", "scalar-oracle", lambda s, f: f),
+    ("dagger", "dagger-laws", lambda f: zero_rel(f.quantale, f.cod, f.dom)),
+    ("identity_rel", "category-laws", lambda q, x: zero_rel(q, x, x)),
+    ("zero_rel", "semimodule-axioms",
+     lambda q, x, y: QRel(q, x, y, ((q.unit,) * y.size,) * x.size)),
+])
+def test_a_wrong_relation_operation_fails_its_calculus_check(monkeypatch, name, check, fake):
+    assert [r.name for r in relations_suite(GODEL3, 0) if not r.passed] == []
+    monkeypatch.setattr(checks_module, name, fake)
+    assert [r.name for r in relations_suite(GODEL3, 0) if not r.passed] == [check]
 
 
 # -- topology checks on godel3 |X|=2, which is ZDF ------------------------------
@@ -328,7 +360,7 @@ def test_a_foreign_idempotent_fails_one_idempotent_per_character():
     t = poset.trivial_index
     decompositions = list(poset.decompositions)
     decompositions[t] = decompositions[t]._replace(
-        idempotents=(diag_rel(bool2, X2, (bool2.unit, bool2.bottom)),))
+        idempotents=(diag_rel(bool2, X2, (bool2.unit, bool2.bottom)).entries,))
     poset.__dict__["decompositions"] = tuple(decompositions)
     results = {r.name: r for r in spectra_suite(poset)}
     assert not results["one-idempotent-per-character"].passed

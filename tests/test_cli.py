@@ -1,6 +1,10 @@
 """The qspec command line driver: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +241,27 @@ def test_bound_overflow_exits_two_for_every_enumerating_command(monkeypatch, cap
         assert out == ""
 
 
+def test_a_carrier_past_the_bound_names_the_knob(monkeypatch, capsys):
+    # |Hom(X,X)| = 3^90000 has more digits than int-to-str conversion allows
+    monkeypatch.delenv("QSPEC_MAX_HOM_SIZE", raising=False)
+    code, out, err = run_cli(capsys, "algebras", "--quantale", "godel3", "--size", "300")
+    assert (code, out) == (2, "")
+    assert err == ("qspec: error: |Hom(X,X)| = 3^90000 exceeds the bound 65536; use "
+                   "generated mode on a smaller carrier or raise QSPEC_MAX_HOM_SIZE\n")
+
+
+def test_a_carrier_far_past_the_bound_is_refused_at_once():
+    # the exact power 3^(10^8) would take minutes to compute
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "QSPEC_MAX_HOM_SIZE"}
+    done = subprocess.run(
+        [sys.executable, "-m", "qspec.cli", "algebras", "--quantale", "godel3",
+         "--size", "10000"],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 2
+    assert "|Hom(X,X)| = 3^100000000 exceeds the bound 65536" in done.stderr
+
+
 def test_memory_exhaustion_exits_two_and_names_the_knobs(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -336,7 +361,7 @@ def test_a_foreign_idempotent_fails_the_verdict_instead_of_a_traceback(monkeypat
         q, t = poset.quantale, poset.trivial_index
         decompositions = list(poset.decompositions)
         decompositions[t] = decompositions[t]._replace(
-            idempotents=(diag_rel(q, poset.carrier, (q.unit, q.bottom)),))
+            idempotents=(diag_rel(q, poset.carrier, (q.unit, q.bottom)).entries,))
         poset.__dict__["decompositions"] = tuple(decompositions)
         return poset
 

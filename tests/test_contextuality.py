@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qspec import csp
 from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
 from qspec.relations import (
-    carrier, diag_rel, subset_idempotent, support, zero_rel, _e_compose,
+    QRel, carrier, diag_rel, subset_idempotent, support, zero_rel, _e_compose,
 )
 from qspec.contextuality import (
     Presheaf, build_presheaf, canonical_section, global_sections,
@@ -18,7 +18,7 @@ from qspec.contextuality import (
     transport_prime_section,
 )
 from qspec.spectra import (
-    TWO, Character, SpectrumSet, prime_ideal_scan, restrict_character,
+    TWO, SpectrumSet, prime_ideal_scan, restrict_character,
     restriction_table,
 )
 from qspec.subalgebra import (
@@ -117,7 +117,8 @@ def test_presheaf_tables_match_pointwise_restriction():
         for (i, j), table in sheaf.restrictions.items():
             sub = poset.algebras[i]
             for pj, point in enumerate(sheaf.values[j].points):
-                assert sheaf.values[i].points[table[pj]] == restrict_character(point, sub)
+                assert sheaf.values[i].points[table[pj]] == \
+                    restrict_character(point, poset.algebras[j], sub)
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
@@ -130,7 +131,8 @@ def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
             sub = poset.algebras[i]
             assert len(table) == sheaf.values[j].size
             for pj, point in enumerate(sheaf.values[j].points):
-                assert table[pj] == sheaf.values[i].index_of(restrict_character(point, sub))
+                assert table[pj] == sheaf.values[i].index_of(
+                    restrict_character(point, poset.algebras[j], sub))
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
@@ -139,7 +141,7 @@ def test_the_prime_ideal_scan_finds_every_prime_spectrum(tag, size):
     # here also where the scalars have zero divisors
     poset = oracle_poset(tag, size)
     for a, spectrum in zip(poset.algebras, poset.spectra("prime")):
-        assert prime_ideal_scan(a) == [p.values for p in spectrum.points]
+        assert prime_ideal_scan(a) == list(spectrum.points)
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
@@ -235,11 +237,12 @@ def oracle_canonical_choice(point, sheaf):
     for idx, dec in enumerate(sheaf.poset.decompositions):
         a = dec.algebra
         q = a.quantale
-        (e,) = [e for e in dec.idempotents if point in support(e).supp]
+        (e,) = [e for e in dec.idempotents
+                if point in support(QRel(q, a.carrier, a.carrier, e)).supp]
         zero = zero_rel(q, a.carrier, a.carrier).entries
-        values = tuple(TWO.bottom if _e_compose(q, e.entries, m) == zero else TWO.unit
+        values = tuple(TWO.bottom if _e_compose(q, e, m) == zero else TWO.unit
                        for m in a.members)
-        choice.append(sheaf.values[idx].index_of(Character(a, TWO, values)))
+        choice.append(sheaf.values[idx].index_of(values))
     return tuple(choice)
 
 
@@ -271,14 +274,16 @@ def test_canonical_section_boolean_picks_the_complement_ideal():
     sheaf = build_presheaf(poset, "prime")
     s = canonical_section("1", sheaf)
     d_idx = poset.diagonal_index
-    chosen = sheaf.values[d_idx].points[s[d_idx]]
-    q = BOOL2
+    diagonal = sheaf.values[d_idx]
+    chosen = diagonal.points[s[d_idx]]
     # the ideal must kill everything supported at "1": zero and the idempotent at "2"
-    labels = {"".join(str(v) for row in m for v in row) for m in chosen.kernel_members()}
+    labels = {"".join(str(v) for row in m for v in row)
+              for m in diagonal.kernel_members(chosen)}
     assert labels == {"0000", "0001"}
     t_idx = poset.trivial_index
-    chosen_t = sheaf.values[t_idx].points[s[t_idx]]
-    assert set(chosen_t.kernel_members()) == {((0, 0), (0, 0))}
+    trivial = sheaf.values[t_idx]
+    chosen_t = trivial.points[s[t_idx]]
+    assert set(trivial.kernel_members(chosen_t)) == {((0, 0), (0, 0))}
     assert is_natural(s, sheaf)
 
 
@@ -343,7 +348,7 @@ def test_a_foreign_idempotent_is_an_invariant_violation():
     t = poset.trivial_index
     decompositions = list(poset.decompositions)
     decompositions[t] = decompositions[t]._replace(
-        idempotents=(diag_rel(BOOL2, x2, (BOOL2.unit, BOOL2.bottom)),))
+        idempotents=(diag_rel(BOOL2, x2, (BOOL2.unit, BOOL2.bottom)).entries,))
     poset.__dict__["decompositions"] = tuple(decompositions)
     sheaf = build_presheaf(poset, "prime")
     match = rf"A{t}: primitive idempotent \(\(1, 0\), \(0, 0\)\) is not a member"

@@ -1,7 +1,8 @@
 """Characters, prime ideals, restriction, and the kernel/indicator maps.
 
-A prime point is the character into the two-element quantale TWO that is 0
-exactly on its ideal, so its ideal is read as ``kernel_members()``."""
+A point is its tuple of values over the algebra's members.  A prime point is
+the character into the two-element quantale TWO that is 0 exactly on its
+ideal, so its ideal is read as ``SpectrumSet.kernel_members``."""
 
 import itertools
 
@@ -14,7 +15,7 @@ from qspec.relations import (
     _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 from qspec.spectra import (
-    TWO, Character, character_from_prime, character_kernel,
+    TWO, SpectrumSet, character_from_prime, character_kernel,
     characters_to_two, gelfand_spectrum, prime_ideal_scan, prime_spectrum,
     restrict_character, restrict_prime,
 )
@@ -32,6 +33,12 @@ BOOL2_TOP_FIRST = load_quantale({
     "mul": [["1", "0"], ["0", "0"]],
     "unit": "1",
 })
+
+
+def ideal(algebra, point):
+    """The members a prime point of algebra, or any character into TWO,
+    sends to 0."""
+    return SpectrumSet(algebra, "prime", ()).kernel_members(point)
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -161,7 +168,7 @@ def diag(q, p, r):
 def test_gelfand_trivial_boolean():
     spec = gelfand_spectrum(trivial_algebra(X2, BOOL2))
     assert spec.size == 1
-    assert spec.points[0].values == (0, 1)
+    assert spec.points[0] == (0, 1)
 
 
 def test_gelfand_diagonal_boolean():
@@ -172,7 +179,7 @@ def test_gelfand_diagonal_boolean():
 def test_gelfand_diagonal_godel_has_six_characters():
     d = diagonal_algebra(X2, GODEL3)
     spec = gelfand_spectrum(d)
-    assert [c.values for c in spec.points] == oracle_characters(d, GODEL3)
+    assert list(spec.points) == oracle_characters(d, GODEL3)
     assert spec.size == 6
     # the six tables: the three chain endomorphisms applied to either slot
     a_of = {m: (m[0][0], m[1][1]) for m in d.members}
@@ -183,7 +190,7 @@ def test_gelfand_diagonal_godel_has_six_characters():
     for endo in (drop, keep, lift):
         expected.add(tuple(endo[a_of[m][0]] for m in d.members))
         expected.add(tuple(endo[a_of[m][1]] for m in d.members))
-    assert {c.values for c in spec.points} == expected
+    assert set(spec.points) == expected
 
 
 def test_character_enumeration_matches_oracle_on_small_algebras():
@@ -194,25 +201,25 @@ def test_character_enumeration_matches_oracle_on_small_algebras():
             if a.size > cap:
                 continue
             spec = gelfand_spectrum(a)
-            assert [c.values for c in spec.points] == oracle_characters(a, q)
+            assert list(spec.points) == oracle_characters(a, q)
 
 
 def test_characters_respect_scalar_action():
     d = diagonal_algebra(X2, GODEL3)
+    pos = d.member_pos
     for rho in gelfand_spectrum(d).points:
         for s in range(GODEL3.size):
-            scaled_unit = rho.value_of(
-                scalar_mul(s, identity_rel(GODEL3, X2)).entries)
+            scaled_unit = rho[pos[scalar_mul(s, identity_rel(GODEL3, X2)).entries]]
             for m in d.members:
                 scaled = scalar_mul(s, QRel(GODEL3, X2, X2, m)).entries
-                assert rho.value_of(scaled) == GODEL3.mul(scaled_unit, rho.value_of(m))
+                assert rho[pos[scaled]] == GODEL3.mul(scaled_unit, rho[pos[m]])
 
 
 def test_is_character_validation():
     d = diagonal_algebra(X2, BOOL2)
     good = gelfand_spectrum(d).points[0]
-    assert is_character(d, BOOL2, good.values)
-    assert not is_character(d, BOOL2, tuple(1 - v for v in good.values))
+    assert is_character(d, BOOL2, good)
+    assert not is_character(d, BOOL2, tuple(1 - v for v in good))
 
 
 # -- prime ideals ------------------------------------------------------------------
@@ -221,13 +228,13 @@ def test_is_character_validation():
 def test_prime_spectrum_trivial_boolean():
     spec = prime_spectrum(trivial_algebra(X2, BOOL2))
     assert spec.size == 1
-    assert spec.points[0].kernel_members() == (zero_rel(BOOL2, X2, X2).entries,)
+    assert spec.kernel_members(spec.points[0]) == (zero_rel(BOOL2, X2, X2).entries,)
 
 
 def test_prime_spectrum_diagonal_godel_has_four_ideals():
     d = diagonal_algebra(X2, GODEL3)
     spec = prime_spectrum(d)
-    assert sorted(p.kernel_members() for p in spec.points) == oracle_prime_ideals(d)
+    assert sorted(map(spec.kernel_members, spec.points)) == oracle_prime_ideals(d)
     assert spec.size == 4
     expected = [
         {diag(GODEL3, p, "0") for p in ("0", "a", "1")},
@@ -235,7 +242,7 @@ def test_prime_spectrum_diagonal_godel_has_four_ideals():
         {diag(GODEL3, "0", r) for r in ("0", "a", "1")},
         {diag(GODEL3, p, r) for p in ("0", "a") for r in ("0", "a", "1")},
     ]
-    got = [set(p.kernel_members()) for p in spec.points]
+    got = [set(spec.kernel_members(p)) for p in spec.points]
     for want in expected:
         assert want in got
 
@@ -245,8 +252,8 @@ def test_prime_spectrum_matches_oracle_on_small_algebras():
         for a in enumerate_vn(X2, q).algebras:
             if a.size > cap:
                 continue
-            assert sorted(p.kernel_members() for p in prime_spectrum(a).points) == \
-                oracle_prime_ideals(a)
+            spec = prime_spectrum(a)
+            assert sorted(map(spec.kernel_members, spec.points)) == oracle_prime_ideals(a)
 
 
 def down_sets(sr):
@@ -280,7 +287,7 @@ def test_the_one_prime_closed_down_set_holding_the_unit_is_the_whole_algebra(q):
                     if mul[x][y] in s)]
         assert [s for s in closed if sr.one in s] == [frozenset(range(n))]
         assert sorted(sorted(s) for s in closed if sr.one not in s) == sorted(
-            [k for k, v in enumerate(p.values) if v == TWO.bottom]
+            [k for k, v in enumerate(p) if v == TWO.bottom]
             for p in prime_spectrum(a).points)
 
 
@@ -291,17 +298,17 @@ def test_prime_points_are_the_homomorphisms_into_two(q):
     # lukasiewicz3 and powerset2 have zero divisors; the search into TWO runs
     # here directly on the semiring tables
     for a in enumerate_vn(X2, q).algebras:
-        points = prime_spectrum(a).points
-        assert [p.values for p in points] == \
+        spec = prime_spectrum(a)
+        assert list(spec.points) == \
             sorted(enumerate_homs(a.semiring(), TWO.semiring()), reverse=True)
-        assert all(p.target == TWO for p in points)
-        assert all(is_prime_kstar_ideal(a, p.kernel_members()) for p in points)
+        assert spec.target == TWO
+        assert all(is_prime_kstar_ideal(a, spec.kernel_members(p)) for p in spec.points)
 
 
 def test_is_prime_kstar_ideal_validation():
     d = diagonal_algebra(X2, GODEL3)
     for p in prime_spectrum(d).points:
-        assert is_prime_kstar_ideal(d, p.kernel_members())
+        assert is_prime_kstar_ideal(d, ideal(d, p))
     assert not is_prime_kstar_ideal(d, d.members)
     assert not is_prime_kstar_ideal(d, (zero_rel(GODEL3, X2, X2).entries,))
 
@@ -320,15 +327,15 @@ def test_characters_to_two_diagonal_godel():
     d = diagonal_algebra(X2, GODEL3)
     gammas = characters_to_two(d)
     assert len(gammas) == 4
-    kernels = sorted(character_kernel(g).kernel_members() for g in gammas)
+    kernels = sorted(ideal(d, character_kernel(g, d, TWO)) for g in gammas)
     assert kernels == scan_kernels(d)
-    assert sorted(g.values for g in gammas) == sorted(prime_ideal_scan(d))
+    assert sorted(gammas) == sorted(prime_ideal_scan(d))
 
 
 @pytest.mark.parametrize("q", [LUK3, builtin_quantale("powerset", 2)], ids=lambda q: q.name)
 def test_characters_to_two_equal_the_scan_over_zero_divisors(q):
     for a in enumerate_vn(X2, q).algebras:
-        assert [g.values for g in characters_to_two(a)] == sorted(prime_ideal_scan(a))
+        assert characters_to_two(a) == sorted(prime_ideal_scan(a))
 
 
 def test_kernel_bijection_everywhere():
@@ -336,12 +343,13 @@ def test_kernel_bijection_everywhere():
     for q in (BOOL2, GODEL3, godel4, BOOL2_TOP_FIRST):
         for a in enumerate_vn(X2, q).algebras:
             gammas = characters_to_two(a)
-            kernels = [character_kernel(g).kernel_members() for g in gammas]
+            kernels = [ideal(a, character_kernel(g, a, TWO)) for g in gammas]
             assert len(set(kernels)) == len(gammas)
             assert sorted(kernels) == scan_kernels(a)
-            assert sorted(g.values for g in gammas) == sorted(prime_ideal_scan(a))
-            for rho in gelfand_spectrum(a).points:
-                assert character_kernel(rho).kernel_members() == rho.kernel_members()
+            assert sorted(gammas) == sorted(prime_ideal_scan(a))
+            gel = gelfand_spectrum(a)
+            for rho in gel.points:
+                assert ideal(a, character_kernel(rho, a, q)) == gel.kernel_members(rho)
 
 
 def test_exactly_one_primitive_idempotent_maps_to_one():
@@ -350,8 +358,7 @@ def test_exactly_one_primitive_idempotent_maps_to_one():
         for a in enumerate_vn(X2, q).algebras:
             dec = primitive_idempotents(a)
             for gamma in characters_to_two(a):
-                hits = [e for e in dec.idempotents
-                        if gamma.value_of(e.entries) == 1]
+                hits = [e for e in dec.idempotents if gamma[a.member_pos[e]] == 1]
                 assert len(hits) == 1
 
 
@@ -360,11 +367,13 @@ def test_component_complements_are_prime_ideals():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             dec = primitive_idempotents(a)
-            prime_members = {p.kernel_members() for p in prime_spectrum(a).points}
+            spec = prime_spectrum(a)
+            prime_members = set(map(spec.kernel_members, spec.points))
             for e in dec.idempotents:
                 complement = tuple(sorted(
                     m for m in a.members
-                    if compose(e, QRel(q, a.carrier, a.carrier, m))
+                    if compose(QRel(q, a.carrier, a.carrier, e),
+                               QRel(q, a.carrier, a.carrier, m))
                     == zero_rel(q, a.carrier, a.carrier)))
                 assert complement in prime_members
 
@@ -375,21 +384,21 @@ def test_component_complements_are_prime_ideals():
 def test_restriction_along_identity():
     d = diagonal_algebra(X2, GODEL3)
     for rho in gelfand_spectrum(d).points:
-        assert restrict_character(rho, d) == rho
+        assert restrict_character(rho, d, d) == rho
     for p in prime_spectrum(d).points:
-        assert restrict_prime(p, d) == p
+        assert restrict_prime(p, d, d) == p
 
 
 def test_restrict_diagonal_character_to_trivial():
     d = diagonal_algebra(X2, GODEL3)
     t = trivial_algebra(X2, GODEL3)
-    down = {restrict_character(rho, t).values for rho in gelfand_spectrum(d).points}
+    down = {restrict_character(rho, d, t) for rho in gelfand_spectrum(d).points}
     # restrictions of the slot characters are exactly the three chain endomorphisms
     assert down == {(0, 0, 2), (0, 1, 2), (0, 2, 2)}
     for rho in gelfand_spectrum(d).points:
-        assert is_character(t, GODEL3, restrict_character(rho, t).values)
+        assert is_character(t, GODEL3, restrict_character(rho, d, t))
     for p in prime_spectrum(d).points:
-        assert is_prime_kstar_ideal(t, restrict_prime(p, t).kernel_members())
+        assert is_prime_kstar_ideal(t, ideal(t, restrict_prime(p, d, t)))
 
 
 def test_restriction_functor_law_on_a_chain():
@@ -400,13 +409,13 @@ def test_restriction_functor_law_on_a_chain():
               if j == j2 and (i, k) in poset.leq_pairs]
     assert chains, "expected at least one three-object chain"
     for (i, j, k) in chains:
-        for rho in gelfand_spectrum(algebras[k]).points:
-            two_step = restrict_character(restrict_character(rho, algebras[j]),
-                                          algebras[i])
-            assert two_step == restrict_character(rho, algebras[i])
-        for p in prime_spectrum(algebras[k]).points:
-            two_step = restrict_prime(restrict_prime(p, algebras[j]), algebras[i])
-            assert two_step == restrict_prime(p, algebras[i])
+        a_i, a_j, a_k = algebras[i], algebras[j], algebras[k]
+        for rho in gelfand_spectrum(a_k).points:
+            two_step = restrict_character(restrict_character(rho, a_k, a_j), a_j, a_i)
+            assert two_step == restrict_character(rho, a_k, a_i)
+        for p in prime_spectrum(a_k).points:
+            two_step = restrict_prime(restrict_prime(p, a_k, a_j), a_j, a_i)
+            assert two_step == restrict_prime(p, a_k, a_i)
 
 
 # -- the comparison maps ----------------------------------------------------------------
@@ -416,27 +425,27 @@ def test_kernel_of_indicator_recovers_the_ideal():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             for p in prime_spectrum(a).points:
-                rho = character_from_prime(p)
-                assert is_character(a, q, rho.values)
-                assert character_kernel(rho).kernel_members() == p.kernel_members()
+                rho = character_from_prime(p, a)
+                assert is_character(a, q, rho)
+                assert character_kernel(rho, a, q) == p
 
 
 def test_the_indicator_of_a_prime_point_needs_no_zdf_scalars():
     # two_embedding is a quantale map into any scalars, zero divisors or not
     for a in enumerate_vn(X2, LUK3).algebras:
         for p in prime_spectrum(a).points:
-            rho = character_from_prime(p)
-            assert is_character(a, LUK3, rho.values)
-            assert rho.kernel_members() == p.kernel_members()
+            rho = character_from_prime(p, a)
+            assert is_character(a, LUK3, rho)
+            assert SpectrumSet(a, "gelfand", ()).kernel_members(rho) == ideal(a, p)
 
 
 def test_embedding_two_valued_characters_preserves_kernels():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             for gamma in characters_to_two(a):
-                rho = character_from_prime(gamma)
-                assert is_character(a, q, rho.values)
-                assert character_kernel(rho).values == gamma.values
+                rho = character_from_prime(gamma, a)
+                assert is_character(a, q, rho)
+                assert character_kernel(rho, a, q) == gamma
 
 
 def test_kernel_values_on_the_six_diagonal_characters():
@@ -445,13 +454,12 @@ def test_kernel_values_on_the_six_diagonal_characters():
     k1 = tuple(sorted(diag(GODEL3, "0", r) for r in ("0", "a", "1")))
     k2 = tuple(sorted(diag(GODEL3, p, r) for p in ("0", "a") for r in ("0", "a", "1")))
     # characters reading the first slot through "keep" and "lift" share a kernel
-    by_values = {c.values: c for c in spec.points}
-    lift_first = by_values[(0, 0, 0, 2, 2, 2, 2, 2, 2)]
-    keep_first = by_values[(0, 0, 0, 1, 1, 1, 2, 2, 2)]
-    drop_first = by_values[(0, 0, 0, 0, 0, 0, 2, 2, 2)]
-    assert character_kernel(lift_first).kernel_members() == k1
-    assert character_kernel(keep_first).kernel_members() == k1
-    assert character_kernel(drop_first).kernel_members() == k2
+    lift_first, keep_first, drop_first = (
+        (0, 0, 0, 2, 2, 2, 2, 2, 2), (0, 0, 0, 1, 1, 1, 2, 2, 2), (0, 0, 0, 0, 0, 0, 2, 2, 2))
+    assert {lift_first, keep_first, drop_first} <= set(spec.points)
+    assert ideal(d, character_kernel(lift_first, d, GODEL3)) == k1
+    assert ideal(d, character_kernel(keep_first, d, GODEL3)) == k1
+    assert ideal(d, character_kernel(drop_first, d, GODEL3)) == k2
 
 
 def test_comparison_naturality_over_the_boolean_poset():
@@ -460,16 +468,16 @@ def test_comparison_naturality_over_the_boolean_poset():
     for (i, j) in poset.leq_pairs:
         sub, sup = algebras[i], algebras[j]
         for rho in gelfand_spectrum(sup).points:
-            assert character_kernel(restrict_character(rho, sub)).kernel_members() == \
-                restrict_prime(character_kernel(rho), sub).kernel_members()
+            assert character_kernel(restrict_character(rho, sup, sub), sub, BOOL2) == \
+                restrict_prime(character_kernel(rho, sup, BOOL2), sup, sub)
         for p in prime_spectrum(sup).points:
-            assert restrict_character(character_from_prime(p), sub).values == \
-                character_from_prime(restrict_prime(p, sub)).values
+            assert restrict_character(character_from_prime(p, sup), sup, sub) == \
+                character_from_prime(restrict_prime(p, sup, sub), sub)
 
 
 def test_two_element_scalars_make_the_spectra_coincide():
     for a in enumerate_vn(X2, BOOL2).algebras:
         gel = gelfand_spectrum(a)
         pri = prime_spectrum(a)
-        kernels = {character_kernel(rho).kernel_members() for rho in gel.points}
+        kernels = {character_kernel(rho, a, BOOL2) for rho in gel.points}
         assert len(kernels) == gel.size == pri.size

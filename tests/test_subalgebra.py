@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -744,6 +745,23 @@ def test_enumeration_bound(monkeypatch):
     sub._space_cache.clear()
 
 
+@pytest.mark.parametrize("bound,refusal", [
+    ("16", None),
+    ("15", "|Hom(X,X)| = 16 exceeds the bound 15"),
+    # 4 cells past the 3 bits of 7: refused without the exact power
+    ("7", "|Hom(X,X)| = 2^4 exceeds the bound 7"),
+])
+def test_the_hom_bound_at_its_edge(monkeypatch, bound, refusal):
+    import qspec.subalgebra as sub
+    monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", bound)
+    monkeypatch.setattr(sub, "_space_cache", {})
+    if refusal is None:
+        assert sub.get_endospace(BOOL2, X2).size == 16
+    else:
+        with pytest.raises(EnumerationBoundExceeded, match=re.escape(refusal)):
+            sub.get_endospace(BOOL2, X2)
+
+
 def test_poset_exports():
     poset = enumerate_vn(X2, BOOL2)
     js = poset.to_json()
@@ -760,7 +778,7 @@ def oracle_check_decomposition(a, dec):
     q = a.quantale
     zero = zero_rel(q, a.carrier, a.carrier)
     ident = identity_rel(q, a.carrier)
-    es = dec.idempotents
+    es = [QRel(q, a.carrier, a.carrier, e) for e in dec.idempotents]
     for e in es:
         assert compose(e, e) == e
         assert e.entries in a.member_set
@@ -809,7 +827,7 @@ def oracle_subunital_idempotents(a):
 
 def oracle_components(a, idempotents):
     q = a.quantale
-    return tuple(tuple(sorted({_e_compose(q, e.entries, m) for m in a.members}))
+    return tuple(tuple(sorted({_e_compose(q, e, m) for m in a.members}))
                  for e in idempotents)
 
 
@@ -818,7 +836,7 @@ def oracle_validate_decomposition(dec):
     q = a.quantale
     zero = zero_rel(q, a.carrier, a.carrier).entries
     failures = []
-    es = [e.entries for e in dec.idempotents]
+    es = list(dec.idempotents)
     for i, e in enumerate(es):
         if _e_compose(q, e, e) != e:
             failures.append(f"idempotent {i} is not idempotent")
@@ -855,8 +873,8 @@ def oracle_validate_decomposition(dec):
 def oracle_restrict_component(a, e):
     """The members of e A e, cut down to the support of e."""
     q = a.quantale
-    keep = [i for i in range(a.carrier.size) if e.entries[i][i] == q.unit]
-    cuts = {_e_compose(q, e.entries, _e_compose(q, m, e.entries)) for m in a.members}
+    keep = [i for i in range(a.carrier.size) if e[i][i] == q.unit]
+    cuts = {_e_compose(q, e, _e_compose(q, m, e)) for m in a.members}
     return tuple(sorted({tuple(tuple(c[i][j] for j in keep) for i in keep) for c in cuts}))
 
 
@@ -883,7 +901,8 @@ def test_decomposition_layer_equals_the_entry_kernels(tag, size, mode):
             continue
         dec = primitive_idempotents(a)
         assert dec.components == oracle_components(a, dec.idempotents)
-        assert dec.supports == tuple(support(e).supp for e in dec.idempotents)
+        assert dec.supports == tuple(support(QRel(poset.quantale, a.carrier, a.carrier, e)).supp
+                                     for e in dec.idempotents)
         assert validate_decomposition(dec) == oracle_validate_decomposition(dec) == []
         for e in dec.idempotents:
             assert restrict_component(a, e).members == oracle_restrict_component(a, e)
@@ -896,7 +915,7 @@ def _diagonal_decomposition(q, n=2):
 def _with_idempotents(dec, *pointsets):
     x = dec.algebra.carrier
     return dec._replace(idempotents=tuple(
-        subset_idempotent(dec.algebra.quantale, x, pts) for pts in pointsets))
+        subset_idempotent(dec.algebra.quantale, x, pts).entries for pts in pointsets))
 
 
 def corrupted_decompositions():
@@ -906,9 +925,9 @@ def corrupted_decompositions():
     # boolean2 |X|=2: {0, swap, id, all-ones} decomposes along id alone
     swapping = next(a for a in enumerate_vn(X2, BOOL2).algebras
                     if ((0, 1), (1, 0)) in a.member_set)
-    swap = QRel(BOOL2, X2, X2, ((0, 1), (1, 0)))
+    swap = ((0, 1), (1, 0))
     godel = _diagonal_decomposition(GODEL3)
-    half_one = diag_rel(GODEL3, X2, (1, 2))  # diag(1/2, 1): idempotent, no partner
+    half_one = diag_rel(GODEL3, X2, (1, 2)).entries  # diag(1/2, 1): idempotent, no partner
     return {
         "idempotent 0 is not idempotent": primitive_idempotents(swapping)._replace(
             idempotents=(swap,)),
@@ -918,7 +937,7 @@ def corrupted_decompositions():
             idempotents=(godel.idempotents[0], half_one)),
         "idempotent 0 is not subunital in the algebra":
             primitive_idempotents(trivial_algebra(X2, BOOL2))._replace(
-                idempotents=(subset_idempotent(BOOL2, X2, ["1"]),)),  # not a member
+                idempotents=(subset_idempotent(BOOL2, X2, ["1"]).entries,)),  # not a member
         "idempotent 0 splits as a join of": _with_idempotents(diag, ["1", "2"])._replace(
             components=(diag.algebra.members,)),
         "members ": _with_idempotents(diag, ["1"]),  # ... agree on all components
@@ -942,13 +961,13 @@ def test_a_foreign_idempotent_is_a_failure_not_a_key_error():
 def test_decomposition_trivial_algebra():
     dec = primitive_idempotents(trivial_algebra(X2, BOOL2))
     assert len(dec.idempotents) == 1
-    assert dec.idempotents[0] == identity_rel(BOOL2, X2)
+    assert dec.idempotents[0] == identity_rel(BOOL2, X2).entries
 
 
 def test_decomposition_diagonal_boolean():
     dec = primitive_idempotents(diagonal_algebra(X2, BOOL2))
     assert len(dec.idempotents) == 2
-    assert {support(e).supp for e in dec.idempotents} == {("1",), ("2",)}
+    assert {support(QRel(BOOL2, X2, X2, e)).supp for e in dec.idempotents} == {("1",), ("2",)}
     oracle_check_decomposition(dec.algebra, dec)
 
 
@@ -1072,6 +1091,15 @@ def test_mixed_ambients_are_rejected():
                    trivial_algebra(carrier("B", 1), GODEL3))
 
 
+def test_generated_mode_stops_at_the_first_empty_level():
+    # godel3 |X|=2 saturates at three generators, so a count of 10**12 ends
+    # its walk there instead of stepping over empty levels
+    saturated = enumerate_vn(X2, GODEL3, "generated", 3)
+    assert len(enumerate_vn(X2, GODEL3, "generated", 2).algebras) < len(saturated.algebras)
+    huge = enumerate_vn(X2, GODEL3, "generated", 10**12)
+    assert huge._replace(max_generators=3) == saturated
+
+
 def test_generated_mode_with_one_generator():
     poset = enumerate_vn(X2, BOOL2, "generated", 1)
     exhaustive = {a.members for a in enumerate_vn(X2, BOOL2).algebras}
@@ -1081,7 +1109,7 @@ def test_generated_mode_with_one_generator():
 
 
 def test_three_point_carrier_exhaustive_contains_generated():
-    from qspec.spectra import character_kernel, characters_to_two, prime_spectrum
+    from qspec.spectra import TWO, character_kernel, characters_to_two, prime_spectrum
     from qspec.subalgebra import validate_decomposition
     x3 = carrier("X", 3)
     exhaustive = enumerate_vn(x3, BOOL2)
@@ -1091,5 +1119,7 @@ def test_three_point_carrier_exhaustive_contains_generated():
     assert exhaustive.complete and not generated.complete
     for a in exhaustive.algebras:
         assert not validate_decomposition(primitive_idempotents(a))
-        kers = sorted(character_kernel(g).kernel_members() for g in characters_to_two(a))
-        assert kers == sorted(p.kernel_members() for p in prime_spectrum(a).points)
+        spec = prime_spectrum(a)
+        kers = sorted(spec.kernel_members(character_kernel(g, a, TWO))
+                      for g in characters_to_two(a))
+        assert kers == sorted(map(spec.kernel_members, spec.points))

@@ -198,16 +198,15 @@ def diag(q, p, r):
 def godel_diag_labels():
     d = diagonal_algebra(X2, GODEL3)
     pri = prime_spectrum(d)
-    j1 = pri.index_of(next(p for p in pri.points
-                           if set(p.kernel_members()) == {diag(GODEL3, x, "0") for x in "0a1"}))
-    j2 = pri.index_of(next(p for p in pri.points
-                           if len(p.kernel_members()) == 6
-                           and diag(GODEL3, "1", "a") in p.kernel_members()))
-    k1 = pri.index_of(next(p for p in pri.points
-                           if set(p.kernel_members()) == {diag(GODEL3, "0", x) for x in "0a1"}))
-    k2 = pri.index_of(next(p for p in pri.points
-                           if len(p.kernel_members()) == 6
-                           and diag(GODEL3, "a", "1") in p.kernel_members()))
+    ideals = [pri.kernel_members(p) for p in pri.points]
+    j1 = next(i for i, m in enumerate(ideals)
+              if set(m) == {diag(GODEL3, x, "0") for x in "0a1"})
+    j2 = next(i for i, m in enumerate(ideals)
+              if len(m) == 6 and diag(GODEL3, "1", "a") in m)
+    k1 = next(i for i, m in enumerate(ideals)
+              if set(m) == {diag(GODEL3, "0", x) for x in "0a1"})
+    k2 = next(i for i, m in enumerate(ideals)
+              if len(m) == 6 and diag(GODEL3, "a", "1") in m)
     return d, pri, j1, j2, k1, k2
 
 
@@ -237,7 +236,7 @@ def test_godel_diagonal_prime_closed_sets():
 def test_godel_diagonal_gelfand_closed_sets_and_indistinguishability():
     d = diagonal_algebra(X2, GODEL3)
     gel = gelfand_spectrum(d)
-    by_values = {c.values: i for i, c in enumerate(gel.points)}
+    by_values = {c: i for i, c in enumerate(gel.points)}
     drop1 = by_values[(0, 0, 0, 0, 0, 0, 2, 2, 2)]
     keep1 = by_values[(0, 0, 0, 1, 1, 1, 2, 2, 2)]
     lift1 = by_values[(0, 0, 0, 2, 2, 2, 2, 2, 2)]
@@ -307,7 +306,7 @@ def test_kolmogorov_quotient_of_gelfand_diagonal():
     assert separation_report(quotient).t0
     # the induced class -> kernel map is a well-defined homeomorphism onto the
     # prime space
-    kernel_idx = [pri.index_of(character_kernel(rho)) for rho in gel.points]
+    kernel_idx = [pri.index_of(character_kernel(rho, d, GODEL3)) for rho in gel.points]
     cls_to_prime = {}
     for g_idx, cls in enumerate(mapping):
         assert cls_to_prime.setdefault(cls, kernel_idx[g_idx]) == kernel_idx[g_idx]
