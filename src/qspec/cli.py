@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
+import os
 import sys
 
 from qspec import checks
@@ -96,9 +98,34 @@ def _select_algebras(poset, selector):
     return [idx]
 
 
-def _emit(report, args, dot_text=None):
-    if args.format == "dot" and dot_text is None:
+def _refuse_unwritable(path):
+    """Raise the OSError that opening path for writing would raise, without
+    creating or truncating the file."""
+    exists = os.path.exists(path)
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not exists and not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if exists else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
+def _check_output(args):
+    """Refuse an output request that cannot be met before any work is done:
+    dot output from a command other than algebras, or an --out path that
+    cannot be written.  The report file is only opened once the report is
+    complete, so a run that fails leaves an existing file as it was."""
+    if args.format == "dot" and args.command != "algebras":
         raise QuantaleError("dot output is only available for the algebras command")
+    if args.out:
+        _refuse_unwritable(args.out)
+
+
+def _emit(report, args, dot_text=None):
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "json":
@@ -311,6 +338,7 @@ _COMMANDS = {
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _check_output(args)
         return _COMMANDS[args.command](args)
     except (QuantaleError, EnumerationBoundExceeded, OSError, ValueError) as exc:
         sys.stderr.write(f"qspec: error: {exc}\n")

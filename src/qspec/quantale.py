@@ -99,7 +99,8 @@ class Quantale:
         return fp
 
     def __eq__(self, other):
-        return isinstance(other, Quantale) and self.fingerprint == other.fingerprint
+        return self is other or (isinstance(other, Quantale)
+                                 and self.fingerprint == other.fingerprint)
 
     def __hash__(self):
         return hash(self.fingerprint)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from operator import getitem
 
 from qspec.quantale import QuantaleError
 
@@ -66,7 +67,7 @@ SupportPair = namedtuple("SupportPair", "supp cosupp")
 
 
 def _check_same_quantale(f, g):
-    if f.quantale != g.quantale:
+    if f.quantale is not g.quantale and f.quantale != g.quantale:
         raise QuantaleError("relations live over different quantales")
 
 
@@ -146,18 +147,18 @@ def _e_compose(q, a, b):
 
 
 def _e_join(q, a, b):
-    join_t = q.join_table
-    return tuple(tuple(join_t[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    lookup = q.join_table.__getitem__
+    return tuple([tuple(map(getitem, map(lookup, ra), rb)) for ra, rb in zip(a, b)])
 
 
 def _e_dagger(q, a):
-    inv = q.involution
-    return tuple(tuple(inv[v] for v in col) for col in zip(*a))
+    inv = q.involution.__getitem__
+    return tuple([tuple(map(inv, col)) for col in zip(*a)])
 
 
 def _e_scalar(q, s, a):
-    mul_t = q.mul_table
-    return tuple(tuple(mul_t[s][v] for v in row) for row in a)
+    times = q.mul_table[s].__getitem__
+    return tuple([tuple(map(times, row)) for row in a])
 
 
 def compose(f, g):

@@ -35,11 +35,10 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from functools import cached_property
-from operator import itemgetter
 
 from qspec._homsearch import enumerate_homs
 from qspec.quantale import TWO, require_zdf, two_embedding, zdf_collapse
-from qspec.subalgebra import InvariantViolation, _typecode
+from qspec.subalgebra import InvariantViolation, _typecode, tuple_getter
 
 
 class SpectrumSet(namedtuple("SpectrumSet", "algebra kind points")):
@@ -190,9 +189,7 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
     at the positions of the smaller algebra's members.  edge, the poset
     indices (i, j) of the inclusion, only names it in the error."""
     positions = _positions(sub_spectrum.algebra, sup_spectrum.algebra)
-    pick = (itemgetter(*positions) if len(positions) > 1
-            else lambda values: tuple(values[k] for k in positions))
-    keys = map(pick, sup_spectrum.points)
+    keys = map(tuple_getter(positions), sup_spectrum.points)
     return _table(keys, sub_spectrum, lambda: (
         f"restriction of a {sup_spectrum.kind} point escaped the spectrum"
         + (f" (algebras {edge[0]} <= {edge[1]})" if edge else "")))

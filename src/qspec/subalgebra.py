@@ -23,6 +23,7 @@ import sys
 from array import array
 from collections import namedtuple
 from functools import cached_property, partial
+from operator import itemgetter
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import QuantaleError, require_zdf
@@ -127,7 +128,10 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
     def semiring(self):
         """Member-indexed *-semiring tables (join as addition, composition as
         multiplication), read from the Hom(X, X) tables; add and mul hold one
-        array row per member.  Requires the algebra to be closed.  After
+        array row per member.  Row a of each is two gathers: the Hom(X, X)
+        row of a at the members' indices, then those results' member
+        positions, so an operation that leaves the set is a missing key and
+        raises InvariantViolation.  Requires the algebra to be closed.  After
         enumeration this is the one arithmetic on an algebra's members."""
         cached = self.__dict__.get("_semiring")
         if cached is not None:
@@ -135,15 +139,15 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
         space, idx = self.in_space()
         pos = {h: p for p, h in enumerate(idx)}
         code = _typecode(len(idx))
+        at_members = tuple_getter(idx)
 
         def table(rows):  # one array row of member positions per member
-            return tuple(array(code, map(pos.__getitem__, map(rows[a].__getitem__, idx)))
-                         for a in idx)
+            return tuple(array(code, tuple_getter(at_members(rows[a]))(pos)) for a in idx)
 
         try:
             sr = TableSemiring(
                 size=len(idx), add=table(space._join_rows), mul=table(space._comp_rows),
-                star=tuple(pos[space.dag(a)] for a in idx),
+                star=tuple_getter(map(space.dag, idx))(pos),
                 zero=pos[space.zero_idx], one=pos[space.id_idx])
         except KeyError:
             raise InvariantViolation("algebra is not closed under its operations")
@@ -424,6 +428,17 @@ def _typecode(limit):
     return next(c for c in "BHIL" if 256 ** array(c).itemsize >= limit)
 
 
+def tuple_getter(keys):
+    """A function giving the items of its argument at the given keys, as a
+    tuple.  For two or more keys it is operator.itemgetter, which gathers in
+    C; that yields a bare item for one key and takes no empty key list, so
+    those two cases get a tuple of their own."""
+    keys = tuple(keys)
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda values: tuple(values[k] for k in keys)
+
+
 class _Rows(dict):
     """Values made on first use by one function of their key: table rows,
     and the closures and commutants that generated mode reuses."""
@@ -452,14 +467,21 @@ class EndoSpace:
     vectors, so the index of an element is sum_k r_k * R**(n-1-k), where r_k
     indexes its row k.  Row k of a∘b is (row k of a)·b and row k of a ∨ b is
     (row k of a) ∨ (row k of b), so two tables over the rows, rowmul (R x
-    |Hom| row indices) and rowjoin (R x R), determine both operations.  A
-    composition or join row is the sum of n looked-up rows of place-scaled
+    |Hom| row indices) and rowjoin (R x R), determine both operations.
+
+    No matrix product runs per cell: rowmul comes from rowjoin and scaled
+    (|Q| x R), the index of each row's scalar multiple v·s.  Row r∘b is the
+    join over k of r_k·(row k of b), and in product order one gather of the
+    rowjoin rows at scaled[r_k] extends every prefix of b by one place.
+
+    A composition or join row is the sum of n looked-up rows of place-scaled
     row indices; each such part is packed into one int, one fixed-width lane
     per element, and no lane overflows because every sum is an index, so the
     n int additions add all |Hom| lanes at once.  These rows and the
     commutation masks are made on first use; the dagger table is built
-    eagerly.  Scalars act through scalar_line, the mask of the trivial
-    algebra {s·id}: s·a is the composite (s·id)∘a.
+    eagerly, as a digit sum over the cells.  Scalars act through
+    scalar_line, the mask of the trivial algebra {s·id}: s·a is the
+    composite (s·id)∘a.
     """
 
     def __init__(self, quantale, x):
@@ -476,26 +498,42 @@ class EndoSpace:
         self.scalar_line = self.mask_of(_scalar_line(q, x))
         self.full_mask = (1 << self.size) - 1
         code = self._code = _typecode(self.size)
-        self._nbytes = self.size * array(code).itemsize
+        order, wide = sys.byteorder, array(code).itemsize
+        self._nbytes = self.size * wide
         row_code = _typecode(len(rows))
         self._width = array(row_code).itemsize
         # rowk[k][a] is the index of row k of element a
         rowk = [array(row_code, ids)
                 for ids in zip(*itertools.product(range(len(rows)), repeat=n))]
-        self.rowmul = [array(row_code, [rowpos[_e_compose(q, (r,), b)[0]] for b in els])
-                       for r in rows]
         rowjoin = [array(row_code, [rowpos[_e_join(q, (r,), (s,))[0]] for s in rows])
                    for r in rows]
-
-        def lanes(values):
-            return int.from_bytes(array(code, values), sys.byteorder)
+        # scaled[v][s] is the index of the row v·s
+        scaled = [tuple_getter([rowpos[_e_scalar(q, v, (s,))[0]] for s in rows])
+                  for v in range(q.size)]
+        zero_row = rowpos[(q.bottom,) * n]
 
         # part k, row r: over every b, the scaled index of row k of a∘b (or of
         # a ∨ b) when row k of a is r
         places = [len(rows) ** (n - 1 - k) for k in range(n)]
-        comp_parts = [[p * lanes(prods) for prods in self.rowmul] for p in places]
-        join_parts = [[p * lanes(map(joins.__getitem__, ids)) for joins in rowjoin]
-                      for ids, p in zip(rowk, places)]
+        self.rowmul, products = [], []
+        for r in rows:
+            # over every prefix of b, in product order, the index of the join
+            # of r_k·(row k of b) so far; one gather extends all by one place
+            acc = [zero_row]
+            for v in r:
+                acc = list(itertools.chain.from_iterable(
+                    map(scaled[v], map(rowjoin.__getitem__, acc))))
+            self.rowmul.append(array(row_code, acc))
+            products.append(int.from_bytes(array(code, acc), order))
+        comp_parts = [[p * prods for prods in products] for p in places]
+
+        def runs(joins, p):
+            # in product order row k of b is constant on runs of p = places[k]
+            # elements, which take the R rows in turn, R**k times over
+            once = b"".join([j.to_bytes(wide, order) * p for j in joins])
+            return int.from_bytes(once * (self.size // (p * len(rows))), order)
+
+        join_parts = [[p * runs(joins, p) for joins in rowjoin] for p in places]
         self._comp_rows = _Rows(partial(self._summed, comp_parts))
         self._join_rows = _Rows(partial(self._summed, join_parts))
         if self._width == 1:  # byte rows: a column lookup is one bytes.translate
@@ -505,7 +543,13 @@ class EndoSpace:
             self._rowk = rowk
             self._gather = lambda ids, column: array(row_code, map(column.__getitem__, ids))
         self._comm = _Rows(self._commutation)
-        self.dag_t = array(code, [self.index[_e_dagger(q, a)] for a in els])
+        # the index of an element is a sum over its cells (i, j) in product
+        # order of a_ij * |Q|**(n*n-1-(i*n+j)); a† holds inv(a_ij) at (j, i)
+        dag = [0]
+        for i, j in itertools.product(range(n), repeat=2):
+            terms = [q.size ** (n * n - 1 - (j * n + i)) * v for v in q.involution]
+            dag = [u + t for u in dag for t in terms]
+        self.dag_t = array(code, dag)
 
     def _summed(self, parts, a):
         total = sum(part[ids[a]] for part, ids in zip(parts, self._rowk))

@@ -178,6 +178,56 @@ def test_verdict_json_is_byte_identical_across_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _no_work(*args):
+    raise AssertionError("the command started before its output options were checked")
+
+
+@pytest.mark.parametrize("command",
+                         ["check-quantale", "spectrum", "sections", "verdict", "topology"])
+def test_dot_output_outside_algebras_is_refused_before_any_work(monkeypatch, capsys,
+                                                                command):
+    monkeypatch.setattr(cli, "_load_quantale", _no_work)
+    code, out, err = run_cli(capsys, command, "--quantale", "godel5", "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err == "qspec: error: dot output is only available for the algebras command\n"
+
+
+def test_an_unwritable_out_path_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "_load_quantale", _no_work)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("kept\n")
+    for path in (tmp_path / "missing" / "x.json", tmp_path, plain / "x.json"):
+        code, out, err = run_cli(capsys, "topology", "--quantale", "godel5", "--size", "2",
+                                 "--out", str(path))
+        assert (code, out) == (2, "")
+        with pytest.raises(OSError) as opened:  # the message open() itself gives
+            open(path, "w")
+        assert err == f"qspec: error: {opened.value}\n"
+    assert not (tmp_path / "missing").exists()
+    assert plain.read_text() == "kept\n"
+
+
+def test_a_run_that_fails_later_leaves_the_out_file_untouched(monkeypatch, capsys,
+                                                             tmp_path):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    old, fresh = tmp_path / "old.json", tmp_path / "fresh.json"
+    old.write_text("previous report\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "enumerate_vn", exhausted)
+        for path in (old, fresh):
+            code, out, _ = run_cli(capsys, "algebras", "--quantale", "boolean2",
+                                   "--size", "2", "--format", "json", "--out", str(path))
+            assert (code, out) == (2, "")
+    assert old.read_text() == "previous report\n"
+    assert not fresh.exists()
+    code, _, _ = run_cli(capsys, "algebras", "--quantale", "boolean2", "--size", "2",
+                         "--format", "json", "--out", str(old))
+    assert code == 0
+    assert json.loads(old.read_text())["command"] == "algebras"
+
+
 def test_entry_point_runs_in_a_subprocess(tmp_path):
     import os
     import subprocess

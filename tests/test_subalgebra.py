@@ -19,10 +19,11 @@ from qspec.relations import (
     _e_join, _e_scalar,
 )
 from qspec.subalgebra import (
-    EndoSpace, EnumerationBoundExceeded, Subsemialgebra, close, commutant,
-    diagonal_algebra, direct_sum, enumerate_vn, get_endospace, is_von_neumann,
-    maximal_cliques, primitive_idempotents, restrict_component,
-    subunital_idempotents, trivial_algebra, validate_decomposition, _poset_from_masks,
+    EndoSpace, EnumerationBoundExceeded, InvariantViolation, Subsemialgebra, close,
+    commutant, diagonal_algebra, direct_sum, enumerate_vn, get_endospace,
+    is_von_neumann, maximal_cliques, primitive_idempotents, restrict_component,
+    subunital_idempotents, trivial_algebra, tuple_getter, validate_decomposition,
+    _poset_from_masks,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -456,7 +457,35 @@ def test_wide_rows_past_256_row_vectors():
     assert all(left.comm_mask(i) == 1 << i for i in range(300))
 
 
+ROWMUL_CASES = [(BOOL2, 0), (BOOL2, 1), (BOOL2, 2), (BOOL2, 3), (GODEL3, 2), (LUK3, 2),
+                (builtin_quantale("powerset", 2), 2), (BOOL2_TOP_FIRST, 2), (SWAP, 2)]
+
+
+@pytest.mark.parametrize("q, n", ROWMUL_CASES,
+                         ids=[f"{q.name}-{n}" for q, n in ROWMUL_CASES])
+def test_rowmul_and_dagger_tables_match_the_entry_kernels(q, n):
+    """Every rowmul cell is the row of a one-row matrix product, and every
+    dagger cell the index of the entrywise dagger, though neither table is
+    built from those kernels."""
+    space = EndoSpace(q, carrier("X", n))
+    rows = list(itertools.product(range(q.size), repeat=n))
+    rowpos = {r: i for i, r in enumerate(rows)}
+    assert len(space.rowmul) == len(rows)
+    for r, prods in zip(rows, space.rowmul):
+        assert list(prods) == [rowpos[_e_compose(q, (r,), b)[0]] for b in space.elements]
+    assert list(space.dag_t) == [space.index[_e_dagger(q, a)] for a in space.elements]
+
+
 # -- member flags, semiring tables and subset joins --------------------------------------
+
+
+def test_tuple_getter_always_yields_a_tuple():
+    assert tuple_getter([])("abc") == ()
+    assert tuple_getter([1])("abc") == ("b",)
+    assert tuple_getter(iter([2, 0, 2]))("abc") == ("c", "a", "c")
+    assert tuple_getter(["k"])({"k": 5}) == (5,)
+    with pytest.raises(KeyError):
+        tuple_getter(["k"])({})
 
 
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
@@ -467,6 +496,46 @@ def test_semiring_tables_match_the_entry_kernels(q):
         assert rows + (sr.star,) == oracle_semiring_tables(a)
         assert sr.zero == a.member_pos[zero_rel(q, X2, X2).entries]
         assert sr.one == a.member_pos[identity_rel(q, X2).entries]
+
+
+@pytest.mark.parametrize("tag, n", [("godel4", 2), ("boolean2", 3)])
+def test_every_algebras_semiring_matches_the_entry_kernels(tag, n):
+    for a in enumerate_vn(carrier("X", n), parse_quantale_tag(tag)).algebras:
+        sr = a.semiring()
+        assert all(row.typecode == "B" for row in sr.add + sr.mul)
+        rows = tuple(tuple(map(tuple, t)) for t in (sr.add, sr.mul))
+        assert rows + (sr.star,) == oracle_semiring_tables(a)
+
+
+@pytest.mark.parametrize("q", [BOOL2, GODEL3], ids=lambda q: q.name)
+def test_a_one_member_algebra_gets_its_tables(q):
+    """On the empty carrier Hom(X, X) is {()}, the zero and the identity at
+    once, so the one-member set holding it is closed."""
+    empty = carrier("E", 0)
+    a = trivial_algebra(empty, q)
+    assert a.members == ((),) and a.is_closed()
+    sr = a.semiring()
+    assert (tuple(map(tuple, sr.add)), tuple(map(tuple, sr.mul)), sr.star) == \
+        oracle_semiring_tables(a) == (((0,),), ((0,),), (0,))
+    assert (sr.zero, sr.one) == (0, 0)
+
+
+def test_a_non_closed_set_raises_invariant_violation():
+    """Sets of one or more members that miss zero or the identity, or that a
+    product escapes, have no tables: InvariantViolation, never a TypeError,
+    so is_closed() is False."""
+    q = BOOL2
+    e12 = rel(q, X2, X2, {("1", "2"): "1"})
+    escaping = join_star_closure(X2, [e12], q)  # e12∘e12† = e11 is missing
+    assert _e_compose(q, e12.entries, _e_dagger(q, e12.entries)) not in escaping.member_set
+    sets = [Subsemialgebra.from_rels([identity_rel(q, X2)]),
+            Subsemialgebra.from_rels([zero_rel(q, X2, X2)]),
+            Subsemialgebra.from_rels([e12]), escaping]
+    for a in sets:
+        with pytest.raises(InvariantViolation):
+            a.semiring()
+        assert a.is_closed() is False
+        assert not oracle_is_closed(a)
 
 
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
