@@ -8,18 +8,15 @@ from qspec.quantale import (
     verify_quantale, zdf_collapse, zdf_witness,
 )
 from qspec.relations import (
-    FiniteSet, QRel, SupportPair, add, add_via_biproduct, all_relations,
-    blocks, carrier, compose, dagger, diag_rel, identity_rel, is_normal,
-    reassemble, rel, rel_from_doc, rel_to_doc, scalar_mul,
-    scalar_mul_via_tensor, scalar_rel, subset_idempotent, support, tensor,
+    FiniteSet, QRel, add, add_via_biproduct, carrier, compose, dagger, diag_rel,
+    identity_rel, rel, scalar_mul, scalar_mul_via_tensor, scalar_rel, tensor,
     zero_rel,
 )
 from qspec.subalgebra import (
     AlgebraPoset, Decomposition, EnumerationBoundExceeded, InvariantViolation,
     MixedAmbientError, Subsemialgebra, close, commutant, diagonal_algebra,
-    direct_sum, enumerate_vn, is_von_neumann, primitive_idempotents,
-    restrict_component, subunital_idempotents, trivial_algebra,
-    validate_decomposition,
+    enumerate_vn, is_von_neumann, primitive_idempotents, subunital_idempotents,
+    trivial_algebra, validate_decomposition,
 )
 from qspec.spectra import (
     TWO, SpectrumSet, character_from_prime, character_kernel, characters_to_two,
@@ -27,7 +24,7 @@ from qspec.spectra import (
 )
 from qspec.contextuality import (
     Presheaf, Verdict, build_presheaf, canonical_section, global_sections,
-    is_natural, ks_verdict, section_element,
+    ks_verdict, section_element, unnatural_edge,
 )
 from qspec.zariski import (
     FiniteTopology, SeparationReport, check_continuity, is_homeomorphism,

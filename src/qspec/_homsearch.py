@@ -14,8 +14,7 @@ part is closed under the operations, every law whose operands both lie in it
 already holds for each of its homomorphisms.  Only the remaining elements
 are searched, against only the laws with an operand among them.  This is how
 the characters of an algebra are grown from those of a subalgebra (the
-Gelfand spectrum is a presheaf).  ``is_hom`` checks one given map against
-every law; it serves both quantale maps and characters.
+Gelfand spectrum is a presheaf).
 """
 
 from __future__ import annotations
@@ -112,24 +111,3 @@ def enumerate_homs(src: TableSemiring, dst: TableSemiring, fixed=(), bases=((),)
             else:
                 trying.append(iter(candidates[s + 1]))
 
-
-def is_hom(src: TableSemiring, dst: TableSemiring, image):
-    """Check one image tuple against every law, over all pairs of indices.
-
-    Deliberately independent of enumerate_homs, so it can serve as its oracle.
-    """
-    n = src.size
-    if len(image) != n:
-        return False
-    if image[src.zero] != dst.zero or image[src.one] != dst.one:
-        return False
-    for i in range(n):
-        fi = image[i]
-        if image[src.star[i]] != dst.star[fi]:
-            return False
-        for j in range(n):
-            if image[src.add[i][j]] != dst.add[fi][image[j]]:
-                return False
-            if image[src.mul[i][j]] != dst.mul[fi][image[j]]:
-                return False
-    return True

@@ -177,12 +177,12 @@ def spectra_suite(poset):
     q = poset.quantale
     gelfands = poset.spectra("gelfand")
     primes = poset.spectra("prime")
+    # the homomorphism search into TWO against the down-set scan, over any scalars
+    bij = all(list(pr.points) == prime_ideal_scan(a)
+              for a, pr in zip(poset.algebras, primes))
+    out.append(_verdict("kernel-bijection", bij,
+                        "the two-valued characters are not the down-set scan's ideals"))
     if is_zdf(q):
-        # the homomorphism search into TWO against the down-set scan
-        bij = all(list(pr.points) == prime_ideal_scan(a)
-                  for a, pr in zip(poset.algebras, primes))
-        out.append(_verdict("kernel-bijection", bij,
-                            "the two-valued characters are not the down-set scan's ideals"))
         try:  # an algebra that does not decompose is named by the exception
             one_idem, detail = _one_idempotent_per_character(poset)
         except InvariantViolation as exc:

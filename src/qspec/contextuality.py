@@ -198,8 +198,8 @@ def canonical_section(point, sheaf):
         except ValueError as exc:
             raise InvariantViolation(f"A{idx}: canonical section of {point!r}: {exc}") from None
     section = tuple(choice)
-    if not is_natural(section, sheaf):
-        raise InvariantViolation("canonical section failed the naturality check")
+    _require_natural(section, sheaf, "canonical section failed the naturality check "
+                                     f"for carrier point {point!r}")
     return section
 
 
@@ -212,11 +212,20 @@ def _member_index(dec, idx, e):
     return pos
 
 
-def is_natural(section, sheaf):
+def unnatural_edge(section, sheaf):
+    """The first Hasse edge (i, j) whose table does not send the section's
+    value at j to its value at i, or None if the section is natural."""
     for (i, j), table in sheaf.restrictions.items():
         if table[section[j]] != section[i]:
-            return False
-    return True
+            return i, j
+    return None
+
+
+def _require_natural(section, sheaf, failure):
+    """Raise the failure, naming the first Hasse edge the section breaks."""
+    edge = unnatural_edge(section, sheaf)
+    if edge is not None:
+        raise InvariantViolation(f"{failure} at Hasse edge {edge}")
 
 
 def section_element(section, sheaf):
@@ -234,18 +243,19 @@ def section_element(section, sheaf):
         outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
                    if ideal[_member_index(dec, idx, e)] != TWO.bottom]
         if len(outside) != 1:
-            raise InvariantViolation(
-                f"section does not isolate one component in algebra {idx}")
+            raise InvariantViolation(f"A{idx}: section does not isolate one component")
         selected.append(outside[0])
     # Selected components are unit-diagonal idempotents: two of them compose to
     # zero only if their supports are disjoint, which the shared-point check rules out.
     picked = selected[diag_idx]
     if len(picked) != 1:
-        raise InvariantViolation("diagonal component is not a single carrier point")
+        raise InvariantViolation(
+            f"diagonal component is not a single carrier point: A{diag_idx} selects {picked}")
     point = picked[0]
-    for pts in selected:
+    for idx, pts in enumerate(selected):
         if point not in pts:
-            raise InvariantViolation("selected components do not share the point")
+            raise InvariantViolation(
+                f"selected components do not share the point {point!r}: A{idx} selects {pts}")
     return point
 
 
@@ -257,8 +267,7 @@ def transport_prime_section(section, prime_sheaf, gelfand_sheaf):
     section of the scalar-valued presheaf."""
     indicator = prime_sheaf.poset.comparisons("indicator")
     out = tuple(t[c] for t, c in zip(indicator, section))
-    if not is_natural(out, gelfand_sheaf):
-        raise InvariantViolation("transported prime section is not natural")
+    _require_natural(out, gelfand_sheaf, "transported prime section is not natural")
     return out
 
 
@@ -266,8 +275,7 @@ def transport_gelfand_section(section, gelfand_sheaf, prime_sheaf):
     """Map a scalar-valued section pointwise to its kernels on the prime side."""
     kernel = gelfand_sheaf.poset.comparisons("kernel")
     out = tuple(t[c] for t, c in zip(kernel, section))
-    if not is_natural(out, prime_sheaf):
-        raise InvariantViolation("transported scalar section is not natural")
+    _require_natural(out, prime_sheaf, "transported scalar section is not natural")
     return out
 
 
@@ -304,10 +312,13 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
             element_map[s] = section_element(s, prime)
         for s in g_sections:
             transport_gelfand_section(s, gelfand, prime)
+        induced_by = {}  # canonical section -> the carrier point that induced it
         for p in x.elements:
-            canonical[p] = canonical_section(p, prime)
-        if len(set(canonical.values())) != len(x.elements):
-            raise InvariantViolation("carrier points induced colliding sections")
+            c = canonical[p] = canonical_section(p, prime)
+            if c in induced_by:
+                raise InvariantViolation(
+                    f"carrier points induced colliding sections: {induced_by[c]!r} and {p!r}")
+            induced_by[c] = p
         for p, c in canonical.items():
             if section_element(c, prime) != p:
                 raise InvariantViolation(

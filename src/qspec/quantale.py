@@ -15,7 +15,7 @@ import re
 import string
 from collections import namedtuple
 
-from qspec._homsearch import TableSemiring, enumerate_homs, is_hom
+from qspec._homsearch import TableSemiring, enumerate_homs
 
 
 class QuantaleError(ValueError):
@@ -136,9 +136,6 @@ class RigHom(namedtuple("RigHom", "source target mapping")):
     involution: element i of source goes to element mapping[i] of target."""
 
     __slots__ = ()
-
-    def is_valid(self):
-        return is_hom(self.source.semiring(), self.target.semiring(), self.mapping)
 
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""

@@ -11,7 +11,6 @@ cross-checked against their categorical composites.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from operator import getitem
 
@@ -54,16 +53,10 @@ class QRel(namedtuple("QRel", "quantale dom cod entries")):
 
     __slots__ = ()
 
-    def entry(self, x, y):
-        return self.entries[x][y]
-
     def __repr__(self):
         ids = self.quantale.elements
         rows = "; ".join(" ".join(ids[v] for v in row) for row in self.entries)
         return f"QRel({self.dom.name}->{self.cod.name} [{rows}])"
-
-
-SupportPair = namedtuple("SupportPair", "supp cosupp")
 
 
 def _check_same_quantale(f, g):
@@ -108,12 +101,6 @@ def diag_rel(q, x, values):
     b = q.bottom
     rows = tuple(tuple(vals[i] if i == j else b for j in range(x.size)) for i in range(x.size))
     return QRel(q, x, x, rows)
-
-
-def subset_idempotent(q, x, points):
-    """The identity on a subset of the carrier, bottom elsewhere."""
-    chosen = {x.index(p) for p in points}
-    return diag_rel(q, x, [q.unit if i in chosen else q.bottom for i in range(x.size)])
 
 
 UNIT_SET = FiniteSet("I", ("*",))
@@ -205,64 +192,6 @@ def tensor(f, g):
     return QRel(q, dom, cod, tuple(rows))
 
 
-def support(f):
-    """Points with a non-bottom entry in their row (supp) resp. column (cosupp)."""
-    b = f.quantale.bottom
-    supp = tuple(f.dom.elements[x] for x in range(f.dom.size)
-                 if any(v != b for v in f.entries[x]))
-    cosupp = tuple(f.cod.elements[y] for y in range(f.cod.size)
-                   if any(f.entries[x][y] != b for x in range(f.dom.size)))
-    return SupportPair(supp, cosupp)
-
-
-def is_normal(f):
-    return compose(f, dagger(f)) == compose(dagger(f), f)
-
-
-# -- blocks ----------------------------------------------------------------------
-
-
-def _check_partition(whole, parts):
-    seen = []
-    for part in parts:
-        seen.extend(part)
-    if sorted(map(repr, seen)) != sorted(map(repr, whole.elements)) or \
-            len(seen) != len(set(seen)):
-        raise ValueError(f"parts do not partition {whole.name!r}")
-
-
-def blocks(f, dom_parts, cod_parts):
-    """Split f into the matrix of restrictions along carrier partitions."""
-    _check_partition(f.dom, dom_parts)
-    _check_partition(f.cod, cod_parts)
-    q = f.quantale
-    out = []
-    for i, dpart in enumerate(dom_parts):
-        row = []
-        dsub = FiniteSet(f"{f.dom.name}[{i}]", tuple(dpart))
-        didx = [f.dom.index(p) for p in dpart]
-        for j, cpart in enumerate(cod_parts):
-            csub = FiniteSet(f"{f.cod.name}[{j}]", tuple(cpart))
-            cidx = [f.cod.index(p) for p in cpart]
-            ent = tuple(tuple(f.entries[x][y] for y in cidx) for x in didx)
-            row.append(QRel(q, dsub, csub, ent))
-        out.append(row)
-    return out
-
-
-def reassemble(block_matrix, dom, cod):
-    """Inverse of blocks: rebuild the relation on the original carriers."""
-    q = block_matrix[0][0].quantale
-    b = q.bottom
-    rows = [[b] * cod.size for _ in range(dom.size)]
-    for brow in block_matrix:
-        for blk in brow:
-            for x, p in enumerate(blk.dom.elements):
-                for y, r in enumerate(blk.cod.elements):
-                    rows[dom.index(p)][cod.index(r)] = blk.entries[x][y]
-    return QRel(q, dom, cod, tuple(tuple(r) for r in rows))
-
-
 # -- biproducts and the convolution oracle -----------------------------------------
 
 
@@ -324,39 +253,6 @@ def scalar_mul_via_tensor(s, f):
     composite = compose(compose(right_unitor(q, f.dom), tensor(f, scalar_rel(q, s))),
                         dagger(right_unitor(q, f.cod)))
     return QRel(q, f.dom, f.cod, composite.entries)
-
-
-# -- JSON literals ------------------------------------------------------------------
-
-
-def rel_to_doc(f):
-    b = f.quantale.bottom
-    ids = f.quantale.elements
-    entries = []
-    for x, p in enumerate(f.dom.elements):
-        for y, r in enumerate(f.cod.elements):
-            v = f.entries[x][y]
-            if v != b:
-                entries.append([p, r, ids[v]])
-    return {"dom": list(f.dom.elements), "cod": list(f.cod.elements),
-            "entries": entries}
-
-
-def rel_from_doc(q, doc, dom_name="X", cod_name="Y"):
-    dom = FiniteSet(dom_name, tuple(doc["dom"]))
-    cod = FiniteSet(cod_name, tuple(doc["cod"]))
-    return rel(q, dom, cod, {(x, y): v for x, y, v in doc.get("entries", [])})
-
-
-# -- iteration helpers ---------------------------------------------------------------
-
-
-def all_relations(q, dom, cod):
-    """Every relation dom -> cod, in lexicographic entry order."""
-    cells = dom.size * cod.size
-    for flat in itertools.product(range(q.size), repeat=cells):
-        rows = tuple(flat[i * cod.size:(i + 1) * cod.size] for i in range(dom.size))
-        yield QRel(q, dom, cod, rows)
 
 
 def hom_size(q, x):

@@ -26,9 +26,9 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from qspec._homsearch import TableSemiring
-from qspec.quantale import QuantaleError, require_zdf
+from qspec.quantale import require_zdf
 from qspec.relations import (
-    FiniteSet, QRel, diag_rel, hom_size, identity_rel, oplus, zero_rel,
+    QRel, diag_rel, hom_size, identity_rel, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 
@@ -49,7 +49,13 @@ class InvariantViolation(RuntimeError):
 
 
 def hom_bound():
-    return int(os.environ.get("QSPEC_MAX_HOM_SIZE", DEFAULT_HOM_BOUND))
+    raw = os.environ.get("QSPEC_MAX_HOM_SIZE")
+    if raw is None:
+        return DEFAULT_HOM_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QSPEC_MAX_HOM_SIZE must be an integer, not {raw!r}") from None
 
 
 # -- the algebra value ------------------------------------------------------------
@@ -263,15 +269,7 @@ def diagonal_algebra(x, q):
     return Subsemialgebra.from_entries(q, x, members)
 
 
-# -- direct sums and component restriction -------------------------------------------
-
-
-def direct_sum(a, b):
-    """Block-diagonal sum on the disjoint union of the carriers."""
-    if a.quantale != b.quantale:
-        raise MixedAmbientError("direct sum needs one quantale")
-    return Subsemialgebra.from_rels([oplus(f, g) for f in a.relations()
-                                     for g in b.relations()])
+# -- primitive idempotent decomposition ------------------------------------------------
 
 
 def subunital_idempotents(a):
@@ -282,39 +280,6 @@ def subunital_idempotents(a):
     idem = [i for i in range(sr.size) if mul[i][i] == i]
     return [a.members[p] for p in idem
             if any(mul[p][r] == sr.zero and add[p][r] == sr.one for r in idem)]
-
-
-def restrict_component(a, e):
-    """View the corner e A e as an algebra on the support of e.
-
-    e must be a subunital idempotent of a acting as the identity on its
-    support (a bottom/unit diagonal matrix).
-    """
-    q = a.quantale
-    ee = e.entries if isinstance(e, QRel) else e
-    if ee not in a.member_set or ee not in subunital_idempotents(a):
-        raise ValueError("e is not a subunital idempotent of the algebra")
-    n = a.carrier.size
-    keep = []
-    for i in range(n):
-        if ee[i][i] == q.unit:
-            keep.append(i)
-        elif ee[i][i] != q.bottom:
-            raise ValueError("e is not an identity on its support")
-        if any(ee[i][j] != q.bottom for j in range(n) if j != i):
-            raise ValueError("e is not diagonal")
-    sub = FiniteSet(f"{a.carrier.name}|{''.join(str(a.carrier.elements[i]) for i in keep)}",
-                    tuple(a.carrier.elements[i] for i in keep))
-    mul = a.semiring().mul
-    p = a.member_pos[ee]
-    members = []
-    for m in range(a.size):
-        cut = a.members[mul[p][mul[m][p]]]
-        members.append(tuple(tuple(cut[i][j] for j in keep) for i in keep))
-    return Subsemialgebra.from_entries(q, sub, members)
-
-
-# -- primitive idempotent decomposition ------------------------------------------------
 
 
 class Decomposition(namedtuple("Decomposition",

@@ -1,0 +1,62 @@
+"""Reference helpers the tests compare the package against.  No code under
+src/ calls them, so they live here, not in qspec; the file name keeps pytest
+from collecting it."""
+
+import itertools
+from collections import namedtuple
+
+from qspec.relations import QRel, compose, dagger, diag_rel
+
+
+def is_hom(src, dst, image):
+    """Check one image tuple against every law of the *-semirings src and
+    dst (qspec._homsearch.TableSemiring), over all pairs of indices.
+
+    Deliberately independent of enumerate_homs, so it can serve as its oracle.
+    """
+    n = src.size
+    if len(image) != n:
+        return False
+    if image[src.zero] != dst.zero or image[src.one] != dst.one:
+        return False
+    for i in range(n):
+        fi = image[i]
+        if image[src.star[i]] != dst.star[fi]:
+            return False
+        for j in range(n):
+            if image[src.add[i][j]] != dst.add[fi][image[j]]:
+                return False
+            if image[src.mul[i][j]] != dst.mul[fi][image[j]]:
+                return False
+    return True
+
+
+def all_relations(q, dom, cod):
+    """Every relation dom -> cod, in lexicographic entry order."""
+    cells = dom.size * cod.size
+    for flat in itertools.product(range(q.size), repeat=cells):
+        rows = tuple(flat[i * cod.size:(i + 1) * cod.size] for i in range(dom.size))
+        yield QRel(q, dom, cod, rows)
+
+
+SupportPair = namedtuple("SupportPair", "supp cosupp")
+
+
+def support(f):
+    """Points with a non-bottom entry in their row (supp) resp. column (cosupp)."""
+    b = f.quantale.bottom
+    supp = tuple(f.dom.elements[x] for x in range(f.dom.size)
+                 if any(v != b for v in f.entries[x]))
+    cosupp = tuple(f.cod.elements[y] for y in range(f.cod.size)
+                   if any(f.entries[x][y] != b for x in range(f.dom.size)))
+    return SupportPair(supp, cosupp)
+
+
+def subset_idempotent(q, x, points):
+    """The identity on a subset of the carrier, bottom elsewhere."""
+    chosen = {x.index(p) for p in points}
+    return diag_rel(q, x, [q.unit if i in chosen else q.bottom for i in range(x.size)])
+
+
+def is_normal(f):
+    return compose(f, dagger(f)) == compose(dagger(f), f)

@@ -10,11 +10,12 @@ import json
 import random
 import time
 
+from oracles import all_relations
 from qspec.cli import main as cli_main
 from qspec.contextuality import ks_verdict
 from qspec.quantale import builtin_quantale, is_zdf, verify_quantale
 from qspec.relations import (
-    QRel, add, add_via_biproduct, all_relations, carrier, compose,
+    QRel, add, add_via_biproduct, carrier, compose,
     identity_rel, scalar_mul, scalar_mul_via_tensor, zero_rel, _e_join,
 )
 from qspec.spectra import (

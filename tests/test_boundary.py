@@ -8,11 +8,15 @@ and the standalone search into that quantale (characters_to_two) are oracles
 of a check, not pipeline stages; the entry-matrix validators of one
 character or one prime ideal live in the tests.  A global section is a
 plain tuple of point indices, and the support checks read their projections
-from qspec.subalgebra, not from the relation-level support.  The records are
-namedtuples, so starting the CLI loads neither dataclasses nor the modules
-only a few commands need, and no record stores a field that its owner or a
-sibling field already holds."""
+from qspec.subalgebra, not from the relation-level support of the tests'
+oracles.  The records are namedtuples, so starting the CLI loads neither
+dataclasses nor the modules only a few commands need, and no record stores a
+field that its owner or a sibling field already holds.  Every top-level
+function and class under src/ has a caller there, except the names the
+benchmark tracer times and ``close``; the tests' oracles live in
+tests/oracles.py."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -27,6 +31,7 @@ from qspec.quantale import AxiomReport, builtin_quantale
 from qspec.relations import FiniteSet, carrier, identity_rel
 from qspec.spectra import gelfand_spectrum, prime_spectrum
 from qspec.subalgebra import diagonal_algebra, enumerate_vn
+from test_layer_trace import load_layer_trace
 
 QSPEC_MODULES = sorted(f"qspec.{m.name}" for m in pkgutil.iter_modules(qspec.__path__))
 
@@ -51,9 +56,42 @@ def test_sections_read_supports_from_the_decomposition():
       for module in ["qspec.contextuality", "qspec.zariski", "qspec.cli"]),
     *((module, {"Section"}) for module in ["qspec", "qspec.contextuality"]),
     *((module, {"Character"}) for module in ["qspec", *QSPEC_MODULES]),
+    *((module, {"blocks", "_check_partition", "reassemble", "rel_to_doc", "rel_from_doc",
+                "direct_sum", "restrict_component", "is_hom", "all_relations", "support",
+                "SupportPair", "subset_idempotent", "is_normal"})
+      for module in ["qspec", *QSPEC_MODULES]),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))
+
+
+def uncalled_definitions():
+    """module.name of each top-level def or class in src/qspec that no src
+    module refers to by name (__init__.py, which only re-exports, aside)."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(qspec.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in named)
+
+
+def test_src_keeps_no_code_only_the_tests_call():
+    # close is the documented way to close generators without Hom(X, X)
+    traced = {f"{module}.{name}" for module, names in load_layer_trace().LAYERS.items()
+              for name in names}
+    assert [name for name in uncalled_definitions()
+            if name not in traced and name != "subalgebra.close"] == []
 
 
 def test_the_cli_starts_without_the_heavy_modules():

@@ -322,6 +322,16 @@ def test_a_dropped_prime_point_fails_kernel_bijection():
     assert broken["one-idempotent-per-character"] and broken["kernel-section-identity"]
 
 
+def test_a_dropped_prime_point_fails_kernel_bijection_over_zero_divisors():
+    # lukasiewicz3 has zero divisors, so no comparison map checks its primes
+    assert verdicts(spectra_suite(enumerate_vn(X2, LUK3)))["kernel-bijection"]
+    poset = enumerate_vn(X2, LUK3)
+    for kind in ("gelfand", "prime"):
+        poset.restrictions(kind)
+    drop_first_point(poset, "prime", len(poset.algebras) - 1)
+    assert not verdicts(spectra_suite(poset))["kernel-bijection"]
+
+
 def test_a_misdirected_indicator_cell_fails_kernel_section_identity(monkeypatch, capsys):
     assert verdicts(spectra_suite(enumerate_vn(X2, GODEL3)))["kernel-section-identity"]
     poset, top = poset_with_tables(GODEL3)

@@ -291,6 +291,15 @@ def test_bound_overflow_exits_two_for_every_enumerating_command(monkeypatch, cap
         assert out == ""
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1e5"])
+def test_an_invalid_hom_bound_names_the_variable(monkeypatch, capsys, value):
+    monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", value)
+    monkeypatch.setattr(sub, "_space_cache", {})
+    code, out, err = run_cli(capsys, "algebras", "--quantale", "boolean2", "--size", "2")
+    assert (code, out) == (2, "")
+    assert err == f"qspec: error: QSPEC_MAX_HOM_SIZE must be an integer, not {value!r}\n"
+
+
 def test_a_carrier_past_the_bound_names_the_knob(monkeypatch, capsys):
     # |Hom(X,X)| = 3^90000 has more digits than int-to-str conversion allows
     monkeypatch.delenv("QSPEC_MAX_HOM_SIZE", raising=False)

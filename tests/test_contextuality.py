@@ -7,15 +7,15 @@ from operator import ne
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qspec.contextuality as contextuality
+from oracles import subset_idempotent, support
 from qspec import csp
 from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
-from qspec.relations import (
-    QRel, carrier, diag_rel, subset_idempotent, support, zero_rel, _e_compose,
-)
+from qspec.relations import QRel, carrier, diag_rel, zero_rel, _e_compose
 from qspec.contextuality import (
-    Presheaf, build_presheaf, canonical_section, global_sections,
-    is_natural, ks_verdict, section_element, transport_gelfand_section,
-    transport_prime_section,
+    Presheaf, build_presheaf, canonical_section, global_sections, ks_verdict,
+    section_element, transport_gelfand_section, transport_prime_section,
+    unnatural_edge,
 )
 from qspec.spectra import (
     TWO, SpectrumSet, prime_ideal_scan, restrict_character,
@@ -284,7 +284,7 @@ def test_canonical_section_boolean_picks_the_complement_ideal():
     trivial = sheaf.values[t_idx]
     chosen_t = trivial.points[s[t_idx]]
     assert set(trivial.kernel_members(chosen_t)) == {((0, 0), (0, 0))}
-    assert is_natural(s, sheaf)
+    assert unnatural_edge(s, sheaf) is None
 
 
 def test_distinct_points_give_distinct_sections():
@@ -337,8 +337,38 @@ def test_section_element_rejects_components_without_a_common_point():
     assert section_element(at_2, sheaf) == "2"
     # The diagonal now picks {1} while the split algebra still picks {2,3}.
     spliced = (at_2[0], at_1[1])
-    with pytest.raises(InvariantViolation, match="do not share the point"):
+    with pytest.raises(InvariantViolation,
+                       match=r"^selected components do not share the point '1': "
+                             r"A0 selects \('2', '3'\)$"):
         section_element(spliced, sheaf)
+
+
+def test_a_section_that_keeps_two_components_names_its_algebra():
+    poset = enumerate_vn(carrier("X", 2), BOOL2)
+    sheaf = build_presheaf(poset, "prime")
+    d = poset.diagonal_index
+    section = list(canonical_section("1", sheaf))
+    # the character that is 1 on every member keeps both diagonal components
+    values = list(sheaf.values)
+    values[d] = values[d]._replace(points=((TWO.unit,) * poset.algebras[d].size,))
+    section[d] = 0
+    with pytest.raises(InvariantViolation,
+                       match=rf"^A{d}: section does not isolate one component$"):
+        section_element(tuple(section), sheaf._replace(values=tuple(values)))
+
+
+def test_a_diagonal_component_of_two_points_names_its_algebra():
+    poset = enumerate_vn(carrier("X", 2), BOOL2)
+    sheaf = build_presheaf(poset, "prime")
+    d = poset.diagonal_index
+    section = canonical_section("1", sheaf)
+    decompositions = list(poset.decompositions)
+    decompositions[d] = decompositions[d]._replace(supports=(("1", "2"), ("1", "2")))
+    poset.__dict__["decompositions"] = tuple(decompositions)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^diagonal component is not a single carrier point: "
+                             rf"A{d} selects \('1', '2'\)$"):
+        section_element(section, sheaf)
 
 
 def test_a_foreign_idempotent_is_an_invariant_violation():
@@ -371,6 +401,26 @@ def test_a_prime_spectrum_without_the_canonical_point_is_an_invariant_violation(
         canonical_section("1", sheaf._replace(values=tuple(values)))
 
 
+def breaking(sheaf, section, edge):
+    """The sheaf with the table of one Hasse edge (i, j) no longer sending
+    the section's value at j to its value at i."""
+    i, j = edge
+    row = list(sheaf.restrictions[edge])
+    row[section[j]] = section[i] + 1
+    return sheaf._replace(restrictions={**sheaf.restrictions, edge: row})
+
+
+def test_an_unnatural_canonical_section_names_the_edge_and_point():
+    sheaf = build_presheaf(enumerate_vn(carrier("X", 2), BOOL2), "prime")
+    edge = list(sheaf.restrictions)[-1]
+    broken = breaking(sheaf, canonical_section("2", sheaf), edge)
+    assert unnatural_edge(canonical_section("2", sheaf), broken) == edge
+    with pytest.raises(InvariantViolation,
+                       match=rf"^canonical section failed the naturality check for carrier "
+                             rf"point '2' at Hasse edge \({edge[0]}, {edge[1]}\)$"):
+        canonical_section("2", broken)
+
+
 # -- transports ----------------------------------------------------------------------
 
 
@@ -390,7 +440,32 @@ def test_transports_carry_sections_both_ways():
             assert out in p_secs
 
 
+def test_an_unnatural_transport_names_the_edge():
+    poset = enumerate_vn(carrier("X", 2), BOOL2)
+    gelfand, prime = build_presheaf(poset, "gelfand"), build_presheaf(poset, "prime")
+    edge = list(poset.hasse)[-1]
+    s = global_sections(prime)[0]
+    out = transport_prime_section(s, prime, gelfand)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^transported prime section is not natural at Hasse edge "
+                             rf"\({edge[0]}, {edge[1]}\)$"):
+        transport_prime_section(s, prime, breaking(gelfand, out, edge))
+    with pytest.raises(InvariantViolation,
+                       match=rf"^transported scalar section is not natural at Hasse edge "
+                             rf"\({edge[0]}, {edge[1]}\)$"):
+        transport_gelfand_section(out, gelfand, breaking(prime, s, edge))
+
+
 # -- verdicts ---------------------------------------------------------------------------
+
+
+def test_colliding_canonical_sections_name_both_points(monkeypatch):
+    induced = contextuality.canonical_section
+    monkeypatch.setattr(contextuality, "canonical_section",
+                        lambda point, sheaf: induced("1", sheaf))
+    with pytest.raises(InvariantViolation,
+                       match=r"^carrier points induced colliding sections: '1' and '2'$"):
+        ks_verdict(carrier("X", 2), BOOL2)
 
 
 def test_verdicts_zdf_quantales():

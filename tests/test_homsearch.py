@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from qspec._homsearch import enumerate_homs, is_hom
+from oracles import is_hom
+from qspec._homsearch import enumerate_homs
 from qspec.quantale import builtin_quantale, parse_quantale_tag
 from qspec.relations import carrier
 from qspec.spectra import TWO

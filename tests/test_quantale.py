@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import is_hom
 from qspec.quantale import (
     Quantale, QuantaleError, builtin_quantale, endomorphisms, is_zdf, load_quantale,
     parse_quantale_tag, quantale_to_doc, verify_quantale, zdf_witness,
@@ -341,7 +342,7 @@ def test_endomorphism_monoid_closure():
             for h in homs:
                 assert h.compose(g).mapping in maps
         for h in homs:
-            assert h.is_valid()
+            assert is_hom(h.source.semiring(), h.target.semiring(), h.mapping)
 
 
 def test_order_is_partial_order_with_bounds():
@@ -367,7 +368,7 @@ def test_two_embedding_is_the_only_map_out_of_two():
     two = builtin_quantale("boolean2")
     for q in (BOOL2, GODEL3, LUK3, builtin_quantale("powerset", 2)):
         emb = two_embedding(q)
-        assert emb.is_valid()
+        assert is_hom(emb.source.semiring(), emb.target.semiring(), emb.mapping)
         assert [h.mapping for h in rig_homs(two, q)] == [emb.mapping]
 
 
@@ -376,7 +377,7 @@ def test_zdf_collapse_exists_exactly_for_zdf_quantales():
     two = builtin_quantale("boolean2")
     for q in (BOOL2, GODEL3, builtin_quantale("godel_chain", 4)):
         w = zdf_collapse(q)
-        assert w.is_valid()
+        assert is_hom(w.source.semiring(), w.target.semiring(), w.mapping)
         assert w.mapping in {h.mapping for h in rig_homs(q, two)}
         # collapsing after embedding is the identity on the two elements
         assert w.compose(two_embedding(q)).mapping == (0, 1)
@@ -384,8 +385,7 @@ def test_zdf_collapse_exists_exactly_for_zdf_quantales():
         zdf_collapse(LUK3)
     # and indeed no valid map can send all non-bottom elements to the unit
     bad = tuple(0 if i == LUK3.bottom else 1 for i in range(LUK3.size))
-    from qspec.quantale import RigHom
-    assert not RigHom(LUK3, two, bad).is_valid()
+    assert not is_hom(LUK3.semiring(), two.semiring(), bad)
 
 
 def test_parse_quantale_tag():

@@ -1,16 +1,16 @@
-"""The relation calculus: composition, dagger, convolution, scalars, blocks."""
+"""The relation calculus: composition, dagger, convolution, scalars."""
 
 import itertools
 import random
 
 import pytest
 
+from oracles import all_relations, is_normal, support
 from qspec.quantale import QuantaleError, builtin_quantale, load_quantale
 from qspec.relations import (
-    FiniteSet, QRel, add, add_via_biproduct, all_relations, blocks, carrier,
-    compose, dagger, identity_rel, is_normal, reassemble, rel, rel_from_doc,
-    rel_to_doc, scalar_mul, scalar_mul_via_tensor, scalar_rel, support,
-    tensor, zero_rel,
+    FiniteSet, QRel, add, add_via_biproduct, carrier, compose, dagger,
+    identity_rel, rel, scalar_mul, scalar_mul_via_tensor, scalar_rel, tensor,
+    zero_rel,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -204,39 +204,6 @@ def test_scalars_are_the_quantale():
                 assert dagger(scalar_rel(q, s)).entries[0][0] == q.inv(s)
 
 
-def test_blocks():
-    x = carrier("X", 3)
-    y = carrier("Y", 3)
-    rng = random.Random(23)
-    f = rand_rel(rng, GODEL3, x, y)
-    # trivial partition: the single block is the relation itself
-    [[whole]] = blocks(f, [list(x.elements)], [list(y.elements)])
-    assert whole.entries == f.entries
-    parts_x = [["1", "2"], ["3"]]
-    parts_y = [["1"], ["2", "3"]]
-    bm = blocks(f, parts_x, parts_y)
-    assert reassemble(bm, x, y) == f
-    # dagger of the block matrix is the transposed matrix of daggered blocks
-    bd = blocks(dagger(f), parts_y, parts_x)
-    for i in range(2):
-        for j in range(2):
-            assert bd[j][i].entries == dagger(bm[i][j]).entries
-    # random round-trips
-    for _ in range(50):
-        g = rand_rel(rng, GODEL3, x, y)
-        assert reassemble(blocks(g, parts_x, parts_y), x, y) == g
-    with pytest.raises(ValueError, match="partition"):
-        blocks(f, [["1", "2"]], [list(y.elements)])
-
-
-def test_block_diagonal_relations_have_zero_off_blocks():
-    x = carrier("X", 2)
-    f = QRel(BOOL2, x, x, ((1, 0), (0, 1)))
-    bm = blocks(f, [["1"], ["2"]], [["1"], ["2"]])
-    assert bm[0][1].entries == ((0,),)
-    assert bm[1][0].entries == ((0,),)
-
-
 def test_support():
     x, y = carrier("X", 2), carrier("Y", 2)
     assert support(zero_rel(BOOL2, x, y)) == support(zero_rel(BOOL2, x, y))
@@ -271,11 +238,3 @@ def test_foreign_scalars_are_rejected():
     with pytest.raises(QuantaleError):
         add(f, identity_rel(BOOL2, x))
 
-
-def test_relation_literal_round_trip():
-    x, y = carrier("X", 2), carrier("Y", 2)
-    f = rel(GODEL3, x, y, {("1", "2"): "a", ("2", "1"): "1"})
-    doc = rel_to_doc(f)
-    assert doc["entries"] == [["1", "2", "a"], ["2", "1", "1"]]
-    g = rel_from_doc(GODEL3, doc)
-    assert g.entries == f.entries

@@ -8,7 +8,8 @@ import itertools
 
 import pytest
 
-from qspec._homsearch import enumerate_homs, is_hom
+from oracles import is_hom
+from qspec._homsearch import enumerate_homs
 from qspec.quantale import builtin_quantale, load_quantale
 from qspec.relations import (
     QRel, add, carrier, compose, dagger, identity_rel, scalar_mul, zero_rel,

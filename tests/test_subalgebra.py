@@ -8,22 +8,21 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import all_relations, subset_idempotent, support
 from qspec.checks import subset_joins
 from qspec.quantale import (
     Quantale, ZdfRequiredError, builtin_quantale, is_zdf, load_quantale,
     parse_quantale_tag,
 )
 from qspec.relations import (
-    QRel, add, all_relations, carrier, compose, dagger, diag_rel, identity_rel, rel,
-    scalar_mul, subset_idempotent, support, zero_rel, _e_compose, _e_dagger,
-    _e_join, _e_scalar,
+    QRel, add, carrier, compose, dagger, diag_rel, identity_rel, rel, scalar_mul,
+    zero_rel, _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 from qspec.subalgebra import (
     EndoSpace, EnumerationBoundExceeded, InvariantViolation, Subsemialgebra, close,
-    commutant, diagonal_algebra, direct_sum, enumerate_vn, get_endospace,
-    is_von_neumann, maximal_cliques, primitive_idempotents, restrict_component,
-    subunital_idempotents, trivial_algebra, tuple_getter, validate_decomposition,
-    _poset_from_masks,
+    commutant, diagonal_algebra, enumerate_vn, get_endospace, is_von_neumann,
+    maximal_cliques, primitive_idempotents, subunital_idempotents, trivial_algebra,
+    tuple_getter, validate_decomposition, _poset_from_masks,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -939,14 +938,6 @@ def oracle_validate_decomposition(dec):
     return failures
 
 
-def oracle_restrict_component(a, e):
-    """The members of e A e, cut down to the support of e."""
-    q = a.quantale
-    keep = [i for i in range(a.carrier.size) if e[i][i] == q.unit]
-    cuts = {_e_compose(q, e, _e_compose(q, m, e)) for m in a.members}
-    return tuple(sorted({tuple(tuple(c[i][j] for j in keep) for i in keep) for c in cuts}))
-
-
 # (quantale tag, |X|, mode): the section-search oracle configs of
 # test_contextuality plus boolean2 |X|=3 in generated mode
 ORACLE_POSETS = [("boolean2", 2, "exhaustive"), ("godel3", 2, "exhaustive"),
@@ -973,8 +964,6 @@ def test_decomposition_layer_equals_the_entry_kernels(tag, size, mode):
         assert dec.supports == tuple(support(QRel(poset.quantale, a.carrier, a.carrier, e)).supp
                                      for e in dec.idempotents)
         assert validate_decomposition(dec) == oracle_validate_decomposition(dec) == []
-        for e in dec.idempotents:
-            assert restrict_component(a, e).members == oracle_restrict_component(a, e)
 
 
 def _diagonal_decomposition(q, n=2):
@@ -1110,43 +1099,6 @@ def test_the_scalar_line_is_the_closure_of_nothing(q, n):
     assert trivial_algebra(x, q).member_set == oracle_closure(x, [], q)
 
 
-# -- direct sums and restriction -----------------------------------------------------------
-
-
-def test_direct_sum_of_trivial_algebras():
-    a1, b1 = carrier("A", 1), carrier("B", 1)
-    s = direct_sum(trivial_algebra(a1, BOOL2), trivial_algebra(b1, BOOL2))
-    assert s.size == 4
-    assert s.member_set == diagonal_algebra(s.carrier, BOOL2).member_set
-    assert oracle_is_vn(s)
-
-
-def test_direct_sum_godel_is_von_neumann():
-    a1, b1 = carrier("A", 1), carrier("B", 1)
-    s = direct_sum(trivial_algebra(a1, GODEL3), trivial_algebra(b1, GODEL3))
-    assert s.size == 9
-    assert oracle_is_vn(s)
-
-
-def test_restrict_component_round_trip():
-    a1, b1 = carrier("A", 1), carrier("B", 1)
-    left = trivial_algebra(a1, GODEL3)
-    s = direct_sum(left, trivial_algebra(b1, GODEL3))
-    e_left = subset_idempotent(GODEL3, s.carrier, [(0, "1")])
-    r = restrict_component(s, e_left)
-    assert r.carrier.elements == ((0, "1"),)
-    assert sorted(r.members) == sorted(left.members)
-    assert oracle_is_vn(r)
-    assert identity_rel(GODEL3, r.carrier).entries in r.member_set
-
-
-def test_restrict_component_rejects_bad_idempotents():
-    d = diagonal_algebra(X2, GODEL3)
-    bad = QRel(GODEL3, X2, X2, ((1, 0), (0, 0)))  # diagonal but not unit-valued
-    with pytest.raises(ValueError):
-        restrict_component(d, bad)
-
-
 def test_mixed_ambients_are_rejected():
     from qspec.subalgebra import MixedAmbientError
     with pytest.raises(MixedAmbientError):
@@ -1155,9 +1107,6 @@ def test_mixed_ambients_are_rejected():
         close(X2, [identity_rel(BOOL2, X2), identity_rel(GODEL3, X2)])
     with pytest.raises(MixedAmbientError):
         close(X2, [identity_rel(BOOL2, carrier("Y", 2))])
-    with pytest.raises(MixedAmbientError):
-        direct_sum(trivial_algebra(carrier("A", 1), BOOL2),
-                   trivial_algebra(carrier("B", 1), GODEL3))
 
 
 def test_generated_mode_stops_at_the_first_empty_level():
