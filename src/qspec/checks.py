@@ -128,8 +128,8 @@ def algebras_suite(poset, seed):
     out = []
     q = poset.quantale
     algebras = poset.algebras
-    flags = all(a.is_unital and a.is_star_closed and a.is_commutative and a.is_closed()
-                for a in algebras)
+    # is_closed() holds the unit, zero and every member's dagger among the members
+    flags = all(a.is_commutative and a.is_closed() for a in algebras)
     out.append(_verdict("closure-flags", flags, "an algebra misses a closure flag"))
     out.append(_verdict("von-neumann", all(is_von_neumann(a) for a in algebras),
                         "an algebra differs from its double commutant"))

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from qspec.quantale import is_zdf, require_zdf, verify_quantale
-from qspec.spectra import TWO, restriction_mismatch
+from qspec.quantale import is_zdf, require_zdf
+from qspec.spectra import TWO
 from qspec.subalgebra import InvariantViolation, _bits, enumerate_vn
 
 
@@ -34,15 +34,25 @@ class Presheaf(namedtuple("Presheaf", "poset kind values restrictions")):
     __slots__ = ()
 
 
-class Verdict(namedtuple("Verdict", "carrier quantale mode zdf gelfand_sections "
-                                    "prime_sections canonical_by_point element_map notes",
-                         defaults=((),))):
+class Verdict(namedtuple("Verdict", "carrier quantale mode gelfand_sections "
+                                    "prime_sections canonical_by_point element_map")):
     """The contextuality verdict of one carrier.  Each section is a choice
     tuple, one point index per algebra; prime_sections is None over scalars
     with zero divisors; element_map sends a prime section to its carrier
     point."""
 
     __slots__ = ()
+
+    @property
+    def zdf(self):
+        """The scalars are zero-divisor-free: the prime route ran."""
+        return self.prime_sections is not None
+
+    @property
+    def notes(self):
+        return () if self.zdf else (
+            "quantale has zero divisors: decided by the direct scalar-valued "
+            "search only; the kernel/indicator comparison maps are unavailable",)
 
     @property
     def contextual(self):
@@ -73,11 +83,7 @@ class Verdict(namedtuple("Verdict", "carrier quantale mode zdf gelfand_sections 
 
 
 def build_presheaf(poset, kind):
-    """Take every spectrum and Hasse edge table from the poset, then check
-    each table against its spectra before handing the presheaf out."""
-    broken = restriction_mismatch(poset, kind)
-    if broken is not None:
-        raise InvariantViolation(f"restriction table {broken} is not the projection")
+    """The presheaf of one kind: the poset's spectra and Hasse edge tables."""
     return Presheaf(poset, kind, poset.spectra(kind), poset.restrictions(kind))
 
 
@@ -289,13 +295,9 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
     prime presheaf is searched as well and the two answers must agree (they
     are bridged by the kernel/indicator transports).  Disagreement aborts.
     """
-    report = verify_quantale(q)
-    if not report.passed:
-        raise ValueError(f"quantale fails its axioms: {report.violations}")
     poset = enumerate_vn(x, q, mode=mode, max_generators=max_generators)
     gelfand = build_presheaf(poset, "gelfand")
     g_sections = global_sections(gelfand)
-    notes = []
     prime_sections = None
     canonical = {}
     element_map = {}
@@ -323,18 +325,12 @@ def ks_verdict(x, q, mode="exhaustive", max_generators=2):
             if section_element(c, prime) != p:
                 raise InvariantViolation(
                     f"canonical section of {p!r} reads back a different point")
-    else:
-        notes.append("quantale has zero divisors: decided by the direct "
-                     "scalar-valued search only; the kernel/indicator "
-                     "comparison maps are unavailable")
     return Verdict(
         carrier=x.elements,
         quantale=q.name,
         mode=mode,
-        zdf=is_zdf(q),
         gelfand_sections=tuple(g_sections),
         prime_sections=prime_sections,
         canonical_by_point=canonical,
         element_map=element_map,
-        notes=tuple(notes),
     )

@@ -137,13 +137,6 @@ class RigHom(namedtuple("RigHom", "source target mapping")):
 
     __slots__ = ()
 
-    def compose(self, other):
-        """self after other (other: A -> B, self: B -> C)."""
-        if other.target != self.source:
-            raise QuantaleError("composition mismatch")
-        return RigHom(other.source, self.target,
-                      tuple(self.mapping[v] for v in other.mapping))
-
 
 # -- document loading ----------------------------------------------------------
 
@@ -273,6 +266,14 @@ def require_zdf(q, context):
         raise ZdfRequiredError(
             f"{context} requires a zero-divisor-free quantale; "
             f"{q.name!r} has witness {zdf_witness(q)}")
+
+
+def require_quantale(q):
+    """Refuse a table that fails an axiom, naming the first violation."""
+    violations = verify_quantale(q).violations
+    if violations:
+        axiom, witness = violations[0]
+        raise QuantaleError(f"not a quantale: {axiom} fails at ({', '.join(witness)})")
 
 
 # -- built-in quantales ----------------------------------------------------------

@@ -146,18 +146,16 @@ def prime_ideal_scan(algebra):
 # -- restriction along inclusions ---------------------------------------------------
 
 
-def _check_inclusion(sub, sup):
-    if sub.quantale != sup.quantale or sub.carrier != sup.carrier:
-        raise ValueError("inclusion across different ambient objects")
-    if not sub.member_set <= sup.member_set:
-        raise ValueError("not an inclusion of algebras")
-
-
 def _positions(sub, sup):
     """The positions of sub's members in sup's member order; the values of a
-    point of sup there are the values of its restriction to sub."""
-    _check_inclusion(sub, sup)
-    return [sup.member_pos[m] for m in sub.members]
+    point of sup there are the values of its restriction to sub.  A member
+    of sub that sup lacks raises ValueError: no inclusion."""
+    if sub.quantale != sup.quantale or sub.carrier != sup.carrier:
+        raise ValueError("inclusion across different ambient objects")
+    try:
+        return [sup.member_pos[m] for m in sub.members]
+    except KeyError:
+        raise ValueError("not an inclusion of algebras") from None
 
 
 def restrict_character(rho, algebra, sub):

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from qspec._homsearch import TableSemiring
-from qspec.quantale import require_zdf
+from qspec.quantale import require_quantale, require_zdf
 from qspec.relations import (
     QRel, diag_rel, hom_size, identity_rel, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
@@ -69,11 +69,6 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
     def from_entries(cls, quantale, carrier, entries_iterable):
         return cls(quantale, carrier, tuple(sorted(set(entries_iterable))))
 
-    @classmethod
-    def from_rels(cls, rels):
-        first = rels[0]
-        return cls.from_entries(first.quantale, first.dom, (r.entries for r in rels))
-
     @cached_property
     def member_set(self):
         return frozenset(self.members)
@@ -97,22 +92,11 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
 
     # flags
 
-    @cached_property
-    def is_unital(self):
-        q, x = self.quantale, self.carrier
-        return (identity_rel(q, x).entries in self.member_set
-                and zero_rel(q, x, x).entries in self.member_set)
-
     def in_space(self):
         """The Hom(X, X) space and the members' indices in it, in member order.
         The space comes from get_endospace, so QSPEC_MAX_HOM_SIZE applies."""
         space = get_endospace(self.quantale, self.carrier)
         return space, tuple(map(space.index.__getitem__, self.members))
-
-    @cached_property
-    def is_star_closed(self):
-        space, idx = self.in_space()
-        return space.is_star_mask(_mask(idx))
 
     @cached_property
     def is_commutative(self):
@@ -601,7 +585,7 @@ def get_endospace(q, x):
         if huge or size > limit:
             raise EnumerationBoundExceeded(
                 f"|Hom(X,X)| = {size} exceeds the bound {limit}; "
-                "use generated mode on a smaller carrier or raise QSPEC_MAX_HOM_SIZE")
+                "use a smaller carrier or raise QSPEC_MAX_HOM_SIZE")
         space = EndoSpace(q, x)
         _space_cache[key] = space
     return space
@@ -635,12 +619,12 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         comes first.  Every spectrum and restriction table is built along the
         Hasse edges after this, so a Hasse edge that is not an inclusion, a
         broken enumeration, is caught here: InvariantViolation names it."""
-        from qspec.spectra import _check_inclusion  # spectra imports this module
+        from qspec.spectra import _positions  # spectra imports this module
         best = [None] * len(self.algebras)
         size = [a.size for a in self.algebras]
         for i, j in self.hasse:
             try:
-                _check_inclusion(self.algebras[i], self.algebras[j])
+                _positions(self.algebras[i], self.algebras[j])
             except ValueError as exc:
                 raise InvariantViolation(f"A{j}: Hasse edge ({i}, {j}): {exc}") from None
             if best[j] is None or size[i] > size[best[j]]:
@@ -851,7 +835,10 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     - So expanding each closure once, at the level d = |S| where it first
       appears, reaches exactly {cl(S) : |S| ≤ max_generators}.  Each union is
       closed once, from its closed part cl(S).
+
+    A table that fails a quantale axiom is refused first: QuantaleError.
     """
+    require_quantale(q)
     space = get_endospace(q, x)
     if mode == "exhaustive":
         pair = [space.comm_mask(i) & space.comm_mask(space.dag(i))

@@ -5,7 +5,9 @@ from collecting it."""
 import itertools
 from collections import namedtuple
 
+from qspec.quantale import QuantaleError, RigHom
 from qspec.relations import QRel, compose, dagger, diag_rel
+from qspec.subalgebra import Subsemialgebra
 
 
 def is_hom(src, dst, image):
@@ -60,3 +62,16 @@ def subset_idempotent(q, x, points):
 
 def is_normal(f):
     return compose(f, dagger(f)) == compose(dagger(f), f)
+
+
+def compose_homs(g, f):
+    """The quantale map g after f (f: A -> B, g: B -> C)."""
+    if f.target != g.source:
+        raise QuantaleError("composition mismatch")
+    return RigHom(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
+
+
+def from_rels(rels):
+    """The set of the given relations as a Subsemialgebra, closed or not."""
+    first = rels[0]
+    return Subsemialgebra.from_entries(first.quantale, first.dom, (r.entries for r in rels))

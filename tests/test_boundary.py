@@ -12,9 +12,9 @@ from qspec.subalgebra, not from the relation-level support of the tests'
 oracles.  The records are namedtuples, so starting the CLI loads neither
 dataclasses nor the modules only a few commands need, and no record stores a
 field that its owner or a sibling field already holds.  Every top-level
-function and class under src/ has a caller there, except the names the
-benchmark tracer times and ``close``; the tests' oracles live in
-tests/oracles.py."""
+function and class under src/, and every method and property of such a
+class, has a caller there, except the names the benchmark tracer times and
+``close``; the tests' oracles live in tests/oracles.py."""
 
 import ast
 import importlib
@@ -60,14 +60,22 @@ def test_sections_read_supports_from_the_decomposition():
                 "direct_sum", "restrict_component", "is_hom", "all_relations", "support",
                 "SupportPair", "subset_idempotent", "is_normal"})
       for module in ["qspec", *QSPEC_MODULES]),
+    ("qspec.spectra", {"_check_inclusion"}),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))
 
 
+# called by the namedtuple machinery (_replace calls _make), not by name
+NAMEDTUPLE_PROTOCOL = frozenset({"_make", "_replace", "_asdict"})
+
+
 def uncalled_definitions():
-    """module.name of each top-level def or class in src/qspec that no src
-    module refers to by name (__init__.py, which only re-exports, aside)."""
+    """module.name of each top-level def or class in src/qspec, and
+    module.Class.name of each method or property of such a class, that no
+    src module refers to by name (__init__.py, which only re-exports, aside).
+    Dunder methods and the namedtuple protocol are called without their
+    name, so they are left out."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(qspec.__file__).parent.glob("*.py"))
              if path.name != "__init__.py"}
@@ -80,10 +88,17 @@ def uncalled_definitions():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in named)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named:
+                out.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out.extend(f"{module}.{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, ast.FunctionDef) and m.name not in named
+                           and not (m.name.startswith("__") and m.name.endswith("__"))
+                           and m.name not in NAMEDTUPLE_PROTOCOL)
+    return sorted(out)
 
 
 def test_src_keeps_no_code_only_the_tests_call():
@@ -121,7 +136,8 @@ def test_decomposition_idempotents_are_members_of_their_algebra():
 
 def test_records_store_no_derivable_flag():
     assert AxiomReport._fields == ("violations",)
-    assert "contextual" not in Verdict._fields
+    # contextual, zdf and notes are read from the sections
+    assert {"contextual", "zdf", "notes"}.isdisjoint(Verdict._fields)
 
 
 def test_points_and_relations_carry_no_instance_dict():

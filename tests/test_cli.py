@@ -94,14 +94,12 @@ NOT_A_QUANTALE = {  # the chain 0 < a < 1 with a·a = 1 and a·1 = a
 @pytest.mark.parametrize("command", ["algebras", "spectrum", "sections", "verdict", "topology"])
 def test_enumerating_commands_refuse_a_table_that_is_not_a_quantale(
         command, tmp_path, monkeypatch, capsys):
-    def enumerated(*args, **kwargs):
-        raise AssertionError("a table that is not a quantale was enumerated")
-
-    monkeypatch.setattr(cli, "enumerate_vn", enumerated)
-    monkeypatch.setattr(ctx, "enumerate_vn", enumerated)
+    built = []
+    monkeypatch.setattr(sub, "get_endospace", lambda *args: built.append(args))
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(NOT_A_QUANTALE))
     code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert built == []  # refused before any Hom(X,X) space was built
     assert code == 2
     assert out == ""
     assert err == "qspec: error: not a quantale: distributivity fails at (a, a, 1)\n"
@@ -306,7 +304,19 @@ def test_a_carrier_past_the_bound_names_the_knob(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "algebras", "--quantale", "godel3", "--size", "300")
     assert (code, out) == (2, "")
     assert err == ("qspec: error: |Hom(X,X)| = 3^90000 exceeds the bound 65536; use "
-                   "generated mode on a smaller carrier or raise QSPEC_MAX_HOM_SIZE\n")
+                   "a smaller carrier or raise QSPEC_MAX_HOM_SIZE\n")
+
+
+def test_the_bound_refusal_in_generated_mode_gives_no_generated_mode_advice(
+        monkeypatch, capsys):
+    # generated mode builds the same Hom(X,X) space, so it cannot help
+    monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", "10")
+    monkeypatch.setattr(sub, "_space_cache", {})
+    code, out, err = run_cli(capsys, "algebras", "--quantale", "boolean2", "--size", "2",
+                             "--mode", "generated")
+    assert (code, out) == (2, "")
+    assert err == ("qspec: error: |Hom(X,X)| = 16 exceeds the bound 10; use "
+                   "a smaller carrier or raise QSPEC_MAX_HOM_SIZE\n")
 
 
 def test_a_carrier_far_past_the_bound_is_refused_at_once():
@@ -466,3 +476,24 @@ def test_a_hasse_edge_that_is_no_inclusion_fails_the_verdict(monkeypatch, capsys
     assert err == ""
     assert (f"[FAIL] verdict-computed  A{i}: Hasse edge ({j}, {i}): "
             "not an inclusion of algebras") in out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "topology"])
+def test_a_broken_invariant_outside_the_verdict_exits_one(command, monkeypatch, capsys,
+                                                           tmp_path):
+    real = sub.enumerate_vn
+
+    def foreign_edge(*args, **kwargs):  # the largest algebra placed below the trivial one
+        poset = real(*args, **kwargs)
+        return poset._replace(hasse=poset.hasse + ((len(poset.algebras) - 1, 0),))
+
+    monkeypatch.setattr(cli, "enumerate_vn", foreign_edge)
+    top = len(real(carrier("X", 2), builtin_quantale("godel_chain", 3)).algebras) - 1
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    code, out, err = run_cli(capsys, command, "--quantale", "godel3", "--size", "2",
+                             "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"qspec: error: A0: Hasse edge ({top}, 0): "
+                   "not an inclusion of algebras\n")
+    assert path.read_text() == "earlier report\n"

@@ -515,5 +515,5 @@ def test_verdict_rejects_broken_quantale():
     doc = qu.quantale_to_doc(GODEL3)
     doc["join"][1][1] = "1"
     broken = qu.load_quantale(doc)
-    with pytest.raises(ValueError, match="axioms"):
+    with pytest.raises(ValueError, match="not a quantale"):
         ks_verdict(carrier("X", 1), broken)

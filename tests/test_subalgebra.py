@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_relations, subset_idempotent, support
+from oracles import all_relations, from_rels, subset_idempotent, support
 from qspec.checks import subset_joins
 from qspec.quantale import (
     Quantale, ZdfRequiredError, builtin_quantale, is_zdf, load_quantale,
@@ -296,7 +296,7 @@ def test_close_matches_oracle_on_random_generators():
 
 def test_closed_algebra_flags():
     a = close(X2, [e1_rel()])
-    assert a.is_unital and a.is_star_closed and a.is_closed()
+    assert a.is_closed()
 
 
 # -- commutants ------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_commutant_and_von_neumann_match_the_oracles():
         for _ in range(5):
             sample = rng.sample(rels, rng.randint(1, 3))
             assert commutant(X2, sample).member_set == oracle_commutant(X2, sample, q)
-            for a in (Subsemialgebra.from_rels(sample), close(X2, sample)):
+            for a in (from_rels(sample), close(X2, sample)):
                 verdicts.add(is_von_neumann(a))
                 assert is_von_neumann(a) == oracle_is_vn(a)
     assert verdicts == {True, False}
@@ -527,9 +527,9 @@ def test_a_non_closed_set_raises_invariant_violation():
     e12 = rel(q, X2, X2, {("1", "2"): "1"})
     escaping = join_star_closure(X2, [e12], q)  # e12∘e12† = e11 is missing
     assert _e_compose(q, e12.entries, _e_dagger(q, e12.entries)) not in escaping.member_set
-    sets = [Subsemialgebra.from_rels([identity_rel(q, X2)]),
-            Subsemialgebra.from_rels([zero_rel(q, X2, X2)]),
-            Subsemialgebra.from_rels([e12]), escaping]
+    sets = [from_rels([identity_rel(q, X2)]),
+            from_rels([zero_rel(q, X2, X2)]),
+            from_rels([e12]), escaping]
     for a in sets:
         with pytest.raises(InvariantViolation):
             a.semiring()
@@ -544,19 +544,18 @@ def test_flags_match_their_entry_definitions(q):
     algebras = enumerate_vn(X2, q).algebras
     # zero and the identity: a unital *-semiring, but over more than two
     # scalars not closed under their multiples
-    constants = Subsemialgebra.from_rels([zero_rel(q, X2, X2), identity_rel(q, X2)])
+    constants = from_rels([zero_rel(q, X2, X2), identity_rel(q, X2)])
     seen = set()
     for _ in range(12):
         sample = rng.sample(rels, rng.randint(1, 6))
-        for a in (Subsemialgebra.from_rels(sample), commutant(X2, sample[:2]),
+        for a in (from_rels(sample), commutant(X2, sample[:2]),
                   join_star_closure(X2, sample[:1], q), rng.choice(algebras), constants):
-            flags = (a.is_closed(), a.is_commutative, a.is_star_closed)
-            assert flags == (oracle_is_closed(a), oracle_is_commutative(a),
-                             oracle_is_star_closed(a))
+            flags = (a.is_closed(), a.is_commutative)
+            assert flags == (oracle_is_closed(a), oracle_is_commutative(a))
             seen.add(flags)
     # random sets, commutants, join closures and enumerated algebras give
     # each flag both values
-    assert all({f[k] for f in seen} == {True, False} for k in range(3))
+    assert all({f[k] for f in seen} == {True, False} for k in range(2))
 
 
 @pytest.mark.parametrize("q, n", [(BOOL2, 2), (GODEL3, 2), (BOOL2, 3)],
@@ -574,7 +573,7 @@ def test_flags_and_semiring_respect_the_hom_bound(monkeypatch):
     monkeypatch.setenv("QSPEC_MAX_HOM_SIZE", "10")
     monkeypatch.setattr(sub, "_space_cache", {})
     for op in (Subsemialgebra.semiring, Subsemialgebra.is_closed,
-               lambda a: a.is_commutative, lambda a: a.is_star_closed):
+               lambda a: a.is_commutative):
         with pytest.raises(EnumerationBoundExceeded):
             op(a)
 
@@ -688,7 +687,7 @@ def test_enumerate_godel3_x2_self_checks():
     for a in poset.algebras:
         assert a.members not in members_seen
         members_seen.add(a.members)
-        assert a.is_unital and a.is_star_closed and a.is_commutative
+        assert a.is_commutative
         assert a.is_closed()
         assert oracle_is_vn(a)
     assert poset.trivial_index is not None
@@ -725,7 +724,7 @@ def test_generated_mode_is_a_sound_subset():
     assert generated.algebras[generated.trivial_index].members in got
     assert generated.algebras[generated.diagonal_index].members in got
     for a in generated.algebras:
-        assert a.is_commutative and a.is_star_closed and is_von_neumann(a)
+        assert a.is_commutative and a.is_closed() and is_von_neumann(a)
 
 
 @pytest.mark.parametrize("q, n, k", [(q, 2, k) for q in ORACLE_QUANTALES for k in range(4)]
