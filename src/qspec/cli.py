@@ -174,11 +174,11 @@ def _cmd_check_quantale(args):
         "zdf": is_zdf(q) if axioms.passed else None,
         "zdf_witness": list(zdf_witness(q)) if axioms.passed and not is_zdf(q) else None,
     }
-    results = checks.quantale_suite(q)
+    homs = endomorphisms(q) if axioms.passed else None
+    results = checks.quantale_suite(q, axioms, homs)
     if axioms.passed:
         results += checks.relations_suite(q, args.seed)
-        report["endomorphisms"] = [[q.elements[v] for v in h.mapping]
-                                   for h in endomorphisms(q)]
+        report["endomorphisms"] = [[q.elements[v] for v in h.mapping] for h in homs]
     return _finish(report, results, args)
 
 

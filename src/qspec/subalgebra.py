@@ -279,15 +279,15 @@ class Decomposition(namedtuple("Decomposition",
 def support_projections(a):
     """Each distinct member support, as a frozenset of carrier indices (the
     empty support included), mapped to the entries of its subset projection:
-    the identity on the support and bottom elsewhere."""
-    q, x = a.quantale, a.carrier
-    b = q.bottom
-    out = {}
-    for m in a.members:
-        s = frozenset(i for i, row in enumerate(m) if any(v != b for v in row))
-        if s not in out:
-            out[s] = diag_rel(q, x, [q.unit if i in s else b for i in range(x.size)]).entries
-    return out
+    the identity on the support and bottom elsewhere.  Both are looked up in
+    the Hom(X, X) space; the dict is stored on the algebra, so the check and
+    the decomposition read one."""
+    cached = a.__dict__.get("_supports")
+    if cached is None:
+        space, idx = a.in_space()
+        cached = {s: space.projection(s) for s in set(map(space.support, idx))}
+        a.__dict__["_supports"] = cached
+    return cached
 
 
 def primitive_idempotents(a):
@@ -390,7 +390,7 @@ def tuple_getter(keys):
 
 class _Rows(dict):
     """Values made on first use by one function of their key: table rows,
-    and the closures and commutants that generated mode reuses."""
+    supports, and the closures and commutants that generated mode reuses."""
 
     def __init__(self, make):
         super().__init__()
@@ -426,8 +426,9 @@ class EndoSpace:
     A composition or join row is the sum of n looked-up rows of place-scaled
     row indices; each such part is packed into one int, one fixed-width lane
     per element, and no lane overflows because every sum is an index, so the
-    n int additions add all |Hom| lanes at once.  These rows and the
-    commutation masks are made on first use; the dagger table is built
+    n int additions add all |Hom| lanes at once.  These rows, the
+    commutation masks and the supports (the carrier rows whose row index is
+    not the zero row's) are made on first use; the dagger table is built
     eagerly, as a digit sum over the cells.  Scalars act through
     scalar_line, the mask of the trivial algebra {s·id}: s·a is the
     composite (s·id)∘a.
@@ -492,6 +493,14 @@ class EndoSpace:
             self._rowk = rowk
             self._gather = lambda ids, column: array(row_code, map(column.__getitem__, ids))
         self._comm = _Rows(self._commutation)
+        # support(a): the carrier rows k where a is not bottom, which are those
+        # whose row index is not the zero row's; projection(s): the entries of
+        # the identity on the carrier indices s, bottom elsewhere
+        self._supports = _Rows(lambda a: frozenset(
+            k for k, ids in enumerate(self._rowk) if ids[a] != zero_row))
+        self.support = self._supports.__getitem__
+        self.projection = _Rows(lambda s: diag_rel(
+            q, x, [q.unit if k in s else q.bottom for k in range(n)]).entries).__getitem__
         # the index of an element is a sum over its cells (i, j) in product
         # order of a_ij * |Q|**(n*n-1-(i*n+j)); a† holds inv(a_ij) at (j, i)
         dag = [0]
@@ -707,6 +716,9 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
 
     def to_json(self):
         q = self.quantale
+        # members recur across algebras: each is labelled once, and the shared
+        # lists encode to the same bytes
+        labels = _Rows(lambda m: [[q.elements[v] for v in row] for row in m])
         return {
             "quantale": q.name,
             "carrier": list(map(str, self.carrier.elements)),
@@ -718,8 +730,7 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
                     "name": f"A{i}",
                     "id": a.algebra_id,
                     "size": a.size,
-                    "members": [[[q.elements[v] for v in row] for row in m]
-                                for m in a.members],
+                    "members": list(map(labels.__getitem__, a.members)),
                 }
                 for i, a in enumerate(self.algebras)
             ],

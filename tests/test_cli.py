@@ -443,6 +443,27 @@ def test_a_foreign_idempotent_fails_the_verdict_instead_of_a_traceback(monkeypat
                 "is not a member of the algebra") in out
 
 
+@pytest.mark.parametrize("element,wrong,check,detail", [
+    # diag(1, 0) said to hold both points: its projection is id, a member,
+    # but no support is {0} any more, so the diagonal's atoms miss point 0
+    ("diagonal", (0, 1), "decomposition", "support atoms do not cover the carrier"),
+    # zero said to hold point 0: diag(1, 0) escapes the trivial algebra
+    ("trivial", (0,), "support-projections", "support projection escaped the algebra"),
+])
+def test_a_wrong_support_table_entry_fails_algebras(element, wrong, check, detail,
+                                                    monkeypatch, capsys):
+    q, x = builtin_quantale("boolean2"), carrier("X", 2)
+    space = sub.get_endospace(q, x)
+    i = space.index[diag_rel(q, x, (q.unit, q.bottom) if element == "diagonal"
+                             else (q.bottom, q.bottom)).entries]
+    monkeypatch.setitem(space._supports, i, frozenset(wrong))
+    code, out, _ = run_cli(capsys, "algebras", "--quantale", "boolean2", "--size", "2")
+    assert code == 1
+    assert f"[FAIL] {check}" in out
+    a = getattr(sub.enumerate_vn(x, q), f"{element}_index")
+    assert f"[FAIL] decomposition  A{a}: {detail}" in out
+
+
 def test_a_poset_without_the_diagonal_fails_the_verdict(monkeypatch, capsys):
     real = sub.enumerate_vn
 

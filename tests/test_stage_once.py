@@ -2,7 +2,9 @@
 verified once, by the enumeration, and each Hasse edge table is built once
 per spectrum kind the run reads; only the restriction-functorial check of
 ``spectrum`` builds them a second time, by design, to hold the stored
-tables to their spectra."""
+tables to their spectra.  ``check-quantale`` verifies the axioms twice, the
+second run being its verify-deterministic check, and lists the
+endomorphisms once.  The supports of each algebra are scanned once."""
 
 import importlib
 import pkgutil
@@ -15,26 +17,41 @@ from qspec.quantale import is_zdf, parse_quantale_tag
 from qspec.relations import carrier
 from qspec.subalgebra import enumerate_vn
 
-COUNTED = {"quantale": "verify_quantale", "spectra": "restriction_table"}
+COUNTED = (("quantale", "verify_quantale"), ("quantale", "endomorphisms"),
+           ("spectra", "restriction_table"))
+
+
+def wrap_everywhere(monkeypatch, home, name, wrap):
+    """Replace the function qspec.<home>.<name> by wrap(function) wherever a
+    qspec module bound it."""
+    modules = [qspec, *(importlib.import_module(f"qspec.{m.name}")
+                        for m in pkgutil.iter_modules(qspec.__path__))]
+    original = getattr(importlib.import_module(f"qspec.{home}"), name)
+    wrapped = wrap(original)
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapped)
 
 
 def count_calls(monkeypatch):
-    """Wrap each counted function wherever a qspec module bound it; the
-    returned dict counts the calls by function name."""
-    modules = [qspec, *(importlib.import_module(f"qspec.{m.name}")
-                        for m in pkgutil.iter_modules(qspec.__path__))]
-    calls = dict.fromkeys(COUNTED.values(), 0)
-    for home, name in COUNTED.items():
-        original = getattr(importlib.import_module(f"qspec.{home}"), name)
+    """Wrap each counted function; the returned dict counts the calls by
+    function name."""
+    calls = dict.fromkeys((name for _, name in COUNTED), 0)
+    for home, name in COUNTED:
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counting(original, _name=name):
+            def counted(*args, **kwargs):
+                calls[_name] += 1
+                return original(*args, **kwargs)
+            return counted
 
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        wrap_everywhere(monkeypatch, home, name, counting)
     return calls
+
+
+def run(command, tag, capsys, *size):
+    assert cli.main([command, "--quantale", tag, *size, "--format", "json"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])
@@ -47,6 +64,34 @@ def test_each_stage_runs_once_per_run(command, tag, monkeypatch, capsys):
     tables = {"algebras": 0, "spectrum": 4, "sections": kinds, "verdict": kinds,
               "topology": 2}[command]
     calls = count_calls(monkeypatch)
-    assert cli.main([command, "--quantale", tag, "--size", "2", "--format", "json"]) == 0
-    capsys.readouterr()
-    assert calls == {"verify_quantale": 1, "restriction_table": tables * hasse}
+    run(command, tag, capsys, "--size", "2")
+    assert calls == {"verify_quantale": 1, "endomorphisms": 0,
+                     "restriction_table": tables * hasse}
+
+
+@pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])
+def test_check_quantale_verifies_twice_and_lists_endomorphisms_once(
+        tag, monkeypatch, capsys):
+    calls = count_calls(monkeypatch)
+    run("check-quantale", tag, capsys)
+    assert calls == {"verify_quantale": 2, "endomorphisms": 1, "restriction_table": 0}
+
+
+@pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])
+@pytest.mark.parametrize("command", ["algebras", "sections", "verdict"])
+def test_each_algebra_has_its_supports_scanned_once(command, tag, monkeypatch, capsys):
+    # every scan makes a new dict, so the distinct dicts returned count the scans
+    made = []
+
+    def recording(original):
+        def recorded(a):
+            made.append(original(a))
+            return made[-1]
+        return recorded
+
+    wrap_everywhere(monkeypatch, "subalgebra", "support_projections", recording)
+    q = parse_quantale_tag(tag)
+    algebras = len(enumerate_vn(carrier("X", 2), q).algebras)
+    run(command, tag, capsys, "--size", "2")
+    # over non-ZDF scalars nothing decomposes, so no support is read
+    assert len(set(map(id, made))) == (algebras if is_zdf(q) else 0)

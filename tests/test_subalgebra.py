@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,8 @@ from qspec.relations import (
 from qspec.subalgebra import (
     EndoSpace, EnumerationBoundExceeded, InvariantViolation, Subsemialgebra, close,
     commutant, diagonal_algebra, enumerate_vn, get_endospace, is_von_neumann,
-    maximal_cliques, primitive_idempotents, subunital_idempotents, trivial_algebra,
-    tuple_getter, validate_decomposition, _poset_from_masks,
+    maximal_cliques, primitive_idempotents, subunital_idempotents, support_projections,
+    trivial_algebra, tuple_getter, validate_decomposition, _poset_from_masks,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -1083,6 +1084,41 @@ def test_support_projections_stay_inside():
                 f = QRel(q, a.carrier, a.carrier, m)
                 proj = subset_idempotent(q, a.carrier, support(f).supp)
                 assert proj.entries in a.member_set
+
+
+def oracle_support(space, i):
+    """Element i's support as carrier indices and that support's projection,
+    from the relation-level oracles."""
+    q, x = space.quantale, space.carrier
+    points = support(QRel(q, x, x, space.elements[i])).supp
+    return frozenset(map(x.index, points)), subset_idempotent(q, x, points).entries
+
+
+def table_support(space, i):
+    return space.support(i), space.projection(space.support(i))
+
+
+@pytest.mark.parametrize("tag,n", [("boolean2", 3), ("godel4", 2), ("lukasiewicz3", 2),
+                                   ("powerset2", 2), ("godel3", 1)])
+def test_the_support_table_matches_the_oracle_on_every_member(tag, n):
+    q, x = parse_quantale_tag(tag), carrier("X", n)
+    space = get_endospace(q, x)
+    for a in enumerate_vn(x, q).algebras:
+        idx = [space.index[m] for m in a.members]
+        expected = [oracle_support(space, i) for i in idx]
+        assert [table_support(space, i) for i in idx] == expected
+        assert support_projections(a) == dict(expected)
+
+
+def test_the_support_table_reads_wide_row_indices():
+    # Up to 256 row vectors the row indices are bytes; more take array("H")
+    # rows, which only spaces past the default bound have, so the rows of a
+    # small fresh space are widened to that type here.
+    space = EndoSpace(GODEL3, X2)
+    assert isinstance(space._rowk[0], bytes)
+    space._rowk = [array("H", list(ids)) for ids in space._rowk]
+    for i in range(space.size):
+        assert table_support(space, i) == oracle_support(space, i)
 
 
 def test_trivial_algebra_godel():
