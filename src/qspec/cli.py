@@ -119,7 +119,7 @@ def _check_output(args):
         _refuse_unwritable(args.out)
 
 
-def _emit(report, args, dot_text=None):
+def _emit(report, args):
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "json":
@@ -130,28 +130,20 @@ def _emit(report, args, dot_text=None):
             while block := "".join(itertools.islice(chunks, 4096)):
                 fh.write(block)
             fh.write("\n")
-        elif args.format == "dot":
-            fh.write(dot_text)
+        elif args.format == "dot":  # only algebras gets here: its poset as a dot graph
+            fh.write(report["poset"])
         else:
             lines = [f"qspec {report['command']}  ({report['config']})"]
             for key, value in report.items():
                 if key in ("command", "config", "checks", "passed"):
                     continue
                 lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
-            for c in report.get("checks", []):
+            for c in report["checks"]:
                 mark = "PASS" if c["passed"] else "FAIL"
                 detail = f"  {c['details']}" if c["details"] else ""
                 lines.append(f"[{mark}] {c['name']}{detail}")
             lines.append("result: " + ("ok" if report["passed"] else "FAILED"))
             fh.write("\n".join(lines) + "\n")
-
-
-def _finish(report, results, args, dot_text=None):
-    report["checks"] = [{"name": c.name, "passed": c.passed, "details": c.details}
-                        for c in results]
-    report["passed"] = all(c.passed for c in results)
-    _emit(report, args, dot_text)
-    return 0 if report["passed"] else 1
 
 
 def _config(args, q):
@@ -162,12 +154,13 @@ def _config(args, q):
     return cfg
 
 
-def _cmd_check_quantale(args):
-    q = _load_quantale(args)
+# Each command takes the arguments and the loaded quantale and returns its
+# report body and its check results; main frames and writes the report.
+
+
+def _cmd_check_quantale(args, q):
     axioms = verify_quantale(q)
-    report = {
-        "command": "check-quantale",
-        "config": _config(args, q),
+    body = {
         "document": quantale_to_doc(q),
         "axioms_passed": axioms.passed,
         "violations": [[name, list(w)] for name, w in axioms.violations],
@@ -178,33 +171,25 @@ def _cmd_check_quantale(args):
     results = checks.quantale_suite(q, axioms, homs)
     if axioms.passed:
         results += checks.relations_suite(q, args.seed)
-        report["endomorphisms"] = [[q.elements[v] for v in h.mapping] for h in homs]
-    return _finish(report, results, args)
+        body["endomorphisms"] = [[q.elements[v] for v in h.mapping] for h in homs]
+    return body, results
 
 
 def _poset(args, q):
-    x = carrier("X", args.size)
-    return x, enumerate_vn(x, q, mode=args.mode, max_generators=args.max_generators)
+    return enumerate_vn(carrier("X", args.size), q, mode=args.mode,
+                        max_generators=args.max_generators)
 
 
-def _cmd_algebras(args):
-    q = _load_quantale(args)
-    x, poset = _poset(args, q)
-    report = {
-        "command": "algebras",
-        "config": _config(args, q),
-        "poset": poset.to_json(),
-    }
-    results = checks.algebras_suite(poset, args.seed)
-    return _finish(report, results, args, dot_text=poset.to_dot())
+def _cmd_algebras(args, q):
+    poset = _poset(args, q)
+    body = {"poset": poset.to_dot() if args.format == "dot" else poset.to_json()}
+    return body, checks.algebras_suite(poset, args.seed)
 
 
-def _cmd_spectrum(args):
-    q = _load_quantale(args)
-    x, poset = _poset(args, q)
-    chosen = _select_algebras(poset, args.algebra)
+def _cmd_spectrum(args, q):
+    poset = _poset(args, q)
     data = {}
-    for i in chosen:
+    for i in _select_algebras(poset, args.algebra):
         a = poset.algebras[i]
         gel = poset.spectra("gelfand")[i]
         pri = poset.spectra("prime")[i]
@@ -221,34 +206,24 @@ def _cmd_spectrum(args):
         if is_zdf(q):
             entry["kernel_map"] = list(poset.comparisons("kernel")[i])
         data[f"A{i}"] = entry
-    report = {
-        "command": "spectrum",
-        "config": _config(args, q),
-        "spectra": data,
-    }
-    results = checks.spectra_suite(poset)
-    return _finish(report, results, args)
+    return {"spectra": data}, checks.spectra_suite(poset)
 
 
 def _member_label(q, entries):
     return ";".join(",".join(q.elements[v] for v in row) for row in entries)
 
 
-def _cmd_sections(args):
-    q = _load_quantale(args)
-    results, verdict = _verdict_checks(carrier("X", args.size), q, args)
+def _cmd_sections(args, q):
+    results, verdict = _verdict_checks(args, q)
     found = verdict.to_json() if verdict is not None else {}
-    report = {
-        "command": "sections",
-        "config": _config(args, q),
-        "gelfand_sections": found.get("sections"),
-    }
+    body = {"gelfand_sections": found.get("sections")}
     if is_zdf(q):
-        report["prime_sections"] = found.get("prime_sections")
-    return _finish(report, results, args)
+        body["prime_sections"] = found.get("prime_sections")
+    return body, results
 
 
-def _verdict_checks(x, q, args):
+def _verdict_checks(args, q):
+    x = carrier("X", args.size)
     results = []
     try:
         verdict = ks_verdict(x, q, mode=args.mode, max_generators=args.max_generators)
@@ -276,24 +251,15 @@ def _verdict_checks(x, q, args):
     return results, verdict
 
 
-def _cmd_verdict(args):
-    q = _load_quantale(args)
-    x = carrier("X", args.size)
-    results, verdict = _verdict_checks(x, q, args)
-    report = {
-        "command": "verdict",
-        "config": _config(args, q),
-        "verdict": verdict.to_json() if verdict is not None else None,
-    }
-    return _finish(report, results, args)
+def _cmd_verdict(args, q):
+    results, verdict = _verdict_checks(args, q)
+    return {"verdict": verdict.to_json() if verdict is not None else None}, results
 
 
-def _cmd_topology(args):
-    q = _load_quantale(args)
-    x, poset = _poset(args, q)
-    chosen = _select_algebras(poset, args.algebra)
+def _cmd_topology(args, q):
+    poset = _poset(args, q)
     data = {}
-    for i in chosen:
+    for i in _select_algebras(poset, args.algebra):
         entry = {}
         for kind in ("gelfand", "prime"):
             spectrum = poset.spectra(kind)[i]
@@ -310,13 +276,7 @@ def _cmd_topology(args):
                 "quotient_map": list(mapping),
             }
         data[f"A{i}"] = entry
-    report = {
-        "command": "topology",
-        "config": _config(args, q),
-        "topologies": data,
-    }
-    results = checks.topology_suite(poset)
-    return _finish(report, results, args)
+    return {"topologies": data}, checks.topology_suite(poset)
 
 
 _COMMANDS = {
@@ -333,7 +293,13 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         _check_output(args)
-        return _COMMANDS[args.command](args)
+        q = _load_quantale(args)
+        body, results = _COMMANDS[args.command](args, q)
+        report = {"command": args.command, "config": _config(args, q), **body,
+                  "checks": [c._asdict() for c in results],
+                  "passed": all(c.passed for c in results)}
+        _emit(report, args)
+        return 0 if report["passed"] else 1
     except InvariantViolation as exc:  # a broken invariant: a failed check
         sys.stderr.write(f"qspec: error: {exc}\n")
         return 1

@@ -92,15 +92,17 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
 
     # flags
 
+    @cached_property
     def in_space(self):
-        """The Hom(X, X) space and the members' indices in it, in member order.
-        The space comes from get_endospace, so QSPEC_MAX_HOM_SIZE applies."""
+        """The Hom(X, X) space and the members' indices in it, in member order,
+        found once per algebra.  The space comes from get_endospace, so
+        QSPEC_MAX_HOM_SIZE applies."""
         space = get_endospace(self.quantale, self.carrier)
         return space, tuple(map(space.index.__getitem__, self.members))
 
     @cached_property
     def is_commutative(self):
-        space, idx = self.in_space()
+        space, idx = self.in_space
         return space.is_commutative_mask(_mask(idx))
 
     def is_closed(self):
@@ -112,7 +114,7 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
             self.semiring()
         except InvariantViolation:
             return False
-        space, idx = self.in_space()
+        space, idx = self.in_space
         return space.scalar_line & ~_mask(idx) == 0
 
     def semiring(self):
@@ -126,7 +128,7 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
         cached = self.__dict__.get("_semiring")
         if cached is not None:
             return cached
-        space, idx = self.in_space()
+        space, idx = self.in_space
         pos = {h: p for p, h in enumerate(idx)}
         code = _typecode(len(idx))
         at_members = tuple_getter(idx)
@@ -233,7 +235,7 @@ def is_von_neumann(a):
     so the checks and the decomposition guard compute it once."""
     cached = a.__dict__.get("_von_neumann")
     if cached is None:
-        space, idx = a.in_space()
+        space, idx = a.in_space
         mask = _mask(idx)
         cached = space.double_commutant_mask(mask) == mask
         a.__dict__["_von_neumann"] = cached
@@ -284,7 +286,7 @@ def support_projections(a):
     the decomposition read one."""
     cached = a.__dict__.get("_supports")
     if cached is None:
-        space, idx = a.in_space()
+        space, idx = a.in_space
         cached = {s: space.projection(s) for s in set(map(space.support, idx))}
         a.__dict__["_supports"] = cached
     return cached

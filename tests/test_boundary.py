@@ -14,7 +14,9 @@ dataclasses nor the modules only a few commands need, and no record stores a
 field that its owner or a sibling field already holds.  Every top-level
 function and class under src/, and every method and property of such a
 class, has a caller there, except the names the benchmark tracer times and
-``close``; the tests' oracles live in tests/oracles.py."""
+``close``; the tests' oracles live in tests/oracles.py.  The CLI has one
+report path: main loads the quantale and frames every report, and the
+command handlers return only their body and checks."""
 
 import ast
 import importlib
@@ -107,6 +109,15 @@ def test_src_keeps_no_code_only_the_tests_call():
               for name in names}
     assert [name for name in uncalled_definitions()
             if name not in traced and name != "subalgebra.close"] == []
+
+
+@pytest.mark.parametrize("name", ["_load_quantale", "_config"])
+def test_main_alone_loads_the_quantale_and_frames_the_report(name):
+    tree = ast.parse(Path(qspec.__file__).with_name("cli.py").read_text())
+    callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == name]
+    assert callers == ["main"]
 
 
 def test_the_cli_starts_without_the_heavy_modules():

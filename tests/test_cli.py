@@ -499,7 +499,7 @@ def test_a_hasse_edge_that_is_no_inclusion_fails_the_verdict(monkeypatch, capsys
             "not an inclusion of algebras") in out
 
 
-@pytest.mark.parametrize("command", ["spectrum", "topology"])
+@pytest.mark.parametrize("command", ["algebras", "spectrum", "topology"])
 def test_a_broken_invariant_outside_the_verdict_exits_one(command, monkeypatch, capsys,
                                                            tmp_path):
     real = sub.enumerate_vn

@@ -4,7 +4,8 @@ per spectrum kind the run reads; only the restriction-functorial check of
 ``spectrum`` builds them a second time, by design, to hold the stored
 tables to their spectra.  ``check-quantale`` verifies the axioms twice, the
 second run being its verify-deterministic check, and lists the
-endomorphisms once.  The supports of each algebra are scanned once."""
+endomorphisms once.  The supports of each algebra are scanned once, and
+each algebra looks its members up in Hom(X, X) once."""
 
 import importlib
 import pkgutil
@@ -95,3 +96,24 @@ def test_each_algebra_has_its_supports_scanned_once(command, tag, monkeypatch, c
     run(command, tag, capsys, "--size", "2")
     # over non-ZDF scalars nothing decomposes, so no support is read
     assert len(set(map(id, made))) == (algebras if is_zdf(q) else 0)
+
+
+@pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])
+@pytest.mark.parametrize("command", ["algebras", "spectrum", "sections", "verdict",
+                                     "topology"])
+def test_each_algebra_finds_its_place_in_hom_once(command, tag, monkeypatch, capsys):
+    calls = []
+
+    def counting(original):
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        return counted
+
+    algebras = len(enumerate_vn(carrier("X", 2), parse_quantale_tag(tag)).algebras)
+    wrap_everywhere(monkeypatch, "subalgebra", "get_endospace", counting)
+    run(command, tag, capsys, "--size", "2")
+    # one for the enumeration, one per algebra, and for algebras the four
+    # commutants of each of its five seeded samples
+    commutants = 20 if command == "algebras" else 0
+    assert len(calls) == 1 + algebras + commutants
