@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import itertools
 import json
 import os
 import sys
@@ -23,7 +22,9 @@ from qspec.quantale import (
     quantale_to_doc, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
-from qspec.subalgebra import EnumerationBoundExceeded, InvariantViolation, enumerate_vn
+from qspec.subalgebra import (
+    EnumerationBoundExceeded, InvariantViolation, enumerate_vn, require_hom_bound,
+)
 from qspec.zariski import (
     separation_report, topology_to_json, zariski_quotient, zariski_topology,
 )
@@ -119,17 +120,77 @@ def _check_output(args):
         _refuse_unwritable(args.out)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_SHORT, _KEPT = 16, 4096  # encodings are kept of lists up to _SHORT long, _KEPT at once
+_STR, _INT, _LISTS = frozenset({str}), frozenset({int}), frozenset({list, tuple})
+
+
+def _write_json(value, write):
+    """Write json.dumps(value, sort_keys=True, indent=2) + "\\n" in pieces,
+    never holding the whole.  Dict keys must be str.  A list of plain str or
+    plain int, or a short list of such lists, is joined in one step; a short
+    one is encoded once per depth and value, or once per object if it holds
+    lists (to_json shares its member matrices)."""
+    parts, kept = [], {}
+
+    def flat(o, nl):  # o is not empty; nl is the newline and indent of its line
+        kinds = set(map(type, o))
+        leaf = kinds == _STR or kinds == _INT
+        if not (leaf or kinds <= _LISTS and len(o) <= _SHORT):
+            return None
+        # the report holds o, so its id stays o's
+        key = ((nl, *o) if leaf else (id(o), nl)) if len(o) <= _SHORT else None
+        if (s := kept.get(key)) is None:
+            inner = nl + "  "
+            items = (list(map(_encode_str if str in kinds else int.__repr__, o)) if leaf
+                     else [flat(v, inner) if v else "[]" for v in o])
+            if None in items:
+                return None
+            s = "[" + inner + ("," + inner).join(items) + nl + "]"
+            if key is not None:
+                if len(kept) >= _KEPT:
+                    kept.clear()
+                kept[key] = s
+        return s
+
+    def enc(o, nl):
+        if isinstance(o, str):
+            parts.append(_encode_str(o))
+        elif type(o) is int:
+            parts.append(int.__repr__(o))
+        elif o is None or type(o) is bool:
+            parts.append("null" if o is None else "true" if o else "false")
+        elif isinstance(o, dict):
+            inner, sep = nl + "  ", "{" + nl + "  "
+            for k, v in sorted(o.items()):
+                parts.append(sep + _encode_str(k) + ": ")
+                enc(v, inner)
+                sep = "," + inner
+            parts.append(nl + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            if (s := flat(o, nl) if o else "[]") is None:
+                inner, sep = nl + "  ", "[" + nl + "  "
+                for v in o:
+                    parts.append(sep)
+                    enc(v, inner)
+                    sep = "," + inner
+                s = nl + "]"
+            parts.append(s)
+        else:  # floats and subclasses of int, as json writes them
+            parts.append(json.dumps(o))
+        if len(parts) > 4096:
+            write("".join(parts))
+            parts.clear()
+
+    enc(value, "\n")
+    write("".join(parts) + "\n")
+
+
 def _emit(report, args):
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "json":
-            # streamed in blocks of chunks, so the encoded report is never held
-            # whole in memory; one write per chunk (json.dump) is three times
-            # slower on a redirected stdout
-            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-            while block := "".join(itertools.islice(chunks, 4096)):
-                fh.write(block)
-            fh.write("\n")
+            _write_json(report, fh.write)
         elif args.format == "dot":  # only algebras gets here: its poset as a dot graph
             fh.write(report["poset"])
         else:
@@ -175,8 +236,13 @@ def _cmd_check_quantale(args, q):
     return body, results
 
 
+def _carrier(args, q):
+    require_hom_bound(q, args.size)  # before the carrier's points are made
+    return carrier("X", args.size)
+
+
 def _poset(args, q):
-    return enumerate_vn(carrier("X", args.size), q, mode=args.mode,
+    return enumerate_vn(_carrier(args, q), q, mode=args.mode,
                         max_generators=args.max_generators)
 
 
@@ -223,7 +289,7 @@ def _cmd_sections(args, q):
 
 
 def _verdict_checks(args, q):
-    x = carrier("X", args.size)
+    x = _carrier(args, q)
     results = []
     try:
         verdict = ks_verdict(x, q, mode=args.mode, max_generators=args.max_generators)

@@ -12,6 +12,7 @@ cross-checked against their categorical composites.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from operator import getitem
 
 from qspec.quantale import QuantaleError
@@ -193,14 +194,19 @@ def tensor(f, g):
 
 
 # -- biproducts and the convolution oracle -----------------------------------------
+#
+# The structure maps are pure, so each is built once while it stays among the
+# last few asked for, not once per composite.
 
 
+@lru_cache(maxsize=32)
 def direct_sum_set(x, y):
     """Disjoint union with tagged points (0, p) and (1, r)."""
     pts = tuple((0, p) for p in x.elements) + tuple((1, r) for r in y.elements)
     return FiniteSet(f"({x.name}+{y.name})", pts)
 
 
+@lru_cache(maxsize=32)
 def product_set(x, y):
     pts = tuple((p, r) for p in x.elements for r in y.elements)
     return FiniteSet(f"({x.name}*{y.name})", pts)
@@ -221,6 +227,7 @@ def oplus(f, g):
     return QRel(q, dom, cod, tuple(rows))
 
 
+@lru_cache(maxsize=32)
 def diagonal_map(q, x):
     """The pairing <id, id>: X -> X (+) X."""
     ds = direct_sum_set(x, x)
@@ -228,6 +235,7 @@ def diagonal_map(q, x):
                           for p in x.elements for i in (0, 1)})
 
 
+@lru_cache(maxsize=32)
 def codiagonal_map(q, x):
     """The copairing [id, id]: X (+) X -> X; the dagger of the pairing."""
     return dagger(diagonal_map(q, x))
@@ -241,6 +249,7 @@ def add_via_biproduct(f, g):
     return QRel(q, f.dom, f.cod, composite.entries)
 
 
+@lru_cache(maxsize=32)
 def right_unitor(q, x):
     """X -> X (x) I, matching each point with its pair."""
     return rel(q, x, product_set(x, UNIT_SET),
@@ -253,7 +262,3 @@ def scalar_mul_via_tensor(s, f):
     composite = compose(compose(right_unitor(q, f.dom), tensor(f, scalar_rel(q, s))),
                         dagger(right_unitor(q, f.cod)))
     return QRel(q, f.dom, f.cod, composite.entries)
-
-
-def hom_size(q, x):
-    return q.size ** (x.size * x.size)

@@ -28,7 +28,7 @@ from operator import itemgetter
 from qspec._homsearch import TableSemiring
 from qspec.quantale import require_quantale, require_zdf
 from qspec.relations import (
-    QRel, diag_rel, hom_size, identity_rel, zero_rel,
+    QRel, diag_rel, identity_rel, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
 )
 
@@ -440,10 +440,10 @@ class EndoSpace:
         q = self.quantale = quantale
         self.carrier = x
         n = x.size
-        self.size = hom_size(q, x)
         rows = list(itertools.product(range(q.size), repeat=n))
         rowpos = {r: i for i, r in enumerate(rows)}
         els = self.elements = list(itertools.product(rows, repeat=n))
+        self.size = len(els)
         self.index = {e: i for i, e in enumerate(els)}
         self.zero_idx = self.index[zero_rel(q, x, x).entries]
         self.id_idx = self.index[identity_rel(q, x).entries]
@@ -581,6 +581,19 @@ class EndoSpace:
             (self.elements[i] for i in self.bits(mask)))
 
 
+def require_hom_bound(q, n):
+    """Refuse an n-point carrier whose Hom(X, X) passes the bound, unbuilt."""
+    limit, cells = hom_bound(), n * n
+    # |Q| >= 2 and cells past the bound's bit length give 2**cells > limit:
+    # refuse without forming the power, which has about `cells` digits
+    huge = q.size > 1 and cells > limit.bit_length()
+    size = f"{q.size}^{cells}" if huge else q.size ** cells
+    if huge or size > limit:
+        raise EnumerationBoundExceeded(
+            f"|Hom(X,X)| = {size} exceeds the bound {limit}; "
+            "use a smaller carrier or raise QSPEC_MAX_HOM_SIZE")
+
+
 _space_cache = {}
 
 
@@ -588,15 +601,7 @@ def get_endospace(q, x):
     key = (q.fingerprint, x)
     space = _space_cache.get(key)
     if space is None:
-        limit, cells = hom_bound(), x.size * x.size
-        # |Q| >= 2 and cells past the bound's bit length give 2**cells > limit:
-        # refuse without forming the power, which has about `cells` digits
-        huge = q.size > 1 and cells > limit.bit_length()
-        size = f"{q.size}^{cells}" if huge else hom_size(q, x)
-        if huge or size > limit:
-            raise EnumerationBoundExceeded(
-                f"|Hom(X,X)| = {size} exceeds the bound {limit}; "
-                "use a smaller carrier or raise QSPEC_MAX_HOM_SIZE")
+        require_hom_bound(q, x.size)
         space = EndoSpace(q, x)
         _space_cache[key] = space
     return space

@@ -1,6 +1,8 @@
 """Fault injection: a corrupted input turns its named checks to FAIL."""
 
 
+import hashlib
+
 import pytest
 
 from qspec import checks as checks_module, cli
@@ -201,6 +203,23 @@ def test_a_wrong_relation_operation_fails_its_calculus_check(monkeypatch, name, 
     assert [r.name for r in relations_suite(GODEL3, 0) if not r.passed] == []
     monkeypatch.setattr(checks_module, name, fake)
     assert [r.name for r in relations_suite(GODEL3, 0) if not r.passed] == [check]
+
+
+def test_the_relation_self_test_draws_the_recorded_cases(monkeypatch):
+    # the sha256 of every case that reaches the two oracles at seed 0, as the
+    # suite drew them when it built every structure map once per case
+    seen = []
+    for name in ("add_via_biproduct", "scalar_mul_via_tensor"):
+
+        def recording(a, b, _original=getattr(checks_module, name)):
+            seen.append(repr((a, b)))
+            return _original(a, b)
+
+        monkeypatch.setattr(checks_module, name, recording)
+    assert all(r.passed for r in relations_suite(GODEL3, 0))
+    assert len(seen) == 2 * checks_module.RELATION_CASES
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == (
+        "da50a9599e8c07d1958f36c1fec0358a95cd6b55353dd902908f8e59a0d7dcf5")
 
 
 # -- topology checks on godel3 |X|=2, which is ZDF ------------------------------

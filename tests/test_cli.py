@@ -331,6 +331,24 @@ def test_a_carrier_far_past_the_bound_is_refused_at_once():
     assert "|Hom(X,X)| = 3^100000000 exceeds the bound 65536" in done.stderr
 
 
+@pytest.mark.parametrize("command", ["algebras", "spectrum", "sections", "verdict",
+                                     "topology"])
+@pytest.mark.parametrize("size", [1_000_000, 99999999999999999999])
+def test_a_size_past_the_bound_is_refused_before_its_carrier_is_built(
+        command, size, monkeypatch, capsys):
+    monkeypatch.delenv("QSPEC_MAX_HOM_SIZE", raising=False)
+
+    def small_carriers_only(name, n):
+        assert n < 1000, "a carrier of a refused size was built"
+        return carrier(name, n)
+
+    monkeypatch.setattr(cli, "carrier", small_carriers_only)
+    code, out, err = run_cli(capsys, command, "--quantale", "boolean2", "--size", str(size))
+    assert (code, out) == (2, "")
+    assert err == (f"qspec: error: |Hom(X,X)| = 2^{size * size} exceeds the bound 65536; "
+                   "use a smaller carrier or raise QSPEC_MAX_HOM_SIZE\n")
+
+
 def test_memory_exhaustion_exits_two_and_names_the_knobs(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -5,7 +5,8 @@ per spectrum kind the run reads; only the restriction-functorial check of
 tables to their spectra.  ``check-quantale`` verifies the axioms twice, the
 second run being its verify-deterministic check, and lists the
 endomorphisms once.  The supports of each algebra are scanned once, and
-each algebra looks its members up in Hom(X, X) once."""
+each algebra looks its members up in Hom(X, X) once.  The relation
+self-test builds each structure map once per carrier, not once per case."""
 
 import importlib
 import pkgutil
@@ -13,7 +14,8 @@ import pkgutil
 import pytest
 
 import qspec
-from qspec import cli
+from qspec import cli, relations
+from qspec.checks import relations_suite
 from qspec.quantale import is_zdf, parse_quantale_tag
 from qspec.relations import carrier
 from qspec.subalgebra import enumerate_vn
@@ -117,3 +119,18 @@ def test_each_algebra_finds_its_place_in_hom_once(command, tag, monkeypatch, cap
     # commutants of each of its five seeded samples
     commutants = 20 if command == "algebras" else 0
     assert len(calls) == 1 + algebras + commutants
+
+
+def test_the_relation_self_test_builds_each_structure_map_once_per_carrier():
+    q = parse_quantale_tag("godel3")
+    maps = ("direct_sum_set", "product_set", "diagonal_map", "codiagonal_map",
+            "right_unitor")
+    for name in maps:
+        getattr(relations, name).cache_clear()
+    relations_suite(q, 0)
+    built = {name: getattr(relations, name).cache_info().misses for name in maps}
+    # the pairing is built on the three X carriers and, inside the copairing,
+    # on the three Y carriers: at most one build per carrier
+    assert built["diagonal_map"] <= 6 and built["codiagonal_map"] <= 3
+    relations_suite(q, 0)
+    assert {name: getattr(relations, name).cache_info().misses for name in maps} == built
