@@ -85,9 +85,7 @@ def relations_suite(q, seed):
 
     conv = scal = dag = cat = mod = True
     for _ in range(RELATION_CASES):
-        x = xs[rng.choice(sizes)]
-        y = ys[rng.choice(sizes)]
-        z = zs[rng.choice(sizes)]
+        x, y, z = (points[rng.choice(sizes)] for points in (xs, ys, zs))
         zero = zeros[x.size, y.size]
         f, g = rand_rel(x, y), rand_rel(x, y)
         h, _unread = rand_rel(y, z), rand_rel(y, z)  # the draw keeps the cases

@@ -121,62 +121,41 @@ def _check_output(args):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_SHORT, _KEPT = 16, 4096  # encodings are kept of lists up to _SHORT long, _KEPT at once
-_STR, _INT, _LISTS = frozenset({str}), frozenset({int}), frozenset({list, tuple})
+_STR, _INT = frozenset({str}), frozenset({int})
 
 
 def _write_json(value, write):
-    """Write json.dumps(value, sort_keys=True, indent=2) + "\\n" in pieces,
-    never holding the whole.  Dict keys must be str.  A list of plain str or
-    plain int, or a short list of such lists, is joined in one step; a short
-    one is encoded once per depth and value, or once per object if it holds
-    lists (to_json shares its member matrices)."""
-    parts, kept = [], {}
+    """Write json.dumps(value, sort_keys=True, indent=2) + "\\n" in pieces.  Dict
+    keys must be str; a list of only plain str or only plain int is joined at once."""
+    parts = []
 
-    def flat(o, nl):  # o is not empty; nl is the newline and indent of its line
-        kinds = set(map(type, o))
-        leaf = kinds == _STR or kinds == _INT
-        if not (leaf or kinds <= _LISTS and len(o) <= _SHORT):
-            return None
-        # the report holds o, so its id stays o's
-        key = ((nl, *o) if leaf else (id(o), nl)) if len(o) <= _SHORT else None
-        if (s := kept.get(key)) is None:
-            inner = nl + "  "
-            items = (list(map(_encode_str if str in kinds else int.__repr__, o)) if leaf
-                     else [flat(v, inner) if v else "[]" for v in o])
-            if None in items:
-                return None
-            s = "[" + inner + ("," + inner).join(items) + nl + "]"
-            if key is not None:
-                if len(kept) >= _KEPT:
-                    kept.clear()
-                kept[key] = s
-        return s
-
-    def enc(o, nl):
+    def enc(o, nl):  # nl is the newline and indent of o's line
         if isinstance(o, str):
             parts.append(_encode_str(o))
         elif type(o) is int:
             parts.append(int.__repr__(o))
         elif o is None or type(o) is bool:
             parts.append("null" if o is None else "true" if o else "false")
-        elif isinstance(o, dict):
+        elif isinstance(o, dict) and o:
             inner, sep = nl + "  ", "{" + nl + "  "
             for k, v in sorted(o.items()):
                 parts.append(sep + _encode_str(k) + ": ")
                 enc(v, inner)
                 sep = "," + inner
-            parts.append(nl + "}" if o else "{}")
-        elif isinstance(o, (list, tuple)):
-            if (s := flat(o, nl) if o else "[]") is None:
-                inner, sep = nl + "  ", "[" + nl + "  "
+            parts.append(nl + "}")
+        elif isinstance(o, (list, tuple)) and o:
+            inner, kinds = nl + "  ", set(map(type, o))
+            if kinds == _STR or kinds == _INT:
+                parts.append("[" + inner + ("," + inner).join(
+                    map(_encode_str if str in kinds else int.__repr__, o)) + nl + "]")
+            else:
+                sep = "[" + inner
                 for v in o:
                     parts.append(sep)
                     enc(v, inner)
                     sep = "," + inner
-                s = nl + "]"
-            parts.append(s)
-        else:  # floats and subclasses of int, as json writes them
+                parts.append(nl + "]")
+        else:  # empty containers, floats and subclasses of int, as json writes them
             parts.append(json.dumps(o))
         if len(parts) > 4096:
             write("".join(parts))
@@ -236,13 +215,8 @@ def _cmd_check_quantale(args, q):
     return body, results
 
 
-def _carrier(args, q):
-    require_hom_bound(q, args.size)  # before the carrier's points are made
-    return carrier("X", args.size)
-
-
 def _poset(args, q):
-    return enumerate_vn(_carrier(args, q), q, mode=args.mode,
+    return enumerate_vn(carrier("X", args.size), q, mode=args.mode,
                         max_generators=args.max_generators)
 
 
@@ -289,7 +263,7 @@ def _cmd_sections(args, q):
 
 
 def _verdict_checks(args, q):
-    x = _carrier(args, q)
+    x = carrier("X", args.size)
     results = []
     try:
         verdict = ks_verdict(x, q, mode=args.mode, max_generators=args.max_generators)
@@ -360,6 +334,7 @@ def main(argv=None):
     try:
         _check_output(args)
         q = _load_quantale(args)
+        require_hom_bound(q, getattr(args, "size", 0))  # before a carrier is built
         body, results = _COMMANDS[args.command](args, q)
         report = {"command": args.command, "config": _config(args, q), **body,
                   "checks": [c._asdict() for c in results],

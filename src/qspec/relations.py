@@ -186,17 +186,13 @@ def tensor(f, g):
     mul = q.mul_table
     dom = product_set(f.dom, g.dom)
     cod = product_set(f.cod, g.cod)
-    rows = []
-    for fr in f.entries:
-        for gr in g.entries:
-            rows.append(tuple(mul[a][b] for a in fr for b in gr))
-    return QRel(q, dom, cod, tuple(rows))
+    rows = tuple(tuple(mul[a][b] for a in fr for b in gr)
+                 for fr in f.entries for gr in g.entries)
+    return QRel(q, dom, cod, rows)
 
 
 # -- biproducts and the convolution oracle -----------------------------------------
-#
-# The structure maps are pure, so each is built once while it stays among the
-# last few asked for, not once per composite.
+# The structure maps are pure, so each keeps its last 32 results.
 
 
 @lru_cache(maxsize=32)
@@ -219,11 +215,8 @@ def oplus(f, g):
     dom = direct_sum_set(f.dom, g.dom)
     cod = direct_sum_set(f.cod, g.cod)
     b = q.bottom
-    rows = []
-    for x in range(f.dom.size):
-        rows.append(tuple(f.entries[x]) + (b,) * g.cod.size)
-    for x in range(g.dom.size):
-        rows.append((b,) * f.cod.size + tuple(g.entries[x]))
+    rows = ([tuple(f.entries[x]) + (b,) * g.cod.size for x in range(f.dom.size)]
+            + [(b,) * f.cod.size + tuple(g.entries[x]) for x in range(g.dom.size)])
     return QRel(q, dom, cod, tuple(rows))
 
 

@@ -1,8 +1,8 @@
 """The JSON report writer.  cli._write_json writes the bytes of
 json.dumps(value, sort_keys=True, indent=2) + "\\n", the form the golden
-digests pin, for any JSON value: it joins lists of plain str or plain int in
-one step and reuses the encoding of a short list, so these tests hold it to
-json itself on values that could trip either shortcut."""
+digests pin, for any JSON value: it joins a list of only plain str or only
+plain int in one step, so these tests hold it to json itself on values that
+could trip that shortcut."""
 
 import json
 import math
@@ -30,7 +30,7 @@ SCALARS = st.one_of(
     st.text(),  # any code point but surrogates: non-ASCII and control characters
     st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t", "é", " ", "\U0001f600"]),
 )
-# few distinct values, so that equal leaf lists recur and their encodings are reused
+# few distinct values, so that lists equal across types ([1, 0], [True, False]) recur
 LEAF_LISTS = st.one_of(
     st.lists(st.sampled_from(["0", "1", "a\\b"]), max_size=3),
     st.lists(st.integers(0, 2), max_size=3),
