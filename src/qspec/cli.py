@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from qspec import checks
 from qspec.contextuality import ks_verdict
 from qspec.quantale import (
     QuantaleError, endomorphisms, is_zdf, load_quantale_file, parse_quantale_tag,
-    quantale_to_doc, verify_quantale, zdf_witness,
+    quantale_to_doc, require_quantale, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
 from qspec.subalgebra import (
@@ -128,41 +129,41 @@ def _write_json(value, write):
     """Write json.dumps(value, sort_keys=True, indent=2) + "\\n" in pieces.  Dict
     keys must be str; a list of only plain str or only plain int is joined at once."""
     parts = []
-
-    def enc(o, nl):  # nl is the newline and indent of o's line
-        if isinstance(o, str):
-            parts.append(_encode_str(o))
-        elif type(o) is int:
-            parts.append(int.__repr__(o))
-        elif o is None or type(o) is bool:
-            parts.append("null" if o is None else "true" if o else "false")
-        elif isinstance(o, dict) and o:
-            inner, sep = nl + "  ", "{" + nl + "  "
-            for k, v in sorted(o.items()):
-                parts.append(sep + _encode_str(k) + ": ")
-                enc(v, inner)
-                sep = "," + inner
-            parts.append(nl + "}")
-        elif isinstance(o, (list, tuple)) and o:
-            inner, kinds = nl + "  ", set(map(type, o))
-            if kinds == _STR or kinds == _INT:
-                parts.append("[" + inner + ("," + inner).join(
-                    map(_encode_str if str in kinds else int.__repr__, o)) + nl + "]")
-            else:
-                sep = "[" + inner
-                for v in o:
-                    parts.append(sep)
-                    enc(v, inner)
-                    sep = "," + inner
-                parts.append(nl + "]")
-        else:  # empty containers, floats and subclasses of int, as json writes them
-            parts.append(json.dumps(o))
-        if len(parts) > 4096:
-            write("".join(parts))
-            parts.clear()
-
-    enc(value, "\n")
+    _encode(value, "\n", parts, write)
     write("".join(parts) + "\n")
+
+
+def _encode(o, nl, parts, write):  # nl is the newline and indent of o's line
+    if isinstance(o, str):
+        parts.append(_encode_str(o))
+    elif type(o) is int:
+        parts.append(int.__repr__(o))
+    elif o is None or type(o) is bool:
+        parts.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, dict) and o:
+        inner, sep = nl + "  ", "{" + nl + "  "
+        for k, v in sorted(o.items()):
+            parts.append(sep + _encode_str(k) + ": ")
+            _encode(v, inner, parts, write)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(o, (list, tuple)) and o:
+        inner, kinds = nl + "  ", set(map(type, o))
+        if kinds == _STR or kinds == _INT:
+            parts.append("[" + inner + ("," + inner).join(
+                map(_encode_str if str in kinds else int.__repr__, o)) + nl + "]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                parts.append(sep)
+                _encode(v, inner, parts, write)
+                sep = "," + inner
+            parts.append(nl + "]")
+    else:  # empty containers, floats and subclasses of int, as json writes them
+        parts.append(json.dumps(o))
+    if len(parts) > 4096:
+        write("".join(parts))
+        parts.clear()
 
 
 def _emit(report, args):
@@ -330,11 +331,21 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    """Run one command and return its exit status.  The cyclic collector is
+    paused for the run and left as the caller had it: the pipeline frees
+    its tables by reference counting and makes no reference cycle that
+    grows with its input (tests/test_cli.py holds it to that), so a
+    collection would only walk the live heap."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _parser().parse_args(argv)
         _check_output(args)
         q = _load_quantale(args)
-        require_hom_bound(q, getattr(args, "size", 0))  # before a carrier is built
+        if hasattr(args, "size"):  # before a carrier is built
+            if q.size == 1:  # passes every bound (1^(n·n) = 1), fails non-trivial
+                require_quantale(q)
+            require_hom_bound(q, args.size)
         body, results = _COMMANDS[args.command](args, q)
         report = {"command": args.command, "config": _config(args, q), **body,
                   "checks": [c._asdict() for c in results],
@@ -348,11 +359,24 @@ def main(argv=None):
         sys.stderr.write(f"qspec: error: {exc}\n")
         return 2
     except MemoryError:
-        # the stack is unwound by now, so its tables are free to collect
+        # the stack is unwound by now, so its tables are freed
         sys.stderr.write("qspec: error: out of memory; try a smaller --size, or "
                          "a lower QSPEC_MAX_HOM_SIZE to refuse such spaces early\n")
         return 2
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def entry():
+    """The process entry, of both `python -m qspec.cli` and the `qspec`
+    script: main, then the heap frozen, so that the collection at
+    interpreter exit skips what the run leaves behind."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -104,33 +104,28 @@ def global_sections(sheaf):
     below = [[] for _ in range(n)]  # below[j]: (i, table of the edge (i, j))
     for (i, j), row in sheaf.restrictions.items():
         below[j].append((i, row))
-    down = {}  # a -> bitset of the algebras strictly below a
-
-    def down_of(a):
-        if a not in down:
-            down[a] = 0
-            for i, _ in below[a]:
-                down[a] |= 1 << i | down_of(i)
-        return down[a]
-
+    down = [0] * n  # down[a]: bitset of the algebras strictly below a
+    for a in range(n):  # poset order is by size: Hasse predecessors come first
+        for i, _ in below[a]:
+            down[a] |= 1 << i | down[i]
     # Every algebra lies below a maximal one, and a maximal one is never
     # forced, so the search sets every algebra by branching on these alone.
     order = sorted(set(range(n)).difference(i for i, _ in sheaf.restrictions),
-                   key=lambda a: (-down_of(a).bit_count(), a))
+                   key=lambda a: (-down[a].bit_count(), a))
     anchors = {}  # a -> (i, fibers of the composite table from a down to i)
     set_before = 0
     for a in order:
-        if shared := down_of(a) & set_before:
+        if shared := down[a] & set_before:
             i = max(_bits(shared), key=lambda e: (values[e].size, e))
             row, j = range(values[a].size), a
             while j != i:
-                j, table = next((c, t) for c, t in below[j] if c == i or down_of(c) >> i & 1)
+                j, table = next((c, t) for c, t in below[j] if c == i or down[c] >> i & 1)
                 row = [table[v] for v in row]
             fibers = {}
             for v, w in enumerate(row):
                 fibers.setdefault(w, []).append(v)
             anchors[a] = (i, fibers)
-        set_before |= down_of(a)
+        set_before |= down[a]
     choice = [None] * n
     trail = []  # algebras set since the search began, in order
     stack = []  # (position in order, candidate values, next candidate, trail mark)

@@ -16,7 +16,8 @@ function and class under src/, and every method and property of such a
 class, has a caller there, except the names the benchmark tracer times and
 ``close``; the tests' oracles live in tests/oracles.py.  The CLI has one
 report path: main loads the quantale and frames every report, and the
-command handlers return only their body and checks."""
+command handlers return only their body and checks.  The `qspec` script
+and `python -m qspec.cli` enter the CLI through one function."""
 
 import ast
 import importlib
@@ -118,6 +119,20 @@ def test_main_alone_loads_the_quantale_and_frames_the_report(name):
                for node in ast.walk(f) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == name]
     assert callers == ["main"]
+
+
+def test_the_script_and_the_module_enter_through_one_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, function = scripts["qspec"].partition(":")
+    assert module == "qspec.cli"
+    tree = ast.parse(Path(qspec.__file__).with_name("cli.py").read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = [ast.unparse(node.func) for node in ast.walk(block)
+              if isinstance(node, ast.Call)]
+    assert called == ["sys.exit", function]
 
 
 def test_the_cli_starts_without_the_heavy_modules():

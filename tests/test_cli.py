@@ -1,9 +1,12 @@
 """The qspec command line driver: reports, exit codes, determinism."""
 
+import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -349,6 +352,29 @@ def test_a_size_past_the_bound_is_refused_before_its_carrier_is_built(
                    "use a smaller carrier or raise QSPEC_MAX_HOM_SIZE\n")
 
 
+ONE_ELEMENT = {"elements": ["0"], "join": [["0"]], "mul": [["0"]], "name": "one",
+               "unit": "0"}
+
+
+@pytest.mark.parametrize("command", ["algebras", "spectrum", "sections", "verdict",
+                                     "topology"])
+def test_a_one_element_table_is_refused_before_its_carrier_is_built(
+        command, monkeypatch, capsys, tmp_path):
+    # 1^(n·n) passes every bound, so only the axioms can refuse such a size
+    def small_carriers_only(name, n):
+        assert n < 1000, "a carrier for a one-element table was built"
+        return carrier(name, n)
+
+    monkeypatch.setattr(cli, "carrier", small_carriers_only)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_ELEMENT))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--file", str(path), "--size", str(10**20))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "qspec: error: not a quantale: non-trivial fails at ()\n"
+
+
 def test_memory_exhaustion_exits_two_and_names_the_knobs(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -536,3 +562,144 @@ def test_a_broken_invariant_outside_the_verdict_exits_one(command, monkeypatch, 
     assert err == (f"qspec: error: A0: Hasse edge ({top}, 0): "
                    "not an inclusion of algebras\n")
     assert path.read_text() == "earlier report\n"
+
+
+# -- memory management: the collector is paused during main -----------------------
+
+
+ENUMERATING = ("algebras", "spectrum", "sections", "verdict", "topology")
+
+
+def cyclic_garbage_of(argv, capsys):
+    """The objects a collection frees after main(argv) ran with the collector
+    paused: the reference cycles the run left behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        capsys.readouterr()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_no_run_leaves_cycles_that_grow_with_its_input(capsys):
+    # main pauses the collector because nothing it would free grows with the
+    # input: argparse's parser is the same at every size
+    runs = [(command, "boolean2", size) for size in ("2", "3") for command in ENUMERATING]
+    runs.append(("verdict", "godel3", "2"))
+    for command in ENUMERATING:  # warm up, so that no first-run import is counted
+        main([command, "--quantale", "boolean2", "--size", "2", "--format", "json"])
+    freed = {run: cyclic_garbage_of([run[0], "--quantale", run[1], "--size", run[2],
+                                     "--format", "json"], capsys) for run in runs}
+    freed["check-quantale"] = cyclic_garbage_of(
+        ["check-quantale", "--quantale", "boolean2", "--format", "json"], capsys)
+    assert len(set(freed.values())) == 1, freed
+
+
+def _exit_one(monkeypatch):  # a Hasse edge that is no inclusion: a failed check
+    real = sub.enumerate_vn
+
+    def reversed_edge(*args, **kwargs):
+        poset = real(*args, **kwargs)
+        i, j = poset.hasse[0]
+        return poset._replace(hasse=poset.hasse + ((j, i),))
+
+    monkeypatch.setattr(ctx, "enumerate_vn", reversed_edge)
+    return ["verdict", "--quantale", "boolean2", "--size", "2"], 1
+
+
+def _out_of_memory(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_vn", exhausted)
+    return ["algebras", "--quantale", "boolean2", "--size", "2"], 2
+
+
+EXIT_PATHS = {
+    "ok": lambda mp: (["check-quantale", "--quantale", "boolean2"], 0),
+    "failed check": _exit_one,
+    "bad input": lambda mp: (["check-quantale", "--quantale", "nonsense7"], 2),
+    "refused size": lambda mp: (["algebras", "--quantale", "boolean2",
+                                 "--size", str(10**20)], 2),
+    "out of memory": _out_of_memory,
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_main_leaves_the_collector_as_the_caller_had_it(path, enabled, monkeypatch,
+                                                        capsys):
+    argv, status = EXIT_PATHS[path](monkeypatch)
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_an_argparse_exit_leaves_the_collector_as_the_caller_had_it(enabled, capsys):
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            main(["verdict", "--size", "2"])  # no quantale source
+        assert exited.value.code == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def run_entry(*args, code=None):
+    """Run `python -m qspec.cli ARGS`, or `python -c CODE ARGS` where CODE
+    enters the CLI as `-m` does, in a child that imports this qspec."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    head = ["-m", "qspec.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+# the largest algebra placed below the trivial one, then the CLI's __main__ block
+FOREIGN_EDGE = """
+import runpy
+import qspec.subalgebra as sub
+real = sub.enumerate_vn
+def foreign_edge(*args, **kwargs):
+    poset = real(*args, **kwargs)
+    return poset._replace(hasse=poset.hasse + ((len(poset.algebras) - 1, 0),))
+sub.enumerate_vn = foreign_edge
+runpy.run_module("qspec.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_process_entry_writes_the_golden_report_and_one_error_line(tmp_path):
+    from test_golden import GOLDEN
+
+    out = tmp_path / "r.json"
+    done = run_entry("verdict", "--quantale", "godel3", "--size", "2", "--format", "json",
+                     "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[("verdict", "godel3")]
+    failed = run_entry("topology", "--quantale", "godel3", "--size", "2", code=FOREIGN_EDGE)
+    refused = run_entry("algebras", "--quantale", "nonsense7")
+    for done, status in ((failed, 1), (refused, 2)):
+        assert (done.returncode, done.stdout) == (status, "")
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("qspec: error:")
+
+
+def test_the_process_entry_freezes_the_heap_once_main_returns(monkeypatch):
+    frozen = gc.get_freeze_count()
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 3)
+    try:
+        assert cli.entry() == 3
+        assert seen == [frozen] and gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
