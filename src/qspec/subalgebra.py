@@ -4,10 +4,11 @@ A subsemialgebra of Hom(X, X) is a set of endo-relations containing the zero
 and identity relations, closed under pointwise join, composition, dagger and
 scalar multiples.  The commutative von Neumann ones (equal to their double
 commutant) form an inclusion poset.  Enumerating it exactly is feasible
-because each of them lies in a maximal clique M of the star-commutation
-graph on the normal elements, M is itself a maximal algebra, and the algebra
-is M cut down by the commutants of pairs {s, s†}; so a walk seeded at those
-cliques (Bron–Kerbosch with pivoting) visits all of them and nothing else.
+because one step reaches each from a smaller one: the double commutant of
+an algebra A together with a normal b ∈ A′ and its dagger, which is
+(A′ ∩ pair(b))′ with pair(b) the elements commuting with b and with b†.  So
+a walk from the trivial algebra that takes each such step visits all of them
+and nothing else.
 Hom(X, X) itself is tabulated by row lookup: row k of a product or join
 depends on row k of the left factor only.  Each algebra over a
 zero-divisor-free quantale splits along its primitive subunital idempotents,
@@ -546,16 +547,18 @@ class EndoSpace:
     def comm_mask(self, i):
         return self._comm[i]
 
+    def pair_mask(self, i):
+        """The elements commuting with i and with i†."""
+        return self._comm[i] & self._comm[self.dag_t[i]]
+
     # mask utilities
 
     def mask_of(self, entries_iterable):
         return _mask(map(self.index.__getitem__, entries_iterable))
 
-    bits = staticmethod(_bits)
-
     def commutant_mask(self, mask):
         out = self.full_mask
-        for i in self.bits(mask):
+        for i in _bits(mask):
             out &= self.comm_mask(i)
         return out
 
@@ -566,7 +569,7 @@ class EndoSpace:
         return mask & ~self.commutant_mask(mask) == 0
 
     def is_star_mask(self, mask):
-        return all(mask >> self.dag(i) & 1 for i in self.bits(mask))
+        return all(mask >> self.dag(i) & 1 for i in _bits(mask))
 
     def close_mask(self, closed, seed):
         """The closure, as a mask, of the closed mask `closed` (0 or an
@@ -578,7 +581,7 @@ class EndoSpace:
     def algebra_from_mask(self, mask):
         return Subsemialgebra.from_entries(
             self.quantale, self.carrier,
-            (self.elements[i] for i in self.bits(mask)))
+            (self.elements[i] for i in _bits(mask)))
 
 
 def require_hom_bound(q, n):
@@ -785,69 +788,41 @@ def _poset_from_masks(space, masks, mode, max_generators):
                         max_generators, frozenset(leq), tuple(hasse))
 
 
-def maximal_cliques(adj, vertices):
-    """Every maximal clique of the subgraph induced on the vertex bitset
-    vertices, where vertex v has the neighbour bitset adj[v] (no self-loops),
-    as vertex bitsets.
-
-    Bron–Kerbosch with Tomita's pivot: the pivot u in P ∪ X has the most
-    neighbours in P, and only the candidates outside N(u) are branched on.
-    An explicit stack stands in for the recursion, so clique size is not
-    bounded by the interpreter's recursion limit.
-    """
-    out = []
-    stack = [(0, vertices, 0)]
-    while stack:
-        clique, p, x = stack.pop()
-        if not p:
-            if not x:
-                out.append(clique)
-            continue
-        u = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
-        for v in _bits(p & ~adj[u]):
-            bit = 1 << v
-            stack.append((clique | bit, p & adj[v], x & adj[v]))
-            p ^= bit
-            x |= bit
-    return out
-
-
 def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     """Enumerate commutative unital star-closed von Neumann subsemialgebras.
 
-    Exhaustive mode seeds a walk at every maximal clique M of the
-    star-commutation graph, whose vertices are the normal elements
-    (s∘s† = s†∘s), with i ~ j when j ∈ pair(i) = comm(i) ∩ comm(i†), and
-    closes it under intersection with the pair(s).  Every mask it visits is
-    a commutative star-closed von Neumann subsemialgebra, and it reaches all:
+    The quantale is commutative, so scalars are central and composition
+    distributes over joins; hence the commutant of a star-closed set is a
+    star-closed unital subsemialgebra.  An element b is normal when
+    b∘b† = b†∘b, and pair(b) = comm(b) ∩ comm(b†).
 
-    - M is a maximal commutative star-closed set: the graph is closed under
-      † as (a∘b)† = b†∘a†, so a maximal clique holds each member's dagger.
-    - M is von Neumann: from M ⊆ M' we get M'' ⊆ M''' = M', so M'' is
-      commutative; it is star-closed and contains M, so M'' = M.
-    - A commutative star-closed A = A'' is a clique, so it lies in some M.
-      A' is star-closed and every s ∈ M has pair(s) ⊇ M, so
-      A = M ∩ ⋂_{s∈A'∖M} pair(s), which the walk from M reaches.
-    - Conversely, M ∩ ⋂_{s∈S} pair(s) = (M' ∪ S ∪ S†)' is the commutant of a
-      star-closed set, hence star-closed and von Neumann, and it lies inside
-      M, hence commutative.
+    Exhaustive mode walks from the double commutant of the scalar line, the
+    smallest such algebra.  From an algebra A it steps, for every normal b
+    in A′ outside A, to ext(A, b) = (A ∪ {b, b†})″ = cut′, where the cut
+    A′ ∩ pair(b) = (A ∪ {b, b†})′ is already ext's commutant; so each
+    distinct cut is closed once and carried forward with its algebra, and
+    b† gives the step of b.
 
-    So the seeds are the maximal algebras and the star filter is only a
-    guard.  Below M a pair(s) acts through M ∩ pair(s) alone, so each walk
-    cuts with those distinct proper masks.  One family set is shared across
-    the seeds: a mask's successors m ∩ pair(s) do not depend on its seed, so
-    it is expanded once.
+    - Soundness: A ∪ {b, b†} is commutative and star-closed, so its double
+      commutant is a commutative, star-closed von Neumann algebra.
+    - Completeness: every such B holds the scalar line, so its double
+      commutant lies in B″ = B.  For A ⊆ B, any b in B∖A is normal and lies
+      in A′, since B is commutative and B ⊆ A′; so A ⊊ ext(A, b) ⊆ B, and
+      repeating reaches B.
+
+    So the star filter is only a guard.  This is the closure system of the
+    commutation Galois connection, walked one attribute at a time as in
+    NextClosure (Ganter and Wille, Formal Concept Analysis, 1999), without
+    its lectic order.
 
     Generated mode keeps the commutative, star-closed, von Neumann closures
     cl(S) of the sets S of at most max_generators pairwise star-commuting
     normal elements, plus the trivial and diagonal algebras.  It walks the
     distinct closures level by level instead of closing every S:
 
-    - The quantale is commutative, so scalars are central and composition
-      distributes over joins; hence the commutant of a star-closed set is a
-      star-closed unital subsemialgebra.
-    - So cl(S) ⊆ (S ∪ S†)″, and cl(S)′ = (S ∪ S†)′ = ⋂_{s∈S} pair(s): S ∪ {b}
-      is star-commuting exactly when b is normal and b ∈ cl(S)′.
+    - cl(S) ⊆ (S ∪ S†)″, and cl(S)′ = (S ∪ S†)′ = ⋂_{s∈S} pair(s): S ∪ {b}
+      is star-commuting exactly when b is normal and b ∈ cl(S)′, and then
+      cl(S ∪ {b})′ = cl(S)′ ∩ pair(b).
     - cl(S ∪ {b}) = cl(cl(S) ∪ cl(b)) depends only on (cl(S), b), and
       b ∈ cl(S) gives cl(S) back.
     - So expanding each closure once, at the level d = |S| where it first
@@ -858,38 +833,32 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     """
     require_quantale(q)
     space = get_endospace(q, x)
+    # the normal elements, one of each {b, b†}: pair(b) = pair(b†) and cl(b) = cl(b†)
+    normal = _mask(i for i in range(space.size)
+                   if i <= space.dag(i) and space.comm_mask(i) >> space.dag(i) & 1)
     if mode == "exhaustive":
-        pair = [space.comm_mask(i) & space.comm_mask(space.dag(i))
-                for i in range(space.size)]
-        normal = _mask(i for i, m in enumerate(pair) if m >> i & 1)  # i ∈ pair(i)
-        singles = set(pair)
-        family = set()
-        for c in maximal_cliques([m & ~(1 << i) for i, m in enumerate(pair)], normal):
-            cuts = {c & s for s in singles}
-            cuts.discard(c)
-            family.add(c)
-            frontier = [c]
-            while frontier:
-                m = frontier.pop()
-                for s in cuts:
-                    nm = m & s
-                    if nm not in family:
-                        family.add(nm)
-                        frontier.append(nm)
-        keep = [m for m in family if space.is_star_mask(m)]
+        comm = space.commutant_mask(space.scalar_line)
+        least = space.commutant_mask(comm)
+        algebra_of = {comm: least}  # each algebra's commutant -> the algebra
+        frontier = [(least, comm)]
+        while frontier:
+            a, comm = frontier.pop()
+            for b in _bits(comm & normal & ~a):
+                cut = comm & space.pair_mask(b)
+                if cut not in algebra_of:
+                    algebra_of[cut] = ext = space.commutant_mask(cut)
+                    frontier.append((ext, cut))
+        keep = [m for m in algebra_of.values() if space.is_star_mask(m)]
         return _poset_from_masks(space, keep, "exhaustive", None)
     if mode == "generated":
         k = max_generators
         if k < 0:
             raise ValueError(f"max_generators must be at least 0, not {k}")
-        normal = _mask(i for i in range(space.size)
-                       if space.comm_mask(i) >> space.dag(i) & 1)
         found = {space.mask_of(diagonal_algebra(x, q).members)}
         double = _Rows(space.commutant_mask)  # a commutant -> its commutant
 
-        def consider(cl):
-            # commutative iff cl <= cl', von Neumann iff cl'' == cl: cl' is made once
-            comm = space.commutant_mask(cl)
+        def consider(cl, comm):
+            # commutative iff cl <= cl' = comm, von Neumann iff cl'' == cl
             if cl & ~comm == 0 and space.is_star_mask(cl) and double[comm] == cl:
                 found.add(cl)
             return cl, comm
@@ -897,7 +866,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
         base = space.scalar_line  # the trivial algebra, cl(∅)
         single = _Rows(lambda b: space.close_mask(base, (b,)))  # b -> cl(b)
         known = {base}  # every closure and every union met so far
-        level = [consider(base)]
+        level = [consider(base, space.commutant_mask(base))]
         for _ in range(k):
             if not level:  # nothing new to extend: every deeper level is empty too
                 break
@@ -908,7 +877,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
                     if u not in known:
                         cl = space.close_mask(c, _bits(u & ~c))
                         if cl not in known:
-                            fresh.append(consider(cl))
+                            fresh.append(consider(cl, comm & space.pair_mask(b)))
                         known |= {u, cl}
             level = fresh
         return _poset_from_masks(space, found, "generated", k)

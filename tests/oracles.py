@@ -7,7 +7,7 @@ from collections import namedtuple
 
 from qspec.quantale import QuantaleError, RigHom
 from qspec.relations import QRel, compose, dagger, diag_rel
-from qspec.subalgebra import Subsemialgebra
+from qspec.subalgebra import Subsemialgebra, _bits
 
 
 def is_hom(src, dst, image):
@@ -75,3 +75,30 @@ def from_rels(rels):
     """The set of the given relations as a Subsemialgebra, closed or not."""
     first = rels[0]
     return Subsemialgebra.from_entries(first.quantale, first.dom, (r.entries for r in rels))
+
+
+def maximal_cliques(adj, vertices):
+    """Every maximal clique of the subgraph induced on the vertex bitset
+    vertices, where vertex v has the neighbour bitset adj[v] (no self-loops),
+    as vertex bitsets.
+
+    Bron–Kerbosch with Tomita's pivot: the pivot u in P ∪ X has the most
+    neighbours in P, and only the candidates outside N(u) are branched on.
+    An explicit stack stands in for the recursion, so clique size is not
+    bounded by the interpreter's recursion limit.
+    """
+    out = []
+    stack = [(0, vertices, 0)]
+    while stack:
+        clique, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(clique)
+            continue
+        u = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+        for v in _bits(p & ~adj[u]):
+            bit = 1 << v
+            stack.append((clique | bit, p & adj[v], x & adj[v]))
+            p ^= bit
+            x |= bit
+    return out

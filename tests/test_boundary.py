@@ -61,7 +61,7 @@ def test_sections_read_supports_from_the_decomposition():
     *((module, {"Character"}) for module in ["qspec", *QSPEC_MODULES]),
     *((module, {"blocks", "_check_partition", "reassemble", "rel_to_doc", "rel_from_doc",
                 "direct_sum", "restrict_component", "is_hom", "all_relations", "support",
-                "SupportPair", "subset_idempotent", "is_normal"})
+                "SupportPair", "subset_idempotent", "is_normal", "maximal_cliques"})
       for module in ["qspec", *QSPEC_MODULES]),
     ("qspec.spectra", {"_check_inclusion"}),
 ])
