@@ -58,15 +58,16 @@ def enumerate_homs(src: TableSemiring, dst: TableSemiring, fixed=(), bases=((),)
     muls = [[] for _ in new]
     stars = [[] for _ in new]
     for s, i in enumerate(new):
+        add_i, mul_i = src.add[i], src.mul[i]
         for j in range(n):
             if step[j] > s:
                 continue
-            k = src.add[i][j]
-            adds[max(s, step[k])].append((i, j, k))
-            k = src.mul[i][j]
-            muls[max(s, step[k])].append((i, j, k))
+            k = add_i[j]
+            adds[step[k] if step[k] > s else s].append((i, j, k))
+            k = mul_i[j]
+            muls[step[k] if step[k] > s else s].append((i, j, k))
         k = src.star[i]
-        stars[max(s, step[k])].append((i, k))
+        stars[step[k] if step[k] > s else s].append((i, k))
     # zero and one are pinned when the search assigns them
     candidates = [[v for v in range(dst.size)
                    if (p != src.zero or v == dst.zero) and (p != src.one or v == dst.one)]

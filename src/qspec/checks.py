@@ -184,7 +184,9 @@ def spectra_suite(poset):
     q = poset.quantale
     gelfands = poset.spectra("gelfand")
     primes = poset.spectra("prime")
-    # the homomorphism search into TWO against the down-set scan, over any scalars
+    # the prime spectra, the {bottom, unit}-valued Gelfand characters read
+    # into TWO, against the down-set scan, over any scalars: so a Gelfand
+    # search that loses a two-valued character fails here
     bij = all(list(pr.points) == prime_ideal_scan(a)
               for a, pr in zip(poset.algebras, primes))
     out.append(_verdict("kernel-bijection", bij,

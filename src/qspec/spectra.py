@@ -11,18 +11,28 @@ the embedding of TWO into the scalars.
 
 A point of either spectrum is a character, stored as its tuple of value
 indices over the algebra's canonical member order; the SpectrumSet holding
-it fixes the algebra and the target.  Both spectra come from one search.  A
-proper prime k*-ideal P is the kernel of exactly one homomorphism into TWO,
-the map that is 0 on P and 1 off it: P is a proper down-set closed under
-joins, so the map preserves zero, joins and the unit; P absorbs
-multiplication and is prime, so a product lies outside P exactly when both
-factors do; and P is star-closed.  Conversely the kernel of any homomorphism
-into TWO is such an ideal, over any scalar quantale.  So the prime spectrum
-is Hom(A, TWO), a prime point is stored as its character, its ideal is
-``SpectrumSet.kernel_members(point)``, and restriction, lookup and the
-vanishing sets work the same way on both spectra.  ``prime_ideal_scan`` finds
-the same ideals by another route, the oracle that the kernel-bijection check
-holds them to.
+it fixes the algebra and the target.  A proper prime k*-ideal P is the
+kernel of exactly one homomorphism into TWO, the map that is 0 on P and 1
+off it: P is a proper down-set closed under joins, so the map preserves
+zero, joins and the unit; P absorbs multiplication and is prime, so a
+product lies outside P exactly when both factors do; and P is star-closed.
+Conversely the kernel of any homomorphism into TWO is such an ideal, over
+any scalar quantale.  So the prime spectrum is Hom(A, TWO), a prime point is
+stored as its character, its ideal is ``SpectrumSet.kernel_members(point)``,
+and restriction, lookup and the vanishing sets work the same way on both
+spectra.
+
+Both spectra come from one search, into the scalars.  The embedding e of
+TWO into the scalars (0 to bottom, 1 to unit) is an injective quantale map
+for every quantale: bottom != unit, as the quantale is non-trivial; bottom
+is least and absorbs, and unit.unit = unit; the involution preserves joins,
+so it fixes bottom, and unit* = unit.  So e is an isomorphism onto the
+sub-*-semiring {bottom, unit}, and through it Hom(A, TWO) is the set of
+Gelfand characters valued in {bottom, unit}: ``prime_spectrum`` reads the
+prime spectrum off the Gelfand spectrum.  ``prime_ideal_scan`` finds the
+same ideals by another route, the oracle that the kernel-bijection check
+holds them to; so that check also covers the {bottom, unit}-valued part of
+the Gelfand search, over every quantale.
 
 Restriction along an inclusion and the two comparison maps are also built as
 index tables over canonically ordered spectra; the pipeline reads those, and
@@ -101,17 +111,22 @@ def gelfand_spectrum(algebra, below=None):
                        tuple(_characters(algebra, algebra.quantale, below)))
 
 
-def prime_spectrum(algebra, below=None):
-    """All proper prime k*-ideals, each as the character into TWO that is 0
-    exactly on it, in descending order of values: the characters into TWO,
-    searched as for gelfand_spectrum, with below as there."""
-    return SpectrumSet(algebra, "prime",
-                       tuple(reversed(_characters(algebra, TWO, below))))
+def prime_spectrum(gelfand):
+    """All proper prime k*-ideals of the Gelfand spectrum's algebra, each as
+    the character into TWO that is 0 exactly on it, in descending order of
+    values: the characters valued in {bottom, unit}, with bottom read as
+    TWO's bottom and unit as TWO's unit (module docstring)."""
+    q = gelfand.algebra.quantale
+    to_two = {q.bottom: TWO.bottom, q.unit: TWO.unit}
+    two_valued = set(to_two).issuperset
+    points = [tuple(map(to_two.__getitem__, p)) for p in gelfand.points if two_valued(p)]
+    return SpectrumSet(gelfand.algebra, "prime", tuple(sorted(points, reverse=True)))
 
 
 def characters_to_two(algebra):
-    """All homomorphisms into the two-element quantale, in ascending order:
-    the prime spectrum's search, over any scalar quantale."""
+    """All homomorphisms into the two-element quantale, in ascending order,
+    by their own search over any scalar quantale: the oracle of
+    prime_spectrum."""
     return _characters(algebra, TWO, None)
 
 

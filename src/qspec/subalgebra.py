@@ -650,26 +650,24 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
                 best[j] = i
         return tuple(best)
 
-    def _along_hasse(self, spectrum):
-        """spectrum(algebra, below) for every algebra in poset order, each one
-        extending the points of its predecessor's spectrum."""
-        out = []
-        for a, p in zip(self.algebras, self.predecessors):
-            below = None if p is None else (self.algebras[p], out[p].points)
-            out.append(spectrum(a, below))
-        return tuple(out)
-
     def spectra(self, kind):
         """The spectrum of one kind ("gelfand" or "prime") of every algebra, in
-        poset order; computed once per poset."""
+        poset order; computed once per poset.  Each Gelfand spectrum extends
+        the characters of its algebra's predecessor; each prime spectrum is
+        read off its algebra's Gelfand spectrum."""
         memo = self.__dict__.setdefault("_spectra", {})
         if kind not in memo:
             from qspec import spectra  # spectra imports this module
-            build = {"gelfand": spectra.gelfand_spectrum,
-                     "prime": spectra.prime_spectrum}.get(kind)
-            if build is None:
+            if kind == "gelfand":
+                out = []
+                for a, p in zip(self.algebras, self.predecessors):
+                    below = None if p is None else (self.algebras[p], out[p].points)
+                    out.append(spectra.gelfand_spectrum(a, below))
+                memo[kind] = tuple(out)
+            elif kind == "prime":
+                memo[kind] = tuple(map(spectra.prime_spectrum, self.spectra("gelfand")))
+            else:
                 raise ValueError(f"unknown spectrum kind {kind!r}")
-            memo[kind] = self._along_hasse(build)
         return memo[kind]
 
     def restrictions(self, kind):
@@ -778,10 +776,11 @@ def _poset_from_masks(space, masks, mode, max_generators):
         above.append(up & ~(1 << i))
     leq, hasse = set(), []
     for i, up in enumerate(above):
+        ups = list(_bits(up))
         leq.add((i, i))
-        leq.update((i, j) for j in _bits(up))
+        leq.update((i, j) for j in ups)
         higher = 0
-        for j in _bits(up):
+        for j in ups:
             higher |= above[j]
         hasse.extend((i, j) for j in _bits(up & ~higher))
     return AlgebraPoset(space.quantale, space.carrier, tuple(a for a, _ in pairs), mode,

@@ -153,7 +153,8 @@ def test_criterion_4_spectra_correspondence():
     for poset in enumerated_posets().values():
         for a in poset.algebras:
             gammas = characters_to_two(a)
-            prime = prime_spectrum(a)
+            gel = gelfand_spectrum(a)
+            prime = prime_spectrum(gel)
             kernels = [prime.kernel_members(character_kernel(g, a, TWO)) for g in gammas]
             if sorted(kernels) != sorted(map(prime.kernel_members, prime.points)):
                 failures += 1
@@ -165,7 +166,6 @@ def test_criterion_4_spectra_correspondence():
                 if len(hits) != 1:
                     failures += 1
             if poset.quantale.size == 2:
-                gel = gelfand_spectrum(a)
                 ker_g = {character_kernel(rho, a, gel.target) for rho in gel.points}
                 if not (len(ker_g) == gel.size == prime.size):
                     failures += 1
@@ -177,7 +177,7 @@ def test_criterion_5_chain_surrogate_example():
     start = time.time()
     d = diagonal_algebra(carrier("X", 2), GODEL3)
     gel = gelfand_spectrum(d)
-    pri = prime_spectrum(d)
+    pri = prime_spectrum(gel)
     assert pri.size == 4
     assert gel.size == 6
     t_p = zariski_topology(pri)
@@ -221,7 +221,7 @@ def test_criterion_7_topology_functoriality():
     failures = 0
     for poset in enumerated_posets().values():
         gelfands = [gelfand_spectrum(a) for a in poset.algebras]
-        primes = [prime_spectrum(a) for a in poset.algebras]
+        primes = list(map(prime_spectrum, gelfands))
         for pri in primes:
             rep = separation_report(zariski_topology(pri))
             if not (rep.t0 and rep.compact):

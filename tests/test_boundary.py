@@ -147,7 +147,9 @@ def test_the_cli_starts_without_the_heavy_modules():
     assert heavy.isdisjoint(loaded)
 
 
-@pytest.mark.parametrize("spectrum", [gelfand_spectrum, prime_spectrum])
+@pytest.mark.parametrize("spectrum", [
+    gelfand_spectrum, lambda a: prime_spectrum(gelfand_spectrum(a))],
+    ids=["gelfand_spectrum", "prime_spectrum"])
 def test_spectrum_points_are_tuples_of_ints(spectrum):
     for a in enumerate_vn(carrier("X", 2), builtin_quantale("godel_chain", 3)).algebras:
         for point in spectrum(a).points:

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from qspec import checks as checks_module, cli
+from qspec import checks as checks_module, cli, spectra as spectra_module
 from qspec.checks import (
     algebras_suite, quantale_suite, relations_suite, spectra_suite, topology_suite,
 )
@@ -403,3 +403,48 @@ def test_a_dropped_character_fails_two_spectra_coincide():
     broken = verdicts(spectra_suite(poset))
     assert not broken["two-spectra-coincide"]
     assert broken["kernel-bijection"]
+
+
+# -- a Gelfand search that loses a two-valued character ----------------------------
+
+
+def lose_the_first_two_valued_character(monkeypatch):
+    """Make every algebra's Gelfand search drop its first character valued
+    in {bottom, unit}."""
+    real = spectra_module._characters
+
+    def losing(algebra, target, below):
+        out = real(algebra, target, below)
+        if target is algebra.quantale:
+            two_valued = {target.bottom, target.unit}.issuperset
+            lost = next((p for p in out if two_valued(p)), None)
+            if lost is not None:
+                out.remove(lost)
+        return out
+
+    monkeypatch.setattr(spectra_module, "_characters", losing)
+
+
+@pytest.mark.parametrize("tag", ["lukasiewicz3", "lukasiewicz4"])
+def test_a_lost_two_valued_character_fails_kernel_bijection_over_zero_divisors(
+        tag, monkeypatch, capsys):
+    # no comparison map is built over zero divisors, so only the prime
+    # spectrum, read off the Gelfand spectrum, shows the loss
+    argv = ["spectrum", "--quantale", tag, "--size", "2"]
+    assert cli.main(argv) == 0
+    lose_the_first_two_valued_character(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] kernel-bijection" in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_a_lost_two_valued_character_fails_spectrum_over_zdf_scalars(monkeypatch, capsys):
+    argv = ["spectrum", "--quantale", "godel4", "--size", "2"]
+    assert cli.main(argv) == 0
+    lose_the_first_two_valued_character(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qspec: error: ") and err.count("\n") == 1

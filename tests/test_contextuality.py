@@ -18,7 +18,7 @@ from qspec.contextuality import (
     unnatural_edge,
 )
 from qspec.spectra import (
-    TWO, SpectrumSet, prime_ideal_scan, restrict_character,
+    TWO, SpectrumSet, characters_to_two, prime_ideal_scan, restrict_character,
     restriction_table,
 )
 from qspec.subalgebra import (
@@ -137,11 +137,20 @@ def test_every_table_cell_is_the_index_of_the_restricted_point(tag, size):
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
 def test_the_prime_ideal_scan_finds_every_prime_spectrum(tag, size):
-    # kernel-bijection holds the spectra to the scan over ZDF scalars only;
-    # here also where the scalars have zero divisors
+    # the kernel-bijection check, here over zero divisors too
     poset = oracle_poset(tag, size)
     for a, spectrum in zip(poset.algebras, poset.spectra("prime")):
         assert prime_ideal_scan(a) == list(spectrum.points)
+
+
+@pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)
+def test_the_prime_spectra_read_off_the_gelfand_spectra_are_the_search_into_two(
+        tag, size):
+    # each prime spectrum is filtered out of its Gelfand spectrum; the
+    # search straight into TWO is the oracle, in values and in order
+    poset = oracle_poset(tag, size)
+    for a, spectrum in zip(poset.algebras, poset.spectra("prime")):
+        assert list(spectrum.points) == characters_to_two(a)[::-1]
 
 
 @pytest.mark.parametrize("tag,size", ORACLE_CONFIGS)

@@ -227,14 +227,14 @@ def test_is_character_validation():
 
 
 def test_prime_spectrum_trivial_boolean():
-    spec = prime_spectrum(trivial_algebra(X2, BOOL2))
+    spec = prime_spectrum(gelfand_spectrum(trivial_algebra(X2, BOOL2)))
     assert spec.size == 1
     assert spec.kernel_members(spec.points[0]) == (zero_rel(BOOL2, X2, X2).entries,)
 
 
 def test_prime_spectrum_diagonal_godel_has_four_ideals():
     d = diagonal_algebra(X2, GODEL3)
-    spec = prime_spectrum(d)
+    spec = prime_spectrum(gelfand_spectrum(d))
     assert sorted(map(spec.kernel_members, spec.points)) == oracle_prime_ideals(d)
     assert spec.size == 4
     expected = [
@@ -253,7 +253,7 @@ def test_prime_spectrum_matches_oracle_on_small_algebras():
         for a in enumerate_vn(X2, q).algebras:
             if a.size > cap:
                 continue
-            spec = prime_spectrum(a)
+            spec = prime_spectrum(gelfand_spectrum(a))
             assert sorted(map(spec.kernel_members, spec.points)) == oracle_prime_ideals(a)
 
 
@@ -289,17 +289,19 @@ def test_the_one_prime_closed_down_set_holding_the_unit_is_the_whole_algebra(q):
         assert [s for s in closed if sr.one in s] == [frozenset(range(n))]
         assert sorted(sorted(s) for s in closed if sr.one not in s) == sorted(
             [k for k, v in enumerate(p) if v == TWO.bottom]
-            for p in prime_spectrum(a).points)
+            for p in prime_spectrum(gelfand_spectrum(a)).points)
 
 
 @pytest.mark.parametrize("q", [LUK3, builtin_quantale("powerset", 2),
-                               builtin_quantale("godel_chain", 4)],
+                               builtin_quantale("godel_chain", 4), BOOL2_TOP_FIRST],
                          ids=lambda q: q.name)
 def test_prime_points_are_the_homomorphisms_into_two(q):
     # lukasiewicz3 and powerset2 have zero divisors; the search into TWO runs
-    # here directly on the semiring tables
+    # here directly on the semiring tables.  boolean2-top-first has its
+    # bottom at index 1 and its unit at index 0, so the prime points read
+    # the Gelfand values by what they are, not by their indices
     for a in enumerate_vn(X2, q).algebras:
-        spec = prime_spectrum(a)
+        spec = prime_spectrum(gelfand_spectrum(a))
         assert list(spec.points) == \
             sorted(enumerate_homs(a.semiring(), TWO.semiring()), reverse=True)
         assert spec.target == TWO
@@ -308,7 +310,7 @@ def test_prime_points_are_the_homomorphisms_into_two(q):
 
 def test_is_prime_kstar_ideal_validation():
     d = diagonal_algebra(X2, GODEL3)
-    for p in prime_spectrum(d).points:
+    for p in prime_spectrum(gelfand_spectrum(d)).points:
         assert is_prime_kstar_ideal(d, ideal(d, p))
     assert not is_prime_kstar_ideal(d, d.members)
     assert not is_prime_kstar_ideal(d, (zero_rel(GODEL3, X2, X2).entries,))
@@ -368,7 +370,7 @@ def test_component_complements_are_prime_ideals():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
             dec = primitive_idempotents(a)
-            spec = prime_spectrum(a)
+            spec = prime_spectrum(gelfand_spectrum(a))
             prime_members = set(map(spec.kernel_members, spec.points))
             for e in dec.idempotents:
                 complement = tuple(sorted(
@@ -386,7 +388,7 @@ def test_restriction_along_identity():
     d = diagonal_algebra(X2, GODEL3)
     for rho in gelfand_spectrum(d).points:
         assert restrict_character(rho, d, d) == rho
-    for p in prime_spectrum(d).points:
+    for p in prime_spectrum(gelfand_spectrum(d)).points:
         assert restrict_prime(p, d, d) == p
 
 
@@ -398,7 +400,7 @@ def test_restrict_diagonal_character_to_trivial():
     assert down == {(0, 0, 2), (0, 1, 2), (0, 2, 2)}
     for rho in gelfand_spectrum(d).points:
         assert is_character(t, GODEL3, restrict_character(rho, d, t))
-    for p in prime_spectrum(d).points:
+    for p in prime_spectrum(gelfand_spectrum(d)).points:
         assert is_prime_kstar_ideal(t, ideal(t, restrict_prime(p, d, t)))
 
 
@@ -414,7 +416,7 @@ def test_restriction_functor_law_on_a_chain():
         for rho in gelfand_spectrum(a_k).points:
             two_step = restrict_character(restrict_character(rho, a_k, a_j), a_j, a_i)
             assert two_step == restrict_character(rho, a_k, a_i)
-        for p in prime_spectrum(a_k).points:
+        for p in prime_spectrum(gelfand_spectrum(a_k)).points:
             two_step = restrict_prime(restrict_prime(p, a_k, a_j), a_j, a_i)
             assert two_step == restrict_prime(p, a_k, a_i)
 
@@ -425,7 +427,7 @@ def test_restriction_functor_law_on_a_chain():
 def test_kernel_of_indicator_recovers_the_ideal():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
-            for p in prime_spectrum(a).points:
+            for p in prime_spectrum(gelfand_spectrum(a)).points:
                 rho = character_from_prime(p, a)
                 assert is_character(a, q, rho)
                 assert character_kernel(rho, a, q) == p
@@ -434,7 +436,7 @@ def test_kernel_of_indicator_recovers_the_ideal():
 def test_the_indicator_of_a_prime_point_needs_no_zdf_scalars():
     # two_embedding is a quantale map into any scalars, zero divisors or not
     for a in enumerate_vn(X2, LUK3).algebras:
-        for p in prime_spectrum(a).points:
+        for p in prime_spectrum(gelfand_spectrum(a)).points:
             rho = character_from_prime(p, a)
             assert is_character(a, LUK3, rho)
             assert SpectrumSet(a, "gelfand", ()).kernel_members(rho) == ideal(a, p)
@@ -471,7 +473,7 @@ def test_comparison_naturality_over_the_boolean_poset():
         for rho in gelfand_spectrum(sup).points:
             assert character_kernel(restrict_character(rho, sup, sub), sub, BOOL2) == \
                 restrict_prime(character_kernel(rho, sup, BOOL2), sup, sub)
-        for p in prime_spectrum(sup).points:
+        for p in prime_spectrum(gelfand_spectrum(sup)).points:
             assert restrict_character(character_from_prime(p, sup), sup, sub) == \
                 character_from_prime(restrict_prime(p, sup, sub), sub)
 
@@ -479,6 +481,6 @@ def test_comparison_naturality_over_the_boolean_poset():
 def test_two_element_scalars_make_the_spectra_coincide():
     for a in enumerate_vn(X2, BOOL2).algebras:
         gel = gelfand_spectrum(a)
-        pri = prime_spectrum(a)
+        pri = prime_spectrum(gel)
         kernels = {character_kernel(rho, a, BOOL2) for rho in gel.points}
         assert len(kernels) == gel.size == pri.size

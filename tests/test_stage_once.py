@@ -2,11 +2,13 @@
 verified once, by the enumeration, and each Hasse edge table is built once
 per spectrum kind the run reads; only the restriction-functorial check of
 ``spectrum`` builds them a second time, by design, to hold the stored
-tables to their spectra.  ``check-quantale`` verifies the axioms twice, the
-second run being its verify-deterministic check, and lists the
-endomorphisms once.  The supports of each algebra are scanned once, and
-each algebra looks its members up in Hom(X, X) once.  The relation
-self-test builds each structure map once per carrier, not once per case."""
+tables to their spectra.  Each algebra's characters are searched once: the
+prime spectrum is read off the Gelfand spectrum.  ``check-quantale``
+verifies the axioms twice, the second run being its verify-deterministic
+check, and lists the endomorphisms once.  The supports of each algebra are
+scanned once, and each algebra looks its members up in Hom(X, X) once.  The
+relation self-test builds each structure map once per carrier, not once per
+case."""
 
 import importlib
 import pkgutil
@@ -21,7 +23,7 @@ from qspec.relations import carrier
 from qspec.subalgebra import enumerate_vn
 
 COUNTED = (("quantale", "verify_quantale"), ("quantale", "endomorphisms"),
-           ("spectra", "restriction_table"))
+           ("spectra", "restriction_table"), ("_homsearch", "enumerate_homs"))
 
 
 def wrap_everywhere(monkeypatch, home, name, wrap):
@@ -62,14 +64,16 @@ def run(command, tag, capsys, *size):
                                      "topology"])
 def test_each_stage_runs_once_per_run(command, tag, monkeypatch, capsys):
     q = parse_quantale_tag(tag)
-    hasse = len(enumerate_vn(carrier("X", 2), q).hasse)
+    poset = enumerate_vn(carrier("X", 2), q)
     kinds = 2 if is_zdf(q) else 1  # the prime presheaf only over ZDF scalars
     tables = {"algebras": 0, "spectrum": 4, "sections": kinds, "verdict": kinds,
               "topology": 2}[command]
+    searches = 0 if command == "algebras" else len(poset.algebras)
     calls = count_calls(monkeypatch)
     run(command, tag, capsys, "--size", "2")
     assert calls == {"verify_quantale": 1, "endomorphisms": 0,
-                     "restriction_table": tables * hasse}
+                     "restriction_table": tables * len(poset.hasse),
+                     "enumerate_homs": searches}
 
 
 @pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])
@@ -77,7 +81,8 @@ def test_check_quantale_verifies_twice_and_lists_endomorphisms_once(
         tag, monkeypatch, capsys):
     calls = count_calls(monkeypatch)
     run("check-quantale", tag, capsys)
-    assert calls == {"verify_quantale": 2, "endomorphisms": 1, "restriction_table": 0}
+    assert calls == {"verify_quantale": 2, "endomorphisms": 1, "restriction_table": 0,
+                     "enumerate_homs": 1}
 
 
 @pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])

@@ -1163,7 +1163,8 @@ def test_generated_mode_with_one_generator():
 
 
 def test_three_point_carrier_exhaustive_contains_generated():
-    from qspec.spectra import TWO, character_kernel, characters_to_two, prime_spectrum
+    from qspec.spectra import (
+        TWO, character_kernel, characters_to_two, gelfand_spectrum, prime_spectrum)
     from qspec.subalgebra import validate_decomposition
     x3 = carrier("X", 3)
     exhaustive = enumerate_vn(x3, BOOL2)
@@ -1173,7 +1174,7 @@ def test_three_point_carrier_exhaustive_contains_generated():
     assert exhaustive.complete and not generated.complete
     for a in exhaustive.algebras:
         assert not validate_decomposition(primitive_idempotents(a))
-        spec = prime_spectrum(a)
+        spec = prime_spectrum(gelfand_spectrum(a))
         kers = sorted(spec.kernel_members(character_kernel(g, a, TWO))
                       for g in characters_to_two(a))
         assert kers == sorted(map(spec.kernel_members, spec.points))

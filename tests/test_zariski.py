@@ -181,7 +181,7 @@ def test_all_ideals_equal_the_entry_matrix_closure(tag, size, mode):
 
 def test_topology_is_built_once_per_spectrum():
     d = diagonal_algebra(X2, GODEL3)
-    pri = prime_spectrum(d)
+    pri = prime_spectrum(gelfand_spectrum(d))
     assert zariski_topology(pri) is zariski_topology(pri)
 
 
@@ -197,7 +197,7 @@ def diag(q, p, r):
 
 def godel_diag_labels():
     d = diagonal_algebra(X2, GODEL3)
-    pri = prime_spectrum(d)
+    pri = prime_spectrum(gelfand_spectrum(d))
     ideals = [pri.kernel_members(p) for p in pri.points]
     j1 = next(i for i, m in enumerate(ideals)
               if set(m) == {diag(GODEL3, x, "0") for x in "0a1"})
@@ -211,7 +211,7 @@ def godel_diag_labels():
 
 
 def test_trivial_algebra_prime_topology_is_the_point():
-    t = zariski_topology(prime_spectrum(trivial_algebra(X2, BOOL2)))
+    t = zariski_topology(prime_spectrum(gelfand_spectrum(trivial_algebra(X2, BOOL2))))
     assert t.size == 1
     assert t.closed_sets == frozenset({frozenset(), frozenset({0})})
 
@@ -258,7 +258,7 @@ def test_godel_diagonal_gelfand_closed_sets_and_indistinguishability():
 def test_prime_side_t0_and_compact_everywhere():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
-            rep = separation_report(zariski_topology(prime_spectrum(a)))
+            rep = separation_report(zariski_topology(prime_spectrum(gelfand_spectrum(a))))
             assert rep.t0 and rep.compact
 
 
@@ -274,13 +274,13 @@ def test_continuity_along_every_hasse_edge():
 
 def test_identity_restriction_is_continuous():
     d = diagonal_algebra(X2, GODEL3)
-    for spectrum in (prime_spectrum(d), gelfand_spectrum(d)):
+    for spectrum in (prime_spectrum(gelfand_spectrum(d)), gelfand_spectrum(d)):
         assert check_continuity(spectrum, spectrum, restriction_table(spectrum, spectrum))
 
 
 def test_kolmogorov_quotient_on_t0_space_is_isomorphic():
     d = diagonal_algebra(X2, GODEL3)
-    t = zariski_topology(prime_spectrum(d))
+    t = zariski_topology(prime_spectrum(gelfand_spectrum(d)))
     quotient, mapping = kolmogorov_quotient(t)
     assert quotient.size == t.size
     assert sorted(mapping) == list(range(t.size))
@@ -299,7 +299,7 @@ def test_kolmogorov_quotient_collapses_indiscrete_space():
 def test_kolmogorov_quotient_of_gelfand_diagonal():
     d = diagonal_algebra(X2, GODEL3)
     gel = gelfand_spectrum(d)
-    pri = prime_spectrum(d)
+    pri = prime_spectrum(gelfand_spectrum(d))
     t = zariski_topology(gel)
     quotient, mapping = kolmogorov_quotient(t)
     assert quotient.size == 4
@@ -317,13 +317,15 @@ def test_kolmogorov_quotient_of_gelfand_diagonal():
 def test_quotient_comparison_everywhere():
     for q in (BOOL2, GODEL3):
         for a in enumerate_vn(X2, q).algebras:
-            gel, pri = gelfand_spectrum(a), prime_spectrum(a)
+            gel = gelfand_spectrum(a)
+            pri = prime_spectrum(gel)
             assert verify_quotient_xi(gel, pri, kernel_table(gel, pri))
 
 
 def test_quotient_comparison_checks_fibers_and_closures():
     d = diagonal_algebra(X2, GODEL3)
-    gel, pri = gelfand_spectrum(d), prime_spectrum(d)
+    gel = gelfand_spectrum(d)
+    pri = prime_spectrum(gel)
     kernel = kernel_table(gel, pri)
     assert verify_quotient_xi(gel, pri, kernel)
 
@@ -339,7 +341,8 @@ def test_quotient_comparison_checks_fibers_and_closures():
 
 def test_a_kernel_table_that_splits_a_class_fails_the_quotient_comparison():
     d = diagonal_algebra(X2, GODEL3)
-    gel, pri = gelfand_spectrum(d), prime_spectrum(d)
+    gel = gelfand_spectrum(d)
+    pri = prime_spectrum(gel)
     kernel = kernel_table(gel, pri)
     down = zariski_topology(gel).down
     a, b = next((a, b) for a, b in itertools.combinations(range(gel.size), 2)
@@ -379,7 +382,8 @@ def test_a_restriction_cell_moved_out_of_its_closure_fails_continuity():
 def test_quotient_comparison_requires_zdf():
     with pytest.raises(ZdfRequiredError):
         t = trivial_algebra(X2, LUK3)
-        gel, pri = gelfand_spectrum(t), prime_spectrum(t)
+        gel = gelfand_spectrum(t)
+        pri = prime_spectrum(gel)
         verify_quotient_xi(gel, pri, kernel_table(gel, pri))
 
 
@@ -388,8 +392,8 @@ def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
         for a in enumerate_vn(X2, q).algebras:
             if a.size > 9:
                 continue
-            pri = prime_spectrum(a)
             gel = gelfand_spectrum(a)
+            pri = prime_spectrum(gel)
             ideals = all_ideals(a)
             for kind, spec in (("prime", pri), ("gelfand", gel)):
                 principal = zariski_topology(spec)
@@ -400,6 +404,6 @@ def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
 
 
 def test_topology_json():
-    t = zariski_topology(prime_spectrum(trivial_algebra(X2, BOOL2)))
+    t = zariski_topology(prime_spectrum(gelfand_spectrum(trivial_algebra(X2, BOOL2))))
     js = topology_to_json(t)
     assert js == {"points": ["0"], "closed_sets": [[], ["0"]]}
