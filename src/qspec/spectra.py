@@ -243,18 +243,39 @@ def character_from_prime(gamma, algebra):
     return _then(gamma, two_embedding(algebra.quantale))
 
 
-def kernel_table(gelfand, prime):
+def _named(spectrum, point, index):
+    """An algebra and one of its points, for an error: the algebra by its
+    poset index (by its id when none is given), the point by its values in
+    the target's labels."""
+    name = f"A{index}" if index is not None else f"algebra {spectrum.algebra.algebra_id}"
+    labels = spectrum.target.elements
+    return name, f"({','.join(labels[v] for v in point)})"
+
+
+def kernel_table(gelfand, prime, index=None):
     """The kernel map of one algebra as an index table: cell r is the index
-    in prime of the kernel of character r."""
+    in prime of the kernel of character r.  index, the algebra's poset
+    index, only names it in the error."""
     collapse = zdf_collapse(gelfand.algebra.quantale)
-    keys = (_then(p, collapse) for p in gelfand.points)
-    return _table(keys, prime, lambda: "the kernel of a character is not a "
-                  f"prime point of algebra {gelfand.algebra.algebra_id}")
+
+    def escaped():
+        rho = next(p for p in gelfand.points if _then(p, collapse) not in prime.point_index)
+        name, values = _named(gelfand, rho, index)
+        return f"{name}: the kernel of character {values} is not a prime point"
+
+    return _table((_then(p, collapse) for p in gelfand.points), prime, escaped)
 
 
-def indicator_table(prime, gelfand):
+def indicator_table(prime, gelfand, index=None):
     """The indicator map of one algebra as an index table: cell p is the
-    index in gelfand of the indicator character of prime ideal p."""
-    keys = (character_from_prime(p, prime.algebra) for p in prime.points)
-    return _table(keys, gelfand, lambda: "the indicator of a prime ideal is "
-                  f"not a character of algebra {prime.algebra.algebra_id}")
+    index in gelfand of the indicator character of prime ideal p.  index,
+    the algebra's poset index, only names it in the error."""
+    def indicator(p):
+        return character_from_prime(p, prime.algebra)
+
+    def escaped():
+        gamma = next(p for p in prime.points if indicator(p) not in gelfand.point_index)
+        name, values = _named(prime, gamma, index)
+        return f"{name}: the indicator of prime point {values} is not a character"
+
+    return _table(map(indicator, prime.points), gelfand, escaped)

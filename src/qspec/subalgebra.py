@@ -178,43 +178,45 @@ def _scalar_line(q, x):
     return {_e_scalar(q, s, one) for s in range(q.size)}
 
 
-def _closure(closed, seed, dag, join, comp):
-    """Fixed point of closed ∪ seed under dag, join and composition on both
-    sides, where closed is already such a fixed point: only the pairs with at
-    least one element outside it are evaluated (semi-naive evaluation).
-    Elements are whatever the operations take.  Seeded with the scalar line,
-    or with closed holding it, the fixed point is closed under every scalar
-    multiple too, since s·a = (s·id)∘a."""
-    members = set(closed)
-    frontier = list(set(seed) - members)
-    members.update(frontier)
-    while frontier:
-        fresh = []
-
-        def push(e):
-            if e not in members:
-                members.add(e)
-                fresh.append(e)
-
-        for a in frontier:
-            push(dag(a))
-            for b in list(members):
-                push(join(a, b))
-                push(comp(a, b))
-                push(comp(b, a))
-        frontier = fresh
+def _closure(members, fresh, partners, dag, join_row, comp_row):
+    """Fixed point of the members under dag, join and composition on both
+    sides, where every pair of members lies inside but those of an element
+    of fresh with one of partners, and every dagger but those of fresh.  The
+    first round evaluates only those; each later one pairs what the last
+    found with every member (semi-naive evaluation).  Elements are whatever
+    the operations take: join_row(a) and comp_row(a) are indexed by the
+    other operand, so a round's results are gathers of the fresh elements'
+    rows at the partners, with b∘a read as (a†∘b†)†.  Seeded with the scalar
+    line, or with members holding it, the fixed point is closed under every
+    scalar multiple too, since s·a = (s·id)∘a."""
+    members = set(members)
+    while fresh:
+        found = set(map(dag, fresh))
+        if partners:
+            at = tuple_getter(partners)
+            at_dag = tuple_getter(map(dag, partners))
+            for a in fresh:
+                found.update(at(join_row(a)), at(comp_row(a)))
+                found.update(map(dag, at_dag(comp_row(dag(a)))))
+        fresh = found - members
+        members |= fresh
+        partners = members
     return members
 
 
 def close(x, gens, quantale=None):
     """Smallest subsemialgebra containing the generators: fixed-point closure
     under join, composition, dagger and scalar multiples, seeded with the
-    scalar line.  Works on entry matrices, so Hom(X, X) is never built."""
+    scalar line, which is closed already.  Works on entry matrices, so
+    Hom(X, X) is never built: an entry matrix's row is a dict filled on
+    lookup."""
     gens = list(gens)
     q = _ambient(x, gens, quantale)
-    seed = _scalar_line(q, x) | {g.entries for g in gens}
-    members = _closure((), seed, partial(_e_dagger, q), partial(_e_join, q),
-                       partial(_e_compose, q))
+    line = _scalar_line(q, x)
+    seed = line | {g.entries for g in gens}
+    members = _closure(seed, seed - line, seed, partial(_e_dagger, q),
+                       lambda a: _Rows(partial(_e_join, q, a)),
+                       lambda a: _Rows(partial(_e_compose, q, a)))
     return Subsemialgebra.from_entries(q, x, members)
 
 
@@ -393,7 +395,8 @@ def tuple_getter(keys):
 
 class _Rows(dict):
     """Values made on first use by one function of their key: table rows,
-    supports, and the closures and commutants that generated mode reuses."""
+    supports, the closures that generated mode reuses, and the rows of an
+    entry matrix in close()."""
 
     def __init__(self, make):
         super().__init__()
@@ -535,9 +538,6 @@ class EndoSpace:
 
     # operation access (index-level)
 
-    def comp(self, i, j):
-        return self._comp_rows[i][j]
-
     def join(self, i, j):
         return self._join_rows[i][j]
 
@@ -562,8 +562,18 @@ class EndoSpace:
             out &= self.comm_mask(i)
         return out
 
-    def double_commutant_mask(self, mask):
-        return self.commutant_mask(self.commutant_mask(mask))
+    def double_commutant_mask(self, mask, comm=None):
+        """mask″, from mask′ when the caller has it.  Every partial AND over
+        mask′ holds mask″, which holds mask, so an AND that reaches mask
+        has found mask″ = mask and stops there."""
+        if comm is None:
+            comm = self.commutant_mask(mask)
+        out = self.full_mask
+        for i in _bits(comm):
+            out &= self.comm_mask(i)
+            if out == mask:
+                break
+        return out
 
     def is_commutative_mask(self, mask):
         return mask & ~self.commutant_mask(mask) == 0
@@ -571,12 +581,31 @@ class EndoSpace:
     def is_star_mask(self, mask):
         return all(mask >> self.dag(i) & 1 for i in _bits(mask))
 
+    def is_normal(self, i):
+        """Whether i∘i† == i†∘i, one row k at a time: row k of i∘i† is the
+        rowmul row of i's row k at column i†.  No commutation mask is made."""
+        d = self.dag_t[i]
+        return all(self.rowmul[ids[i]][d] == self.rowmul[ids[d]][i] for ids in self._rowk)
+
+    def _close(self, members, fresh, partners):
+        return _mask(_closure(members, fresh, partners, self.dag_t.__getitem__,
+                              self._join_rows.__getitem__, self._comp_rows.__getitem__))
+
     def close_mask(self, closed, seed):
         """The closure, as a mask, of the closed mask `closed` (0 or an
         algebra) with the seed indices and the scalar line."""
-        members = _closure(_bits(closed), {*_bits(self.scalar_line), *seed},
-                           self.dag, self.join, self.comp)
-        return _mask(members)
+        closed |= self.scalar_line  # 0 becomes the line, which is closed; an algebra holds it
+        members = {*_bits(closed), *seed}
+        return self._close(members, [i for i in members if not closed >> i & 1], members)
+
+    def close_union(self, c, d):
+        """The closure, as a mask, of the union of two closed masks.  A pair
+        inside either part stays there, and so do the daggers, so the first
+        round pairs d∖c with c∖d only; parts that nest pair nothing."""
+        fresh, partners = d & ~c, c & ~d
+        if not (fresh and partners):
+            return c | d
+        return self._close(_bits(c | d), list(_bits(fresh)), list(_bits(partners)))
 
     def algebra_from_mask(self, mask):
         return Subsemialgebra.from_entries(
@@ -692,10 +721,11 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         if name not in memo:
             from qspec import spectra
             gelfands, primes = self.spectra("gelfand"), self.spectra("prime")
+            indices = range(len(self.algebras))  # each table names its algebra A{i}
             if name == "kernel":
-                memo[name] = tuple(map(spectra.kernel_table, gelfands, primes))
+                memo[name] = tuple(map(spectra.kernel_table, gelfands, primes, indices))
             elif name == "indicator":
-                memo[name] = tuple(map(spectra.indicator_table, primes, gelfands))
+                memo[name] = tuple(map(spectra.indicator_table, primes, gelfands, indices))
             else:
                 raise ValueError(f"unknown comparison map {name!r}")
         return memo[name]
@@ -793,7 +823,10 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     The quantale is commutative, so scalars are central and composition
     distributes over joins; hence the commutant of a star-closed set is a
     star-closed unital subsemialgebra.  An element b is normal when
-    b∘b† = b†∘b, and pair(b) = comm(b) ∩ comm(b†).
+    b∘b† = b†∘b, and pair(b) = comm(b) ∩ comm(b†).  Normality is read by
+    rows, with no commutation mask: row k of a∘c is (row k of a)·c, so row
+    k of b∘b† is rowmul[row_k(b)][b†] and row k of b†∘b is
+    rowmul[row_k(b†)][b], and b is normal iff these agree for every k.
 
     Exhaustive mode walks from the double commutant of the scalar line, the
     smallest such algebra.  From an algebra A it steps, for every normal b
@@ -825,16 +858,28 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     - cl(S ∪ {b}) = cl(cl(S) ∪ cl(b)) depends only on (cl(S), b), and
       b ∈ cl(S) gives cl(S) back.
     - So expanding each closure once, at the level d = |S| where it first
-      appears, reaches exactly {cl(S) : |S| ≤ max_generators}.  Each union is
-      closed once, from its closed part cl(S).
+      appears, reaches exactly {cl(S) : |S| ≤ max_generators}.  Each union
+      c ∪ d, with c = cl(S) and d = cl(b), is closed once, from its two
+      closed parts.
+    - The first round of that closure pairs only d∖c with c∖d.  A pair
+      inside c lies in c and a pair inside d in d, and both are star-closed;
+      an element of c ∩ d lies in both, so its pairs with either part stay
+      inside.  Only a pair of x ∈ d∖c with y ∈ c∖d can leave the union.
+      When the parts nest, as at level 1, where c is the scalar line, there
+      is no such pair and the union is its own closure.
+    - A closure is von Neumann iff cl″ = cl, and its double commutant stops
+      early.  Every partial AND of the commutation masks of cl′ holds the
+      full AND, which is cl″ ⊇ cl.  So a partial AND equal to cl gives
+      cl ⊆ cl″ ⊆ cl, and the stopped value is exactly cl″.  The memo keyed by
+      cl′ therefore holds exact double commutants, whichever closure filled
+      it; `is_von_neumann` reads the same early exit.
 
     A table that fails a quantale axiom is refused first: QuantaleError.
     """
     require_quantale(q)
     space = get_endospace(q, x)
     # the normal elements, one of each {b, b†}: pair(b) = pair(b†) and cl(b) = cl(b†)
-    normal = _mask(i for i in range(space.size)
-                   if i <= space.dag(i) and space.comm_mask(i) >> space.dag(i) & 1)
+    normal = _mask(i for i in range(space.size) if i <= space.dag(i) and space.is_normal(i))
     if mode == "exhaustive":
         comm = space.commutant_mask(space.scalar_line)
         least = space.commutant_mask(comm)
@@ -854,12 +899,16 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
         if k < 0:
             raise ValueError(f"max_generators must be at least 0, not {k}")
         found = {space.mask_of(diagonal_algebra(x, q).members)}
-        double = _Rows(space.commutant_mask)  # a commutant -> its commutant
+        double = {}  # a commutant -> its commutant, the exact double commutant
 
         def consider(cl, comm):
-            # commutative iff cl <= cl' = comm, von Neumann iff cl'' == cl
-            if cl & ~comm == 0 and space.is_star_mask(cl) and double[comm] == cl:
-                found.add(cl)
+            # commutative iff cl <= cl' = comm, von Neumann iff cl'' == cl; a
+            # closure is star-closed, so that test, a guard, goes last
+            if cl & ~comm == 0:
+                if comm not in double:
+                    double[comm] = space.double_commutant_mask(cl, comm)
+                if double[comm] == cl and space.is_star_mask(cl):
+                    found.add(cl)
             return cl, comm
 
         base = space.scalar_line  # the trivial algebra, cl(∅)
@@ -874,7 +923,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
                 for b in _bits(comm & normal & ~c):
                     u = c | single[b]
                     if u not in known:
-                        cl = space.close_mask(c, _bits(u & ~c))
+                        cl = space.close_union(c, single[b])
                         if cl not in known:
                             fresh.append(consider(cl, comm & space.pair_mask(b)))
                         known |= {u, cl}

@@ -102,3 +102,34 @@ def maximal_cliques(adj, vertices):
             p ^= bit
             x |= bit
     return out
+
+
+def generated_walk_unions(space, k):
+    """The unions generated mode meets, by its level-by-level rule but with
+    each closure taken from scratch and each commutant in full.  Per level,
+    each closure c meets c ∪ cl(b) for every normal b in c′ outside c (one
+    of b, b†), and closes it unless an earlier closure or union equals it.
+    Returns the elements b whose cl(b) the walk needs, and the (c, cl(b))
+    pairs of the unions it closes, in walk order."""
+    normal = [i for i in range(space.size)
+              if i <= space.dag(i) and space.comm_mask(i) >> space.dag(i) & 1]
+    base = space.close_mask(0, ())
+    single, unions = {}, []
+    known, level = {base}, [base]
+    for _ in range(k):
+        fresh = []
+        for c in level:
+            comm = space.commutant_mask(c)
+            for b in normal:
+                if comm >> b & 1 and not c >> b & 1:
+                    if b not in single:
+                        single[b] = space.close_mask(0, (b,))
+                    u = c | single[b]
+                    if u not in known:
+                        unions.append((c, single[b]))
+                        cl = space.close_mask(0, _bits(u))
+                        if cl not in known:
+                            fresh.append(cl)
+                        known |= {u, cl}
+        level = fresh
+    return list(single), unions

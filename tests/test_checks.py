@@ -2,6 +2,7 @@
 
 
 import hashlib
+import re
 
 import pytest
 
@@ -447,4 +448,14 @@ def test_a_lost_two_valued_character_fails_spectrum_over_zdf_scalars(monkeypatch
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("qspec: error: ") and err.count("\n") == 1
+    # the error names the algebra by its poset index and, by its values, a
+    # character of it whose kernel is no prime point's ideal
+    named = re.fullmatch(r"qspec: error: A(\d+): the kernel of character \((.*)\) "
+                         r"is not a prime point\n", err)
+    assert named, err
+    poset = enumerate_vn(X2, builtin_quantale("godel_chain", 4))
+    i = int(named[1])
+    gelfand, prime = poset.spectra("gelfand")[i], poset.spectra("prime")[i]
+    labels = poset.quantale.elements
+    rho = next(p for p in gelfand.points if ",".join(labels[v] for v in p) == named[2])
+    assert gelfand.kernel_members(rho) not in set(map(prime.kernel_members, prime.points))

@@ -8,7 +8,8 @@ verifies the axioms twice, the second run being its verify-deterministic
 check, and lists the endomorphisms once.  The supports of each algebra are
 scanned once, and each algebra looks its members up in Hom(X, X) once.  The
 relation self-test builds each structure map once per carrier, not once per
-case."""
+case.  Generated mode builds only the commutation masks and table rows it
+reads, and evaluates no pair for a union whose two closed parts nest."""
 
 import importlib
 import pkgutil
@@ -16,11 +17,12 @@ import pkgutil
 import pytest
 
 import qspec
-from qspec import cli, relations
+from oracles import generated_walk_unions
+from qspec import cli, relations, subalgebra
 from qspec.checks import relations_suite
 from qspec.quantale import is_zdf, parse_quantale_tag
 from qspec.relations import carrier
-from qspec.subalgebra import enumerate_vn
+from qspec.subalgebra import enumerate_vn, get_endospace
 
 COUNTED = (("quantale", "verify_quantale"), ("quantale", "endomorphisms"),
            ("spectra", "restriction_table"), ("_homsearch", "enumerate_homs"))
@@ -124,6 +126,33 @@ def test_each_algebra_finds_its_place_in_hom_once(command, tag, monkeypatch, cap
     # commutants of each of its five seeded samples
     commutants = 20 if command == "algebras" else 0
     assert len(calls) == 1 + algebras + commutants
+
+
+def test_generated_mode_builds_only_what_it_reads(monkeypatch):
+    q, x = parse_quantale_tag("boolean2"), carrier("X", 3)
+    monkeypatch.setattr(subalgebra, "_space_cache", {})
+    firsts = []  # each closure's first round: (fresh elements, partners)
+    real = subalgebra._closure
+
+    def recording(members, fresh, partners, *ops):
+        fresh, partners = list(fresh), list(partners)
+        firsts.append((fresh, partners))
+        return real(members, fresh, partners, *ops)
+
+    monkeypatch.setattr(subalgebra, "_closure", recording)
+    enumerate_vn(x, q, "generated", 2)
+    monkeypatch.setattr(subalgebra, "_closure", real)
+    space = get_endospace(q, x)
+    # the masks of 284 of the 512 elements; the rows the parent cached, or fewer
+    assert len(space._comm) < space.size
+    assert len(space._join_rows) <= 156 and len(space._comp_rows) <= 158
+    # every closure pairs something in its first round, and there is one
+    # per cl(b) and per union whose parts do not nest: a union whose parts
+    # nest is its own closure, with no pair evaluated
+    single, unions = generated_walk_unions(space, 2)
+    nested = [(c, d) for c, d in unions if not (c & ~d and d & ~c)]
+    assert nested and len(firsts) == len(single) + len(unions) - len(nested)
+    assert all(fresh and partners for fresh, partners in firsts)
 
 
 def test_the_relation_self_test_builds_each_structure_map_once_per_carrier():

@@ -9,7 +9,11 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_relations, from_rels, maximal_cliques, subset_idempotent, support
+from oracles import (
+    all_relations, from_rels, generated_walk_unions, maximal_cliques, subset_idempotent,
+    support,
+)
+from qspec import subalgebra
 from qspec.checks import subset_joins
 from qspec.quantale import (
     Quantale, ZdfRequiredError, builtin_quantale, is_zdf, load_quantale,
@@ -23,7 +27,7 @@ from qspec.subalgebra import (
     EndoSpace, EnumerationBoundExceeded, InvariantViolation, Subsemialgebra, close,
     commutant, diagonal_algebra, enumerate_vn, get_endospace, is_von_neumann,
     primitive_idempotents, subunital_idempotents, support_projections,
-    trivial_algebra, tuple_getter, validate_decomposition, _bits, _poset_from_masks,
+    trivial_algebra, tuple_getter, validate_decomposition, _bits, _mask, _poset_from_masks,
 )
 
 BOOL2 = builtin_quantale("boolean2")
@@ -196,7 +200,7 @@ def star_commutation_seeds(space):
     elements, where i ~ j when j commutes with i and with i†."""
     pair = [space.comm_mask(i) & space.comm_mask(space.dag(i)) for i in range(space.size)]
     normal = sum(1 << i for i in range(space.size)
-                 if space.comp(i, space.dag(i)) == space.comp(space.dag(i), i))
+                 if space._comp_rows[i][space.dag(i)] == space._comp_rows[space.dag(i)][i])
     return maximal_cliques([m & ~(1 << i) for i, m in enumerate(pair)], normal)
 
 
@@ -378,7 +382,7 @@ def test_godel3_three_point_space_matches_the_oracles(monkeypatch):
 def assert_table_cells(space, pairs):
     q, els, idx = space.quantale, space.elements, space.index
     for i, j in pairs:
-        assert space.comp(i, j) == idx[_e_compose(q, els[i], els[j])]
+        assert space._comp_rows[i][j] == idx[_e_compose(q, els[i], els[j])]
         assert space.join(i, j) == idx[_e_join(q, els[i], els[j])]
 
 
@@ -399,7 +403,7 @@ def assert_scalar_line(space):
     assert space.scalar_line == sum(1 << i for i in set(line.values()))
     for i, a in enumerate(els):
         for s, si in line.items():
-            assert space.comp(si, i) == space.index[_e_scalar(q, s, a)]
+            assert space._comp_rows[si][i] == space.index[_e_scalar(q, s, a)]
 
 
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
@@ -424,7 +428,7 @@ def test_three_point_tables_match_on_random_pairs():
 def test_empty_carrier_space_has_one_element(q):
     space = get_endospace(q, carrier("E", 0))
     assert space.elements == [()] and space.zero_idx == space.id_idx == 0
-    assert (space.comp(0, 0), space.join(0, 0), space.dag(0)) == (0, 0, 0)
+    assert (space._comp_rows[0][0], space.join(0, 0), space.dag(0)) == (0, 0, 0)
     assert space.comm_mask(0) == space.full_mask == 1
     assert_scalar_line(space)
 
@@ -628,7 +632,7 @@ def test_enumerate_empty_carrier():
     # Hom(∅, ∅) has one element, the empty matrix, and no rows to look up
     x0 = carrier("X", 0)
     space = get_endospace(BOOL2, x0)
-    assert (space.comp(0, 0), space.join(0, 0), space.comm_mask(0)) == (0, 0, 1)
+    assert (space._comp_rows[0][0], space.join(0, 0), space.comm_mask(0)) == (0, 0, 1)
     poset = enumerate_vn(x0, BOOL2)
     assert [a.members for a in poset.algebras] == [((),)]
 
@@ -748,18 +752,24 @@ def test_generated_mode_matches_the_combination_oracle(q, n, k):
 def test_generated_mode_closes_only_star_commuting_sets(q, n, monkeypatch):
     # each union is grown by a normal element of the closure's commutant, so
     # every closure the walk makes is commutative; an incompatible union
-    # would close to a larger algebra that consider() then throws away
+    # would close to a larger algebra that consider() then throws away.  The
+    # recorder sits on the one closure routine, and it must see as many
+    # closures as the walk makes: one per cl(b), one per union whose two
+    # closed parts do not nest (nested parts are their own union's closure)
     space = get_endospace(q, carrier("X", n))
+    single, unions = generated_walk_unions(space, 2)
     made = []
-    real = EndoSpace.close_mask
+    real = subalgebra._closure
 
-    def recording(self, closed, seed):
-        made.append(real(self, closed, seed))
+    def recording(*args):
+        made.append(real(*args))
         return made[-1]
 
-    monkeypatch.setattr(EndoSpace, "close_mask", recording)
+    monkeypatch.setattr(subalgebra, "_closure", recording)
     enumerate_vn(carrier("X", n), q, "generated", 2)
-    assert made and all(space.is_commutative_mask(m) for m in made)
+    apart = [(c, d) for c, d in unions if c & ~d and d & ~c]
+    assert len(made) == len(single) + len(apart) > len(single)
+    assert all(space.is_commutative_mask(_mask(m)) for m in made)
 
 
 def test_generated_mode_with_no_generators_and_a_negative_count():
@@ -802,6 +812,52 @@ def test_closing_a_seed_onto_a_closed_part_is_the_full_closure(q):
         got = space.algebra_from_mask(space.close_mask(closed, seed)).member_set
         rels = [QRel(q, X2, X2, space.elements[i]) for i in gens + seed]
         assert got == oracle_closure(X2, rels, q), (gens, seed)
+
+
+@pytest.mark.parametrize("q, n", [(GODEL3, 2), (SWAP, 2), (LUK3, 2), (BOOL2, 3)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_a_union_of_two_closed_parts_closes_to_the_closure_of_the_union(q, n):
+    # only d∖c against c∖d can leave the union in the first round; the pairs
+    # are a sample of the unions generated mode closes, each both ways, and
+    # the scalar line with a closure, which nest
+    x = carrier("X", n)
+    space = get_endospace(q, x)
+    rng = random.Random(29)
+    _, unions = generated_walk_unions(space, 2)
+    apart = [(c, d) for c, d in unions if c & ~d and d & ~c]
+    line = space.close_mask(0, ())
+    pairs = rng.sample(apart, min(16, len(apart))) + [(line, unions[-1][1])]
+    assert len(pairs) > 4
+    for c, d in pairs:
+        rels = [QRel(q, x, x, space.elements[i]) for i in _bits(c | d)]
+        expected = space.mask_of(oracle_closure(x, rels, q))
+        assert space.close_union(c, d) == space.close_union(d, c) == expected
+
+
+@pytest.mark.parametrize("q, n", [(q, 2) for q in ORACLE_QUANTALES] + [(BOOL2, 3)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_normality_by_rows_is_the_commutation_mask_test(q, n):
+    space = get_endospace(q, carrier("X", n))
+    normal = [space.is_normal(i) for i in range(space.size)]
+    assert normal == [bool(space.comm_mask(i) >> space.dag(i) & 1)
+                      for i in range(space.size)]
+    assert True in normal and False in normal
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_the_early_exit_double_commutant_is_the_full_and(q):
+    space = get_endospace(q, X2)
+
+    def full(m):
+        return space.commutant_mask(space.commutant_mask(m))
+
+    algebras = [space.mask_of(a.members) for a in enumerate_vn(X2, q).algebras]
+    closures = [space.close_mask(0, (i,)) for i in range(space.size)]
+    not_vn = [m for m in closures if full(m) != m]
+    assert not_vn
+    for m in algebras + not_vn:
+        comm = space.commutant_mask(m)
+        assert space.double_commutant_mask(m) == space.double_commutant_mask(m, comm) == full(m)
 
 
 def test_enumeration_bound(monkeypatch):
