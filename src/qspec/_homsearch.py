@@ -17,8 +17,6 @@ the characters of an algebra are grown from those of a subalgebra (the
 Gelfand spectrum is a presheaf).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 

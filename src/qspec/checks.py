@@ -5,9 +5,6 @@ returns one result per named check; the CLI's exit status is the conjunction.
 Randomized properties draw from a seeded generator so reports are reproducible.
 """
 
-from __future__ import annotations
-
-import random
 from collections import namedtuple
 
 from qspec.quantale import is_zdf, verify_quantale
@@ -71,6 +68,7 @@ RELATION_CASES = 300  # random relation tuples relations_suite tests
 
 
 def relations_suite(q, seed):
+    import random  # here, not at start-up: four of the six commands draw nothing
     rng = random.Random(seed)
     sizes = [1, 2, 3]
     # the carriers and the maps on them, built once per size for this run
@@ -159,6 +157,7 @@ def algebras_suite(poset, seed):
         except InvariantViolation as exc:
             failures = [str(exc)]
         out.append(_verdict("decomposition", not failures, "; ".join(failures[:5])))
+    import random  # here, as in relations_suite
     rng = random.Random(seed)
     hom = list(poset.algebras[-1].relations())  # largest algebra as a sample pool
     triple_ok = mono_ok = True

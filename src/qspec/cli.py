@@ -6,13 +6,9 @@ configuration and seed (keys sorted, no timestamps), and the exit status is
 0 exactly when every invariant check in the run passed.
 """
 
-from __future__ import annotations
-
 import argparse
-import contextlib
 import errno
 import gc
-import json
 import os
 import sys
 
@@ -31,39 +27,46 @@ from qspec.zariski import (
 )
 
 
-def _parser():
+# The commands in usage order, each with its help line.
+_HELP = {
+    "check-quantale": "axiom report and calculus checks",
+    "algebras": "enumerate the von Neumann algebra poset",
+    "spectrum": "spectra of enumerated algebras",
+    "sections": "global sections of both presheaves",
+    "verdict": "the contextuality verdict",
+    "topology": "Zariski topologies and quotients",
+}
+
+
+def _parser(argv=()):
+    """The argument parser for argv.  When argv names a command, only that
+    command's subparser is built; otherwise all of them are, for the help
+    text and the invalid-choice error.  Either way the usage and help bytes
+    are those of the full parser."""
     p = argparse.ArgumentParser(
         prog="qspec",
         description="Verification engine for finite quantale-valued relation categories.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, size=True, enumeration=True):
+    named = bool(argv) and argv[0] in _HELP
+    # One subparser needs the full parser's metavar for the usage line.  All
+    # of them take none, so that an invalid choice names the argument "command".
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar="{" + ",".join(_HELP) + "}" if named else None)
+    for name in [argv[0]] if named else _HELP:
+        sp = sub.add_parser(name, help=_HELP[name])
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--quantale", help="builtin tag, e.g. boolean2, godel3, powerset2")
         src.add_argument("--file", help="path to a quantale definition document")
-        if size:
+        if name != "check-quantale":
             sp.add_argument("--size", type=int, default=2, help="carrier size |X|")
-        if enumeration:
             sp.add_argument("--mode", choices=["exhaustive", "generated"],
                             default="exhaustive")
             sp.add_argument("--max-generators", type=int, default=2)
         sp.add_argument("--format", choices=["text", "json", "dot"], default="text")
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
-
-    common(sub.add_parser("check-quantale", help="axiom report and calculus checks"),
-           size=False, enumeration=False)
-    common(sub.add_parser("algebras", help="enumerate the von Neumann algebra poset"))
-    sp = sub.add_parser("spectrum", help="spectra of enumerated algebras")
-    common(sp)
-    sp.add_argument("--algebra", default="all",
-                    help="trivial | diagonal | all | index of an enumerated algebra")
-    common(sub.add_parser("sections", help="global sections of both presheaves"))
-    common(sub.add_parser("verdict", help="the contextuality verdict"))
-    sp = sub.add_parser("topology", help="Zariski topologies and quotients")
-    common(sp)
-    sp.add_argument("--algebra", default="all",
-                    help="trivial | diagonal | all | index of an enumerated algebra")
+        if name in ("spectrum", "topology"):
+            sp.add_argument("--algebra", default="all",
+                            help="trivial | diagonal | all | index of an enumerated algebra")
     return p
 
 
@@ -121,7 +124,10 @@ def _check_output(args):
         _refuse_unwritable(args.out)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+try:  # CPython's C helper, which json.encoder itself uses
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _encode_str
 _STR, _INT = frozenset({str}), frozenset({int})
 
 
@@ -159,7 +165,10 @@ def _encode(o, nl, parts, write):  # nl is the newline and indent of o's line
                 _encode(v, inner, parts, write)
                 sep = "," + inner
             parts.append(nl + "]")
-    else:  # empty containers, floats and subclasses of int, as json writes them
+    elif isinstance(o, (dict, list, tuple)):  # empty
+        parts.append("{}" if isinstance(o, dict) else "[]")
+    else:  # floats and subclasses of int, as json writes them
+        import json
         parts.append(json.dumps(o))
     if len(parts) > 4096:
         write("".join(parts))
@@ -167,24 +176,31 @@ def _encode(o, nl, parts, write):  # nl is the newline and indent of o's line
 
 
 def _emit(report, args):
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        if args.format == "json":
-            _write_json(report, fh.write)
-        elif args.format == "dot":  # only algebras gets here: its poset as a dot graph
-            fh.write(report["poset"])
-        else:
-            lines = [f"qspec {report['command']}  ({report['config']})"]
-            for key, value in report.items():
-                if key in ("command", "config", "checks", "passed"):
-                    continue
-                lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
-            for c in report["checks"]:
-                mark = "PASS" if c["passed"] else "FAIL"
-                detail = f"  {c['details']}" if c["details"] else ""
-                lines.append(f"[{mark}] {c['name']}{detail}")
-            lines.append("result: " + ("ok" if report["passed"] else "FAILED"))
-            fh.write("\n".join(lines) + "\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_report(report, args.format, fh.write)
+    else:
+        _write_report(report, args.format, sys.stdout.write)
+
+
+def _write_report(report, fmt, write):
+    if fmt == "json":
+        _write_json(report, write)
+    elif fmt == "dot":  # only algebras gets here: its poset as a dot graph
+        write(report["poset"])
+    else:
+        import json
+        lines = [f"qspec {report['command']}  ({report['config']})"]
+        for key, value in report.items():
+            if key in ("command", "config", "checks", "passed"):
+                continue
+            lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
+        for c in report["checks"]:
+            mark = "PASS" if c["passed"] else "FAIL"
+            detail = f"  {c['details']}" if c["details"] else ""
+            lines.append(f"[{mark}] {c['name']}{detail}")
+        lines.append("result: " + ("ok" if report["passed"] else "FAILED"))
+        write("\n".join(lines) + "\n")
 
 
 def _config(args, q):
@@ -339,7 +355,9 @@ def main(argv=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _parser(argv).parse_args(argv)
         _check_output(args)
         q = _load_quantale(args)
         if hasattr(args, "size"):  # before a carrier is built

@@ -16,8 +16,6 @@ Brandenburger (New J. Phys. 13, 2011).  The generic constraint solver in
 ``qspec.csp`` is the tests' oracle for this search.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from qspec.quantale import is_zdf, require_zdf
@@ -189,8 +187,8 @@ def canonical_section(point, sheaf):
     for idx, dec in enumerate(poset.decompositions):
         owners = [i for i, pts in enumerate(dec.supports) if point in pts]
         if len(owners) != 1:
-            raise InvariantViolation(
-                f"carrier point {point!r} not in exactly one component of algebra {idx}")
+            raise InvariantViolation(f"A{idx}: carrier point {point!r} lies in "
+                                     f"{len(owners)} components, not exactly one")
         sr = dec.algebra.semiring()
         row = sr.mul[_member_index(dec, idx, dec.idempotents[owners[0]])]
         values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)

@@ -12,8 +12,6 @@ because the per-layer benchmark tracer (``perfbench/layer_trace.py``) names
 resolve.
 """
 
-from __future__ import annotations
-
 from collections import deque
 
 

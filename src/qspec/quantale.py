@@ -7,13 +7,10 @@ element.  All downstream machinery (relations, subalgebras, spectra) is
 parametrised by one of these.
 """
 
-from __future__ import annotations
-
 import itertools
-import json
 import re
-import string
 from collections import namedtuple
+from math import gcd
 
 from qspec._homsearch import TableSemiring, enumerate_homs
 
@@ -190,8 +187,14 @@ def load_quantale(doc):
 
 
 def load_quantale_file(path):
+    import json  # here only: a builtin tag needs no parser
     with open(path, "r", encoding="utf-8") as fh:
-        return load_quantale(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise QuantaleError(
+                f"parse error: {path!r} is not a JSON document: {exc}") from None
+    return load_quantale(doc)
 
 
 def quantale_to_doc(q):
@@ -279,12 +282,21 @@ def require_quantale(q):
 # -- built-in quantales ----------------------------------------------------------
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _chain_names(n):
     if n == 2:
         return ["0", "1"]
-    if n - 2 > len(string.ascii_lowercase):
+    if n - 2 > len(_LETTERS):
         raise QuantaleError(f"invalid parameter: chain size {n} too large")
-    return ["0"] + list(string.ascii_lowercase[: n - 2]) + ["1"]
+    return ["0"] + list(_LETTERS[: n - 2]) + ["1"]
+
+
+def _ratio(i, d):
+    """i/d in lowest terms, written as str(Fraction(i, d)) writes it."""
+    g = gcd(i, d)
+    return str(i // g) if g == d else f"{i // g}/{d // g}"
 
 
 def builtin_quantale(name, n=None):
@@ -311,8 +323,7 @@ def builtin_quantale(name, n=None):
     if name == "lukasiewicz_chain":
         if n is None or n < 2:
             raise QuantaleError("invalid parameter: lukasiewicz_chain needs n >= 2")
-        from fractions import Fraction  # not at the top: it loads decimal on every start
-        names = [str(Fraction(i, n - 1)) for i in range(n)]
+        names = [_ratio(i, n - 1) for i in range(n)]
         join = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
         mul = tuple(tuple(max(0, i + j - (n - 1)) for j in range(n)) for i in range(n))
         return Quantale(f"lukasiewicz{n}", names, join, mul, n - 1)

@@ -9,8 +9,6 @@ come with the usual structure maps, so the pointwise definitions can be
 cross-checked against their categorical composites.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from operator import getitem

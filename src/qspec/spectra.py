@@ -40,8 +40,6 @@ the object-level maps, which take the algebra and the target as arguments,
 stay as the public API and the tests' oracles.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 from functools import cached_property
@@ -201,11 +199,17 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
     point p of sup_spectrum.  A point of either kind restricts to its values
     at the positions of the smaller algebra's members.  edge, the poset
     indices (i, j) of the inclusion, only names it in the error."""
-    positions = _positions(sub_spectrum.algebra, sup_spectrum.algebra)
-    keys = map(tuple_getter(positions), sup_spectrum.points)
-    return _table(keys, sub_spectrum, lambda: (
-        f"restriction of a {sup_spectrum.kind} point escaped the spectrum"
-        + (f" (algebras {edge[0]} <= {edge[1]})" if edge else "")))
+    restrict = tuple_getter(_positions(sub_spectrum.algebra, sup_spectrum.algebra))
+    i, j = edge or (None, None)
+
+    def escaped():
+        point = next(p for p in sup_spectrum.points
+                     if restrict(p) not in sub_spectrum.point_index)
+        name, values = _named(sup_spectrum, point, j)
+        return (f"{name}: the restriction of {sup_spectrum.kind} point {values} to "
+                f"{_algebra_name(sub_spectrum.algebra, i)} is not a point of it")
+
+    return _table(map(restrict, sup_spectrum.points), sub_spectrum, escaped)
 
 
 def restriction_mismatch(poset, kind):
@@ -247,9 +251,12 @@ def _named(spectrum, point, index):
     """An algebra and one of its points, for an error: the algebra by its
     poset index (by its id when none is given), the point by its values in
     the target's labels."""
-    name = f"A{index}" if index is not None else f"algebra {spectrum.algebra.algebra_id}"
     labels = spectrum.target.elements
-    return name, f"({','.join(labels[v] for v in point)})"
+    return _algebra_name(spectrum.algebra, index), f"({','.join(labels[v] for v in point)})"
+
+
+def _algebra_name(algebra, index):
+    return f"A{index}" if index is not None else f"algebra {algebra.algebra_id}"
 
 
 def kernel_table(gelfand, prime, index=None):

@@ -15,8 +15,6 @@ zero-divisor-free quantale splits along its primitive subunital idempotents,
 which are recovered from the Boolean algebra of member supports.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import os

@@ -15,8 +15,6 @@ order, continuity monotonicity and a homeomorphism an order isomorphism.  The
 closed-set family is listed from the preorder only for the reports.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

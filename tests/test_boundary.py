@@ -143,8 +143,23 @@ def test_the_cli_starts_without_the_heavy_modules():
     loaded = subprocess.run([sys.executable, "-S", "-c", code, src], check=True,
                             capture_output=True, text=True).stdout.split()
     assert "qspec.cli" in loaded
-    heavy = {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
+    heavy = {"dataclasses", "inspect", "hashlib", "fractions", "decimal", "json",
+             "string", "__future__", "random", "contextlib"}
     assert heavy.isdisjoint(loaded)
+
+
+def test_a_lukasiewicz_run_loads_no_fractions(tmp_path):
+    # the chain's labels are reduced with math.gcd, not written by Fraction
+    src = str(Path(qspec.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from qspec.cli import main; "
+            "status = main(['check-quantale', '--quantale', 'lukasiewicz3', "
+            "'--out', sys.argv[2]]); print(status, ' '.join(sorted(sys.modules)))")
+    out = tmp_path / "report.txt"
+    status, *loaded = subprocess.run([sys.executable, "-S", "-c", code, src, str(out)],
+                                     check=True, capture_output=True,
+                                     text=True).stdout.split()
+    assert status == "0" and '"1/2"' in out.read_text()
+    assert {"fractions", "decimal"}.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("spectrum", [

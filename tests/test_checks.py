@@ -12,7 +12,8 @@ from qspec.checks import (
 )
 from qspec.quantale import AxiomReport, builtin_quantale, endomorphisms, verify_quantale
 from qspec.relations import QRel, carrier, diag_rel, zero_rel
-from qspec.spectra import restriction_mismatch
+from qspec.contextuality import build_presheaf, canonical_section
+from qspec.spectra import restriction_mismatch, restriction_table
 from qspec.subalgebra import InvariantViolation, Subsemialgebra, enumerate_vn
 from qspec.zariski import closed_family_from_basis
 
@@ -459,3 +460,37 @@ def test_a_lost_two_valued_character_fails_spectrum_over_zdf_scalars(monkeypatch
     labels = poset.quantale.elements
     rho = next(p for p in gelfand.points if ",".join(labels[v] for v in p) == named[2])
     assert gelfand.kernel_members(rho) not in set(map(prime.kernel_members, prime.points))
+
+
+# -- invariant violations name the algebra A{i} and the escaped point -------------
+
+
+def test_a_restriction_that_escapes_its_spectrum_names_both_algebras_and_the_point():
+    poset = enumerate_vn(X2, GODEL3)
+    i, j = poset.hasse[0]
+    values = poset.spectra("gelfand")
+    small = values[i]._replace(points=values[i].points[1:])  # loses its first point
+    with pytest.raises(InvariantViolation) as raised:
+        restriction_table(small, values[j], (i, j))
+    named = re.fullmatch(rf"A{j}: the restriction of gelfand point \((.*)\) to A{i} "
+                         r"is not a point of it", str(raised.value))
+    assert named, raised.value
+    labels = GODEL3.elements
+    point = next(p for p in values[j].points if ",".join(labels[v] for v in p) == named[1])
+    assert restriction_table(values[i], values[j], (i, j))[
+        values[j].point_index[point]] == 0  # the lost point's index
+
+
+def test_a_carrier_point_in_two_components_names_the_algebra():
+    poset = enumerate_vn(X2, GODEL3)
+    sheaf = build_presheaf(poset, "prime")
+    assert canonical_section("1", sheaf)
+    d = poset.diagonal_index
+    dec = poset.decompositions[d]
+    assert dec.supports == (("1",), ("2",))
+    decompositions = list(poset.decompositions)
+    decompositions[d] = dec._replace(supports=(("1",), ("1", "2")))
+    poset.__dict__["decompositions"] = tuple(decompositions)
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"A{d}: carrier point '1' lies in 2 components, not exactly one")):
+        canonical_section("1", sheaf)

@@ -72,6 +72,25 @@ def test_non_string_id_in_a_document_exits_two(tmp_path, capsys):
     assert "unknown element id ['1'] for unit" in err
 
 
+@pytest.mark.parametrize("text", ["{name: 'b2'}", "", "\xff"],
+                         ids=["not-json", "empty", "not-utf8"])
+def test_a_file_that_is_not_json_exits_two_naming_it(text, tmp_path, capsys):
+    path = tmp_path / "b2.json"
+    path.write_bytes(text.encode("latin-1"))
+    code, out, err = run_cli(capsys, "check-quantale", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qspec: error: parse error: {str(path)!r} is not a JSON document: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_missing_file_exits_two_naming_it(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "verdict", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("qspec: error: ") and repr(str(path)) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_broken_quantale_fails_with_exit_one(tmp_path, capsys):
     doc = {
         "name": "broken", "elements": ["0", "1"],
@@ -585,16 +604,18 @@ def cyclic_garbage_of(argv, capsys):
 
 def test_no_run_leaves_cycles_that_grow_with_its_input(capsys):
     # main pauses the collector because nothing it would free grows with the
-    # input: argparse's parser is the same at every size
-    runs = [(command, "boolean2", size) for size in ("2", "3") for command in ENUMERATING]
-    runs.append(("verdict", "godel3", "2"))
-    for command in ENUMERATING:  # warm up, so that no first-run import is counted
-        main([command, "--quantale", "boolean2", "--size", "2", "--format", "json"])
-    freed = {run: cyclic_garbage_of([run[0], "--quantale", run[1], "--size", run[2],
-                                     "--format", "json"], capsys) for run in runs}
-    freed["check-quantale"] = cyclic_garbage_of(
-        ["check-quantale", "--quantale", "boolean2", "--format", "json"], capsys)
-    assert len(set(freed.values())) == 1, freed
+    # input: each command's parser is the same at every size and quantale
+    runs = {command: [(command, "--quantale", "boolean2", "--size", size)
+                      for size in ("2", "3")] for command in ENUMERATING}
+    runs["verdict"].append(("verdict", "--quantale", "godel3", "--size", "2"))
+    runs["check-quantale"] = [("check-quantale", "--quantale", tag)
+                              for tag in ("boolean2", "godel3")]
+    for argvs in runs.values():  # warm up, so that no first-run import is counted
+        main([*argvs[0], "--format", "json"])
+    freed = {argv: cyclic_garbage_of([*argv, "--format", "json"], capsys)
+             for argvs in runs.values() for argv in argvs}
+    for command, argvs in runs.items():
+        assert len({freed[argv] for argv in argvs}) == 1, (command, freed)
 
 
 def _exit_one(monkeypatch):  # a Hasse edge that is no inclusion: a failed check
@@ -654,6 +675,43 @@ def test_an_argparse_exit_leaves_the_collector_as_the_caller_had_it(enabled, cap
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+PARSED = {  # an argv per command that sets every option it takes
+    "check-quantale": ["--quantale", "godel3", "--format", "json", "--seed", "3"],
+    **{command: ["--file", "q.json", "--size", "3", "--mode", "generated",
+                 "--max-generators", "1", "--out", "r.txt", "--seed", "4"]
+       for command in ("algebras", "sections", "verdict")},
+    **{command: ["--quantale", "boolean2", "--algebra", "diagonal", "--format", "json"]
+       for command in ("spectrum", "topology")},
+}
+
+
+@pytest.mark.parametrize("command", list(cli._HELP))
+def test_a_command_parser_parses_and_helps_as_the_full_one(command, capsys):
+    one, full = cli._parser([command]), cli._parser([])
+    argv = [command, *PARSED[command]]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert one.parse_args(argv[:3]) == full.parse_args(argv[:3])  # the defaults
+    assert one.format_usage() == full.format_usage()
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and f"usage: qspec {command} [-h]" in helps[0]
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["verdict", "--quantale", "boolean2", "--bogus"],
+                                  ["--help"], []])
+def test_argument_errors_and_help_are_the_full_parsers(argv, capsys):
+    written = []
+    for parse in (main, cli._parser([]).parse_args):
+        with pytest.raises(SystemExit) as exited:
+            parse(argv)
+        written.append((exited.value.code, capsys.readouterr()))
+    assert written[0] == written[1]
+    assert written[0][1].err or "positional arguments" in written[0][1].out
 
 
 def run_entry(*args, code=None):

@@ -1,6 +1,7 @@
 """Quantale loading, axiom checking, built-ins and endomorphisms."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,3 +399,9 @@ def test_parse_quantale_tag():
         parse_quantale_tag("frobenius9")
     with pytest.raises(QuantaleError):
         builtin_quantale("godel_chain", 1)
+
+
+def test_lukasiewicz_labels_are_the_grid_fractions():
+    for n in range(2, 65):
+        assert builtin_quantale("lukasiewicz_chain", n).elements == tuple(
+            str(Fraction(i, n - 1)) for i in range(n))
