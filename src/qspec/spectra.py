@@ -42,7 +42,7 @@ stay as the public API and the tests' oracles.
 
 from array import array
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 
 from qspec._homsearch import enumerate_homs
 from qspec.quantale import TWO, require_zdf, two_embedding, zdf_collapse
@@ -183,14 +183,15 @@ def restrict_prime(point, algebra, sub):
     return restrict_character(point, algebra, sub)
 
 
-def _table(keys, spectrum, escaped):
-    """The indices in spectrum of the points with the given keys, as an
-    unsigned array; a key outside the spectrum raises InvariantViolation
-    with the message escaped() returns."""
+def _table(points, f, spectrum, escaped):
+    """The indices in spectrum of f of each point, as an unsigned array; when
+    some f(point) is not in spectrum, InvariantViolation carries the message
+    escaped(point) returns for the first such point."""
+    index = spectrum.point_index
     try:
-        return array(_typecode(spectrum.size), map(spectrum.point_index.__getitem__, keys))
+        return array(_typecode(spectrum.size), map(index.__getitem__, map(f, points)))
     except KeyError:
-        raise InvariantViolation(escaped()) from None
+        raise InvariantViolation(escaped(next(p for p in points if f(p) not in index))) from None
 
 
 def restriction_table(sub_spectrum, sup_spectrum, edge=None):
@@ -202,14 +203,12 @@ def restriction_table(sub_spectrum, sup_spectrum, edge=None):
     restrict = tuple_getter(_positions(sub_spectrum.algebra, sup_spectrum.algebra))
     i, j = edge or (None, None)
 
-    def escaped():
-        point = next(p for p in sup_spectrum.points
-                     if restrict(p) not in sub_spectrum.point_index)
+    def escaped(point):
         name, values = _named(sup_spectrum, point, j)
         return (f"{name}: the restriction of {sup_spectrum.kind} point {values} to "
                 f"{_algebra_name(sub_spectrum.algebra, i)} is not a point of it")
 
-    return _table(map(restrict, sup_spectrum.points), sub_spectrum, escaped)
+    return _table(sup_spectrum.points, restrict, sub_spectrum, escaped)
 
 
 def restriction_mismatch(poset, kind):
@@ -225,7 +224,7 @@ def restriction_mismatch(poset, kind):
 # -- comparison maps between the spectra ----------------------------------------------
 
 
-def _then(values, f):
+def _then(f, values):
     """A point's values followed by the quantale map f."""
     mapping = f.mapping
     return tuple([mapping[v] for v in values])  # tuple(map(...)) is slower here
@@ -236,7 +235,7 @@ def character_kernel(rho, algebra, target):
     sends to bottom: rho followed by the collapse of target onto TWO (ZDF
     scalars)."""
     require_zdf(algebra.quantale, "the kernel comparison map")
-    return _then(rho, zdf_collapse(target))
+    return _then(zdf_collapse(target), rho)
 
 
 def character_from_prime(gamma, algebra):
@@ -244,7 +243,7 @@ def character_from_prime(gamma, algebra):
     character into TWO: gamma followed by the unique quantale embedding of
     TWO into the scalars.  The embedding is a quantale map whatever the
     scalars, so zero divisors do no harm here."""
-    return _then(gamma, two_embedding(algebra.quantale))
+    return _then(two_embedding(algebra.quantale), gamma)
 
 
 def _named(spectrum, point, index):
@@ -263,26 +262,21 @@ def kernel_table(gelfand, prime, index=None):
     """The kernel map of one algebra as an index table: cell r is the index
     in prime of the kernel of character r.  index, the algebra's poset
     index, only names it in the error."""
-    collapse = zdf_collapse(gelfand.algebra.quantale)
-
-    def escaped():
-        rho = next(p for p in gelfand.points if _then(p, collapse) not in prime.point_index)
+    collapse = partial(_then, zdf_collapse(gelfand.algebra.quantale))
+    def escaped(rho):
         name, values = _named(gelfand, rho, index)
         return f"{name}: the kernel of character {values} is not a prime point"
 
-    return _table((_then(p, collapse) for p in gelfand.points), prime, escaped)
+    return _table(gelfand.points, collapse, prime, escaped)
 
 
 def indicator_table(prime, gelfand, index=None):
     """The indicator map of one algebra as an index table: cell p is the
     index in gelfand of the indicator character of prime ideal p.  index,
     the algebra's poset index, only names it in the error."""
-    def indicator(p):
-        return character_from_prime(p, prime.algebra)
-
-    def escaped():
-        gamma = next(p for p in prime.points if indicator(p) not in gelfand.point_index)
+    indicator = partial(character_from_prime, algebra=prime.algebra)
+    def escaped(gamma):
         name, values = _named(prime, gamma, index)
         return f"{name}: the indicator of prime point {values} is not a character"
 
-    return _table(map(indicator, prime.points), gelfand, escaped)
+    return _table(prime.points, indicator, gelfand, escaped)

@@ -21,8 +21,8 @@ import os
 import sys
 from array import array
 from collections import namedtuple
-from functools import cached_property, partial
-from operator import itemgetter
+from functools import cached_property, partial, reduce
+from operator import and_, itemgetter
 
 from qspec._homsearch import TableSemiring
 from qspec.quantale import require_quantale, require_zdf
@@ -641,10 +641,10 @@ def get_endospace(q, x):
 
 
 class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
-                                              "max_generators leq_pairs hasse")):
-    """Inclusion poset of enumerated algebras with covering edges: leq_pairs
-    holds (i, j) when algebra i is included in algebra j, hasse the covering
-    pairs among them; max_generators is None in exhaustive mode."""
+                                              "max_generators hasse")):
+    """Inclusion poset of enumerated algebras, stored as its covering pairs
+    (i, j), algebra i covered by algebra j, with i < j: the algebras are
+    sorted by size.  max_generators is None in exhaustive mode."""
 
     @property
     def complete(self):
@@ -652,10 +652,7 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         return self.mode == "exhaustive"
 
     def index_of(self, algebra):
-        for i, a in enumerate(self.algebras):
-            if a.members == algebra.members:
-                return i
-        return None
+        return next((i for i, a in enumerate(self.algebras) if a.members == algebra.members), None)
 
     @cached_property
     def predecessors(self):
@@ -681,15 +678,19 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         """The spectrum of one kind ("gelfand" or "prime") of every algebra, in
         poset order; computed once per poset.  Each Gelfand spectrum extends
         the characters of its algebra's predecessor; each prime spectrum is
-        read off its algebra's Gelfand spectrum."""
+        read off its algebra's Gelfand spectrum.  An algebra found unclosed
+        is named in the InvariantViolation."""
         memo = self.__dict__.setdefault("_spectra", {})
         if kind not in memo:
             from qspec import spectra  # spectra imports this module
             if kind == "gelfand":
                 out = []
-                for a, p in zip(self.algebras, self.predecessors):
+                for i, (a, p) in enumerate(zip(self.algebras, self.predecessors)):
                     below = None if p is None else (self.algebras[p], out[p].points)
-                    out.append(spectra.gelfand_spectrum(a, below))
+                    try:  # an unclosed algebra has no semiring tables to search
+                        out.append(spectra.gelfand_spectrum(a, below))
+                    except InvariantViolation as exc:
+                        raise InvariantViolation(f"A{i}: {exc}") from exc
                 memo[kind] = tuple(out)
             elif kind == "prime":
                 memo[kind] = tuple(map(spectra.prime_spectrum, self.spectra("gelfand")))
@@ -743,6 +744,15 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         return tuple(out)
 
     @cached_property
+    def leq_pairs(self):
+        """The inclusion pairs (i, j), for the report that lists them: hasse's
+        reflexive and transitive closure, in one pass from the top (edges go up)."""
+        up = [1 << i for i in range(len(self.algebras))]
+        for i, j in sorted(self.hasse, reverse=True):
+            up[i] |= up[j]
+        return frozenset((i, j) for i, mask in enumerate(up) for j in _bits(mask))
+
+    @cached_property
     def trivial_index(self):
         return self.index_of(trivial_algebra(self.carrier, self.quantale))
 
@@ -776,43 +786,38 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
 
     def to_dot(self):
         lines = ["digraph algebras {", "  rankdir=BT;"]
-        for i, a in enumerate(self.algebras):
-            lines.append(f'  A{i} [label="A{i}\\n{a.size} members\\n{a.algebra_id}"];')
-        for i, j in self.hasse:
-            lines.append(f"  A{i} -> A{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += (f'  A{i} [label="A{i}\\n{a.size} members\\n{a.algebra_id}"];'
+                  for i, a in enumerate(self.algebras))
+        lines += (f"  A{i} -> A{j};" for i, j in self.hasse)
+        return "\n".join(lines) + "\n}\n"
 
 
 def _poset_from_masks(space, masks, mode, max_generators):
     """The inclusion poset of the algebras with the given member masks.
     Each algebra gets the bitset of the algebras strictly above it: the AND,
-    over its members, of the algebras holding that member, less itself.  Its
-    covers are the algebras above it that are above no other one that is."""
+    over its members (it has some), of the algebras holding that member,
+    less itself.  Its covers are peeled off that bitset: record the lowest
+    algebra j left, then drop j and all above it.  Algebras are sorted by
+    size, so inclusions go up in index, and any k strictly between i and j
+    is below j in index and still left (no recorded cover and above none,
+    or j would be gone): so j is a cover.  A dropped algebra is a recorded
+    cover or above one, so no cover is lost, and they come in ascending j."""
     pairs = sorted(((space.algebra_from_mask(m), m) for m in masks),
                    key=lambda p: (p[0].size, p[0].members))
     holding = {}  # Hom(X, X) index -> bitset of the algebras containing it
     for i, (_, m) in enumerate(pairs):
         for e in _bits(m):
             holding[e] = holding.get(e, 0) | 1 << i
-    everything = (1 << len(pairs)) - 1
-    above = []  # strictly larger algebras containing algebra i
-    for i, (_, m) in enumerate(pairs):
-        up = everything
-        for e in _bits(m):
-            up &= holding[e]
-        above.append(up & ~(1 << i))
-    leq, hasse = set(), []
-    for i, up in enumerate(above):
-        ups = list(_bits(up))
-        leq.add((i, i))
-        leq.update((i, j) for j in ups)
-        higher = 0
-        for j in ups:
-            higher |= above[j]
-        hasse.extend((i, j) for j in _bits(up & ~higher))
+    above = [reduce(and_, map(holding.__getitem__, _bits(m))) & ~(1 << i)
+             for i, (_, m) in enumerate(pairs)]
+    hasse = []
+    for i, rest in enumerate(above):
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            hasse.append((i, j))
+            rest &= ~(above[j] | 1 << j)
     return AlgebraPoset(space.quantale, space.carrier, tuple(a for a, _ in pairs), mode,
-                        max_generators, frozenset(leq), tuple(hasse))
+                        max_generators, tuple(hasse))
 
 
 def enumerate_vn(x, q, mode="exhaustive", max_generators=2):

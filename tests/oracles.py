@@ -133,3 +133,23 @@ def generated_walk_unions(space, k):
                         known |= {u, cl}
         level = fresh
     return list(single), unions
+
+
+def inclusion_order(algebras):
+    """The inclusion pairs (i, j), i ⊆ j, and the covering pairs of the given
+    algebras: the covers of an algebra are the algebras above it that are
+    above no other one that is.  Inclusion is read off one bitset per
+    algebra over the union of their members, with no call into qspec's
+    poset builder."""
+    place = {m: k for k, m in enumerate({m for a in algebras for m in a.members})}
+    bits = [sum(1 << place[m] for m in a.members) for a in algebras]
+    above = [sum(1 << j for j, b in enumerate(bits) if j != i and a & ~b == 0)
+             for i, a in enumerate(bits)]
+    leq, hasse = set(), []
+    for i, up in enumerate(above):
+        leq.update((i, j) for j in [i, *_bits(up)])
+        higher = 0
+        for j in _bits(up):
+            higher |= above[j]
+        hasse.extend((i, j) for j in _bits(up & ~higher))
+    return frozenset(leq), tuple(hasse)

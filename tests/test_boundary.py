@@ -33,7 +33,7 @@ from qspec.contextuality import Verdict
 from qspec.quantale import AxiomReport, builtin_quantale
 from qspec.relations import FiniteSet, carrier, identity_rel
 from qspec.spectra import gelfand_spectrum, prime_spectrum
-from qspec.subalgebra import diagonal_algebra, enumerate_vn
+from qspec.subalgebra import AlgebraPoset, diagonal_algebra, enumerate_vn
 from test_layer_trace import load_layer_trace
 
 QSPEC_MODULES = sorted(f"qspec.{m.name}" for m in pkgutil.iter_modules(qspec.__path__))
@@ -181,6 +181,8 @@ def test_records_store_no_derivable_flag():
     assert AxiomReport._fields == ("violations",)
     # contextual, zdf and notes are read from the sections
     assert {"contextual", "zdf", "notes"}.isdisjoint(Verdict._fields)
+    # the inclusion order is the closure of the Hasse edges, derived on demand
+    assert "leq_pairs" not in AlgebraPoset._fields
 
 
 def test_points_and_relations_carry_no_instance_dict():

@@ -325,9 +325,7 @@ def test_section_element_requires_the_diagonal():
     sheaf = build_presheaf(poset, "prime")
     pruned_algebras = tuple(a for i, a in enumerate(poset.algebras)
                             if i != poset.diagonal_index)
-    smaller = poset._replace(
-        algebras=pruned_algebras,
-        leq_pairs=frozenset((i, j) for (i, j) in [] ), hasse=())
+    smaller = poset._replace(algebras=pruned_algebras, hasse=())
     small_sheaf = build_presheaf(smaller, "prime")
     with pytest.raises(InvariantViolation, match="diagonal"):
         section_element(tuple(0 for _ in pruned_algebras), small_sheaf)
@@ -340,7 +338,7 @@ def test_section_element_rejects_components_without_a_common_point():
     x3 = carrier("X", 3)
     split = close(x3, [subset_idempotent(BOOL2, x3, pts) for pts in (["1"], ["2", "3"])])
     poset = AlgebraPoset(BOOL2, x3, (split, diagonal_algebra(x3, BOOL2)), "exhaustive",
-                         None, frozenset({(0, 0), (1, 1), (0, 1)}), ((0, 1),))
+                         None, ((0, 1),))
     sheaf = build_presheaf(poset, "prime")
     at_1, at_2 = (canonical_section(p, sheaf) for p in ("1", "2"))
     assert section_element(at_2, sheaf) == "2"

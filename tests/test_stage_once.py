@@ -9,8 +9,11 @@ check, and lists the endomorphisms once.  The supports of each algebra are
 scanned once, and each algebra looks its members up in Hom(X, X) once.  The
 relation self-test builds each structure map once per carrier, not once per
 case.  Generated mode builds only the commutation masks and table rows it
-reads, and evaluates no pair for a union whose two closed parts nest."""
+reads, and evaluates no pair for a union whose two closed parts nest.  Only
+the ``algebras`` report derives the inclusion order from the Hasse edges,
+once."""
 
+import functools
 import importlib
 import pkgutil
 
@@ -76,6 +79,30 @@ def test_each_stage_runs_once_per_run(command, tag, monkeypatch, capsys):
     assert calls == {"verify_quantale": 1, "endomorphisms": 0,
                      "restriction_table": tables * len(poset.hasse),
                      "enumerate_homs": searches}
+
+
+@pytest.mark.parametrize("tag, size", [("boolean2", "3"), ("godel4", "2")])
+@pytest.mark.parametrize("command", ["algebras", "spectrum", "sections", "verdict",
+                                     "topology"])
+def test_only_the_algebras_report_derives_the_inclusions(command, tag, size, monkeypatch,
+                                                         capsys):
+    posets, derived = [], []
+
+    def recording(original):
+        def recorded(*args, **kwargs):
+            posets.append(original(*args, **kwargs))
+            return posets[-1]
+        return recorded
+
+    wrap_everywhere(monkeypatch, "subalgebra", "enumerate_vn", recording)
+    closure = subalgebra.AlgebraPoset.leq_pairs.func
+    counted = functools.cached_property(lambda poset: derived.append(1) or closure(poset))
+    counted.__set_name__(subalgebra.AlgebraPoset, "leq_pairs")
+    monkeypatch.setattr(subalgebra.AlgebraPoset, "leq_pairs", counted)
+    run(command, tag, capsys, "--size", size)
+    [poset] = posets
+    assert ("leq_pairs" in poset.__dict__) == (command == "algebras")
+    assert len(derived) == (command == "algebras")
 
 
 @pytest.mark.parametrize("tag", ["godel3", "lukasiewicz3"])

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    all_relations, from_rels, generated_walk_unions, maximal_cliques, subset_idempotent,
-    support,
+    all_relations, from_rels, generated_walk_unions, inclusion_order, maximal_cliques,
+    subset_idempotent, support,
 )
 from qspec import subalgebra
 from qspec.checks import subset_joins
@@ -719,6 +719,19 @@ def test_poset_order_and_hasse():
         reduction = sorted((i, j) for (i, j) in proper
                            if not any((i, k) in proper and (k, j) in proper for k in range(n)))
         assert list(poset.hasse) == reduction
+
+
+@pytest.mark.parametrize("tag, n, mode, k", [
+    ("godel5", 2, "exhaustive", None), ("lukasiewicz4", 2, "exhaustive", None),
+    ("boolean2", 3, "generated", 3)], ids=str)
+def test_poset_order_matches_the_member_set_oracle(tag, n, mode, k):
+    # past the pairwise oracle's reach: the order and its covers as the
+    # member-set bitsets give them, against the peeled covers and the
+    # inclusions derived from them
+    poset = enumerate_vn(carrier("X", n), parse_quantale_tag(tag), mode, k)
+    leq, hasse = inclusion_order(poset.algebras)
+    assert poset.hasse == hasse
+    assert poset.leq_pairs == leq
 
 
 def test_generated_mode_is_a_sound_subset():
