@@ -2,10 +2,10 @@
 and contextuality verdicts, all machine-checked at desk scale."""
 
 from qspec.quantale import (
-    AxiomReport, Quantale, QuantaleError, RigHom, ZdfRequiredError,
-    builtin_quantale, endomorphisms, is_zdf, load_quantale, load_quantale_file,
-    parse_quantale_tag, quantale_to_doc, rig_homs, two_embedding,
-    verify_quantale, zdf_collapse, zdf_witness,
+    AxiomReport, InvariantViolation, Quantale, QuantaleError, RigHom,
+    ZdfRequiredError, builtin_quantale, endomorphisms, is_zdf, load_quantale,
+    load_quantale_file, parse_quantale_tag, quantale_to_doc, rig_homs,
+    two_embedding, verify_quantale, zdf_collapse, zdf_witness,
 )
 from qspec.relations import (
     FiniteSet, QRel, add, add_via_biproduct, carrier, compose, dagger, diag_rel,
@@ -13,9 +13,9 @@ from qspec.relations import (
     zero_rel,
 )
 from qspec.subalgebra import (
-    AlgebraPoset, Decomposition, EnumerationBoundExceeded, InvariantViolation,
-    MixedAmbientError, Subsemialgebra, close, commutant, diagonal_algebra,
-    enumerate_vn, is_von_neumann, primitive_idempotents, subunital_idempotents,
+    AlgebraPoset, Decomposition, EnumerationBoundExceeded, MixedAmbientError,
+    Subsemialgebra, close, commutant, diagonal_algebra, enumerate_vn,
+    is_von_neumann, primitive_idempotents, subunital_idempotents,
     trivial_algebra, validate_decomposition,
 )
 from qspec.spectra import (

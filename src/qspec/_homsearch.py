@@ -17,7 +17,9 @@ the characters of an algebra are grown from those of a subalgebra (the
 Gelfand spectrum is a presheaf).
 """
 
+from array import array
 from collections import namedtuple
+from operator import itemgetter
 
 
 class TableSemiring(namedtuple("TableSemiring", "size add mul star zero one")):
@@ -26,6 +28,22 @@ class TableSemiring(namedtuple("TableSemiring", "size add mul star zero one")):
     the involute, zero and one are the indices of the units."""
 
     __slots__ = ()
+
+
+def _typecode(limit):
+    """The narrowest array typecode holding every index below limit."""
+    return next(c for c in "BHIL" if 256 ** array(c).itemsize >= limit)
+
+
+def tuple_getter(keys):
+    """A function giving the items of its argument at the given keys, as a
+    tuple.  For two or more keys it is operator.itemgetter, which gathers in
+    C; that yields a bare item for one key and takes no empty key list, so
+    those two cases get a tuple of their own."""
+    keys = tuple(keys)
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda values: tuple(values[k] for k in keys)
 
 
 def enumerate_homs(src: TableSemiring, dst: TableSemiring, fixed=(), bases=((),)):

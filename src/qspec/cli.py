@@ -15,27 +15,14 @@ import sys
 from qspec import checks
 from qspec.contextuality import ks_verdict
 from qspec.quantale import (
-    QuantaleError, endomorphisms, is_zdf, load_quantale_file, parse_quantale_tag,
-    quantale_to_doc, require_quantale, verify_quantale, zdf_witness,
+    InvariantViolation, QuantaleError, endomorphisms, is_zdf, load_quantale_file,
+    parse_quantale_tag, quantale_to_doc, require_quantale, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
-from qspec.subalgebra import (
-    EnumerationBoundExceeded, InvariantViolation, enumerate_vn, require_hom_bound,
-)
+from qspec.subalgebra import EnumerationBoundExceeded, enumerate_vn, require_hom_bound
 from qspec.zariski import (
     separation_report, topology_to_json, zariski_quotient, zariski_topology,
 )
-
-
-# The commands in usage order, each with its help line.
-_HELP = {
-    "check-quantale": "axiom report and calculus checks",
-    "algebras": "enumerate the von Neumann algebra poset",
-    "spectrum": "spectra of enumerated algebras",
-    "sections": "global sections of both presheaves",
-    "verdict": "the contextuality verdict",
-    "topology": "Zariski topologies and quotients",
-}
 
 
 def _parser(argv=()):
@@ -46,13 +33,13 @@ def _parser(argv=()):
     p = argparse.ArgumentParser(
         prog="qspec",
         description="Verification engine for finite quantale-valued relation categories.")
-    named = bool(argv) and argv[0] in _HELP
+    named = bool(argv) and argv[0] in _COMMANDS
     # One subparser needs the full parser's metavar for the usage line.  All
     # of them take none, so that an invalid choice names the argument "command".
     sub = p.add_subparsers(dest="command", required=True,
-                           metavar="{" + ",".join(_HELP) + "}" if named else None)
-    for name in [argv[0]] if named else _HELP:
-        sp = sub.add_parser(name, help=_HELP[name])
+                           metavar="{" + ",".join(_COMMANDS) + "}" if named else None)
+    for name in [argv[0]] if named else _COMMANDS:
+        sp = sub.add_parser(name, help=_COMMANDS[name][0])
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--quantale", help="builtin tag, e.g. boolean2, godel3, powerset2")
         src.add_argument("--file", help="path to a quantale definition document")
@@ -336,13 +323,14 @@ def _cmd_topology(args, q):
     return {"topologies": data}, checks.topology_suite(poset)
 
 
+# The commands in usage order, each with its help line and its handler.
 _COMMANDS = {
-    "check-quantale": _cmd_check_quantale,
-    "algebras": _cmd_algebras,
-    "spectrum": _cmd_spectrum,
-    "sections": _cmd_sections,
-    "verdict": _cmd_verdict,
-    "topology": _cmd_topology,
+    "check-quantale": ("axiom report and calculus checks", _cmd_check_quantale),
+    "algebras": ("enumerate the von Neumann algebra poset", _cmd_algebras),
+    "spectrum": ("spectra of enumerated algebras", _cmd_spectrum),
+    "sections": ("global sections of both presheaves", _cmd_sections),
+    "verdict": ("the contextuality verdict", _cmd_verdict),
+    "topology": ("Zariski topologies and quotients", _cmd_topology),
 }
 
 
@@ -364,7 +352,7 @@ def main(argv=None):
             if q.size == 1:  # passes every bound (1^(n·n) = 1), fails non-trivial
                 require_quantale(q)
             require_hom_bound(q, args.size)
-        body, results = _COMMANDS[args.command](args, q)
+        body, results = _COMMANDS[args.command][1](args, q)
         report = {"command": args.command, "config": _config(args, q), **body,
                   "checks": [c._asdict() for c in results],
                   "passed": all(c.passed for c in results)}

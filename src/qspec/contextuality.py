@@ -18,9 +18,9 @@ Brandenburger (New J. Phys. 13, 2011).  The generic constraint solver in
 
 from collections import namedtuple
 
-from qspec.quantale import is_zdf, require_zdf
+from qspec.quantale import InvariantViolation, is_zdf, require_zdf
 from qspec.spectra import TWO
-from qspec.subalgebra import InvariantViolation, _bits, enumerate_vn
+from qspec.subalgebra import _bits, enumerate_vn
 
 
 class Presheaf(namedtuple("Presheaf", "poset kind values restrictions")):

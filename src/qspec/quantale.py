@@ -23,6 +23,10 @@ class ZdfRequiredError(ValueError):
     """An operation needed a zero-divisor-free quantale and did not get one."""
 
 
+class InvariantViolation(RuntimeError):
+    """A structural guarantee failed; signals an upstream bug."""
+
+
 class Quantale:
     """Finite involutive commutative quantale.
 
@@ -73,15 +77,6 @@ class Quantale:
             return self._index[element_id]
         except KeyError:
             raise QuantaleError(f"unknown element id {element_id!r} in quantale {self.name!r}") from None
-
-    def join(self, i, j):
-        return self.join_table[i][j]
-
-    def mul(self, i, j):
-        return self.mul_table[i][j]
-
-    def inv(self, i):
-        return self.involution[i]
 
     def leq(self, i, j):
         return self.join_table[i][j] == j
@@ -256,11 +251,11 @@ def zdf_witness(q):
     """A pair of non-bottom elements multiplying to bottom, or None; the table
     is scanned once per quantale and the answer stored on it."""
     if "_zdf_witness" not in q.__dict__:
-        b = q.bottom
+        b, mul = q.bottom, q.mul_table
         q.__dict__["_zdf_witness"] = next(
             ((q.elements[x], q.elements[y])
              for x, y in itertools.product(range(q.size), repeat=2)
-             if b not in (x, y) and q.mul(x, y) == b), None)
+             if b not in (x, y) and mul[x][y] == b), None)
     return q.__dict__["_zdf_witness"]
 
 

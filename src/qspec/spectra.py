@@ -44,9 +44,8 @@ from array import array
 from collections import namedtuple
 from functools import cached_property, partial
 
-from qspec._homsearch import enumerate_homs
-from qspec.quantale import TWO, require_zdf, two_embedding, zdf_collapse
-from qspec.subalgebra import InvariantViolation, _typecode, tuple_getter
+from qspec._homsearch import _typecode, enumerate_homs, tuple_getter
+from qspec.quantale import TWO, InvariantViolation, require_zdf, two_embedding, zdf_collapse
 
 
 class SpectrumSet(namedtuple("SpectrumSet", "algebra kind points")):
@@ -176,11 +175,9 @@ def restrict_character(rho, algebra, sub):
     return tuple(map(rho.__getitem__, _positions(sub, algebra)))
 
 
-def restrict_prime(point, algebra, sub):
-    """Pull a prime point of algebra back along an inclusion: the preimage of
-    its ideal, the intersection with sub, is the kernel of the restricted
-    character."""
-    return restrict_character(point, algebra, sub)
+# Pull a prime point of algebra back along an inclusion: the preimage of its
+# ideal, the intersection with sub, is the kernel of the restricted character.
+restrict_prime = restrict_character
 
 
 def _table(points, f, spectrum, escaped):

@@ -22,10 +22,11 @@ import sys
 from array import array
 from collections import namedtuple
 from functools import cached_property, partial, reduce
-from operator import and_, itemgetter
+from operator import and_
 
-from qspec._homsearch import TableSemiring
-from qspec.quantale import require_quantale, require_zdf
+from qspec import spectra
+from qspec._homsearch import TableSemiring, _typecode, tuple_getter
+from qspec.quantale import InvariantViolation, require_quantale, require_zdf
 from qspec.relations import (
     QRel, diag_rel, identity_rel, zero_rel,
     _e_compose, _e_dagger, _e_join, _e_scalar,
@@ -41,10 +42,6 @@ class MixedAmbientError(ValueError):
 
 class EnumerationBoundExceeded(RuntimeError):
     """The endomorphism space is larger than the configured bound."""
-
-
-class InvariantViolation(RuntimeError):
-    """A structural guarantee failed; signals an upstream bug."""
 
 
 def hom_bound():
@@ -138,7 +135,7 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
         try:
             sr = TableSemiring(
                 size=len(idx), add=table(space._join_rows), mul=table(space._comp_rows),
-                star=tuple_getter(map(space.dag, idx))(pos),
+                star=tuple_getter(at_members(space.dag_t))(pos),
                 zero=pos[space.zero_idx], one=pos[space.id_idx])
         except KeyError:
             raise InvariantViolation("algebra is not closed under its operations")
@@ -375,22 +372,6 @@ def _mask(indices):
     return m
 
 
-def _typecode(limit):
-    """The narrowest array typecode holding every index below limit."""
-    return next(c for c in "BHIL" if 256 ** array(c).itemsize >= limit)
-
-
-def tuple_getter(keys):
-    """A function giving the items of its argument at the given keys, as a
-    tuple.  For two or more keys it is operator.itemgetter, which gathers in
-    C; that yields a bare item for one key and takes no empty key list, so
-    those two cases get a tuple of their own."""
-    keys = tuple(keys)
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    return lambda values: tuple(values[k] for k in keys)
-
-
 class _Rows(dict):
     """Values made on first use by one function of their key: table rows,
     supports, the closures that generated mode reuses, and the rows of an
@@ -539,9 +520,6 @@ class EndoSpace:
     def join(self, i, j):
         return self._join_rows[i][j]
 
-    def dag(self, i):
-        return self.dag_t[i]
-
     def comm_mask(self, i):
         return self._comm[i]
 
@@ -577,7 +555,7 @@ class EndoSpace:
         return mask & ~self.commutant_mask(mask) == 0
 
     def is_star_mask(self, mask):
-        return all(mask >> self.dag(i) & 1 for i in _bits(mask))
+        return all(mask >> self.dag_t[i] & 1 for i in _bits(mask))
 
     def is_normal(self, i):
         """Whether i∘i† == i†∘i, one row k at a time: row k of i∘i† is the
@@ -662,12 +640,11 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         comes first.  Every spectrum and restriction table is built along the
         Hasse edges after this, so a Hasse edge that is not an inclusion, a
         broken enumeration, is caught here: InvariantViolation names it."""
-        from qspec.spectra import _positions  # spectra imports this module
         best = [None] * len(self.algebras)
         size = [a.size for a in self.algebras]
         for i, j in self.hasse:
             try:
-                _positions(self.algebras[i], self.algebras[j])
+                spectra._positions(self.algebras[i], self.algebras[j])
             except ValueError as exc:
                 raise InvariantViolation(f"A{j}: Hasse edge ({i}, {j}): {exc}") from None
             if best[j] is None or size[i] > size[best[j]]:
@@ -682,7 +659,6 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         is named in the InvariantViolation."""
         memo = self.__dict__.setdefault("_spectra", {})
         if kind not in memo:
-            from qspec import spectra  # spectra imports this module
             if kind == "gelfand":
                 out = []
                 for i, (a, p) in enumerate(zip(self.algebras, self.predecessors)):
@@ -705,9 +681,8 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         to the map of every inclusion.  Computed once per poset."""
         memo = self.__dict__.setdefault("_restrictions", {})
         if kind not in memo:
-            from qspec.spectra import restriction_table
             values = self.spectra(kind)
-            memo[kind] = {(i, j): restriction_table(values[i], values[j], (i, j))
+            memo[kind] = {(i, j): spectra.restriction_table(values[i], values[j], (i, j))
                           for i, j in self.hasse}
         return memo[kind]
 
@@ -718,7 +693,6 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         The kernel map needs zero-divisor-free scalars."""
         memo = self.__dict__.setdefault("_comparisons", {})
         if name not in memo:
-            from qspec import spectra
             gelfands, primes = self.spectra("gelfand"), self.spectra("prime")
             indices = range(len(self.algebras))  # each table names its algebra A{i}
             if name == "kernel":
@@ -746,11 +720,12 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
     @cached_property
     def leq_pairs(self):
         """The inclusion pairs (i, j), for the report that lists them: hasse's
-        reflexive and transitive closure, in one pass from the top (edges go up)."""
+        reflexive and transitive closure, in one pass from the top (edges go
+        up).  Each up-set is read lowest bit first, so the pairs ascend."""
         up = [1 << i for i in range(len(self.algebras))]
         for i, j in sorted(self.hasse, reverse=True):
             up[i] |= up[j]
-        return frozenset((i, j) for i, mask in enumerate(up) for j in _bits(mask))
+        return tuple((i, j) for i, mask in enumerate(up) for j in _bits(mask))
 
     @cached_property
     def trivial_index(self):
@@ -780,7 +755,7 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
                 }
                 for i, a in enumerate(self.algebras)
             ],
-            "inclusions": sorted([i, j] for i, j in self.leq_pairs if i != j),
+            "inclusions": [[i, j] for i, j in self.leq_pairs if i != j],
             "hasse_edges": [list(p) for p in self.hasse],
         }
 
@@ -882,7 +857,7 @@ def enumerate_vn(x, q, mode="exhaustive", max_generators=2):
     require_quantale(q)
     space = get_endospace(q, x)
     # the normal elements, one of each {b, b†}: pair(b) = pair(b†) and cl(b) = cl(b†)
-    normal = _mask(i for i in range(space.size) if i <= space.dag(i) and space.is_normal(i))
+    normal = _mask(i for i in range(space.size) if i <= space.dag_t[i] and space.is_normal(i))
     if mode == "exhaustive":
         comm = space.commutant_mask(space.scalar_line)
         least = space.commutant_mask(comm)

@@ -9,6 +9,22 @@ from qspec.quantale import QuantaleError, RigHom
 from qspec.relations import QRel, compose, dagger, diag_rel
 from qspec.subalgebra import Subsemialgebra, _bits
 
+# The two-point powerset quantale with its points swapped by the involution.
+SWAP_DOC = {
+    "name": "swap",
+    "elements": ["{}", "{1}", "{2}", "{1,2}"],
+    "join": [["{}", "{1}", "{2}", "{1,2}"],
+             ["{1}", "{1}", "{1,2}", "{1,2}"],
+             ["{2}", "{1,2}", "{2}", "{1,2}"],
+             ["{1,2}", "{1,2}", "{1,2}", "{1,2}"]],
+    "mul": [["{}", "{}", "{}", "{}"],
+            ["{}", "{1}", "{}", "{1}"],
+            ["{}", "{}", "{2}", "{2}"],
+            ["{}", "{1}", "{2}", "{1,2}"]],
+    "unit": "{1,2}",
+    "involution": ["{}", "{2}", "{1}", "{1,2}"],
+}
+
 
 def is_hom(src, dst, image):
     """Check one image tuple against every law of the *-semirings src and
@@ -112,7 +128,7 @@ def generated_walk_unions(space, k):
     Returns the elements b whose cl(b) the walk needs, and the (c, cl(b))
     pairs of the unions it closes, in walk order."""
     normal = [i for i in range(space.size)
-              if i <= space.dag(i) and space.comm_mask(i) >> space.dag(i) & 1]
+              if i <= space.dag_t[i] and space.comm_mask(i) >> space.dag_t[i] & 1]
     base = space.close_mask(0, ())
     single, unions = {}, []
     known, level = {base}, [base]

@@ -14,15 +14,20 @@ dataclasses nor the modules only a few commands need, and no record stores a
 field that its owner or a sibling field already holds.  Every top-level
 function and class under src/, and every method and property of such a
 class, has a caller there, except the names the benchmark tracer times and
-``close``; the tests' oracles live in tests/oracles.py.  The CLI has one
+``close``; the tests' oracles live in tests/oracles.py.  A caller is read
+exactly: a parameter or local variable that shares a definition's name
+calls nothing.  The qspec modules import one another without a cycle, at
+the top or inside a function.  The CLI has one
 report path: main loads the quantale and frames every report, and the
 command handlers return only their body and checks.  The `qspec` script
 and `python -m qspec.cli` enter the CLI through one function."""
 
 import ast
+import graphlib
 import importlib
 import pkgutil
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -73,32 +78,58 @@ def test_module_binds_none_of(module, names):
 NAMEDTUPLE_PROTOCOL = frozenset({"_make", "_replace", "_asdict"})
 
 
+def _src_trees():
+    """Each src/qspec module but __init__.py, which only re-exports, by its
+    stem: its path and its syntax tree."""
+    return {path.stem: (path, ast.parse(path.read_text()))
+            for path in sorted(Path(qspec.__file__).parent.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _global_reads(table):
+    """The names a scope and the scopes inside it read as module globals:
+    parameters and local variables are not globals."""
+    names = {s.get_name() for s in table.get_symbols() if s.is_global() and s.is_referenced()}
+    for child in table.get_children():
+        names |= _global_reads(child)
+    return names
+
+
 def uncalled_definitions():
     """module.name of each top-level def or class in src/qspec, and
     module.Class.name of each method or property of such a class, that no
-    src module refers to by name (__init__.py, which only re-exports, aside).
-    Dunder methods and the namedtuple protocol are called without their
-    name, so they are left out."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(Path(qspec.__file__).parent.glob("*.py"))
-             if path.name != "__init__.py"}
-    named = set()
-    for tree in trees.values():
+    src code calls.  A top-level definition is called where other code of
+    its module reads it as a global name, or where any module imports it by
+    name or reads it as an attribute; a method or property, where any module
+    reads it as an attribute.  Dunder methods and the namedtuple protocol
+    are called without their name, so they are left out."""
+    trees = _src_trees()
+    imported, attributes = set(), set()
+    for _, tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+            if isinstance(node, ast.alias):
+                imported.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
     out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named:
+    for module, (path, tree) in trees.items():
+        table = symtable.symtable(path.read_text(), str(path), "exec")
+        defs = {(node.name, node.lineno): node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        # by reader: None for the module's own top-level code
+        reads = {None: {s.get_name() for s in table.get_symbols() if s.is_referenced()}}
+        for child in table.get_children():
+            reader = (child.get_name(), child.get_lineno())
+            reads.setdefault(reader if reader in defs else None, set()).update(
+                _global_reads(child))
+        for key, node in defs.items():
+            if not (node.name in imported or node.name in attributes
+                    or any(node.name in names for reader, names in reads.items()
+                           if reader != key)):
                 out.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
                 out.extend(f"{module}.{node.name}.{m.name}" for m in node.body
-                           if isinstance(m, ast.FunctionDef) and m.name not in named
+                           if isinstance(m, ast.FunctionDef) and m.name not in attributes
                            and not (m.name.startswith("__") and m.name.endswith("__"))
                            and m.name not in NAMEDTUPLE_PROTOCOL)
     return sorted(out)
@@ -110,6 +141,33 @@ def test_src_keeps_no_code_only_the_tests_call():
               for name in names}
     assert [name for name in uncalled_definitions()
             if name not in traced and name != "subalgebra.close"] == []
+
+
+def qspec_imports():
+    """Each src/qspec module but __init__.py mapped to the qspec modules it
+    imports, at the top or inside a function: `from qspec import m` imports
+    the module m, `from qspec.m import name` imports m."""
+    trees = _src_trees()
+    graph = {}
+    for module, (_, tree) in trees.items():
+        out = graph[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            out.update(n.split(".")[1] for n in names
+                       if n.startswith("qspec.") and n.split(".")[1] in trees)
+    return graph
+
+
+def test_the_qspec_modules_import_no_cycle():
+    try:
+        graphlib.TopologicalSorter(qspec_imports()).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 @pytest.mark.parametrize("name", ["_load_quantale", "_config"])

@@ -687,7 +687,7 @@ PARSED = {  # an argv per command that sets every option it takes
 }
 
 
-@pytest.mark.parametrize("command", list(cli._HELP))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_a_command_parser_parses_and_helps_as_the_full_one(command, capsys):
     one, full = cli._parser([command]), cli._parser([])
     argv = [command, *PARSED[command]]

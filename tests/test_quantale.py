@@ -1,12 +1,13 @@
 """Quantale loading, axiom checking, built-ins and endomorphisms."""
 
+import copy
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import compose_homs, is_hom
+from oracles import SWAP_DOC, compose_homs, is_hom
 from qspec.quantale import (
     Quantale, QuantaleError, builtin_quantale, endomorphisms, is_zdf, load_quantale,
     parse_quantale_tag, quantale_to_doc, verify_quantale, zdf_witness,
@@ -36,10 +37,10 @@ def brute_force_endos(q):
     for image in itertools.product(range(n), repeat=n):
         if image[q.bottom] != q.bottom or image[q.unit] != q.unit:
             continue
-        if any(image[q.inv(x)] != q.inv(image[x]) for x in range(n)):
+        if any(image[q.involution[x]] != q.involution[image[x]] for x in range(n)):
             continue
-        if all(image[q.join(x, y)] == q.join(image[x], image[y])
-               and image[q.mul(x, y)] == q.mul(image[x], image[y])
+        if all(image[q.join_table[x][y]] == q.join_table[image[x]][image[y]]
+               and image[q.mul_table[x][y]] == q.mul_table[image[x]][image[y]]
                for x in range(n) for y in range(n)):
             out.append(image)
     return sorted(out)
@@ -158,20 +159,7 @@ def test_document_round_trip_is_exact():
 
 
 def test_nontrivial_involution_round_trip_and_axioms():
-    doc = {
-        "name": "swap",
-        "elements": ["{}", "{1}", "{2}", "{1,2}"],
-        "join": [["{}", "{1}", "{2}", "{1,2}"],
-                 ["{1}", "{1}", "{1,2}", "{1,2}"],
-                 ["{2}", "{1,2}", "{2}", "{1,2}"],
-                 ["{1,2}", "{1,2}", "{1,2}", "{1,2}"]],
-        "mul": [["{}", "{}", "{}", "{}"],
-                ["{}", "{1}", "{}", "{1}"],
-                ["{}", "{}", "{2}", "{2}"],
-                ["{}", "{1}", "{2}", "{1,2}"]],
-        "unit": "{1,2}",
-        "involution": ["{}", "{2}", "{1}", "{1,2}"],
-    }
+    doc = copy.deepcopy(SWAP_DOC)
     q = load_quantale(doc)
     assert verify_quantale(q).passed
     assert quantale_to_doc(q) == doc
@@ -292,7 +280,7 @@ def oracle_zdf_witness(q):
     b = q.bottom
     for x in range(q.size):
         for y in range(q.size):
-            if b not in (x, y) and q.mul(x, y) == b:
+            if b not in (x, y) and q.mul_table[x][y] == b:
                 return (q.elements[x], q.elements[y])
     return None
 
