@@ -19,7 +19,7 @@ from qspec.quantale import (
     parse_quantale_tag, quantale_to_doc, require_quantale, verify_quantale, zdf_witness,
 )
 from qspec.relations import carrier
-from qspec.subalgebra import EnumerationBoundExceeded, enumerate_vn, require_hom_bound
+from qspec.subalgebra import EnumerationBoundExceeded, _Rows, enumerate_vn, require_hom_bound
 from qspec.zariski import (
     separation_report, topology_to_json, zariski_quotient, zariski_topology,
 )
@@ -120,13 +120,17 @@ _STR, _INT = frozenset({str}), frozenset({int})
 
 def _write_json(value, write):
     """Write json.dumps(value, sort_keys=True, indent=2) + "\\n" in pieces.  Dict
-    keys must be str; a list of only plain str or only plain int is joined at once."""
+    keys must be str.  A list of only plain str or only plain int is joined at
+    once, and so is each such list that is an item of a list.  A list met
+    again at the same indent reuses its text: the memo, keyed by the list's
+    id and indent, keeps a text from its second meeting on, so a list met
+    once is never kept."""
     parts = []
-    _encode(value, "\n", parts, write)
+    _encode(value, "\n", parts, write, {})
     write("".join(parts) + "\n")
 
 
-def _encode(o, nl, parts, write):  # nl is the newline and indent of o's line
+def _encode(o, nl, parts, write, memo):  # nl is the newline and indent of o's line
     if isinstance(o, str):
         parts.append(_encode_str(o))
     elif type(o) is int:
@@ -137,29 +141,57 @@ def _encode(o, nl, parts, write):  # nl is the newline and indent of o's line
         inner, sep = nl + "  ", "{" + nl + "  "
         for k, v in sorted(o.items()):
             parts.append(sep + _encode_str(k) + ": ")
-            _encode(v, inner, parts, write)
+            _encode(v, inner, parts, write, memo)
             sep = "," + inner
         parts.append(nl + "}")
     elif isinstance(o, (list, tuple)) and o:
-        inner, kinds = nl + "  ", set(map(type, o))
-        if kinds == _STR or kinds == _INT:
-            parts.append("[" + inner + ("," + inner).join(
-                map(_encode_str if str in kinds else int.__repr__, o)) + nl + "]")
-        else:
-            sep = "[" + inner
-            for v in o:
-                parts.append(sep)
-                _encode(v, inner, parts, write)
-                sep = "," + inner
-            parts.append(nl + "]")
+        key = id(o), nl  # o lives as long as value, so its id names it
+        text = memo.get(key)
+        if text:
+            parts.append(text)
+        elif text is None:  # first met: written in pieces, and kept by no one
+            memo[key] = ""
+            _encode_list(o, nl, parts, write, memo)
+        else:  # met again: its text is kept for any later meeting
+            pieces = []
+            _encode_list(o, nl, pieces, None, memo)
+            text = memo[key] = "".join(pieces)
+            parts.append(text)
     elif isinstance(o, (dict, list, tuple)):  # empty
         parts.append("{}" if isinstance(o, dict) else "[]")
     else:  # floats and subclasses of int, as json writes them
         import json
         parts.append(json.dumps(o))
-    if len(parts) > 4096:
+    if len(parts) > 4096 and write is not None:
         write("".join(parts))
         parts.clear()
+
+
+def _encode_list(o, nl, parts, write, memo):
+    """A non-empty list, written at once if flat, else item by item, each flat
+    item in one join; write is None while a text is being kept."""
+    inner, kinds = nl + "  ", set(map(type, o))
+    if kinds == _STR or kinds == _INT:
+        parts.append("[" + inner + ("," + inner).join(
+            map(_encode_str if str in kinds else int.__repr__, o)) + nl + "]")
+        return
+    # the item join is written out here: a call per item cost about a tenth
+    # of the write of godel5 |X|=2's 20.9 MB topology report
+    row = inner + "  "
+    sep, row_sep, row_end = "[" + inner, "," + row, inner + "]"
+    for v in o:
+        kinds = set(map(type, v)) if isinstance(v, (list, tuple)) else None
+        if kinds == _STR or kinds == _INT:
+            parts.append(sep + "[" + row + row_sep.join(
+                map(_encode_str if str in kinds else int.__repr__, v)) + row_end)
+            if len(parts) > 4096 and write is not None:
+                write("".join(parts))
+                parts.clear()
+        else:
+            parts.append(sep)
+            _encode(v, inner, parts, write, memo)
+        sep = "," + inner
+    parts.append(nl + "]")
 
 
 def _emit(report, args):
@@ -232,6 +264,8 @@ def _cmd_algebras(args, q):
 
 def _cmd_spectrum(args, q):
     poset = _poset(args, q)
+    # members recur across algebras and ideals: each is labelled once
+    labels = _Rows(lambda m: ";".join(",".join(q.elements[v] for v in row) for row in m))
     data = {}
     for i in _select_algebras(poset, args.algebra):
         a = poset.algebras[i]
@@ -242,19 +276,15 @@ def _cmd_spectrum(args, q):
             "size": a.size,
             "characters": [[q.elements[v] for v in rho] for rho in gel.points],
             "prime_ideals": [
-                [_member_label(q, m) for m in pri.kernel_members(p)] for p in pri.points],
+                list(map(labels.__getitem__, pri.kernel_members(p))) for p in pri.points],
             # m >= 1 and m.top = m give top = 1.top <= m: the one prime-closed
             # down-set that holds the unit is the whole algebra
-            "improper_prime_closed": [[_member_label(q, m) for m in a.members]],
+            "improper_prime_closed": [list(map(labels.__getitem__, a.members))],
         }
         if is_zdf(q):
             entry["kernel_map"] = list(poset.comparisons("kernel")[i])
         data[f"A{i}"] = entry
     return {"spectra": data}, checks.spectra_suite(poset)
-
-
-def _member_label(q, entries):
-    return ";".join(",".join(q.elements[v] for v in row) for row in entries)
 
 
 def _cmd_sections(args, q):
@@ -315,7 +345,7 @@ def _cmd_topology(args, q):
                 "t0": rep.t0,
                 "t1": rep.t1,
                 "compact": rep.compact,
-                "indistinguishable_pairs": [list(p) for p in rep.indistinguishable_pairs],
+                "indistinguishable_pairs": rep.indistinguishable_pairs,
                 "quotient_points": quotient.size,
                 "quotient_map": list(mapping),
             }

@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from math import gcd
 
-from qspec._homsearch import TableSemiring, enumerate_homs
+from qspec._homsearch import TableSemiring, enumerate_homs, tuple_getter
 
 
 class QuantaleError(ValueError):
@@ -215,17 +215,21 @@ def verify_quantale(q):
     witness tuple (the first in canonical element order)."""
     join, mul, inv = q.join_table, q.mul_table, q.involution
     u, b = q.unit, q.bottom
-    laws = (  # (axiom, arity, law), in report order
+    # at_join[y](row) is (row[join[y][z]] for every z), gathered in C
+    at_join, at_mul = tuple(map(tuple_getter, join)), tuple(map(tuple_getter, mul))
+    laws = (  # (axiom, arity, law), in report order; a ternary law gives, for
+        # (x, y), its two sides at every z as two rows
         ("join-commutative", 2, lambda x, y: join[x][y] == join[y][x]),
         ("join-idempotent", 1, lambda x: join[x][x] == x),
         ("join-associative", 3,
-         lambda x, y, z: join[x][join[y][z]] == join[join[x][y]][z]),
+         lambda x, y: (at_join[y](join[x]), join[join[x][y]])),
         ("join-identity", 0, lambda: b is not None),
         ("mul-commutative", 2, lambda x, y: mul[x][y] == mul[y][x]),
-        ("mul-associative", 3, lambda x, y, z: mul[x][mul[y][z]] == mul[mul[x][y]][z]),
+        ("mul-associative", 3,
+         lambda x, y: (at_mul[y](mul[x]), mul[mul[x][y]])),
         ("mul-unit", 1, lambda x: mul[u][x] == x),
         ("distributivity", 3,
-         lambda x, y, z: mul[x][join[y][z]] == join[mul[x][y]][mul[x][z]]),
+         lambda x, y: (at_join[y](mul[x]), at_mul[x](join[mul[x][y]]))),
         ("bottom-absorbing", 1, lambda x: b is None or mul[x][b] == b),
         ("involution-involutive", 1, lambda x: inv[inv[x]] == x),
         ("involution-join", 2, lambda x, y: inv[join[x][y]] == join[inv[x]][inv[y]]),
@@ -235,11 +239,24 @@ def verify_quantale(q):
     )
     violations = []
     for axiom, arity, law in laws:
-        for witness in itertools.product(range(q.size), repeat=arity):
-            if not law(*witness):
-                violations.append((axiom, tuple(q.elements[w] for w in witness)))
-                break
+        witness = _first_failure(q.size, arity, law)
+        if witness is not None:
+            violations.append((axiom, tuple(q.elements[w] for w in witness)))
     return AxiomReport(tuple(violations))
+
+
+def _first_failure(n, arity, law):
+    """The first witness in product order at which law fails, or None.  A
+    ternary law is compared a row at a time, and a failing row is searched
+    for its first z."""
+    if arity < 3:
+        witnesses = itertools.product(range(n), repeat=arity)
+        return next((w for w in witnesses if not law(*w)), None)
+    for x, y in itertools.product(range(n), repeat=2):
+        lhs, rhs = law(x, y)
+        if lhs != rhs:
+            return x, y, next(z for z in range(n) if lhs[z] != rhs[z])
+    return None
 
 
 def is_zdf(q):

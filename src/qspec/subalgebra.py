@@ -75,8 +75,11 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
 
     @cached_property
     def algebra_id(self):
-        import hashlib  # not at the top: it loads OpenSSL on every start
-        return hashlib.sha256(repr(self.members).encode()).hexdigest()[:12]
+        """The first 12 hex digits of the SHA-256 of repr(members), written
+        from the member reprs its space keeps, one per distinct member."""
+        space, idx = self.in_space
+        reprs = ", ".join(map(space.reprs.__getitem__, idx))
+        return _sha256_hex(f"({reprs},)" if len(idx) == 1 else f"({reprs})")[:12]
 
     @property
     def size(self):
@@ -372,6 +375,19 @@ def _mask(indices):
     return m
 
 
+def _sha256_hex(text):
+    """The SHA-256 hex digest of text from CPython's own hash module, imported
+    on first use: hashlib, the fallback, loads OpenSSL."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 on
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
 class _Rows(dict):
     """Values made on first use by one function of their key: table rows,
     supports, the closures that generated mode reuses, and the rows of an
@@ -426,6 +442,7 @@ class EndoSpace:
         rows = list(itertools.product(range(q.size), repeat=n))
         rowpos = {r: i for i, r in enumerate(rows)}
         els = self.elements = list(itertools.product(rows, repeat=n))
+        self.reprs = _Rows(lambda i: repr(els[i]))  # for the algebra ids
         self.size = len(els)
         self.index = {e: i for i, e in enumerate(els)}
         self.zero_idx = self.index[zero_rel(q, x, x).entries]
@@ -737,8 +754,8 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
 
     def to_json(self):
         q = self.quantale
-        # members recur across algebras: each is labelled once, and the shared
-        # lists encode to the same bytes
+        # members recur across algebras: each is labelled once, and the JSON
+        # writer reuses the text of a label list it meets again
         labels = _Rows(lambda m: [[q.elements[v] for v in row] for row in m])
         return {
             "quantale": q.name,
@@ -755,8 +772,8 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
                 }
                 for i, a in enumerate(self.algebras)
             ],
-            "inclusions": [[i, j] for i, j in self.leq_pairs if i != j],
-            "hasse_edges": [list(p) for p in self.hasse],
+            "inclusions": [p for p in self.leq_pairs if p[0] != p[1]],
+            "hasse_edges": self.hasse,
         }
 
     def to_dot(self):

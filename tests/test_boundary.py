@@ -206,18 +206,36 @@ def test_the_cli_starts_without_the_heavy_modules():
     assert heavy.isdisjoint(loaded)
 
 
-def test_a_lukasiewicz_run_loads_no_fractions(tmp_path):
-    # the chain's labels are reduced with math.gcd, not written by Fraction
+def run_and_list_modules(argv, out):
+    """The exit status of one CLI run writing to out, in a fresh interpreter
+    under -S, and the modules loaded by its end."""
     src = str(Path(qspec.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from qspec.cli import main; "
-            "status = main(['check-quantale', '--quantale', 'lukasiewicz3', "
-            "'--out', sys.argv[2]]); print(status, ' '.join(sorted(sys.modules)))")
-    out = tmp_path / "report.txt"
-    status, *loaded = subprocess.run([sys.executable, "-S", "-c", code, src, str(out)],
+            "status = main(sys.argv[3:] + ['--out', sys.argv[2]]); "
+            "print(status, ' '.join(sorted(sys.modules)))")
+    status, *loaded = subprocess.run([sys.executable, "-S", "-c", code, src, str(out), *argv],
                                      check=True, capture_output=True,
                                      text=True).stdout.split()
+    return status, loaded
+
+
+def test_a_lukasiewicz_run_loads_no_fractions(tmp_path):
+    # the chain's labels are reduced with math.gcd, not written by Fraction
+    out = tmp_path / "report.txt"
+    status, loaded = run_and_list_modules(
+        ["check-quantale", "--quantale", "lukasiewicz3"], out)
     assert status == "0" and '"1/2"' in out.read_text()
     assert {"fractions", "decimal"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("command", ["algebras", "spectrum"])
+def test_algebra_ids_load_no_openssl(command, tmp_path):
+    # the ids hash with CPython's own SHA-256 module, not through hashlib
+    out = tmp_path / "report.json"
+    status, loaded = run_and_list_modules(
+        [command, "--quantale", "boolean2", "--size", "2", "--format", "json"], out)
+    assert status == "0" and '"id": "' in out.read_text()
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("spectrum", [

@@ -134,6 +134,12 @@ GOLDEN_THREE_POINTS = {
     ("algebras", "boolean2"): "bb97c6977bcec513bb0259ba978c24ade2c75823ba2351edd388ff8b2a80556e",
 }
 
+# A 20,923,554-byte report, most of it long lists of flat lists, recorded from
+# the code that wrote every item of a list with a call of its own.
+GOLDEN_LARGE = {
+    ("topology", "godel5"): "1d394eb56571e3459f13d9634beb049a6f5806f81084cdcdb02b051de043dc92",
+}
+
 # The text report of every command at |X| = 2, and the dot graph of one poset.
 GOLDEN_TEXT = {
     ("check-quantale", "boolean2"): "120fe9f5cf63fdbf2d88ec11e4fed711526ed6e632ad0e4ffb2f12133521a522",
@@ -172,6 +178,12 @@ def test_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
 def test_three_point_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
     assert report_digest(command, quantale, tmp_path / "report.json", size=3) == \
         GOLDEN_THREE_POINTS[(command, quantale)]
+
+
+@pytest.mark.parametrize("command,quantale", GOLDEN_LARGE)
+def test_large_report_bytes_match_the_recorded_digest(command, quantale, tmp_path):
+    assert report_digest(command, quantale, tmp_path / "report.json") == \
+        GOLDEN_LARGE[(command, quantale)]
 
 
 @pytest.mark.parametrize("command,quantale", GOLDEN_LARGER)
@@ -229,6 +241,10 @@ if __name__ == "__main__":
             print(f'    "{quantale}": "{digest}",')
         print("larger:")
         for command, quantale in GOLDEN_LARGER:
+            digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
+            print(f'    ("{command}", "{quantale}"): "{digest}",')
+        print("large:")
+        for command, quantale in GOLDEN_LARGE:
             digest = report_digest(command, quantale, pathlib.Path(tmp) / "report.json")
             print(f'    ("{command}", "{quantale}"): "{digest}",')
         print("prime points:")

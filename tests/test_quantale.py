@@ -264,6 +264,40 @@ def test_each_axiom_is_reported_with_its_first_witness(axiom):
     assert not report.passed
 
 
+def oracle_ternary_witnesses(q):
+    """The first triple in product order at which each ternary law fails,
+    checked one triple at a time; None where the law holds."""
+    join, mul = q.join_table, q.mul_table
+    laws = {
+        "join-associative": lambda x, y, z: join[x][join[y][z]] == join[join[x][y]][z],
+        "mul-associative": lambda x, y, z: mul[x][mul[y][z]] == mul[mul[x][y]][z],
+        "distributivity":
+            lambda x, y, z: mul[x][join[y][z]] == join[mul[x][y]][mul[x][z]],
+    }
+    return {name: next((tuple(q.elements[w] for w in t)
+                        for t in itertools.product(range(q.size), repeat=3) if not law(*t)),
+                       None)
+            for name, law in laws.items()}
+
+
+def square_tables(n):
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    return st.tuples(st.just(n), table, table, st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(square_tables), st.sampled_from(["max", "table"]))
+def test_ternary_laws_checked_a_row_at_a_time_keep_their_first_witness(tables, join_kind):
+    n, join, mul, unit = tables
+    if join_kind == "max":  # a lattice join, so that mul alone breaks the laws
+        join = [[max(i, j) for j in range(n)] for i in range(n)]
+    q = Quantale("random", [str(i) for i in range(n)], join, mul, unit)
+    found = dict(verify_quantale(q).violations)
+    expected = oracle_ternary_witnesses(q)
+    assert {name: found.get(name) for name in expected} == expected
+
+
 def test_zdf():
     assert is_zdf(BOOL2)
     for n in (3, 4, 5):

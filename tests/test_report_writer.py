@@ -1,8 +1,10 @@
 """The JSON report writer.  cli._write_json writes the bytes of
 json.dumps(value, sort_keys=True, indent=2) + "\\n", the form the golden
 digests pin, for any JSON value: it joins a list of only plain str or only
-plain int in one step, so these tests hold it to json itself on values that
-could trip that shortcut."""
+plain int in one step, joins each such list that is an item of a list, and
+writes a list object met again at the same indent from the text it kept, so
+these tests hold it to json itself on values that could trip those
+shortcuts."""
 
 import json
 import math
@@ -71,10 +73,19 @@ def test_lists_equal_across_types_keep_their_own_bytes():
 
 
 def test_a_large_report_is_written_in_pieces():
-    value = {"rows": [{"i": i, "row": [i, i + 1]} for i in range(20_000)]}
+    # the pairs are flat items, each joined at once, and flushed as they go
+    value = {"rows": [{"i": i, "row": [i, i + 1]} for i in range(20_000)],
+             "pairs": [[i, i + 1] if i % 2 else (i, -i) for i in range(20_000)]}
     parts = written(value)
     assert "".join(parts) == canonical(value)
     assert len(parts) > 10 and max(map(len, parts)) < len(canonical(value)) / 10
+
+
+def test_a_shared_list_of_flat_lists_met_three_times_at_two_depths():
+    # the third meeting at an indent reads the text kept at the second
+    for shared in ([["0", "a\\b"], ("1",)], [[0, 1], (2, -3)], [["0"], [1], ("é",), (2,)]):
+        value = {"a": shared, "b": shared, "c": shared, "deeper": [shared, shared, shared]}
+        assert "".join(written(value)) == canonical(value)
 
 
 def test_a_failed_axioms_report_is_written_as_json_writes_it(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Closure, commutants, von Neumann enumeration, and the idempotent split."""
 
 import functools
+import hashlib
 import itertools
 import random
 import re
@@ -894,6 +895,17 @@ def test_poset_exports():
     assert len(js["algebras"]) == len(poset.algebras)
     dot = poset.to_dot()
     assert dot.startswith("digraph") and "->" in dot
+
+
+@pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
+def test_algebra_ids_are_the_sha256_of_the_members_repr(q):
+    zero, one = zero_rel(q, X2, X2).entries, identity_rel(q, X2).entries
+    hand_built = [Subsemialgebra.from_entries(q, X2, [zero]),  # repr ((...),)
+                  Subsemialgebra.from_entries(q, X2, [zero, one]),
+                  trivial_algebra(carrier("E", 0), q)]  # its one member is ()
+    assert [a.size for a in hand_built] == [1, 2, 1]
+    for a in [*enumerate_vn(X2, q).algebras, *hand_built]:
+        assert a.algebra_id == hashlib.sha256(repr(a.members).encode()).hexdigest()[:12]
 
 
 # -- decomposition ----------------------------------------------------------------------
