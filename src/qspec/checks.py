@@ -123,7 +123,8 @@ def subset_joins(a):
     space, idx = a.in_space
     reach = {space.zero_idx}
     for i in idx:
-        reach |= {space.join(r, i) for r in reach}
+        row = space.join_rows[i]
+        reach |= {row[r] for r in reach}
     return {space.elements[r] for r in reach}
 
 

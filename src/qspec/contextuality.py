@@ -66,12 +66,11 @@ class Verdict(namedtuple("Verdict", "carrier quantale mode gelfand_sections "
             "hypotheses_met": self.zdf,
             "contextual": self.contextual,
             "section_count": len(self.gelfand_sections),
-            "sections": [list(s) for s in self.gelfand_sections],
+            "sections": self.gelfand_sections,
             "prime_section_count": (None if self.prime_sections is None
                                     else len(self.prime_sections)),
-            "prime_sections": (None if self.prime_sections is None
-                               else [list(s) for s in self.prime_sections]),
-            "canonical_sections": {str(k): list(v)
+            "prime_sections": self.prime_sections,
+            "canonical_sections": {str(k): v
                                    for k, v in sorted(self.canonical_by_point.items(),
                                                       key=lambda kv: str(kv[0]))},
             "element_map": {",".join(map(str, k)): str(v)

@@ -369,7 +369,7 @@ def parse_quantale_tag(tag):
         raise QuantaleError(f"unknown builtin quantale tag {tag!r}")
     base, n1, n2 = m.groups()
     n = int(n1 or n2) if (n1 or n2) else None
-    if base == "boolean" and n == 2 or tag.strip() == "boolean2":
+    if base == "boolean" and n == 2:
         return builtin_quantale("boolean2")
     if base == "godel":
         return builtin_quantale("godel_chain", n)

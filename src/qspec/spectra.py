@@ -79,10 +79,14 @@ class SpectrumSet(namedtuple("SpectrumSet", "algebra kind points")):
     def index_of(self, point):
         i = self.point_index.get(point)
         if i is None:
-            ids = self.target.elements
-            raise ValueError(f"({','.join(ids[v] for v in point)}) is not a point "
-                             "of this spectrum")
+            raise ValueError(f"{_written(self, point)} is not a point of this spectrum")
         return i
+
+
+def _written(spectrum, point):
+    """A point of spectrum by its values in the target's labels, for an error."""
+    labels = spectrum.target.elements
+    return f"({','.join(labels[v] for v in point)})"
 
 
 # -- character enumeration -----------------------------------------------------
@@ -180,32 +184,28 @@ def restrict_character(rho, algebra, sub):
 restrict_prime = restrict_character
 
 
-def _table(points, f, spectrum, escaped):
-    """The indices in spectrum of f of each point, as an unsigned array; when
-    some f(point) is not in spectrum, InvariantViolation carries the message
-    escaped(point) returns for the first such point."""
+def _table(source, f, spectrum, failure):
+    """The indices in spectrum of f of each point of source, as an unsigned
+    array.  When some f(point) is not in spectrum, InvariantViolation carries
+    failure formatted with source's kind and the first such point, written
+    by its labels; it names no algebra, which the poset does."""
     index = spectrum.point_index
     try:
-        return array(_typecode(spectrum.size), map(index.__getitem__, map(f, points)))
+        return array(_typecode(spectrum.size), map(index.__getitem__, map(f, source.points)))
     except KeyError:
-        raise InvariantViolation(escaped(next(p for p in points if f(p) not in index))) from None
+        point = next(p for p in source.points if f(p) not in index)
+        raise InvariantViolation(failure.format(kind=source.kind,
+                                                point=_written(source, point))) from None
 
 
-def restriction_table(sub_spectrum, sup_spectrum, edge=None):
+def restriction_table(sub_spectrum, sup_spectrum):
     """The restriction map Spec(sup) -> Spec(sub) of one inclusion as an
     index table: cell p is the index in sub_spectrum of the restriction of
     point p of sup_spectrum.  A point of either kind restricts to its values
-    at the positions of the smaller algebra's members.  edge, the poset
-    indices (i, j) of the inclusion, only names it in the error."""
+    at the positions of the smaller algebra's members."""
     restrict = tuple_getter(_positions(sub_spectrum.algebra, sup_spectrum.algebra))
-    i, j = edge or (None, None)
-
-    def escaped(point):
-        name, values = _named(sup_spectrum, point, j)
-        return (f"{name}: the restriction of {sup_spectrum.kind} point {values} to "
-                f"{_algebra_name(sub_spectrum.algebra, i)} is not a point of it")
-
-    return _table(sup_spectrum.points, restrict, sub_spectrum, escaped)
+    return _table(sup_spectrum, restrict, sub_spectrum, "the restriction of {kind} point "
+                  "{point} is not a point of the smaller algebra's spectrum")
 
 
 def restriction_mismatch(poset, kind):
@@ -215,7 +215,7 @@ def restriction_mismatch(poset, kind):
     inclusion: the functor law."""
     values, tables = poset.spectra(kind), poset.restrictions(kind)
     return next((e for e in poset.hasse
-                 if tables[e] != restriction_table(values[e[0]], values[e[1]], e)), None)
+                 if tables[e] != restriction_table(values[e[0]], values[e[1]])), None)
 
 
 # -- comparison maps between the spectra ----------------------------------------------
@@ -243,37 +243,17 @@ def character_from_prime(gamma, algebra):
     return _then(two_embedding(algebra.quantale), gamma)
 
 
-def _named(spectrum, point, index):
-    """An algebra and one of its points, for an error: the algebra by its
-    poset index (by its id when none is given), the point by its values in
-    the target's labels."""
-    labels = spectrum.target.elements
-    return _algebra_name(spectrum.algebra, index), f"({','.join(labels[v] for v in point)})"
-
-
-def _algebra_name(algebra, index):
-    return f"A{index}" if index is not None else f"algebra {algebra.algebra_id}"
-
-
-def kernel_table(gelfand, prime, index=None):
+def kernel_table(gelfand, prime):
     """The kernel map of one algebra as an index table: cell r is the index
-    in prime of the kernel of character r.  index, the algebra's poset
-    index, only names it in the error."""
+    in prime of the kernel of character r."""
     collapse = partial(_then, zdf_collapse(gelfand.algebra.quantale))
-    def escaped(rho):
-        name, values = _named(gelfand, rho, index)
-        return f"{name}: the kernel of character {values} is not a prime point"
-
-    return _table(gelfand.points, collapse, prime, escaped)
+    return _table(gelfand, collapse, prime,
+                  "the kernel of character {point} is not a prime point")
 
 
-def indicator_table(prime, gelfand, index=None):
+def indicator_table(prime, gelfand):
     """The indicator map of one algebra as an index table: cell p is the
-    index in gelfand of the indicator character of prime ideal p.  index,
-    the algebra's poset index, only names it in the error."""
+    index in gelfand of the indicator character of prime ideal p."""
     indicator = partial(character_from_prime, algebra=prime.algebra)
-    def escaped(gamma):
-        name, values = _named(prime, gamma, index)
-        return f"{name}: the indicator of prime point {values} is not a character"
-
-    return _table(prime.points, indicator, gelfand, escaped)
+    return _table(prime, indicator, gelfand,
+                  "the indicator of prime point {point} is not a character")

@@ -137,7 +137,7 @@ class Subsemialgebra(namedtuple("Subsemialgebra", "quantale carrier members")):
 
         try:
             sr = TableSemiring(
-                size=len(idx), add=table(space._join_rows), mul=table(space._comp_rows),
+                size=len(idx), add=table(space.join_rows), mul=table(space.comp_rows),
                 star=tuple_getter(at_members(space.dag_t))(pos),
                 zero=pos[space.zero_idx], one=pos[space.id_idx])
         except KeyError:
@@ -486,15 +486,15 @@ class EndoSpace:
             return int.from_bytes(once * (self.size // (p * len(rows))), order)
 
         join_parts = [[p * runs(joins, p) for joins in rowjoin] for p in places]
-        self._comp_rows = _Rows(partial(self._summed, comp_parts))
-        self._join_rows = _Rows(partial(self._summed, join_parts))
+        self.comp_rows = _Rows(partial(self._summed, comp_parts))
+        self.join_rows = _Rows(partial(self._summed, join_parts))
         if self._width == 1:  # byte rows: a column lookup is one bytes.translate
             self._rowk = [ids.tobytes() for ids in rowk]
             self._gather = lambda ids, column: ids.translate(bytes(column).ljust(256, b"\0"))
         else:
             self._rowk = rowk
             self._gather = lambda ids, column: array(row_code, map(column.__getitem__, ids))
-        self._comm = _Rows(self._commutation)
+        self.comm = _Rows(self._commutation)
         # support(a): the carrier rows k where a is not bottom, which are those
         # whose row index is not the zero row's; projection(s): the entries of
         # the identity on the carrier indices s, bottom elsewhere
@@ -532,17 +532,9 @@ class EndoSpace:
         same = folded.to_bytes(self.size * w, "little")[::w].translate(_ZERO_DIGITS)
         return int(same[::-1], 2)
 
-    # operation access (index-level)
-
-    def join(self, i, j):
-        return self._join_rows[i][j]
-
-    def comm_mask(self, i):
-        return self._comm[i]
-
     def pair_mask(self, i):
         """The elements commuting with i and with i†."""
-        return self._comm[i] & self._comm[self.dag_t[i]]
+        return self.comm[i] & self.comm[self.dag_t[i]]
 
     # mask utilities
 
@@ -552,7 +544,7 @@ class EndoSpace:
     def commutant_mask(self, mask):
         out = self.full_mask
         for i in _bits(mask):
-            out &= self.comm_mask(i)
+            out &= self.comm[i]
         return out
 
     def double_commutant_mask(self, mask, comm=None):
@@ -563,7 +555,7 @@ class EndoSpace:
             comm = self.commutant_mask(mask)
         out = self.full_mask
         for i in _bits(comm):
-            out &= self.comm_mask(i)
+            out &= self.comm[i]
             if out == mask:
                 break
         return out
@@ -582,7 +574,7 @@ class EndoSpace:
 
     def _close(self, members, fresh, partners):
         return _mask(_closure(members, fresh, partners, self.dag_t.__getitem__,
-                              self._join_rows.__getitem__, self._comp_rows.__getitem__))
+                              self.join_rows.__getitem__, self.comp_rows.__getitem__))
 
     def close_mask(self, closed, seed):
         """The closure, as a mask, of the closed mask `closed` (0 or an
@@ -635,6 +627,20 @@ def get_endospace(q, x):
 # -- enumeration ------------------------------------------------------------------------
 
 
+def _built(site, build, *args):
+    """build(*args) for one algebra of a poset, site its index i, or for one
+    Hasse edge, site the pair (i, j).  A ValueError or InvariantViolation it
+    raises is a broken enumeration: re-raised as an InvariantViolation that
+    names A{i}, or A{j} and the edge, a name formed only then."""
+    try:
+        return build(*args)
+    except (ValueError, InvariantViolation) as exc:
+        if type(site) is int:
+            raise InvariantViolation(f"A{site}: {exc}") from exc
+        i, j = site
+        raise InvariantViolation(f"A{j}: Hasse edge ({i}, {j}): {exc}") from exc
+
+
 class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
                                               "max_generators hasse")):
     """Inclusion poset of enumerated algebras, stored as its covering pairs
@@ -660,10 +666,7 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         best = [None] * len(self.algebras)
         size = [a.size for a in self.algebras]
         for i, j in self.hasse:
-            try:
-                spectra._positions(self.algebras[i], self.algebras[j])
-            except ValueError as exc:
-                raise InvariantViolation(f"A{j}: Hasse edge ({i}, {j}): {exc}") from None
+            _built((i, j), spectra._positions, self.algebras[i], self.algebras[j])
             if best[j] is None or size[i] > size[best[j]]:
                 best[j] = i
         return tuple(best)
@@ -680,10 +683,8 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
                 out = []
                 for i, (a, p) in enumerate(zip(self.algebras, self.predecessors)):
                     below = None if p is None else (self.algebras[p], out[p].points)
-                    try:  # an unclosed algebra has no semiring tables to search
-                        out.append(spectra.gelfand_spectrum(a, below))
-                    except InvariantViolation as exc:
-                        raise InvariantViolation(f"A{i}: {exc}") from exc
+                    # an unclosed algebra has no semiring tables to search
+                    out.append(_built(i, spectra.gelfand_spectrum, a, below))
                 memo[kind] = tuple(out)
             elif kind == "prime":
                 memo[kind] = tuple(map(spectra.prime_spectrum, self.spectra("gelfand")))
@@ -699,25 +700,28 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         memo = self.__dict__.setdefault("_restrictions", {})
         if kind not in memo:
             values = self.spectra(kind)
-            memo[kind] = {(i, j): spectra.restriction_table(values[i], values[j], (i, j))
-                          for i, j in self.hasse}
+            memo[kind] = {e: _built(e, spectra.restriction_table, values[e[0]], values[e[1]])
+                          for e in self.hasse}
         return memo[kind]
 
     def comparisons(self, name):
         """The kernel map ("kernel", characters to prime points) or the
         indicator map ("indicator", prime points to characters) of every
         algebra as an index table, in poset order; computed once per poset.
-        The kernel map needs zero-divisor-free scalars."""
+        The kernel map needs zero-divisor-free scalars: ZdfRequiredError
+        before any table is built."""
         memo = self.__dict__.setdefault("_comparisons", {})
         if name not in memo:
-            gelfands, primes = self.spectra("gelfand"), self.spectra("prime")
-            indices = range(len(self.algebras))  # each table names its algebra A{i}
             if name == "kernel":
-                memo[name] = tuple(map(spectra.kernel_table, gelfands, primes, indices))
+                require_zdf(self.quantale, "the kernel comparison map")
+                build, kinds = spectra.kernel_table, ("gelfand", "prime")
             elif name == "indicator":
-                memo[name] = tuple(map(spectra.indicator_table, primes, gelfands, indices))
+                build, kinds = spectra.indicator_table, ("prime", "gelfand")
             else:
                 raise ValueError(f"unknown comparison map {name!r}")
+            sources, targets = map(self.spectra, kinds)
+            memo[name] = tuple(_built(i, build, source, target)
+                               for i, (source, target) in enumerate(zip(sources, targets)))
         return memo[name]
 
     @cached_property
@@ -726,13 +730,7 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
         order; computed once per poset.  An algebra that does not decompose
         is a broken enumeration: InvariantViolation names it."""
         require_zdf(self.quantale, "primitive idempotent decomposition")
-        out = []
-        for i, a in enumerate(self.algebras):
-            try:
-                out.append(primitive_idempotents(a))
-            except (ValueError, InvariantViolation) as exc:
-                raise InvariantViolation(f"A{i}: {exc}") from exc
-        return tuple(out)
+        return tuple(_built(i, primitive_idempotents, a) for i, a in enumerate(self.algebras))
 
     @cached_property
     def leq_pairs(self):

@@ -128,7 +128,7 @@ def generated_walk_unions(space, k):
     Returns the elements b whose cl(b) the walk needs, and the (c, cl(b))
     pairs of the unions it closes, in walk order."""
     normal = [i for i in range(space.size)
-              if i <= space.dag_t[i] and space.comm_mask(i) >> space.dag_t[i] & 1]
+              if i <= space.dag_t[i] and space.comm[i] >> space.dag_t[i] & 1]
     base = space.close_mask(0, ())
     single, unions = {}, []
     known, level = {base}, [base]

@@ -1,7 +1,9 @@
 """Module boundaries.  Past enumeration, algebra members are combined only
 through their semiring tables (Subsemialgebra.semiring), never through the
 entry-matrix kernels of qspec.relations.  The Zariski layer reads the spectra
-and index tables it is handed and computes none.  A spectrum point is the
+and index tables it is handed and computes none.  The spectra layer's table
+builders take only spectra; the poset names the algebra of a table that
+fails.  A spectrum point is the
 plain tuple of its values, with no type of its own; a prime point is such a
 character into the two-element quantale.  The down-set scan of prime ideals
 and the standalone search into that quantale (characters_to_two) are oracles
@@ -25,6 +27,7 @@ and `python -m qspec.cli` enter the CLI through one function."""
 import ast
 import graphlib
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import symtable
@@ -68,10 +71,21 @@ def test_sections_read_supports_from_the_decomposition():
                 "direct_sum", "restrict_component", "is_hom", "all_relations", "support",
                 "SupportPair", "subset_idempotent", "is_normal", "maximal_cliques"})
       for module in ["qspec", *QSPEC_MODULES]),
-    ("qspec.spectra", {"_check_inclusion"}),
+    ("qspec.spectra", {"_check_inclusion", "_named", "_algebra_name"}),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))
+
+
+@pytest.mark.parametrize("builder,spectra", [
+    ("restriction_table", ("sub_spectrum", "sup_spectrum")),
+    ("kernel_table", ("gelfand", "prime")),
+    ("indicator_table", ("prime", "gelfand")),
+])
+def test_the_stage_table_builders_take_only_spectra(builder, spectra):
+    # the poset, which owns the algebra indices, names a table that fails
+    module = importlib.import_module("qspec.spectra")
+    assert tuple(inspect.signature(getattr(module, builder)).parameters) == spectra
 
 
 # called by the namedtuple machinery (_replace calls _make), not by name

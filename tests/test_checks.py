@@ -10,7 +10,9 @@ from qspec import checks as checks_module, cli, spectra as spectra_module
 from qspec.checks import (
     algebras_suite, quantale_suite, relations_suite, spectra_suite, topology_suite,
 )
-from qspec.quantale import AxiomReport, builtin_quantale, endomorphisms, verify_quantale
+from qspec.quantale import (
+    AxiomReport, ZdfRequiredError, builtin_quantale, endomorphisms, verify_quantale,
+)
 from qspec.relations import QRel, carrier, diag_rel, zero_rel
 from qspec.contextuality import build_presheaf, canonical_section
 from qspec.spectra import restriction_mismatch, restriction_table
@@ -472,15 +474,56 @@ def test_a_restriction_that_escapes_its_spectrum_names_both_algebras_and_the_poi
     i, j = poset.hasse[0]
     values = poset.spectra("gelfand")
     small = values[i]._replace(points=values[i].points[1:])  # loses its first point
+    # the table builder names the point; the poset, which owns the indices,
+    # names the edge
+    with pytest.raises(InvariantViolation, match=r"^the restriction of gelfand point \("):
+        restriction_table(small, values[j])
+    poset.__dict__["_spectra"]["gelfand"] = values[:i] + (small,) + values[i + 1:]
     with pytest.raises(InvariantViolation) as raised:
-        restriction_table(small, values[j], (i, j))
-    named = re.fullmatch(rf"A{j}: the restriction of gelfand point \((.*)\) to A{i} "
-                         r"is not a point of it", str(raised.value))
+        poset.restrictions("gelfand")
+    named = re.fullmatch(rf"A{j}: Hasse edge \({i}, {j}\): the restriction of gelfand "
+                         r"point \((.*)\) is not a point of the smaller algebra's spectrum",
+                         str(raised.value))
     assert named, raised.value
     labels = GODEL3.elements
     point = next(p for p in values[j].points if ",".join(labels[v] for v in p) == named[1])
-    assert restriction_table(values[i], values[j], (i, j))[
+    assert restriction_table(values[i], values[j])[
         values[j].point_index[point]] == 0  # the lost point's index
+
+
+@pytest.mark.parametrize("name,source_kind,target_kind,failure", [
+    ("kernel", "gelfand", "prime", "the kernel of character ({}) is not a prime point"),
+    ("indicator", "prime", "gelfand", "the indicator of prime point ({}) is not a character"),
+])
+def test_a_comparison_that_escapes_its_spectrum_names_the_algebra_and_the_point(
+        name, source_kind, target_kind, failure):
+    poset = enumerate_vn(X2, GODEL3)
+    d = poset.diagonal_index
+    sources, targets = poset.spectra(source_kind), poset.spectra(target_kind)
+    build = getattr(spectra_module, f"{name}_table")
+    first = build(sources[d], targets[d])[0]  # where the first source point goes
+    lost = targets[d]._replace(points=targets[d].points[:first] + targets[d].points[first + 1:])
+    with pytest.raises(InvariantViolation) as bare:
+        build(sources[d], lost)
+    poset.__dict__["_spectra"][target_kind] = targets[:d] + (lost,) + targets[d + 1:]
+    with pytest.raises(InvariantViolation) as raised:
+        poset.comparisons(name)
+    labels = sources[d].target.elements
+    point = ",".join(labels[v] for v in sources[d].points[0])
+    assert str(bare.value) == failure.format(point)
+    assert str(raised.value) == f"A{d}: " + failure.format(point)
+
+
+def test_kernel_maps_over_zero_divisors_are_refused_before_any_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a kernel table was built")
+
+    monkeypatch.setattr(spectra_module, "kernel_table", no_table)
+    poset = enumerate_vn(X2, LUK3)
+    with pytest.raises(ZdfRequiredError):
+        poset.comparisons("kernel")
+    assert "_spectra" not in poset.__dict__
+    assert len(poset.comparisons("indicator")) == len(poset.algebras)
 
 
 def test_a_carrier_point_in_two_components_names_the_algebra():

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -560,6 +561,27 @@ def test_a_hasse_edge_that_is_no_inclusion_fails_the_verdict(monkeypatch, capsys
     assert err == ""
     assert (f"[FAIL] verdict-computed  A{i}: Hasse edge ({j}, {i}): "
             "not an inclusion of algebras") in out
+
+
+def test_a_restriction_that_escapes_its_spectrum_fails_the_verdict(monkeypatch, capsys):
+    real = sub.enumerate_vn
+
+    def losing_a_point(*args, **kwargs):  # the bottom of the first edge loses a character
+        poset = real(*args, **kwargs)
+        i = poset.hasse[0][0]
+        values = poset.spectra("gelfand")
+        small = values[i]._replace(points=values[i].points[1:])
+        poset.__dict__["_spectra"]["gelfand"] = values[:i] + (small,) + values[i + 1:]
+        return poset
+
+    monkeypatch.setattr(ctx, "enumerate_vn", losing_a_point)
+    i, j = real(carrier("X", 2), builtin_quantale("godel_chain", 3)).hasse[0]
+    code, out, err = run_cli(capsys, "verdict", "--quantale", "godel3", "--size", "2")
+    assert (code, err) == (1, "")
+    line = next(t for t in out.splitlines() if t.startswith("[FAIL] verdict-computed"))
+    assert re.fullmatch(rf"\[FAIL\] verdict-computed  A{j}: Hasse edge \({i}, {j}\): "
+                        r"the restriction of gelfand point \([^()]*\) is not a point "
+                        r"of the smaller algebra's spectrum", line), line
 
 
 @pytest.mark.parametrize("command", ["algebras", "spectrum", "topology"])

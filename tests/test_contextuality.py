@@ -43,7 +43,7 @@ def all_inclusion_tables(poset, kind):
     """The restriction table of every proper inclusion, not only of the
     Hasse edges the poset stores."""
     values = poset.spectra(kind)
-    return {(i, j): restriction_table(values[i], values[j], (i, j))
+    return {(i, j): restriction_table(values[i], values[j])
             for i, j in sorted(poset.leq_pairs) if i != j}
 
 

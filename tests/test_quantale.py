@@ -412,13 +412,15 @@ def test_zdf_collapse_exists_exactly_for_zdf_quantales():
 
 
 def test_parse_quantale_tag():
-    assert parse_quantale_tag("boolean2").name == "boolean2"
+    for tag in ("boolean2", " boolean2 ", "boolean(2)"):
+        assert parse_quantale_tag(tag).name == "boolean2"
     assert parse_quantale_tag("godel3").size == 3
     assert parse_quantale_tag("godel_chain(4)").size == 4
     assert parse_quantale_tag("lukasiewicz3").name == "lukasiewicz3"
     assert parse_quantale_tag("powerset2").size == 4
-    with pytest.raises(QuantaleError):
-        parse_quantale_tag("frobenius9")
+    for tag in ("frobenius9", "boolean", "boolean3"):
+        with pytest.raises(QuantaleError):
+            parse_quantale_tag(tag)
     with pytest.raises(QuantaleError):
         builtin_quantale("godel_chain", 1)
 

@@ -171,8 +171,8 @@ def test_generated_mode_builds_only_what_it_reads(monkeypatch):
     monkeypatch.setattr(subalgebra, "_closure", real)
     space = get_endospace(q, x)
     # the masks of 284 of the 512 elements; the rows the parent cached, or fewer
-    assert len(space._comm) < space.size
-    assert len(space._join_rows) <= 156 and len(space._comp_rows) <= 158
+    assert len(space.comm) < space.size
+    assert len(space.join_rows) <= 156 and len(space.comp_rows) <= 158
     # every closure pairs something in its first round, and there is one
     # per cl(b) and per union whose parts do not nest: a union whose parts
     # nest is its own closure, with no pair evaluated

@@ -161,7 +161,7 @@ def oracle_walk(space):
     """The Moore-family walk: every intersection of single-element commutants,
     starting from the whole space, filtered to the commutative star-closed
     masks."""
-    singles = sorted(set(space.comm_mask(i) for i in range(space.size)))
+    singles = sorted(set(space.comm[i] for i in range(space.size)))
     family = {space.full_mask}
     frontier = [space.full_mask]
     while frontier:
@@ -179,7 +179,7 @@ def oracle_clique_walk(space):
     """The commutation-clique walk: from every maximal clique C of the
     commutation graph on all of Hom(X, X), every intersection with the
     distinct cuts C ∩ comm(s), filtered to the star-closed masks."""
-    comm = [space.comm_mask(i) for i in range(space.size)]
+    comm = [space.comm[i] for i in range(space.size)]
     singles = set(comm)
     family = set()
     for c in maximal_cliques([m & ~(1 << i) for i, m in enumerate(comm)],
@@ -199,9 +199,9 @@ def oracle_clique_walk(space):
 def star_commutation_seeds(space):
     """The maximal cliques of the star-commutation graph on the normal
     elements, where i ~ j when j commutes with i and with i†."""
-    pair = [space.comm_mask(i) & space.comm_mask(space.dag_t[i]) for i in range(space.size)]
+    pair = [space.comm[i] & space.comm[space.dag_t[i]] for i in range(space.size)]
     normal = sum(1 << i for i in range(space.size)
-                 if space._comp_rows[i][space.dag_t[i]] == space._comp_rows[space.dag_t[i]][i])
+                 if space.comp_rows[i][space.dag_t[i]] == space.comp_rows[space.dag_t[i]][i])
     return maximal_cliques([m & ~(1 << i) for i, m in enumerate(pair)], normal)
 
 
@@ -221,13 +221,13 @@ def oracle_generated_walk(space, x, q, k):
     and keep the commutative, star-closed, von Neumann closures plus the
     diagonal."""
     found = {space.mask_of(diagonal_algebra(x, q).members)}
-    normals = [i for i in range(space.size) if space.comm_mask(i) >> space.dag_t[i] & 1]
+    normals = [i for i in range(space.size) if space.comm[i] >> space.dag_t[i] & 1]
 
     def compatible(combo):
         for a, b in itertools.combinations(combo, 2):
-            ca = space.comm_mask(a)
+            ca = space.comm[a]
             if not (ca >> b & 1 and ca >> space.dag_t[b] & 1
-                    and space.comm_mask(space.dag_t[a]) >> b & 1):
+                    and space.comm[space.dag_t[a]] >> b & 1):
                 return False
         return True
 
@@ -370,8 +370,8 @@ def test_godel3_three_point_space_matches_the_oracles(monkeypatch):
 def assert_table_cells(space, pairs):
     q, els, idx = space.quantale, space.elements, space.index
     for i, j in pairs:
-        assert space._comp_rows[i][j] == idx[_e_compose(q, els[i], els[j])]
-        assert space.join(i, j) == idx[_e_join(q, els[i], els[j])]
+        assert space.comp_rows[i][j] == idx[_e_compose(q, els[i], els[j])]
+        assert space.join_rows[i][j] == idx[_e_join(q, els[i], els[j])]
 
 
 def assert_comm_masks(space, indices):
@@ -380,7 +380,7 @@ def assert_comm_masks(space, indices):
     for i in indices:
         expected = sum(1 << j for j in range(space.size)
                        if _e_compose(q, els[i], els[j]) == _e_compose(q, els[j], els[i]))
-        assert space.comm_mask(i) == expected
+        assert space.comm[i] == expected
 
 
 def assert_scalar_line(space):
@@ -391,7 +391,7 @@ def assert_scalar_line(space):
     assert space.scalar_line == sum(1 << i for i in set(line.values()))
     for i, a in enumerate(els):
         for s, si in line.items():
-            assert space._comp_rows[si][i] == space.index[_e_scalar(q, s, a)]
+            assert space.comp_rows[si][i] == space.index[_e_scalar(q, s, a)]
 
 
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
@@ -412,12 +412,18 @@ def test_three_point_tables_match_on_random_pairs():
     assert_comm_masks(space, rng.sample(range(space.size), 20))
 
 
+def test_endospace_tables_are_read_without_wrappers():
+    space = get_endospace(builtin_quantale("boolean2"), carrier("X", 1))
+    assert not hasattr(space, "join") and not hasattr(space, "comm_mask")
+    assert {"join_rows", "comp_rows", "comm"} <= set(vars(space))
+
+
 @pytest.mark.parametrize("q", ORACLE_QUANTALES, ids=lambda q: q.name)
 def test_empty_carrier_space_has_one_element(q):
     space = get_endospace(q, carrier("E", 0))
     assert space.elements == [()] and space.zero_idx == space.id_idx == 0
-    assert (space._comp_rows[0][0], space.join(0, 0), space.dag_t[0]) == (0, 0, 0)
-    assert space.comm_mask(0) == space.full_mask == 1
+    assert (space.comp_rows[0][0], space.join_rows[0][0], space.dag_t[0]) == (0, 0, 0)
+    assert space.comm[0] == space.full_mask == 1
     assert_scalar_line(space)
 
 
@@ -436,7 +442,7 @@ def test_wide_rows_past_256_row_vectors():
     chain = long_chain(300, min)
     space = EndoSpace(chain, x1)
     assert space.rowmul[0].itemsize == 2
-    assert all(space.comm_mask(i) == space.full_mask for i in range(space.size))
+    assert all(space.comm[i] == space.full_mask for i in range(space.size))
     rng = random.Random(79)
     pairs = [(rng.randrange(300), rng.randrange(300)) for _ in range(500)]
     assert_table_cells(space, pairs + [(299, 299), (0, 299)])
@@ -446,7 +452,7 @@ def test_wide_rows_past_256_row_vectors():
     # is rare: under left projection a∘b = a, so a commutes with itself only
     left = EndoSpace(long_chain(300, lambda i, j: i), x1)
     assert_comm_masks(left, rng.sample(range(300), 40))
-    assert all(left.comm_mask(i) == 1 << i for i in range(300))
+    assert all(left.comm[i] == 1 << i for i in range(300))
 
 
 ROWMUL_CASES = [(BOOL2, 0), (BOOL2, 1), (BOOL2, 2), (BOOL2, 3), (GODEL3, 2), (LUK3, 2),
@@ -620,7 +626,7 @@ def test_enumerate_empty_carrier():
     # Hom(∅, ∅) has one element, the empty matrix, and no rows to look up
     x0 = carrier("X", 0)
     space = get_endospace(BOOL2, x0)
-    assert (space._comp_rows[0][0], space.join(0, 0), space.comm_mask(0)) == (0, 0, 1)
+    assert (space.comp_rows[0][0], space.join_rows[0][0], space.comm[0]) == (0, 0, 1)
     poset = enumerate_vn(x0, BOOL2)
     assert [a.members for a in poset.algebras] == [((),)]
 
@@ -788,7 +794,7 @@ def test_a_closure_of_star_commuting_normals_has_the_pairs_as_commutant(q, n):
     # cl(S)' = ⋂_{s∈S} pair(s), which lets generated mode expand a closure by
     # the normal elements of its commutant
     space = get_endospace(q, carrier("X", n))
-    pair = [space.comm_mask(i) & space.comm_mask(space.dag_t[i]) for i in range(space.size)]
+    pair = [space.comm[i] & space.comm[space.dag_t[i]] for i in range(space.size)]
     normals = [i for i in range(space.size) if pair[i] >> i & 1]
     checked = 0
     for size in range(3):
@@ -840,7 +846,7 @@ def test_a_union_of_two_closed_parts_closes_to_the_closure_of_the_union(q, n):
 def test_normality_by_rows_is_the_commutation_mask_test(q, n):
     space = get_endospace(q, carrier("X", n))
     normal = [space.is_normal(i) for i in range(space.size)]
-    assert normal == [bool(space.comm_mask(i) >> space.dag_t[i] & 1)
+    assert normal == [bool(space.comm[i] >> space.dag_t[i] & 1)
                       for i in range(space.size)]
     assert True in normal and False in normal
 
