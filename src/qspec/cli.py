@@ -6,11 +6,11 @@ configuration and seed (keys sorted, no timestamps), and the exit status is
 0 exactly when every invariant check in the run passed.
 """
 
-import argparse
 import errno
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from qspec import checks
 from qspec.contextuality import ks_verdict
@@ -25,36 +25,50 @@ from qspec.zariski import (
 )
 
 
-def _parser(argv=()):
-    """The argument parser for argv.  When argv names a command, only that
-    command's subparser is built; otherwise all of them are, for the help
-    text and the invalid-choice error.  Either way the usage and help bytes
-    are those of the full parser."""
+def _parser():
+    """The argparse parser of the option table.  main hands it every argv
+    that _canonical does not read, so every usage, help and error text and
+    every exit status of the command line is argparse's."""
+    import argparse  # here, not at start-up: a canonical argv needs none of it
+
     p = argparse.ArgumentParser(
         prog="qspec",
         description="Verification engine for finite quantale-valued relation categories.")
-    named = bool(argv) and argv[0] in _COMMANDS
-    # One subparser needs the full parser's metavar for the usage line.  All
-    # of them take none, so that an invalid choice names the argument "command".
-    sub = p.add_subparsers(dest="command", required=True,
-                           metavar="{" + ",".join(_COMMANDS) + "}" if named else None)
-    for name in [argv[0]] if named else _COMMANDS:
-        sp = sub.add_parser(name, help=_COMMANDS[name][0])
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (summary, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         src = sp.add_mutually_exclusive_group(required=True)
-        src.add_argument("--quantale", help="builtin tag, e.g. boolean2, godel3, powerset2")
-        src.add_argument("--file", help="path to a quantale definition document")
-        if name != "check-quantale":
-            sp.add_argument("--size", type=int, default=2, help="carrier size |X|")
-            sp.add_argument("--mode", choices=["exhaustive", "generated"],
-                            default="exhaustive")
-            sp.add_argument("--max-generators", type=int, default=2)
-        sp.add_argument("--format", choices=["text", "json", "dot"], default="text")
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--seed", type=int, default=0)
-        if name in ("spectrum", "topology"):
-            sp.add_argument("--algebra", default="all",
-                            help="trivial | diagonal | all | index of an enumerated algebra")
+        for option, (kind, default, text, commands) in _OPTIONS.items():
+            if name in commands:
+                (src if option in ("--quantale", "--file") else sp).add_argument(
+                    option, default=default, help=text,
+                    **{"choices" if isinstance(kind, tuple) else "type": kind})
     return p
+
+
+def _canonical(argv):
+    """The namespace argparse would make of argv, when argv is the command
+    followed by `--option value` pairs: each an option of that command under
+    its exact name, given at most once, exactly one of --quantale and --file,
+    and each value valid and not starting with "-".  None for any other
+    argv, which argparse then reads."""
+    command, pairs = (argv[0], argv[1:]) if argv else (None, ())
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if (command not in _COMMANDS or 2 * len(given) != len(pairs)
+            or ("--quantale" in given) == ("--file" in given)):
+        return None
+    args = SimpleNamespace(command=command)
+    for option, (kind, default, _, commands) in _OPTIONS.items():
+        if command in commands:
+            value = given.pop(option, None)
+            if value is None:
+                value = default
+            elif kind is int and value.isascii() and value.isdigit():
+                value = int(value)
+            elif kind is int or value.startswith("-") or kind is not str and value not in kind:
+                return None  # argparse takes more ints, such as "+3" and "-1"
+            setattr(args, option[2:].replace("-", "_"), value)
+    return None if given else args
 
 
 def _load_quantale(args):
@@ -62,7 +76,8 @@ def _load_quantale(args):
         raise QuantaleError("carrier size must be at least 1")
     if getattr(args, "max_generators", 0) < 0:
         raise QuantaleError("--max-generators must be at least 0")
-    return parse_quantale_tag(args.quantale) if args.quantale else load_quantale_file(args.file)
+    return (load_quantale_file(args.file) if args.quantale is None
+            else parse_quantale_tag(args.quantale))
 
 
 def _select_algebras(poset, selector):
@@ -362,6 +377,21 @@ _COMMANDS = {
     "verdict": ("the contextuality verdict", _cmd_verdict),
     "topology": ("Zariski topologies and quotients", _cmd_topology),
 }
+_ENUMERATING = frozenset(_COMMANDS) - {"check-quantale"}
+# Each option: its type or its choices, its default, its help line and the
+# commands that take it, in usage order.  _canonical and _parser both read it.
+_OPTIONS = {
+    "--quantale": (str, None, "builtin tag, e.g. boolean2, godel3, powerset2", _COMMANDS),
+    "--file": (str, None, "path to a quantale definition document", _COMMANDS),
+    "--size": (int, 2, "carrier size |X|", _ENUMERATING),
+    "--mode": (("exhaustive", "generated"), "exhaustive", None, _ENUMERATING),
+    "--max-generators": (int, 2, None, _ENUMERATING),
+    "--format": (("text", "json", "dot"), "text", None, _COMMANDS),
+    "--out": (str, None, "write the report here instead of stdout", _COMMANDS),
+    "--seed": (int, 0, None, _COMMANDS),
+    "--algebra": (str, "all", "trivial | diagonal | all | index of an enumerated algebra",
+                  ("spectrum", "topology")),
+}
 
 
 def main(argv=None):
@@ -375,7 +405,7 @@ def main(argv=None):
     try:
         if argv is None:
             argv = sys.argv[1:]
-        args = _parser(argv).parse_args(argv)
+        args = _canonical(argv) or _parser().parse_args(argv)
         _check_output(args)
         q = _load_quantale(args)
         if hasattr(args, "size"):  # before a carrier is built
@@ -406,13 +436,21 @@ def main(argv=None):
 
 def entry():
     """The process entry, of both `python -m qspec.cli` and the `qspec`
-    script: main, then the heap frozen, so that the collection at
-    interpreter exit skips what the run leaves behind."""
+    script.  Once main returns a status, the streams are flushed and the
+    process ends at once: the run leaves no file open and no exit hook, so
+    the interpreter's teardown would only free the heap.  A stdout that
+    cannot take the report exits 2, as in _emit.  An exception, argparse's
+    SystemExit included, leaves the normal way."""
+    status = main()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without its fd
+                stream.flush()
+    except OSError as exc:
+        sys.stderr.write(f"qspec: error: {exc}\n")
+        status = 2
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

@@ -87,15 +87,15 @@ class Quantale:
         if fp is None:
             fp = (self.name, self.elements, self.join_table, self.mul_table,
                   self.unit, self.involution)
-            self.__dict__["_fingerprint"] = fp
+            self.__dict__["_fingerprint"], self.__dict__["_hash"] = fp, hash(fp)
         return fp
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Quantale)
                                  and self.fingerprint == other.fingerprint)
 
-    def __hash__(self):
-        return hash(self.fingerprint)
+    def __hash__(self):  # a hash of 0 is only computed again
+        return self.__dict__.get("_hash") or hash(self.fingerprint)
 
     def __repr__(self):
         return f"Quantale({self.name!r}, {self.size} elements)"

@@ -128,10 +128,11 @@ def test_enumerating_commands_refuse_a_table_that_is_not_a_quantale(
     assert err == "qspec: error: not a quantale: distributivity fails at (a, a, 1)\n"
 
 
-def test_invalid_config_exits_two(capsys):
-    code, _, err = run_cli(capsys, "check-quantale", "--quantale", "nonsense7")
+@pytest.mark.parametrize("tag", ["nonsense7", ""])
+def test_invalid_config_exits_two(tag, capsys):
+    code, _, err = run_cli(capsys, "check-quantale", "--quantale", tag)
     assert code == 2
-    assert "error" in err
+    assert err == f"qspec: error: unknown builtin quantale tag {tag!r}\n"
 
 
 def test_algebras_json_and_dot(capsys):
@@ -699,51 +700,75 @@ def test_an_argparse_exit_leaves_the_collector_as_the_caller_had_it(enabled, cap
     capsys.readouterr()
 
 
-PARSED = {  # an argv per command that sets every option it takes
-    "check-quantale": ["--quantale", "godel3", "--format", "json", "--seed", "3"],
-    **{command: ["--file", "q.json", "--size", "3", "--mode", "generated",
-                 "--max-generators", "1", "--out", "r.txt", "--seed", "4"]
-       for command in ("algebras", "sections", "verdict")},
-    **{command: ["--quantale", "boolean2", "--algebra", "diagonal", "--format", "json"]
-       for command in ("spectrum", "topology")},
-}
+# a value for each option but the sources, unlike its default
+VALUES = {"--size": "3", "--mode": "generated", "--max-generators": "1", "--format": "json",
+          "--out": "r.txt", "--seed": "4", "--algebra": "diagonal"}
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_a_command_parser_parses_and_helps_as_the_full_one(command, capsys):
-    one, full = cli._parser([command]), cli._parser([])
-    argv = [command, *PARSED[command]]
-    assert one.parse_args(argv) == full.parse_args(argv)
-    assert one.parse_args(argv[:3]) == full.parse_args(argv[:3])  # the defaults
-    assert one.format_usage() == full.format_usage()
-    helps = []
-    for parser in (one, full):
-        with pytest.raises(SystemExit):
-            parser.parse_args([command, "--help"])
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and f"usage: qspec {command} [-h]" in helps[0]
+def test_the_canonical_parser_reads_argv_as_argparse(command):
+    # every subset of the command's options, in two orders, from either source
+    parse = cli._parser().parse_args
+    options = [o for o, (*_, commands) in cli._OPTIONS.items()
+               if command in commands and o in VALUES]
+    for mask in range(1 << len(options)):
+        pairs = [[o, VALUES[o]] for i, o in enumerate(options) if mask >> i & 1]
+        for source in (["--quantale", "boolean2"], ["--file", "q.json"]):
+            for order in (pairs + [source], [source] + pairs[::-1]):
+                argv = [command, *(word for pair in order for word in pair)]
+                assert vars(cli._canonical(argv)) == vars(parse(argv)), argv
 
 
-@pytest.mark.parametrize("argv", [["bogus"], ["verdict", "--quantale", "boolean2", "--bogus"],
-                                  ["--help"], []])
+@pytest.mark.parametrize("argv", [
+    ["bogus"], ["verdict", "--quantale", "boolean2", "--bogus"], ["--help"], [],
+    ["verdict", "-h"],
+    ["verdict", "--size", "2"],  # no source
+    ["verdict", "--quantale", "boolean2", "--file", "q.json"],
+    ["verdict", "--quantale", "boolean2", "--size", "two"],
+    ["verdict", "--quantale", "boolean2", "--out", "-x"],  # an option, not a value
+    ["verdict", "--quantale", "boolean2", "--mode", "lazy"],
+    ["check-quantale", "--quantale", "boolean2", "--size", "2"],  # another command's option
+    ["verdict", "--quantale", "boolean2", "--algebra", "all"],
+])
 def test_argument_errors_and_help_are_the_full_parsers(argv, capsys):
+    assert cli._canonical(argv) is None
     written = []
-    for parse in (main, cli._parser([]).parse_args):
+    for parse in (main, cli._parser().parse_args):
         with pytest.raises(SystemExit) as exited:
             parse(argv)
         written.append((exited.value.code, capsys.readouterr()))
     assert written[0] == written[1]
-    assert written[0][1].err or "positional arguments" in written[0][1].out
+    assert written[0][1].err or written[0][1].out.startswith("usage: qspec")
 
 
-def run_entry(*args, code=None):
+@pytest.mark.parametrize("argv,seed", [
+    (["--quant", "boolean2"], 0),
+    (["--quantale", "boolean2", "--seed=3"], 3),
+    (["--quantale", "boolean2", "--seed", "-1"], -1),
+    (["--quantale", "godel3", "--seed", "5", "--quantale", "boolean2"], 5),  # the last wins
+])
+def test_argparse_reads_the_argv_the_canonical_parser_refuses(argv, seed, capsys):
+    argv = ["verdict", "--size", "1", "--format", "json", *argv]
+    assert cli._canonical(argv) is None
+    expected = vars(cli._canonical(["verdict", "--size", "1", "--format", "json",
+                                    "--quantale", "boolean2"]))
+    assert vars(cli._parser().parse_args(argv)) == {**expected, "seed": seed}
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"] == {"quantale": "boolean2", "seed": seed, "size": 1,
+                                         "mode": "exhaustive", "max_generators": 2}
+
+
+def run_entry(*args, code=None, stdout=subprocess.PIPE):
     """Run `python -m qspec.cli ARGS`, or `python -c CODE ARGS` where CODE
-    enters the CLI as `-m` does, in a child that imports this qspec."""
+    enters the CLI as `-m` does, in a child that imports this qspec and
+    buffers stdout as Python does by default."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     head = ["-m", "qspec.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    return subprocess.run([sys.executable, *head, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env={**env, "PYTHONPATH": path}, timeout=60)
 
 
 # the largest algebra placed below the trivial one, then the CLI's __main__ block
@@ -774,12 +799,48 @@ def test_the_process_entry_writes_the_golden_report_and_one_error_line(tmp_path)
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("qspec: error:")
 
 
-def test_the_process_entry_freezes_the_heap_once_main_returns(monkeypatch):
-    frozen = gc.get_freeze_count()
-    seen = []
-    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 3)
+# main replaced by one that leaves its report in the buffer, or that exits
+# as argparse does, then the process entry
+ENTRY = """
+import atexit, sys
+import qspec.cli as cli
+atexit.register(print, "teardown")
+def main():
+    if sys.argv[1:] == ["exit"]:
+        sys.exit(2)
+    sys.stdout.write("report")
+    return 3
+cli.main = main
+cli.entry()
+"""
+
+
+def test_the_process_entry_flushes_and_skips_teardown_once_main_returns():
+    returned, exited = run_entry(code=ENTRY), run_entry("exit", code=ENTRY)
+    assert (returned.returncode, returned.stdout, returned.stderr) == (3, "report", "")
+    assert (exited.returncode, exited.stdout, exited.stderr) == (2, "teardown\n", "")
+
+
+def test_a_process_started_without_stdout_and_stderr_writes_its_out_file(tmp_path):
+    out = tmp_path / "r.json"
+    code = ("import runpy, sys\nsys.stdout = sys.stderr = None\n"
+            "runpy.run_module('qspec.cli', run_name='__main__', alter_sys=True)")
+    done = run_entry("verdict", "--quantale", "boolean2", "--size", "1", "--format", "json",
+                     "--out", str(out), code=code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--quantale", "boolean2", "--size", "1"],  # fits the buffer: the flush fails
+    ["algebras", "--quantale", "boolean2", "--size", "3", "--format", "json"],  # _emit fails
+], ids=["flush", "emit"])
+def test_a_closed_stdout_exits_two_with_one_error_line(argv):
+    read, write = os.pipe()
+    os.close(read)
     try:
-        assert cli.entry() == 3
-        assert seen == [frozen] and gc.get_freeze_count() > frozen
+        done = run_entry(*argv, stdout=write)
     finally:
-        gc.unfreeze()
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("qspec: error:")

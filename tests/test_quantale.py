@@ -158,6 +158,16 @@ def test_document_round_trip_is_exact():
     assert quantale_to_doc(load_quantale(doc)) == doc
 
 
+@pytest.mark.parametrize("tag", ["boolean2", "godel4", "lukasiewicz3", "powerset2"])
+def test_a_quantale_loaded_from_its_document_hashes_and_compares_as_the_builtin(tag):
+    builtin = parse_quantale_tag(tag)
+    loaded = load_quantale(quantale_to_doc(builtin))
+    assert loaded is not builtin
+    # the first hash computes and stores it, the second reads it
+    assert hash(loaded) == hash(builtin) == hash(loaded) == hash(builtin.fingerprint)
+    assert loaded == builtin and {builtin: tag}[loaded] == tag
+
+
 def test_nontrivial_involution_round_trip_and_axioms():
     doc = copy.deepcopy(SWAP_DOC)
     q = load_quantale(doc)
