@@ -64,7 +64,10 @@ def _canonical(argv):
             if value is None:
                 value = default
             elif kind is int and value.isascii() and value.isdigit():
-                value = int(value)
+                try:
+                    value = int(value)
+                except ValueError:  # past sys.get_int_max_str_digits(): argparse's error
+                    return None
             elif kind is int or value.startswith("-") or kind is not str and value not in kind:
                 return None  # argparse takes more ints, such as "+3" and "-1"
             setattr(args, option[2:].replace("-", "_"), value)
@@ -359,7 +362,9 @@ def _cmd_topology(args, q):
                 "topology": topology_to_json(t),
                 "t0": rep.t0,
                 "t1": rep.t1,
-                "compact": rep.compact,
+                # the open family of a finite space is finite, so any cover
+                # is its own finite subcover: every finite space is compact
+                "compact": True,
                 "indistinguishable_pairs": rep.indistinguishable_pairs,
                 "quotient_points": quotient.size,
                 "quotient_map": list(mapping),
@@ -419,19 +424,19 @@ def main(argv=None):
         _emit(report, args)
         return 0 if report["passed"] else 1
     except InvariantViolation as exc:  # a broken invariant: a failed check
-        sys.stderr.write(f"qspec: error: {exc}\n")
-        return 1
+        status, error = 1, str(exc)
     except (QuantaleError, EnumerationBoundExceeded, OSError, ValueError) as exc:
-        sys.stderr.write(f"qspec: error: {exc}\n")
-        return 2
+        status, error = 2, str(exc)
     except MemoryError:
         # the stack is unwound by now, so its tables are freed
-        sys.stderr.write("qspec: error: out of memory; try a smaller --size, or "
-                         "a lower QSPEC_MAX_HOM_SIZE to refuse such spaces early\n")
-        return 2
+        status, error = 2, ("out of memory; try a smaller --size, or "
+                            "a lower QSPEC_MAX_HOM_SIZE to refuse such spaces early")
     finally:
         if enabled:
             gc.enable()
+    if sys.stderr is not None:  # None when the process started without its fd
+        sys.stderr.write(f"qspec: error: {error}\n")
+    return status
 
 
 def entry():

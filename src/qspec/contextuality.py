@@ -189,7 +189,7 @@ def canonical_section(point, sheaf):
             raise InvariantViolation(f"A{idx}: carrier point {point!r} lies in "
                                      f"{len(owners)} components, not exactly one")
         sr = dec.algebra.semiring()
-        row = sr.mul[_member_index(dec, idx, dec.idempotents[owners[0]])]
+        row = sr.mul[dec.idempotents[owners[0]]]
         values = tuple(TWO.bottom if v == sr.zero else TWO.unit for v in row)
         try:
             choice.append(sheaf.values[idx].index_of(values))
@@ -199,15 +199,6 @@ def canonical_section(point, sheaf):
     _require_natural(section, sheaf, "canonical section failed the naturality check "
                                      f"for carrier point {point!r}")
     return section
-
-
-def _member_index(dec, idx, e):
-    """The position of idempotent e in dec's algebra, of poset index idx."""
-    pos = dec.algebra.member_pos.get(e)
-    if pos is None:
-        raise InvariantViolation(
-            f"A{idx}: primitive idempotent {e} is not a member of the algebra")
-    return pos
 
 
 def unnatural_edge(section, sheaf):
@@ -239,7 +230,7 @@ def section_element(section, sheaf):
     for idx, dec in enumerate(poset.decompositions):
         ideal = sheaf.values[idx].points[section[idx]]
         outside = [pts for e, pts in zip(dec.idempotents, dec.supports)
-                   if ideal[_member_index(dec, idx, e)] != TWO.bottom]
+                   if ideal[e] != TWO.bottom]
         if len(outside) != 1:
             raise InvariantViolation(f"A{idx}: section does not isolate one component")
         selected.append(outside[0])

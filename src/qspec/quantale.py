@@ -186,7 +186,7 @@ def load_quantale_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise QuantaleError(
                 f"parse error: {path!r} is not a JSON document: {exc}") from None
     return load_quantale(doc)

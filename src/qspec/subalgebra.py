@@ -260,21 +260,21 @@ def diagonal_algebra(x, q):
 
 
 def subunital_idempotents(a):
-    """Idempotent members admitting an orthogonal idempotent partner that
-    joins with them to the identity."""
+    """The positions of the idempotent members admitting an orthogonal
+    idempotent partner that joins with them to the identity."""
     sr = a.semiring()
     mul, add = sr.mul, sr.add
     idem = [i for i in range(sr.size) if mul[i][i] == i]
-    return [a.members[p] for p in idem
+    return [p for p in idem
             if any(mul[p][r] == sr.zero and add[p][r] == sr.one for r in idem)]
 
 
-class Decomposition(namedtuple("Decomposition",
-                                "algebra idempotents components supports")):
-    """Primitive subunital idempotents of an algebra and the member sets they
-    cut out: idempotents holds the entry matrix of one per component, and per
-    idempotent e, components holds the sorted entry matrices of eA and
-    supports its carrier points in carrier order."""
+class Decomposition(namedtuple("Decomposition", "algebra idempotents supports")):
+    """Primitive subunital idempotents of an algebra and the carrier points
+    they support: idempotents holds the member position of one per
+    component, and supports the carrier points of each in carrier order.
+    The component eA of an idempotent e is the set of values in e's row of
+    the multiplication table."""
 
     __slots__ = ()
 
@@ -304,19 +304,15 @@ def primitive_idempotents(a):
     if not a.member_set.issuperset(projections.values()):
         raise InvariantViolation(
             "support projection escaped the algebra; enumeration is broken")
-    supports = [s for s in projections if s]
-    atoms = [s for s in supports if not any(t < s for t in supports)]
+    # past here an idempotent is named by its member position
+    position = {s: a.member_pos[e] for s, e in projections.items() if s}
+    atoms = [s for s in position if not any(t < s for t in position)]
     atoms.sort(key=min)
     if set().union(*atoms) != set(range(a.carrier.size)):
         raise InvariantViolation("support atoms do not cover the carrier")
     points = a.carrier.elements
     atom_points = tuple(tuple(points[i] for i in sorted(s)) for s in atoms)
-    idempotents = tuple(projections[s] for s in atoms)
-    mul = a.semiring().mul
-    components = tuple(
-        tuple(a.members[k] for k in sorted(set(mul[a.member_pos[e]])))
-        for e in idempotents)
-    return Decomposition(a, idempotents, components, atom_points)
+    return Decomposition(a, tuple(map(position.__getitem__, atoms)), atom_points)
 
 
 def validate_decomposition(dec):
@@ -325,10 +321,7 @@ def validate_decomposition(dec):
     a = dec.algebra
     sr = a.semiring()
     add, mul, zero = sr.add, sr.mul, sr.zero
-    es = [a.member_pos.get(e) for e in dec.idempotents]
-    if None in es:  # no law can be looked up for a foreign idempotent
-        return [f"idempotent {i} is not subunital in the algebra"
-                for i, p in enumerate(es) if p is None]
+    es = dec.idempotents
     failures = []
     for i, p in enumerate(es):
         if mul[p][p] != p:
@@ -341,7 +334,7 @@ def validate_decomposition(dec):
         acc = add[acc][p]
     if acc != sr.one:
         failures.append("idempotents do not join to the unit")
-    subunital = [a.member_pos[m] for m in subunital_idempotents(a)]
+    subunital = subunital_idempotents(a)
     nontrivial = [s for s in subunital if s != zero]
     for i, p in enumerate(es):
         if p not in subunital:
@@ -358,7 +351,7 @@ def validate_decomposition(dec):
             failures.append(f"members {a.members[seen[key]]} and {a.members[m]} "
                             "agree on all components")
         seen[key] = m
-    expected = math.prod(map(len, dec.components))
+    expected = math.prod(len(set(mul[p])) for p in es)
     if len(seen) != expected or a.size != expected:
         failures.append("component map is not onto the product")
     return failures

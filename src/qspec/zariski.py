@@ -30,7 +30,7 @@ def _image(bits, mapping):
     return out
 
 
-class FiniteTopology(namedtuple("FiniteTopology", "points down")):
+class FiniteTopology(namedtuple("FiniteTopology", "down")):
     """A finite space on the point indices 0..n-1 as its specialization
     preorder: bit x of down[y] is set iff x lies in the closure of {y}."""
 
@@ -38,7 +38,7 @@ class FiniteTopology(namedtuple("FiniteTopology", "points down")):
 
     @property
     def size(self):
-        return len(self.points)
+        return len(self.down)
 
     @property
     def closed_sets(self):
@@ -50,30 +50,30 @@ class FiniteTopology(namedtuple("FiniteTopology", "points down")):
                          for c in family)
 
 
-SeparationReport = namedtuple("SeparationReport", "t0 t1 compact indistinguishable_pairs")
+SeparationReport = namedtuple("SeparationReport", "t0 t1 indistinguishable_pairs")
 
 
-def closed_family_from_basis(points, basis):
-    """The space whose closed sets are generated by a basis of closed sets
-    under finite unions and intersections.  Those form a finite ring of sets,
-    the down-sets of x <= y iff x lies in every basis set containing y."""
-    points = tuple(points)
+def closed_family_from_basis(size, basis):
+    """The space on size points whose closed sets are generated by a basis
+    of closed sets under finite unions and intersections.  Those form a
+    finite ring of sets, the down-sets of x <= y iff x lies in every basis
+    set containing y."""
     masks = [sum(1 << x for x in b) for b in basis]
-    full = (1 << len(points)) - 1
+    full = (1 << size) - 1
     down = []
-    for y in range(len(points)):
+    for y in range(size):
         d = full
         for m in masks:
             if m >> y & 1:
                 d &= m
         down.append(d)
-    return FiniteTopology(points, tuple(down))
+    return FiniteTopology(tuple(down))
 
 
-def vanishing_set(spectrum, member_entries):
-    """Point indices where one algebra member vanishes: the points whose
-    kernel contains it (prime ideals containing it, characters killing it)."""
-    k = spectrum.algebra.member_pos[member_entries]
+def vanishing_set(spectrum, k):
+    """Point indices where the algebra member at position k vanishes: the
+    points whose kernel contains it (prime ideals containing it, characters
+    killing it)."""
     b = spectrum.target.bottom
     return frozenset(i for i, p in enumerate(spectrum.points) if p[k] == b)
 
@@ -84,19 +84,19 @@ def zariski_topology(spectrum):
     and stored on it."""
     cached = spectrum.__dict__.get("_zariski")
     if cached is None:
-        basis = [vanishing_set(spectrum, m) for m in spectrum.algebra.members]
-        cached = closed_family_from_basis(range(spectrum.size), basis)
+        basis = [vanishing_set(spectrum, k) for k in range(spectrum.algebra.size)]
+        cached = closed_family_from_basis(spectrum.size, basis)
         spectrum.__dict__["_zariski"] = cached
     return cached
 
 
 def all_ideals(algebra):
     """Every ideal (contains zero, join-closed, absorbs multiplication), as
-    sorted member tuples.  The ideal generated by m is m.A, the values of m's
-    row of the multiplication table, as A is join-closed and composition
-    distributes over joins; and every ideal is the elementwise join of the
-    ideals its members generate, so the ideals are the closure of {0} under
-    joining with one generated ideal at a time."""
+    sorted tuples of member positions.  The ideal generated by m is m.A, the
+    values of m's row of the multiplication table, as A is join-closed and
+    composition distributes over joins; and every ideal is the elementwise
+    join of the ideals its members generate, so the ideals are the closure
+    of {0} under joining with one generated ideal at a time."""
     if algebra.size > MAX_IDEAL_SCAN_MEMBERS:
         raise ValueError(f"algebra too large for the ideal scan ({algebra.size} members)")
     sr = algebra.semiring()
@@ -106,28 +106,27 @@ def all_ideals(algebra):
         principal = set(row)
         family |= {frozenset(add[i][j] for i in ideal for j in principal)
                    for ideal in family}
-    members = algebra.members  # sorted, so sorted positions give sorted members
-    return sorted(tuple(members[k] for k in sorted(ideal)) for ideal in family)
+    return sorted(tuple(sorted(ideal)) for ideal in family)
 
 
-def vanishing_set_of_ideal(spectrum, ideal_members):
+def vanishing_set_of_ideal(spectrum, ideal):
+    """Point indices where every member of the ideal, a tuple of member
+    positions, vanishes."""
     out = frozenset(range(spectrum.size))
-    for m in ideal_members:
-        out &= vanishing_set(spectrum, m)
+    for k in ideal:
+        out &= vanishing_set(spectrum, k)
     return out
 
 
 def separation_report(topology):
-    """Exact T0/T1/compactness flags plus the indistinguishable point pairs
-    (the points with equal closures)."""
+    """Exact T0/T1 flags plus the indistinguishable point pairs (the points
+    with equal closures).  No compactness flag: every finite space is
+    compact."""
     down = topology.down
     indist = tuple((a, b) for a, b in itertools.combinations(range(topology.size), 2)
                    if down[a] == down[b])
     t1 = all(d == 1 << y for y, d in enumerate(down))
-    # The open family of a finite space is finite, so any cover is its own
-    # finite subcover: every finite space is compact.
-    return SeparationReport(t0=not indist, t1=t1, compact=True,
-                            indistinguishable_pairs=indist)
+    return SeparationReport(t0=not indist, t1=t1, indistinguishable_pairs=indist)
 
 
 def kolmogorov_quotient(topology):
@@ -138,8 +137,7 @@ def kolmogorov_quotient(topology):
     for d in topology.down:
         classes.setdefault(d, len(classes))
     mapping = tuple(classes[d] for d in topology.down)
-    quotient = FiniteTopology(tuple(range(len(classes))),
-                              tuple(_image(d, mapping) for d in classes))
+    quotient = FiniteTopology(tuple(_image(d, mapping) for d in classes))
     return quotient, mapping
 
 
@@ -190,7 +188,7 @@ def is_homeomorphism(t1, t2, point_map):
 
 
 def topology_to_json(topology):
-    labels = [str(p) for p in topology.points]
+    labels = list(map(str, range(topology.size)))
     closed = sorted(topology.closed_sets, key=lambda c: (len(c), sorted(c)))
     return {
         "points": labels,

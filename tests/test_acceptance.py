@@ -119,7 +119,7 @@ def test_criterion_3_decomposition():
         zero = zero_rel(q, poset.carrier, poset.carrier)
         for a in poset.algebras:
             dec = primitive_idempotents(a)
-            es = [QRel(q, a.carrier, a.carrier, e) for e in dec.idempotents]
+            es = [QRel(q, a.carrier, a.carrier, a.members[p]) for p in dec.idempotents]
             for e, f in itertools.combinations(es, 2):
                 if compose(e, f) != zero:
                     failures += 1
@@ -129,7 +129,8 @@ def test_criterion_3_decomposition():
             if joined != identity_rel(q, poset.carrier):
                 failures += 1
             # primitivity: no join of two other nonzero subunital idempotents
-            subs = [s for s in subunital_idempotents(a) if s != zero.entries]
+            subs = [a.members[s] for s in subunital_idempotents(a)
+                    if a.members[s] != zero.entries]
             for e in es:
                 for s, t in itertools.combinations(subs, 2):
                     if s != e.entries and t != e.entries and \
@@ -139,8 +140,9 @@ def test_criterion_3_decomposition():
             images = {tuple(compose(e, QRel(q, a.carrier, a.carrier, m)).entries
                             for e in es) for m in a.members}
             expected = 1
-            for comp in dec.components:
-                expected *= len(comp)
+            for e in es:  # the size of the component eA
+                expected *= len({compose(e, QRel(q, a.carrier, a.carrier, m)).entries
+                                 for m in a.members})
             if len(images) != len(a.members) or expected != len(a.members):
                 failures += 1
     assert failures == 0
@@ -162,7 +164,7 @@ def test_criterion_4_spectra_correspondence():
                 failures += 1
             dec = primitive_idempotents(a)
             for g in gammas:
-                hits = [e for e in dec.idempotents if g[a.member_pos[e]] == 1]
+                hits = [e for e in dec.idempotents if g[e] == 1]
                 if len(hits) != 1:
                     failures += 1
             if poset.quantale.size == 2:
@@ -224,7 +226,7 @@ def test_criterion_7_topology_functoriality():
         primes = list(map(prime_spectrum, gelfands))
         for pri in primes:
             rep = separation_report(zariski_topology(pri))
-            if not (rep.t0 and rep.compact):
+            if not rep.t0:  # and compact, as every finite space is
                 failures += 1
         for (i, j) in poset.hasse:
             if not check_continuity(primes[i], primes[j],

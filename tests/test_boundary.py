@@ -8,7 +8,11 @@ plain tuple of its values, with no type of its own; a prime point is such a
 character into the two-element quantale.  The down-set scan of prime ideals
 and the standalone search into that quantale (characters_to_two) are oracles
 of a check, not pipeline stages; the entry-matrix validators of one
-character or one prime ideal live in the tests.  A global section is a
+character or one prime ideal live in the tests.  Past enumeration, an
+algebra's members are named by position: a decomposition's idempotents, an
+ideal and the member a vanishing set is taken of are member positions, and
+only primitive_idempotents maps an idempotent's entry matrix to its
+position.  A global section is a
 plain tuple of point indices, and the support checks read their projections
 from qspec.subalgebra, not from the relation-level support of the tests'
 oracles.  The records are namedtuples, so starting the CLI loads neither
@@ -42,7 +46,8 @@ from qspec.contextuality import Verdict
 from qspec.quantale import AxiomReport, builtin_quantale
 from qspec.relations import FiniteSet, carrier, identity_rel
 from qspec.spectra import gelfand_spectrum, prime_spectrum
-from qspec.subalgebra import AlgebraPoset, diagonal_algebra, enumerate_vn
+from qspec.subalgebra import AlgebraPoset, Decomposition, diagonal_algebra, enumerate_vn
+from qspec.zariski import FiniteTopology, SeparationReport
 from test_layer_trace import load_layer_trace
 
 QSPEC_MODULES = sorted(f"qspec.{m.name}" for m in pkgutil.iter_modules(qspec.__path__))
@@ -273,9 +278,18 @@ def test_spectrum_points_are_tuples_of_ints(spectrum):
 
 
 def test_decomposition_idempotents_are_members_of_their_algebra():
+    # past enumeration an idempotent is named by its member position
     poset = enumerate_vn(carrier("X", 2), builtin_quantale("godel_chain", 3))
     for dec in poset.decompositions:
-        assert dec.idempotents and set(dec.idempotents) <= dec.algebra.member_set
+        mul = dec.algebra.semiring().mul
+        assert dec.idempotents
+        for p in dec.idempotents:
+            assert type(p) is int and 0 <= p < dec.algebra.size and mul[p][p] == p
+
+
+@pytest.mark.parametrize("module", ["qspec.contextuality", "qspec.checks", "qspec.zariski"])
+def test_past_enumeration_members_are_named_by_position(module):
+    assert "member_pos" not in inspect.getsource(importlib.import_module(module))
 
 
 def test_records_store_no_derivable_flag():
@@ -284,6 +298,12 @@ def test_records_store_no_derivable_flag():
     assert {"contextual", "zdf", "notes"}.isdisjoint(Verdict._fields)
     # the inclusion order is the closure of the Hasse edges, derived on demand
     assert "leq_pairs" not in AlgebraPoset._fields
+    # a component eA is the value set of e's row of the multiplication table
+    assert "components" not in Decomposition._fields
+    # a space's points are its indices 0..n-1, one per point closure
+    assert "points" not in FiniteTopology._fields
+    # every finite space is compact
+    assert "compact" not in SeparationReport._fields
 
 
 def test_points_and_relations_carry_no_instance_dict():

@@ -256,7 +256,7 @@ def test_a_topology_foreign_to_its_spectrum_fails_restriction_continuity():
     # diagonal's four prime points are made indistinguishable.
     assert verdicts(topology_suite(enumerate_vn(X2, GODEL3)))["restriction-continuity"]
     poset, spectrum = godel3_diagonal_prime()
-    spectrum.__dict__["_zariski"] = closed_family_from_basis(range(spectrum.size), [])
+    spectrum.__dict__["_zariski"] = closed_family_from_basis(spectrum.size, [])
     assert not verdicts(topology_suite(poset))["restriction-continuity"]
 
 
@@ -269,7 +269,7 @@ def test_a_topology_foreign_to_its_spectrum_fails_the_principal_basis_oracle():
     assert intact["principal-basis-oracle"]
     poset, spectrum = godel3_diagonal_prime()
     spectrum.__dict__["_zariski"] = closed_family_from_basis(
-        range(spectrum.size), [{p} for p in range(spectrum.size)])
+        spectrum.size, [{p} for p in range(spectrum.size)])
     broken = verdicts(topology_suite(poset))
     assert not broken["principal-basis-oracle"]
     assert broken["prime-t0"] and broken["restriction-continuity"]
@@ -383,21 +383,21 @@ def test_a_duplicated_idempotent_fails_one_idempotent_per_character():
     assert broken["kernel-bijection"]
 
 
-def test_a_foreign_idempotent_fails_one_idempotent_per_character():
-    # diag(1, 0) is no member of the trivial algebra {0, id}, so no
-    # two-valued character has a value there: a failure, not a KeyError
+def test_a_zero_idempotent_fails_one_idempotent_per_character():
+    # the trivial algebra {0, id} said to split along its zero member: every
+    # two-valued character sends zero to 0, so none hits one idempotent
     bool2 = builtin_quantale("boolean2")
     assert verdicts(spectra_suite(enumerate_vn(X2, bool2)))["one-idempotent-per-character"]
     poset = enumerate_vn(X2, bool2)
     t = poset.trivial_index
     decompositions = list(poset.decompositions)
     decompositions[t] = decompositions[t]._replace(
-        idempotents=(diag_rel(bool2, X2, (bool2.unit, bool2.bottom)).entries,))
+        idempotents=(poset.algebras[t].semiring().zero,))
     poset.__dict__["decompositions"] = tuple(decompositions)
     results = {r.name: r for r in spectra_suite(poset)}
     assert not results["one-idempotent-per-character"].passed
     assert results["one-idempotent-per-character"].details == (
-        f"A{t}: a primitive idempotent is not a member of the algebra")
+        f"A{t}: a two-valued character hits != 1 primitive idempotent")
     assert results["kernel-bijection"].passed
 
 

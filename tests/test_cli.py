@@ -135,6 +135,17 @@ def test_invalid_config_exits_two(tag, capsys):
     assert err == f"qspec: error: unknown builtin quantale tag {tag!r}\n"
 
 
+@pytest.mark.parametrize("command", ["check-quantale", "verdict"])
+def test_a_deeply_nested_file_exits_two_naming_it(command, tmp_path, capsys):
+    # the JSON decoder recurses once per nesting level and stops at the limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, command, "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qspec: error: parse error: {str(path)!r} is not a JSON document: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_algebras_json_and_dot(capsys):
     code, out, _ = run_cli(capsys, "algebras", "--quantale", "boolean2",
                            "--size", "2", "--format", "json")
@@ -485,27 +496,27 @@ def test_a_verdict_missing_a_canonical_section_fails_its_count(monkeypatch, caps
                        "details": "one distinct canonical section per carrier point"}]
 
 
-def test_a_foreign_idempotent_fails_the_verdict_instead_of_a_traceback(monkeypatch, capsys):
-    # diag(1, 0) is no member of the trivial algebra {0, id}, so no section
-    # has a value there: a failed check, not a KeyError
+def test_a_zero_idempotent_fails_the_verdict_computed_check(monkeypatch, capsys):
+    # the trivial algebra {0, id} said to split along its zero member: every
+    # prime section is 0 there, so none keeps that one component
     real = sub.enumerate_vn
 
-    def foreign(*args, **kwargs):
+    def zeroed(*args, **kwargs):
         poset = real(*args, **kwargs)
-        q, t = poset.quantale, poset.trivial_index
+        t = poset.trivial_index
         decompositions = list(poset.decompositions)
         decompositions[t] = decompositions[t]._replace(
-            idempotents=(diag_rel(q, poset.carrier, (q.unit, q.bottom)).entries,))
+            idempotents=(poset.algebras[t].semiring().zero,))
         poset.__dict__["decompositions"] = tuple(decompositions)
         return poset
 
-    monkeypatch.setattr(ctx, "enumerate_vn", foreign)
+    monkeypatch.setattr(ctx, "enumerate_vn", zeroed)
     t = real(carrier("X", 2), builtin_quantale("boolean2")).trivial_index
     for command in ("verdict", "sections"):
         code, out, _ = run_cli(capsys, command, "--quantale", "boolean2", "--size", "2")
         assert code == 1, command
-        assert (f"[FAIL] verdict-computed  A{t}: primitive idempotent ((1, 0), (0, 0)) "
-                "is not a member of the algebra") in out
+        assert (f"[FAIL] verdict-computed  A{t}: section does not isolate one component"
+                in out), command
 
 
 @pytest.mark.parametrize("element,wrong,check,detail", [
@@ -729,6 +740,9 @@ def test_the_canonical_parser_reads_argv_as_argparse(command):
     ["verdict", "--quantale", "boolean2", "--mode", "lazy"],
     ["check-quantale", "--quantale", "boolean2", "--size", "2"],  # another command's option
     ["verdict", "--quantale", "boolean2", "--algebra", "all"],
+    # more digits than int() converts: argparse's invalid-int error, not int()'s
+    *(["verdict", "--quantale", "boolean2", option, "9" * (sys.get_int_max_str_digits() + 1)]
+      for option in ("--size", "--seed", "--max-generators")),
 ])
 def test_argument_errors_and_help_are_the_full_parsers(argv, capsys):
     assert cli._canonical(argv) is None
@@ -829,6 +843,19 @@ def test_a_process_started_without_stdout_and_stderr_writes_its_out_file(tmp_pat
                      "--out", str(out), code=code)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
     assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("patch,status", [
+    ("", 2),  # the unknown tag
+    ("import qspec.quantale as qu\n"
+     "def broken(tag):\n    raise qu.InvariantViolation('broken')\n"
+     "qu.parse_quantale_tag = broken\n", 1),
+], ids=["bad-tag", "broken-invariant"])
+def test_a_process_started_without_stderr_keeps_its_error_status(patch, status):
+    code = (f"import runpy, sys\n{patch}sys.stdout = sys.stderr = None\n"
+            "runpy.run_module('qspec.cli', run_name='__main__', alter_sys=True)")
+    done = run_entry("verdict", "--quantale", "nope", code=code)
+    assert (done.returncode, done.stdout, done.stderr) == (status, "", "")
 
 
 @pytest.mark.parametrize("argv", [

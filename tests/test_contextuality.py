@@ -11,7 +11,7 @@ import qspec.contextuality as contextuality
 from oracles import subset_idempotent, support
 from qspec import csp
 from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
-from qspec.relations import QRel, carrier, diag_rel, zero_rel, _e_compose
+from qspec.relations import QRel, carrier, zero_rel, _e_compose
 from qspec.contextuality import (
     Presheaf, build_presheaf, canonical_section, global_sections, ks_verdict,
     section_element, transport_gelfand_section, transport_prime_section,
@@ -246,8 +246,8 @@ def oracle_canonical_choice(point, sheaf):
     for idx, dec in enumerate(sheaf.poset.decompositions):
         a = dec.algebra
         q = a.quantale
-        (e,) = [e for e in dec.idempotents
-                if point in support(QRel(q, a.carrier, a.carrier, e)).supp]
+        (e,) = [a.members[p] for p in dec.idempotents
+                if point in support(QRel(q, a.carrier, a.carrier, a.members[p])).supp]
         zero = zero_rel(q, a.carrier, a.carrier).entries
         values = tuple(TWO.bottom if _e_compose(q, e, m) == zero else TWO.unit
                        for m in a.members)
@@ -378,20 +378,20 @@ def test_a_diagonal_component_of_two_points_names_its_algebra():
         section_element(section, sheaf)
 
 
-def test_a_foreign_idempotent_is_an_invariant_violation():
-    # diag(1, 0) is no member of the trivial algebra {0, id}
-    x2 = carrier("X", 2)
-    poset = enumerate_vn(x2, BOOL2)
+def test_a_zero_idempotent_is_an_invariant_violation():
+    # the trivial algebra {0, id} said to split along its zero member: the
+    # zero row names no prime point, and no section keeps that component
+    poset = enumerate_vn(carrier("X", 2), BOOL2)
     t = poset.trivial_index
     decompositions = list(poset.decompositions)
     decompositions[t] = decompositions[t]._replace(
-        idempotents=(diag_rel(BOOL2, x2, (BOOL2.unit, BOOL2.bottom)).entries,))
+        idempotents=(poset.algebras[t].semiring().zero,))
     poset.__dict__["decompositions"] = tuple(decompositions)
     sheaf = build_presheaf(poset, "prime")
-    match = rf"A{t}: primitive idempotent \(\(1, 0\), \(0, 0\)\) is not a member"
-    with pytest.raises(InvariantViolation, match=match):
+    with pytest.raises(InvariantViolation, match=rf"^A{t}: canonical section of '1': "):
         canonical_section("1", sheaf)
-    with pytest.raises(InvariantViolation, match=match):
+    with pytest.raises(InvariantViolation,
+                       match=rf"^A{t}: section does not isolate one component$"):
         section_element(global_sections(sheaf)[0], sheaf)
 
 

@@ -361,7 +361,7 @@ def test_exactly_one_primitive_idempotent_maps_to_one():
         for a in enumerate_vn(X2, q).algebras:
             dec = primitive_idempotents(a)
             for gamma in characters_to_two(a):
-                hits = [e for e in dec.idempotents if gamma[a.member_pos[e]] == 1]
+                hits = [e for e in dec.idempotents if gamma[e] == 1]
                 assert len(hits) == 1
 
 
@@ -375,7 +375,7 @@ def test_component_complements_are_prime_ideals():
             for e in dec.idempotents:
                 complement = tuple(sorted(
                     m for m in a.members
-                    if compose(QRel(q, a.carrier, a.carrier, e),
+                    if compose(QRel(q, a.carrier, a.carrier, a.members[e]),
                                QRel(q, a.carrier, a.carrier, m))
                     == zero_rel(q, a.carrier, a.carrier)))
                 assert complement in prime_members
