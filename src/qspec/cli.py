@@ -20,9 +20,7 @@ from qspec.quantale import (
 )
 from qspec.relations import carrier
 from qspec.subalgebra import EnumerationBoundExceeded, _Rows, enumerate_vn, require_hom_bound
-from qspec.zariski import (
-    separation_report, topology_to_json, zariski_quotient, zariski_topology,
-)
+from qspec.zariski import separation_report, zariski_quotient, zariski_topology
 
 
 def _parser():
@@ -274,9 +272,42 @@ def _poset(args, q):
                         max_generators=args.max_generators)
 
 
+def _poset_json(poset):
+    q = poset.quantale
+    # members recur across algebras: each is labelled once, and the JSON
+    # writer reuses the text of a label list it meets again
+    labels = _Rows(lambda m: [[q.elements[v] for v in row] for row in m])
+    return {
+        "quantale": q.name,
+        "carrier": list(map(str, poset.carrier.elements)),
+        "mode": poset.mode,
+        "max_generators": poset.max_generators,
+        "complete": poset.complete,
+        "algebras": [
+            {
+                "name": f"A{i}",
+                "id": a.algebra_id,
+                "size": a.size,
+                "members": list(map(labels.__getitem__, a.members)),
+            }
+            for i, a in enumerate(poset.algebras)
+        ],
+        "inclusions": [p for p in poset.leq_pairs if p[0] != p[1]],
+        "hasse_edges": poset.hasse,
+    }
+
+
+def _poset_dot(poset):
+    lines = ["digraph algebras {", "  rankdir=BT;"]
+    lines += (f'  A{i} [label="A{i}\\n{a.size} members\\n{a.algebra_id}"];'
+              for i, a in enumerate(poset.algebras))
+    lines += (f"  A{i} -> A{j};" for i, j in poset.hasse)
+    return "\n".join(lines) + "\n}\n"
+
+
 def _cmd_algebras(args, q):
     poset = _poset(args, q)
-    body = {"poset": poset.to_dot() if args.format == "dot" else poset.to_json()}
+    body = {"poset": _poset_dot(poset) if args.format == "dot" else _poset_json(poset)}
     return body, checks.algebras_suite(poset, args.seed)
 
 
@@ -307,10 +338,9 @@ def _cmd_spectrum(args, q):
 
 def _cmd_sections(args, q):
     results, verdict = _verdict_checks(args, q)
-    found = verdict.to_json() if verdict is not None else {}
-    body = {"gelfand_sections": found.get("sections")}
+    body = {"gelfand_sections": None if verdict is None else verdict.gelfand_sections}
     if is_zdf(q):
-        body["prime_sections"] = found.get("prime_sections")
+        body["prime_sections"] = None if verdict is None else verdict.prime_sections
     return body, results
 
 
@@ -343,9 +373,39 @@ def _verdict_checks(args, q):
     return results, verdict
 
 
+def _verdict_json(verdict):
+    return {
+        "carrier": [str(p) for p in verdict.carrier],
+        "quantale": verdict.quantale,
+        "mode": verdict.mode,
+        "zdf": verdict.zdf,
+        "hypotheses_met": verdict.zdf,
+        "contextual": verdict.contextual,
+        "section_count": len(verdict.gelfand_sections),
+        "sections": verdict.gelfand_sections,
+        "prime_section_count": (None if verdict.prime_sections is None
+                                else len(verdict.prime_sections)),
+        "prime_sections": verdict.prime_sections,
+        "canonical_sections": {str(k): v for k, v in verdict.canonical_by_point.items()},
+        "element_map": {",".join(map(str, k)): str(v) for k, v in verdict.element_map.items()},
+        "notes": [] if verdict.zdf else [
+            "quantale has zero divisors: decided by the direct scalar-valued "
+            "search only; the kernel/indicator comparison maps are unavailable"],
+    }
+
+
 def _cmd_verdict(args, q):
     results, verdict = _verdict_checks(args, q)
-    return {"verdict": verdict.to_json() if verdict is not None else None}, results
+    return {"verdict": _verdict_json(verdict) if verdict is not None else None}, results
+
+
+def _topology_json(topology):
+    labels = list(map(str, range(topology.size)))
+    closed = sorted(topology.closed_sets, key=lambda c: (len(c), sorted(c)))
+    return {
+        "points": labels,
+        "closed_sets": [[labels[p] for p in sorted(c)] for c in closed],
+    }
 
 
 def _cmd_topology(args, q):
@@ -359,7 +419,7 @@ def _cmd_topology(args, q):
             rep = separation_report(t)
             quotient, mapping = zariski_quotient(spectrum)
             entry[kind] = {
-                "topology": topology_to_json(t),
+                "topology": _topology_json(t),
                 "t0": rep.t0,
                 "t1": rep.t1,
                 # the open family of a finite space is finite, so any cover
@@ -434,25 +494,32 @@ def main(argv=None):
     finally:
         if enabled:
             gc.enable()
-    if sys.stderr is not None:  # None when the process started without its fd
-        sys.stderr.write(f"qspec: error: {error}\n")
+    _write_error(error)
     return status
+
+
+def _write_error(error):
+    """Write one error line to stderr, or drop it if stderr cannot take it."""
+    if sys.stderr is not None:  # None when the process started without its fd
+        try:
+            sys.stderr.write(f"qspec: error: {error}\n")
+        except OSError:
+            pass
 
 
 def entry():
     """The process entry, of both `python -m qspec.cli` and the `qspec`
-    script.  Once main returns a status, the streams are flushed and the
-    process ends at once: the run leaves no file open and no exit hook, so
-    the interpreter's teardown would only free the heap.  A stdout that
-    cannot take the report exits 2, as in _emit.  An exception, argparse's
-    SystemExit included, leaves the normal way."""
+    script.  Once main returns a status, stdout is flushed (stderr is
+    line-buffered) and the process ends at once: the run leaves no file
+    open and no exit hook, so teardown would only free the heap.  A stdout
+    that cannot take the report exits 2, as in _emit.  An exception,
+    argparse's SystemExit included, leaves the normal way."""
     status = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the process started without its fd
-                stream.flush()
+        if sys.stdout is not None:  # None when the process started without its fd
+            sys.stdout.flush()
     except OSError as exc:
-        sys.stderr.write(f"qspec: error: {exc}\n")
+        _write_error(exc)
         status = 2
     os._exit(status)
 

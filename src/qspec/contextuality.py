@@ -47,36 +47,9 @@ class Verdict(namedtuple("Verdict", "carrier quantale mode gelfand_sections "
         return self.prime_sections is not None
 
     @property
-    def notes(self):
-        return () if self.zdf else (
-            "quantale has zero divisors: decided by the direct scalar-valued "
-            "search only; the kernel/indicator comparison maps are unavailable",)
-
-    @property
     def contextual(self):
         """No global section of the scalar-valued presheaf."""
         return not self.gelfand_sections
-
-    def to_json(self):
-        return {
-            "carrier": [str(p) for p in self.carrier],
-            "quantale": self.quantale,
-            "mode": self.mode,
-            "zdf": self.zdf,
-            "hypotheses_met": self.zdf,
-            "contextual": self.contextual,
-            "section_count": len(self.gelfand_sections),
-            "sections": self.gelfand_sections,
-            "prime_section_count": (None if self.prime_sections is None
-                                    else len(self.prime_sections)),
-            "prime_sections": self.prime_sections,
-            "canonical_sections": {str(k): v
-                                   for k, v in sorted(self.canonical_by_point.items(),
-                                                      key=lambda kv: str(kv[0]))},
-            "element_map": {",".join(map(str, k)): str(v)
-                            for k, v in sorted(self.element_map.items())},
-            "notes": list(self.notes),
-        }
 
 
 def build_presheaf(poset, kind):

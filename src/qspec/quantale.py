@@ -390,11 +390,10 @@ def endomorphisms(q):
 
 
 def rig_homs(source, target):
-    """All quantale-operation-preserving maps source -> target."""
-    out = [RigHom(source, target, mapping)
-           for mapping in enumerate_homs(source.semiring(), target.semiring())]
-    out.sort(key=lambda h: h.mapping)
-    return out
+    """All quantale-operation-preserving maps source -> target, in
+    lexicographic order of their maps, as the search yields them."""
+    return [RigHom(source, target, mapping)
+            for mapping in enumerate_homs(source.semiring(), target.semiring())]
 
 
 def two_embedding(q):

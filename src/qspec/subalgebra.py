@@ -743,37 +743,6 @@ class AlgebraPoset(namedtuple("AlgebraPoset", "quantale carrier algebras mode "
     def diagonal_index(self):
         return self.index_of(diagonal_algebra(self.carrier, self.quantale))
 
-    def to_json(self):
-        q = self.quantale
-        # members recur across algebras: each is labelled once, and the JSON
-        # writer reuses the text of a label list it meets again
-        labels = _Rows(lambda m: [[q.elements[v] for v in row] for row in m])
-        return {
-            "quantale": q.name,
-            "carrier": list(map(str, self.carrier.elements)),
-            "mode": self.mode,
-            "max_generators": self.max_generators,
-            "complete": self.complete,
-            "algebras": [
-                {
-                    "name": f"A{i}",
-                    "id": a.algebra_id,
-                    "size": a.size,
-                    "members": list(map(labels.__getitem__, a.members)),
-                }
-                for i, a in enumerate(self.algebras)
-            ],
-            "inclusions": [p for p in self.leq_pairs if p[0] != p[1]],
-            "hasse_edges": self.hasse,
-        }
-
-    def to_dot(self):
-        lines = ["digraph algebras {", "  rankdir=BT;"]
-        lines += (f'  A{i} [label="A{i}\\n{a.size} members\\n{a.algebra_id}"];'
-                  for i, a in enumerate(self.algebras))
-        lines += (f"  A{i} -> A{j};" for i, j in self.hasse)
-        return "\n".join(lines) + "\n}\n"
-
 
 def _poset_from_masks(space, masks, mode, max_generators):
     """The inclusion poset of the algebras with the given member masks.

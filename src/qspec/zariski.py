@@ -186,11 +186,3 @@ def is_homeomorphism(t1, t2, point_map):
     return all(_image(d, point_map) == t2.down[m]
                for d, m in zip(t1.down, point_map))
 
-
-def topology_to_json(topology):
-    labels = list(map(str, range(topology.size)))
-    closed = sorted(topology.closed_sets, key=lambda c: (len(c), sorted(c)))
-    return {
-        "points": labels,
-        "closed_sets": [[labels[p] for p in sorted(c)] for c in closed],
-    }

@@ -26,7 +26,9 @@ exactly: a parameter or local variable that shares a definition's name
 calls nothing.  The qspec modules import one another without a cycle, at
 the top or inside a function.  The CLI has one
 report path: main loads the quantale and frames every report, and the
-command handlers return only their body and checks.  The `qspec` script
+command handlers return only their body and checks.  Only qspec.cli writes
+report keys: the poset, the verdict and the spaces it reports are records
+of the mathematics, and the CLI builds every report body from them.  The `qspec` script
 and `python -m qspec.cli` enter the CLI through one function."""
 
 import ast
@@ -78,6 +80,7 @@ def test_sections_read_supports_from_the_decomposition():
                 "SupportPair", "subset_idempotent", "is_normal", "maximal_cliques"})
       for module in ["qspec", *QSPEC_MODULES]),
     ("qspec.spectra", {"_check_inclusion", "_named", "_algebra_name"}),
+    ("qspec.zariski", {"topology_to_json"}),
 ])
 def test_module_binds_none_of(module, names):
     assert names.isdisjoint(vars(importlib.import_module(module)))
@@ -304,6 +307,12 @@ def test_records_store_no_derivable_flag():
     assert "points" not in FiniteTopology._fields
     # every finite space is compact
     assert "compact" not in SeparationReport._fields
+
+
+@pytest.mark.parametrize("record", [AlgebraPoset, Verdict], ids=lambda r: r.__name__)
+def test_records_write_no_report(record):
+    # the CLI builds the report bodies of the poset and the verdict
+    assert {"to_json", "to_dot", "notes"}.isdisjoint(dir(record))
 
 
 def test_points_and_relations_carry_no_instance_dict():

@@ -773,7 +773,7 @@ def test_argparse_reads_the_argv_the_canonical_parser_refuses(argv, seed, capsys
                                          "mode": "exhaustive", "max_generators": 2}
 
 
-def run_entry(*args, code=None, stdout=subprocess.PIPE):
+def run_entry(*args, code=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run `python -m qspec.cli ARGS`, or `python -c CODE ARGS` where CODE
     enters the CLI as `-m` does, in a child that imports this qspec and
     buffers stdout as Python does by default."""
@@ -781,7 +781,7 @@ def run_entry(*args, code=None, stdout=subprocess.PIPE):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     head = ["-m", "qspec.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *args], stdout=stdout, stderr=subprocess.PIPE,
+    return subprocess.run([sys.executable, *head, *args], stdout=stdout, stderr=stderr,
                           text=True, env={**env, "PYTHONPATH": path}, timeout=60)
 
 
@@ -845,17 +845,38 @@ def test_a_process_started_without_stdout_and_stderr_writes_its_out_file(tmp_pat
     assert json.loads(out.read_text())["passed"] is True
 
 
+# a tag parser that reports a broken invariant
+BROKEN_TAG = ("import qspec.quantale as qu\n"
+              "def broken(tag):\n    raise qu.InvariantViolation('broken')\n"
+              "qu.parse_quantale_tag = broken\n")
+
+
 @pytest.mark.parametrize("patch,status", [
     ("", 2),  # the unknown tag
-    ("import qspec.quantale as qu\n"
-     "def broken(tag):\n    raise qu.InvariantViolation('broken')\n"
-     "qu.parse_quantale_tag = broken\n", 1),
+    (BROKEN_TAG, 1),
 ], ids=["bad-tag", "broken-invariant"])
 def test_a_process_started_without_stderr_keeps_its_error_status(patch, status):
     code = (f"import runpy, sys\n{patch}sys.stdout = sys.stderr = None\n"
             "runpy.run_module('qspec.cli', run_name='__main__', alter_sys=True)")
     done = run_entry("verdict", "--quantale", "nope", code=code)
     assert (done.returncode, done.stdout, done.stderr) == (status, "", "")
+
+
+@pytest.mark.parametrize("patch,stdout,status", [
+    ("", None, 2),  # the unknown tag
+    (BROKEN_TAG, None, 1),
+    ("", "/dev/full", 2),  # a stdout that is full
+], ids=["bad-tag", "broken-invariant", "full-stdout"])
+def test_a_process_whose_stderr_refuses_its_error_line_keeps_its_status(patch, stdout, status):
+    if stdout is not None and not os.path.exists(stdout):
+        pytest.skip(f"no {stdout} on this system")
+    code = (f"import runpy\n{patch}"
+            "runpy.run_module('qspec.cli', run_name='__main__', alter_sys=True)")
+    argv = ["verdict", "--quantale", "boolean2" if stdout else "nope", "--format", "json"]
+    # fd 2 is open for reading only, so each write to it fails
+    with open(os.devnull) as err, open(stdout or os.devnull, "w") as out:
+        done = run_entry(*argv, code=code, stdout=out, stderr=err)
+    assert done.returncode == status
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import qspec.contextuality as contextuality
 from oracles import subset_idempotent, support
-from qspec import csp
+from qspec import cli, csp
 from qspec.quantale import builtin_quantale, is_zdf, parse_quantale_tag
 from qspec.relations import QRel, carrier, zero_rel, _e_compose
 from qspec.contextuality import (
@@ -503,14 +503,14 @@ def test_canonical_section_requires_zdf_scalars():
 def test_verdict_non_zdf_flagged():
     v = ks_verdict(carrier("X", 1), LUK3)
     assert v.prime_sections is None
-    assert v.notes
+    assert cli._verdict_json(v)["notes"]
     assert not v.contextual
     assert len(v.gelfand_sections) == 2
 
 
 def test_verdict_json_shape():
     v = ks_verdict(carrier("X", 2), BOOL2)
-    js = v.to_json()
+    js = cli._verdict_json(v)
     assert js["contextual"] is False
     assert js["section_count"] == len(js["sections"])
     assert js["hypotheses_met"] is True

@@ -21,7 +21,10 @@ again when kernel-bijection began to run over every quantale: each of those
 reports gained that one check entry and changed in no other byte.  The
 text reports of the |X| = 2 ladder and the dot graph of the boolean2 poset
 were recorded from the code in which each command handler still framed and
-wrote its own report.  A refactor that changes any report byte fails here.  To re-record after an
+wrote its own report; the text reports of sections and verdict over
+lukasiewicz3, whose scalars have zero divisors, from the code in which the
+poset, the verdict and the topology still wrote their own report bodies.
+A refactor that changes any report byte fails here.  To re-record after an
 intended report change, run this file as a script:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -140,7 +143,8 @@ GOLDEN_LARGE = {
     ("topology", "godel5"): "1d394eb56571e3459f13d9634beb049a6f5806f81084cdcdb02b051de043dc92",
 }
 
-# The text report of every command at |X| = 2, and the dot graph of one poset.
+# The text report of every command at |X| = 2 on two quantales and of two on a
+# third, and the dot graph of one poset.
 GOLDEN_TEXT = {
     ("check-quantale", "boolean2"): "120fe9f5cf63fdbf2d88ec11e4fed711526ed6e632ad0e4ffb2f12133521a522",
     ("algebras", "boolean2"): "9b8729bda4c4683aa820e09584ad1dde1b39425cb17d133061fc38b0dbb87caa",
@@ -154,6 +158,9 @@ GOLDEN_TEXT = {
     ("sections", "godel3"): "3daa8ecf1cfbf6f7ce45fcfd96628b0b30998e2e9a7e830a817e26d163be405f",
     ("verdict", "godel3"): "834aea207f1b6e2f7cffb19d3b6994cbeccb8f0fd5e2c2f26518c56fdf0a6665",
     ("topology", "godel3"): "f96ae3d43a0034d9c10edda4dd6fd2878ddcb5c937fd0884728d7453cf9ba3ab",
+    # scalars with zero divisors: the verdict's notes line and null prime fields
+    ("sections", "lukasiewicz3"): "86b12d9e3f545109f9c0600b49f9022730243e6c5fc1a5f76f749f1fe8b12568",
+    ("verdict", "lukasiewicz3"): "e3f42973aecde21ef1b36015c4d4e6b0493086ea26b87c3f8790f0099502bdec",
 }
 GOLDEN_DOT = {
     ("algebras", "boolean2"): "f6324514acce08bc3728d682dfc164701ffc1d2dc8efaf70844f8d40347e82e8",

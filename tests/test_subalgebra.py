@@ -14,7 +14,7 @@ from oracles import (
     SWAP_DOC, all_relations, from_rels, generated_walk_unions, inclusion_order,
     maximal_cliques, subset_idempotent, support,
 )
-from qspec import subalgebra
+from qspec import cli, subalgebra
 from qspec.checks import subset_joins
 from qspec.quantale import (
     Quantale, ZdfRequiredError, builtin_quantale, is_zdf, load_quantale,
@@ -896,10 +896,10 @@ def test_the_hom_bound_at_its_edge(monkeypatch, bound, refusal):
 
 def test_poset_exports():
     poset = enumerate_vn(X2, BOOL2)
-    js = poset.to_json()
+    js = cli._poset_json(poset)
     assert js["complete"] is True
     assert len(js["algebras"]) == len(poset.algebras)
-    dot = poset.to_dot()
+    dot = cli._poset_dot(poset)
     assert dot.startswith("digraph") and "->" in dot
 
 

@@ -6,6 +6,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qspec import cli
 from qspec.quantale import ZdfRequiredError, builtin_quantale, parse_quantale_tag
 from qspec.relations import _e_compose, _e_join, carrier, zero_rel
 from qspec.spectra import (
@@ -15,7 +16,7 @@ from qspec.subalgebra import diagonal_algebra, enumerate_vn, trivial_algebra
 from qspec.zariski import (
     MAX_IDEAL_SCAN_MEMBERS, FiniteTopology, all_ideals, check_continuity, closed_family_from_basis,
     is_homeomorphism, kolmogorov_quotient, separation_report,
-    topology_to_json, vanishing_set, vanishing_set_of_ideal,
+    vanishing_set, vanishing_set_of_ideal,
     verify_quotient_xi, zariski_quotient, zariski_topology,
 )
 
@@ -409,5 +410,5 @@ def test_principal_basis_equals_all_ideals_basis_on_small_algebras():
 
 def test_topology_json():
     t = zariski_topology(prime_spectrum(gelfand_spectrum(trivial_algebra(X2, BOOL2))))
-    js = topology_to_json(t)
+    js = cli._topology_json(t)
     assert js == {"points": ["0"], "closed_sets": [[], ["0"]]}
